@@ -321,6 +321,24 @@ func (e *Engine) ScheduleArgAt(at memdef.Cycle, fn func(uint64), arg uint64) {
 	e.insert(n, at)
 }
 
+// ScheduleArgAtTagged is ScheduleArgAt with a snapshot tag (see
+// ScheduleTagged).
+func (e *Engine) ScheduleArgAtTagged(at memdef.Cycle, tag Tag, fn func(uint64), arg uint64) {
+	if at < e.now {
+		//cppelint:panicfree scheduling in the past is a component bug that would silently corrupt event order; fail loudly, recovered by the harness
+		panic(fmt.Sprintf("engine: ScheduleArgAtTagged(%d) in the past (now=%d)", at, e.now))
+	}
+	if fn == nil {
+		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
+		panic("engine: ScheduleArgAtTagged called with nil fn")
+	}
+	n := e.alloc()
+	n.argFn = fn
+	n.arg = arg
+	n.tag = tag
+	e.insert(n, at)
+}
+
 // nextRing returns the earliest cycle with a ring event. Ring slots ascend in
 // time when scanned circularly from now's slot, so the first occupied slot in
 // that order is the earliest.

@@ -148,13 +148,14 @@ func (r *Resource) Decode(rd *snapshot.Reader) {
 }
 
 // Encode writes the semaphore's occupancy and the tags of its queued
-// waiters. An untagged waiter records ErrUntagged on w.
+// waiters in FIFO order. An untagged waiter records ErrUntagged on w.
 func (s *Semaphore) Encode(w *snapshot.Writer) {
 	w.Mark("SEM ")
 	w.PutU64(uint64(s.held))
 	w.PutU64(uint64(s.peak))
-	w.PutU64(uint64(len(s.waiters)))
-	for _, wt := range s.waiters {
+	w.PutU64(uint64(s.n))
+	for i := 0; i < s.n; i++ {
+		wt := s.at(i)
 		if wt.tag.Kind == 0 {
 			w.Fail(fmt.Errorf("%w (semaphore waiter)", ErrUntagged))
 			return
@@ -176,7 +177,7 @@ func (s *Semaphore) Decode(r *snapshot.Reader, resolve Resolver) {
 		return
 	}
 	n := r.GetCount(18)
-	s.waiters = s.waiters[:0]
+	s.ring, s.head, s.n = nil, 0, 0
 	for i := 0; i < n; i++ {
 		tag := Tag{Kind: r.GetU16(), A: r.GetU64(), B: r.GetU64()}
 		if r.Err() != nil {
@@ -187,6 +188,6 @@ func (s *Semaphore) Decode(r *snapshot.Reader, resolve Resolver) {
 			r.Fail(fmt.Errorf("%w: semaphore waiter %d: %v", snapshot.ErrCorrupt, i, err))
 			return
 		}
-		s.waiters = append(s.waiters, waiter{tag: tag, fn: fn})
+		s.push(waiter{tag: tag, fn: fn})
 	}
 }

@@ -41,7 +41,15 @@ type Chain struct {
 	//cppelint:statecov lookup index repopulated entry by entry as Decode replays PushTail
 	index map[memdef.ChunkID]*Entry
 	n     int
+	// free chains unused entries (through next) for reuse by newEntry, so
+	// insert/remove churn allocates nothing once the chain has reached its
+	// peak length. No policy holds an *Entry past Remove.
+	//cppelint:statecov entry recycling pool, not simulated state; Decode rebuilds the chain with fresh entries
+	free *Entry
 }
+
+// entryBlock is the number of entries the pool allocates at once.
+const entryBlock = 64
 
 // NewChain returns an empty chain.
 func NewChain() *Chain {
@@ -99,13 +107,25 @@ func (c *Chain) newEntry(id memdef.ChunkID) *Entry {
 		//cppelint:panicfree duplicate insert is a policy bug the audit ClassChain check also detects; zero-alloc hot path, recovered by the harness into Result.Err
 		panic(fmt.Sprintf("evict: chunk %v already in chain", id))
 	}
-	e := &Entry{Chunk: id}
+	e := c.free
+	if e == nil {
+		// Refill the pool with a block of entries, so a growing chain
+		// allocates once per entryBlock inserts.
+		block := make([]Entry, entryBlock)
+		for i := range block[:entryBlock-1] {
+			block[i].next = &block[i+1]
+		}
+		e = &block[0]
+	}
+	c.free = e.next
+	*e = Entry{Chunk: id}
 	c.index[id] = e
 	c.n++
 	return e
 }
 
-// Remove unlinks e from the chain.
+// Remove unlinks e from the chain and recycles it: callers must not use e
+// afterwards.
 func (c *Chain) Remove(e *Entry) {
 	if c.index[e.Chunk] != e {
 		//cppelint:panicfree foreign-entry removal is a policy bug the audit ClassChain check also detects; zero-alloc hot path, recovered by the harness into Result.Err
@@ -121,9 +141,10 @@ func (c *Chain) Remove(e *Entry) {
 	} else {
 		c.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 	delete(c.index, e.Chunk)
 	c.n--
+	e.prev, e.next = nil, c.free
+	c.free = e
 }
 
 // MoveToTail makes e the MRU entry.

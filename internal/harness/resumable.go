@@ -36,8 +36,8 @@ func (s *Session) EnvelopeID(k Key) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: benchmark %q", ErrUnknownKey, k.Bench)
 	}
-	if _, ok := s.setups[k.Setup]; !ok {
-		return 0, fmt.Errorf("%w: setup %q", ErrUnknownKey, k.Setup)
+	if _, err := s.ResolveSetup(k.Setup); err != nil {
+		return 0, err
 	}
 	g := s.generated(bench)
 	cfg := s.cfg.Base

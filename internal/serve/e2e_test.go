@@ -88,6 +88,46 @@ func TestServeRealSession(t *testing.T) {
 	}
 }
 
+// TestServeRealSessionRegistryPair: a registry-pair setup ("evict+prefetch",
+// which Run resolves dynamically) is a servable job, and its served bytes are
+// identical to the direct rendering of the same request.
+func TestServeRealSessionRegistryPair(t *testing.T) {
+	opt := cppe.Options{Scale: 0.05, Parallelism: 2}
+	req := cppe.Request{Benchmark: "NW", Setup: "mhpe+locality", Oversubscription: 50}
+	ref, err := cppe.NewSession(opt).Run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cppe.ResultJSON(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{
+		StateDir:        t.TempDir(),
+		Workers:         1,
+		CheckpointEvery: ref.Cycles / 5,
+		Runner:          SessionRunner(cppe.NewSession(opt)),
+		Logf:            discardLogf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown(0)
+
+	code, sr, _ := post(t, srv.Handler(), `{"benchmark":"NW","setup":"mhpe+locality","oversubscription":50}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: %d %+v", code, sr)
+	}
+	if j := waitDone(t, srv, sr.ID); j.State() != StateCached {
+		t.Fatalf("job = %s (err=%q), want cached", j.State(), j.Err())
+	}
+	_, body := get(t, srv.Handler(), "/v1/jobs/"+sr.ID+"/result")
+	if string(body) != string(want) {
+		t.Errorf("served pair result differs from direct rendering:\n got: %s\nwant: %s", body, want)
+	}
+}
+
 // TestServeRealSessionParkResume interrupts a real run mid-flight with a
 // graceful shutdown, then finishes it in a second server life from the
 // retained checkpoint; the final bytes still match the uninterrupted run.

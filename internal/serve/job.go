@@ -100,6 +100,9 @@ type Job struct {
 	attempts int
 	errMsg   string
 	done     chan struct{}
+
+	// journalMu serializes the job's journal writes (see journal).
+	journalMu sync.Mutex
 }
 
 // NewJob returns an accepted job.
@@ -198,6 +201,16 @@ func (j *Job) Record() Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Record{ID: j.ID, Request: j.Req, State: j.state, Attempts: j.attempts, Error: j.errMsg}
+}
+
+// journal writes the job's current record through put. Writes are
+// serialized per job and the record is read under the same lock, so the last
+// write always carries the newest state: a writer that snapshotted an older
+// state can no longer land after one that snapshotted a newer state.
+func (j *Job) journal(put func(Record) error) error {
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
+	return put(j.Record())
 }
 
 // jobFromRecord rebuilds a job from its journal record (used by replay).

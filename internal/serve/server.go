@@ -214,7 +214,7 @@ func New(cfg Config) (*Server, error) {
 		case !rec.State.Terminal():
 			rec.State = StateQueued
 			j := jobFromRecord(rec)
-			if err := store.PutJob(j.Record()); err != nil {
+			if err := j.journal(store.PutJob); err != nil {
 				return nil, err
 			}
 			s.jobs[j.ID] = j
@@ -542,7 +542,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.rearm()
 	}
 	// Durability point: the job is journaled as accepted before we answer.
-	if err := s.store.PutJob(j.Record()); err != nil {
+	if err := j.journal(s.store.PutJob); err != nil {
 		if fresh {
 			delete(s.jobs, id)
 		}
@@ -565,7 +565,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.store.DeleteJob(id)
 		} else {
 			j.finish(StateFailed, "requeue rejected: admission queue full")
-			s.store.PutJob(j.Record())
+			j.journal(s.store.PutJob)
 			s.advanceAllLocked() // a watched point just went terminal
 		}
 		s.mu.Unlock()
@@ -763,7 +763,7 @@ func (s *Server) worker() {
 // durability, not availability, so they log (and, under disk pressure, flip
 // degraded mode) instead of failing the job.
 func (s *Server) persist(j *Job) {
-	if err := s.store.PutJob(j.Record()); err != nil {
+	if err := j.journal(s.store.PutJob); err != nil {
 		s.degradeOnDiskPressure(err)
 		s.cfg.Logf("serve: journal write failed for %s: %v", j.ID, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/reproductions/cppe/internal/serve/fsfault"
@@ -43,6 +44,10 @@ type Store struct {
 	pins       map[string]int
 	lastServed map[string]uint64
 	seq        uint64
+
+	// tmpSeq numbers temporary files, so concurrent writers of one path
+	// never share a tmp name.
+	tmpSeq atomic.Uint64
 }
 
 // OpenStore creates (if needed) the state directory layout over the real
@@ -115,8 +120,10 @@ func (st *Store) CheckpointPath(id string) string {
 }
 
 // atomicWrite replaces path with data via tmp+rename in the same directory.
+// Each write gets its own "<path>.<n>.tmp", which Open's "*.tmp" sweep still
+// matches.
 func (st *Store) atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
+	tmp := fmt.Sprintf("%s.%d.tmp", path, st.tmpSeq.Add(1))
 	if err := st.fs.WriteFile(tmp, data, 0o644); err != nil {
 		_ = st.fs.Remove(tmp) // drop a torn tmp eagerly; Open re-sweeps survivors
 		return err

@@ -355,14 +355,14 @@ func (s *Server) admitPointLocked(sw *Sweep, p *SweepPoint) error {
 		// Failed, or cached with evicted bytes: re-arm and requeue.
 		j.rearm()
 		j.setState(StateQueued)
-		if err := s.store.PutJob(j.Record()); err != nil {
+		if err := j.journal(s.store.PutJob); err != nil {
 			j.restore(rec)
 			s.degradeOnDiskPressure(err)
 			return err
 		}
 		if !s.queue.TryPush(j) {
 			j.restore(rec)
-			s.store.PutJob(rec)
+			j.journal(s.store.PutJob)
 			return errQueueFull
 		}
 		return nil
@@ -372,7 +372,7 @@ func (s *Server) admitPointLocked(sw *Sweep, p *SweepPoint) error {
 	}
 	j = NewJob(p.JobID, p.Req)
 	j.setState(StateQueued)
-	if err := s.store.PutJob(j.Record()); err != nil {
+	if err := j.journal(s.store.PutJob); err != nil {
 		s.degradeOnDiskPressure(err)
 		return err
 	}

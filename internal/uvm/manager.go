@@ -12,8 +12,10 @@
 //
 // Hot-path bookkeeping is dense: per-chunk state lives in a slice indexed by
 // chunk ID (footprints are contiguous), pending-fault marks are per-chunk
-// bitmaps, and translation contexts are pooled with their stage callbacks
-// built once, so the translate/fault path is allocation-free in steady state.
+// bitmaps, fault waiters are linked through their translation contexts, and
+// every event callback is built once and takes its operand as the event
+// argument, so the translate → fault → migrate → evict path is
+// allocation-free in steady state.
 package uvm
 
 import (
@@ -61,13 +63,6 @@ const (
 	TagMigXfer uint16 = 0x0309
 )
 
-// tagged pairs a waiter callback with the serializable tag that re-creates
-// it on restore.
-type tagged struct {
-	tag engine.Tag
-	fn  func()
-}
-
 // chunkState is the GMMU's per-resident-chunk bookkeeping: which pages are
 // resident, which are being migrated, and which have been touched by the GPU
 // since migration (the touch bit vector read at eviction time).
@@ -86,19 +81,34 @@ type chunkState struct {
 	// fall back to smMaskAll.
 	smMask    uint64
 	smMaskAll bool
-	// waiters holds, per chunk page, the callbacks to wake when the page
-	// becomes resident, each paired with its snapshot tag. Allocated on
-	// first use; slices are recycled.
-	waiters *[memdef.ChunkPages][]tagged
+	// waitHead/waitTail are, per chunk page, the ends of the FIFO of
+	// faulted translations to resume when the page becomes resident. The
+	// list is intrusive (linked through xlat.waitNext): every waiter is a
+	// translation context, which waits on at most one page at a time.
+	waitHead, waitTail [memdef.ChunkPages]*xlat
 }
 
-// addWaiter queues resume (re-creatable from tag) until page index idx
-// becomes resident.
-func (st *chunkState) addWaiter(idx int, tag engine.Tag, resume func()) {
-	if st.waiters == nil {
-		st.waiters = new([memdef.ChunkPages][]tagged)
+// addWaiter queues translation x until page index idx becomes resident.
+// Clearing x's link keeps every list acyclic even if a corrupt restore links
+// a context twice.
+func (st *chunkState) addWaiter(idx int, x *xlat) {
+	x.waitNext = nil
+	if st.waitTail[idx] == nil {
+		st.waitHead[idx] = x
+	} else {
+		st.waitTail[idx].waitNext = x
 	}
-	st.waiters[idx] = append(st.waiters[idx], tagged{tag: tag, fn: resume})
+	st.waitTail[idx] = x
+}
+
+// hasWaiters reports whether any page of the chunk has queued waiters.
+func (st *chunkState) hasWaiters() bool {
+	for _, x := range st.waitHead {
+		if x != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Stats aggregates the driver-level counters the evaluation reports.
@@ -191,14 +201,13 @@ func (b Breakdown) AvgLatency(p PathKind) float64 {
 	return float64(b.Cycles[p]) / float64(b.Count[p])
 }
 
-// xlat is one pooled in-flight translation. Its stage callbacks are built
-// once (when the context is first allocated) and read their operands from the
-// context, so a translation allocates nothing after the pool warms up.
-// Contexts carry a stable registry ID so every in-flight translation — and
-// every event it has scheduled — can be serialized by ID and re-linked on
-// checkpoint restore (see snapshot.go).
+// xlat is one pooled in-flight translation. Contexts carry a stable registry
+// ID, which is also the argument of their stage events (the manager's
+// xlat*Fn callbacks), so a translation allocates nothing after the pool warms
+// up, and every in-flight translation — and every event it has scheduled —
+// can be serialized by ID and re-linked on checkpoint restore (see
+// snapshot.go).
 type xlat struct {
-	m      *Manager
 	id     uint64 // registry ID, stable for the manager's lifetime
 	active bool
 	sm     memdef.SMID
@@ -211,12 +220,12 @@ type xlat struct {
 	// which makes an in-flight translation unserializable.
 	doneTag engine.Tag
 	next    *xlat
-
-	l1Stage   func()           // after the L1 TLB latency: probe the L1 TLB
-	l2Grant   func()           // an L2 TLB port was granted
-	l2Stage   func()           // after the L2 TLB latency: probe, walk on miss
-	walkDone  func(ptw.Result) // page-table walk completed
-	faultDone func()           // far-fault service completed
+	// waitNext links the translation into its faulted page's waiter FIFO
+	// (see chunkState.addWaiter).
+	waitNext *xlat
+	// walkDone is the walker's completion callback for this context, built
+	// once when the context is first allocated.
+	walkDone func(ptw.Result)
 }
 
 // migEntry is one in-flight migration in the registry: the planned pages,
@@ -283,18 +292,40 @@ type Manager struct {
 	nextFrame  pagetable.FrameNum
 
 	// chunkTab is the dense per-chunk state table: chunk c lives at
-	// chunkTab[c-chunkBase]. Entries are allocated on first touch and kept
-	// (zeroed, waiters preserved) across evictions, so pointers are stable.
+	// chunkTab[c-chunkBase]. Entries are carved out of chunkSlab on first
+	// touch and kept (zeroed, waiters preserved) across evictions, so
+	// pointers are stable.
 	chunkBase memdef.ChunkID
 	chunkTab  []*chunkState
+	chunkSlab []chunkState
 
 	// migSlots bounds concurrent fault-batch processing by the driver.
 	migSlots *engine.Semaphore
 
+	// Event callbacks, built once in New. Each takes its operand (a
+	// translation ID, a faulted page or a migration ID) as the engine's
+	// uint64 event argument, so neither translations nor the fault → migrate
+	// → commit cycle schedule closures; restored events dispatch through the
+	// same callbacks (ResolveEvent).
+	xlatL1Fn      func(uint64) // TagXlatL1: probe translation arg's L1 TLB
+	xlatL2GrantFn func(uint64) // TagXlatL2Grant: translation arg got an L2 TLB port
+	xlatL2StageFn func(uint64) // TagXlatL2Stage: probe the L2 TLB, walk on miss
+	xlatFaultFn   func(uint64) // TagXlatFault: translation arg's far fault was serviced
+	faultFn       func(uint64) // TagProcessFault: service the claimed fault on page arg
+	migSvcFn      func(uint64) // TagMigSvc: start migration arg's H2D transfer
+	migXferFn     func(uint64) // TagMigXfer: commit migration arg
+	// residentFn is the prefetcher's residency oracle and excludedFn the
+	// eviction policy's victim filter; excludedFn skips excludeChunk, the
+	// chunk of the fault being serviced.
+	residentFn   func(memdef.PageNum) bool
+	excludedFn   func(memdef.ChunkID) bool
+	excludeChunk memdef.ChunkID
+
 	// xlats is the translation-context registry, indexed by xlat.id;
-	// xlatFree chains the inactive ones.
+	// xlatFree chains the inactive ones. Contexts are carved out of xlatSlab.
 	xlats    []*xlat
 	xlatFree *xlat
+	xlatSlab []xlat
 	// migs is the migration registry, indexed by migration ID; migFree holds
 	// recyclable IDs (plan slices keep their capacity across reuse).
 	migs    []*migEntry
@@ -371,6 +402,15 @@ func New(eng *engine.Engine, cfg memdef.Config, link *xbus.Link, policy evict.Po
 	}
 	m.l2ports = engine.NewSemaphore(eng, ports)
 	m.walker = ptw.New(eng, cfg, m.table, walkMem)
+	m.xlatL1Fn = m.xlatL1
+	m.xlatL2GrantFn = m.xlatL2Grant
+	m.xlatL2StageFn = m.xlatL2Stage
+	m.xlatFaultFn = m.xlatFaultDone
+	m.faultFn = func(page uint64) { m.serviceFault(memdef.PageNum(page), 0) }
+	m.migSvcFn = m.migTransfer
+	m.migXferFn = m.migArrived
+	m.residentFn = m.isResidentOrInflight
+	m.excludedFn = m.victimExcluded
 	// View-driven policies get the narrow machine view bound exactly once,
 	// before any event callback (see view.go).
 	m.bindViews()
@@ -414,50 +454,74 @@ func (m *Manager) MemoryFull() bool { return m.memoryFull }
 // ResidentPages returns the current number of resident or reserved pages.
 func (m *Manager) ResidentPages() int { return m.usedPages }
 
+// slabSize is the number of chunk states or translation contexts allocated
+// at once. Slabs are never moved, so every handed-out pointer stays valid.
+const slabSize = 64
+
 // newXlat builds a translation context with the next registry ID and its
-// once-allocated stage callbacks.
+// once-allocated walker callback.
 func (m *Manager) newXlat() *xlat {
-	x := &xlat{m: m, id: uint64(len(m.xlats))}
-	x.l1Stage = func() {
-		if x.m.l1tlbs[x.sm].Lookup(x.page) {
-			x.m.stats.L1THits++
-			x.m.finish(x, PathL1Hit)
-			return
-		}
-		// The shared L2 TLB has a bounded number of ports: an access
-		// holds one for the lookup latency; excess lookups queue.
-		x.m.l2ports.AcquireTagged(engine.Tag{Kind: TagXlatL2Grant, A: x.id}, x.l2Grant)
+	if len(m.xlatSlab) == 0 {
+		m.xlatSlab = make([]xlat, slabSize)
 	}
-	x.l2Grant = func() {
-		x.m.eng.ScheduleTagged(x.m.cfg.L2TLBLatency, engine.Tag{Kind: TagXlatL2Stage, A: x.id}, x.l2Stage)
-	}
-	x.l2Stage = func() {
-		x.m.l2ports.Release()
-		if x.m.l2tlb.Lookup(x.page) {
-			x.m.stats.L2THits++
-			x.m.insertL1(x.sm, x.page)
-			x.m.finish(x, PathL2Hit)
-			return
-		}
-		x.m.stats.Walks++
-		x.m.walker.WalkT(x.page, engine.Tag{Kind: TagXlatWalkDone, A: x.id}, x.walkDone)
-	}
-	x.walkDone = func(r ptw.Result) {
-		if r.Mapped {
-			x.m.l2tlb.Insert(x.page)
-			x.m.insertL1(x.sm, x.page)
-			x.m.finish(x, PathWalk)
-			return
-		}
-		x.m.handleFault(x.page, engine.Tag{Kind: TagXlatFault, A: x.id}, x.faultDone)
-	}
-	x.faultDone = func() {
-		x.m.l2tlb.Insert(x.page)
-		x.m.insertL1(x.sm, x.page)
-		x.m.finish(x, PathFault)
-	}
+	x := &m.xlatSlab[0]
+	m.xlatSlab = m.xlatSlab[1:]
+	x.id = uint64(len(m.xlats))
+	x.walkDone = func(r ptw.Result) { m.walkDone(x, r) }
 	m.xlats = append(m.xlats, x)
 	return x
+}
+
+// xlatL1 runs after the L1 TLB latency: probe the L1 TLB.
+func (m *Manager) xlatL1(id uint64) {
+	x := m.xlats[id]
+	if m.l1tlbs[x.sm].Lookup(x.page) {
+		m.stats.L1THits++
+		m.finish(x, PathL1Hit)
+		return
+	}
+	// The shared L2 TLB has a bounded number of ports: an access holds one
+	// for the lookup latency; excess lookups queue.
+	m.l2ports.AcquireArgTagged(engine.Tag{Kind: TagXlatL2Grant, A: id}, m.xlatL2GrantFn, id)
+}
+
+// xlatL2Grant runs when an L2 TLB port is granted.
+func (m *Manager) xlatL2Grant(id uint64) {
+	m.eng.ScheduleArgTagged(m.cfg.L2TLBLatency, engine.Tag{Kind: TagXlatL2Stage, A: id}, m.xlatL2StageFn, id)
+}
+
+// xlatL2Stage runs after the L2 TLB latency: probe the L2 TLB, walk on miss.
+func (m *Manager) xlatL2Stage(id uint64) {
+	x := m.xlats[id]
+	m.l2ports.Release()
+	if m.l2tlb.Lookup(x.page) {
+		m.stats.L2THits++
+		m.insertL1(x.sm, x.page)
+		m.finish(x, PathL2Hit)
+		return
+	}
+	m.stats.Walks++
+	m.walker.WalkT(x.page, engine.Tag{Kind: TagXlatWalkDone, A: id}, x.walkDone)
+}
+
+// walkDone completes x's page-table walk: a mapped page finishes the
+// translation, an unmapped one raises a far fault.
+func (m *Manager) walkDone(x *xlat, r ptw.Result) {
+	if r.Mapped {
+		m.l2tlb.Insert(x.page)
+		m.insertL1(x.sm, x.page)
+		m.finish(x, PathWalk)
+		return
+	}
+	m.handleFault(x)
+}
+
+// xlatFaultDone resumes translation id once its faulted page is resident.
+func (m *Manager) xlatFaultDone(id uint64) {
+	x := m.xlats[id]
+	m.l2tlb.Insert(x.page)
+	m.insertL1(x.sm, x.page)
+	m.finish(x, PathFault)
 }
 
 // getXlat pops (or builds) a translation context.
@@ -493,7 +557,7 @@ func (m *Manager) TranslateT(sm memdef.SMID, acc memdef.Access, doneTag engine.T
 	x.start = m.eng.Now()
 	x.done = done
 	x.doneTag = doneTag
-	m.eng.ScheduleTagged(m.cfg.L1TLBLatency, engine.Tag{Kind: TagXlatL1, A: x.id}, x.l1Stage)
+	m.eng.ScheduleArgTagged(m.cfg.L1TLBLatency, engine.Tag{Kind: TagXlatL1, A: x.id}, m.xlatL1Fn, x.id)
 }
 
 // finish completes a translation: path accounting, touch/dirty bookkeeping,
@@ -550,33 +614,27 @@ func (m *Manager) isResidentOrInflight(p memdef.PageNum) bool {
 	return st.resident.Has(i) || st.inflight.Has(i)
 }
 
-// handleFault services a far fault on page, invoking resume once the page is
-// resident and mapped (resumeTag is resume's snapshot tag). Faults on pages
-// already being migrated (or already claimed by a queued fault) merge;
-// distinct faults queue for one of the driver's bounded fault-processing
-// slots.
-func (m *Manager) handleFault(page memdef.PageNum, resumeTag engine.Tag, resume func()) {
+// handleFault services translation x's far fault on x.page, resuming x
+// (xlatFaultDone, tagged TagXlatFault) once the page is resident and mapped.
+// Faults on pages already being migrated (or already claimed by a queued
+// fault) merge; distinct faults queue for one of the driver's bounded
+// fault-processing slots.
+func (m *Manager) handleFault(x *xlat) {
+	page := x.page
 	st := m.chunkState(page.Chunk())
 	idx := page.Index()
 	if st.resident.Has(idx) || st.inflight.Has(idx) || st.pendingFault.Has(idx) {
 		// Another fault is already responsible for this page: merge.
 		m.stats.MergedFaults++
-		st.addWaiter(idx, resumeTag, resume)
+		st.addWaiter(idx, x)
 		return
 	}
 	m.stats.FaultEvents++
 	st.pendingFault = st.pendingFault.Set(idx)
 	m.pendingFaults++
-	st.addWaiter(idx, resumeTag, resume)
+	st.addWaiter(idx, x)
 	m.policy.OnFault(page.Chunk())
-	m.migSlots.AcquireTagged(engine.Tag{Kind: TagProcessFault, A: uint64(page)},
-		func() { m.processFault(page) })
-}
-
-// processFault services one claimed fault, retrying transient (injected)
-// service failures with bounded exponential backoff before planning.
-func (m *Manager) processFault(page memdef.PageNum) {
-	m.serviceFault(page, 0)
+	m.migSlots.AcquireArgTagged(engine.Tag{Kind: TagProcessFault, A: uint64(page)}, m.faultFn, uint64(page))
 }
 
 // retryBackoff returns the driver's backoff before the (attempt+1)-th
@@ -594,9 +652,11 @@ func (m *Manager) retryBackoff(attempt int) memdef.Cycle {
 	return b
 }
 
-// serviceFault plans and performs the migration for one claimed fault. It
-// runs holding a driver slot, which is released when the migration commits.
-// attempt counts transient service failures already retried for this fault.
+// serviceFault plans and performs the migration for one claimed fault,
+// retrying transient (injected) service failures with bounded exponential
+// backoff before planning. It runs holding a driver slot, which is released
+// when the migration commits. attempt counts transient service failures
+// already retried for this fault.
 func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 	if m.inj != nil && m.inj.FailFaultAttempt(attempt) {
 		if attempt+1 >= maxFaultAttempts {
@@ -630,7 +690,7 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 	}
 
 	plan := m.pf.Plan(page, prefetch.Context{
-		Resident:   m.isResidentOrInflight,
+		Resident:   m.residentFn,
 		MemoryFull: m.memoryFull,
 	})
 	// A plan may never exceed half the GPU memory (large tree-prefetch
@@ -688,8 +748,7 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 	// The plan lives in the migration registry so both pending events carry
 	// only the serializable migration ID.
 	id := m.allocMig(plan)
-	m.eng.ScheduleTagged(m.cfg.FaultServiceCycles(), engine.Tag{Kind: TagMigSvc, A: id},
-		func() { m.migTransfer(id) })
+	m.eng.ScheduleArgTagged(m.cfg.FaultServiceCycles(), engine.Tag{Kind: TagMigSvc, A: id}, m.migSvcFn, id)
 }
 
 // allocMig registers plan as an in-flight migration and returns its ID.
@@ -709,23 +768,33 @@ func (m *Manager) allocMig(plan []memdef.PageNum) uint64 {
 }
 
 // migTransfer starts migration id's H2D transfer after the fault-service
-// latency has elapsed.
+// latency has elapsed. The link books the transfer; the completion event is
+// scheduled here, at the cycle the link returns, so it can carry the
+// migration ID as its argument.
 func (m *Manager) migTransfer(id uint64) {
 	bytes := len(m.migs[id].plan) * memdef.PageBytes
-	m.link.TransferT(xbus.HostToDevice, bytes, engine.Tag{Kind: TagMigXfer, A: id},
-		func() { m.migArrived(id) })
+	finish := m.link.Transfer(xbus.HostToDevice, bytes, nil)
+	m.eng.ScheduleArgAtTagged(finish, engine.Tag{Kind: TagMigXfer, A: id}, m.migXferFn, id)
 }
 
 // migArrived commits migration id once its transfer completes (possibly
-// perturbed by the injector) and retires the registry entry.
+// perturbed by the injector).
 func (m *Manager) migArrived(id uint64) {
-	m.deliverCommit(func() {
-		mg := m.migs[id]
-		m.commitMigration(mg.plan)
-		mg.active = false
-		m.migFree = append(m.migFree, id)
-		m.migSlots.Release()
-	})
+	if m.inj == nil {
+		m.commitMig(id)
+		return
+	}
+	m.deliverCommit(func() { m.commitMig(id) })
+}
+
+// commitMig commits migration id, retires its registry entry and releases
+// its driver slot.
+func (m *Manager) commitMig(id uint64) {
+	mg := m.migs[id]
+	m.commitMigration(mg.plan)
+	mg.active = false
+	m.migFree = append(m.migFree, id)
+	m.migSlots.Release()
 }
 
 // heldFlushCycles bounds how long the injector may hold a commit for
@@ -733,15 +802,11 @@ func (m *Manager) migArrived(id uint64) {
 // can never strand its migration (and the warps waiting on it).
 const heldFlushCycles = memdef.Cycle(20_000)
 
-// deliverCommit delivers a completed migration's commit, applying the
-// injector's perturbations (extra delay, reordered delivery) when armed.
-// Commits are order-independent — plans are disjoint and their frames
-// already reserved — which is exactly what reordering exercises.
+// deliverCommit delivers a completed migration's commit under the armed
+// injector's perturbations (extra delay, reordered delivery). Commits are
+// order-independent — plans are disjoint and their frames already reserved —
+// which is exactly what reordering exercises.
 func (m *Manager) deliverCommit(commit func()) {
-	if m.inj == nil {
-		commit()
-		return
-	}
 	if d := m.inj.CommitDelay(); d > 0 {
 		engine.After(m.eng, d, func() { m.deliverReordered(commit) })
 		return
@@ -775,25 +840,23 @@ func (m *Manager) deliverReordered(commit func()) {
 	commit()
 }
 
-// wake schedules all waiters registered for page.
+// wake schedules, in FIFO order, the fault completion of every translation
+// waiting on page.
 func (m *Manager) wake(page memdef.PageNum) {
 	st := m.lookupChunk(page.Chunk())
-	if st == nil || st.waiters == nil {
+	if st == nil {
 		return
 	}
 	idx := page.Index()
-	ws := st.waiters[idx]
-	if len(ws) == 0 {
-		return
-	}
-	for _, w := range ws {
+	x := st.waitHead[idx]
+	st.waitHead[idx], st.waitTail[idx] = nil, nil
+	for x != nil {
+		next := x.waitNext
+		x.waitNext = nil
 		// Zero-delay event keeps wake-up ordering deterministic.
-		m.eng.ScheduleTagged(0, w.tag, w.fn)
+		m.eng.ScheduleArgTagged(0, engine.Tag{Kind: TagXlatFault, A: x.id}, m.xlatFaultFn, x.id)
+		x = next
 	}
-	for j := range ws {
-		ws[j] = tagged{}
-	}
-	st.waiters[idx] = ws[:0]
 }
 
 // lookupChunk returns the state for chunk c, or nil if c was never touched.
@@ -829,9 +892,19 @@ func (m *Manager) chunkState(c memdef.ChunkID) *chunkState {
 	}
 	st := m.chunkTab[c-m.chunkBase]
 	if st == nil {
-		st = &chunkState{}
+		st = m.newChunkState()
 		m.chunkTab[c-m.chunkBase] = st
 	}
+	return st
+}
+
+// newChunkState carves a zeroed chunk state out of chunkSlab.
+func (m *Manager) newChunkState() *chunkState {
+	if len(m.chunkSlab) == 0 {
+		m.chunkSlab = make([]chunkState, slabSize)
+	}
+	st := &m.chunkSlab[0]
+	m.chunkSlab = m.chunkSlab[1:]
 	return st
 }
 
@@ -933,17 +1006,23 @@ func (m *Manager) integrityFail(check, trigger string, err error) {
 // victim is available (or when the eviction hit an integrity violation and
 // fail-stopped the run). excludeChunk is the chunk of the pending fault.
 func (m *Manager) evictOne(excludeChunk memdef.ChunkID) bool {
-	victim, ok := m.policy.SelectVictim(func(c memdef.ChunkID) bool {
-		if c == excludeChunk {
-			return true
-		}
-		st := m.lookupChunk(c)
-		return st == nil || st.inflight != 0 || st.resident == 0
-	})
+	m.excludeChunk = excludeChunk
+	victim, ok := m.policy.SelectVictim(m.excludedFn)
 	if !ok {
 		return false
 	}
 	return m.evictChunk(victim)
+}
+
+// victimExcluded is the eviction policy's victim filter: it rules out the
+// chunk of the fault being serviced and chunks with nothing resident or with
+// a migration in flight.
+func (m *Manager) victimExcluded(c memdef.ChunkID) bool {
+	if c == m.excludeChunk {
+		return true
+	}
+	st := m.lookupChunk(c)
+	return st == nil || st.inflight != 0 || st.resident == 0
 }
 
 // evictChunk unmaps every resident page of victim, shoots down TLBs, charges
@@ -1166,7 +1245,7 @@ func (m *Manager) checkPending() string {
 				// wakes the waiters.
 				continue
 			}
-			if st.waiters == nil || len(st.waiters[idx]) == 0 {
+			if st.waitHead[idx] == nil {
 				c := m.chunkBase + memdef.ChunkID(i)
 				return fmt.Sprintf("pending fault on page %d has no waiters", c.Page(idx))
 			}

@@ -135,22 +135,21 @@ func (m *Manager) Encode(w *snapshot.Writer) {
 		w.PutU16(uint16(st.pendingFault))
 		w.PutU64(st.smMask)
 		w.PutBool(st.smMaskAll)
-		if st.waiters == nil {
+		if !st.hasWaiters() {
 			w.PutBool(false)
 			continue
 		}
 		w.PutBool(true)
 		for idx := 0; idx < memdef.ChunkPages; idx++ {
-			ws := st.waiters[idx]
-			w.PutU64(uint64(len(ws)))
-			for _, wt := range ws {
-				if wt.tag.Kind == 0 {
-					w.Fail(fmt.Errorf("%w (uvm waiter on chunk page %d)", engine.ErrUntagged, idx))
-					return
-				}
-				w.PutU16(wt.tag.Kind)
-				w.PutU64(wt.tag.A)
-				w.PutU64(wt.tag.B)
+			n := 0
+			for x := st.waitHead[idx]; x != nil; x = x.waitNext {
+				n++
+			}
+			w.PutU64(uint64(n))
+			for x := st.waitHead[idx]; x != nil; x = x.waitNext {
+				w.PutU16(TagXlatFault)
+				w.PutU64(x.id)
+				w.PutU64(0)
 			}
 		}
 	}
@@ -351,11 +350,12 @@ func (m *Manager) Decode(r *snapshot.Reader, linkDone func(tag engine.Tag) (func
 		return
 	}
 	m.chunkTab = make([]*chunkState, nChunks)
+	waiting := make([]bool, total)
 	for i := 0; i < nChunks; i++ {
 		if !r.GetBool() {
 			continue
 		}
-		st := &chunkState{}
+		st := m.newChunkState()
 		m.chunkTab[i] = st
 		st.resident = memdef.PageBitmap(r.GetU16())
 		st.inflight = memdef.PageBitmap(r.GetU16())
@@ -366,7 +366,6 @@ func (m *Manager) Decode(r *snapshot.Reader, linkDone func(tag engine.Tag) (func
 		if !r.GetBool() {
 			continue
 		}
-		st.waiters = new([memdef.ChunkPages][]tagged)
 		for idx := 0; idx < memdef.ChunkPages; idx++ {
 			nw := r.GetCount(18)
 			for j := 0; j < nw; j++ {
@@ -374,12 +373,21 @@ func (m *Manager) Decode(r *snapshot.Reader, linkDone func(tag engine.Tag) (func
 				if r.Err() != nil {
 					return
 				}
-				fn, err := m.ResolveEvent(tag)
+				if tag.Kind != TagXlatFault {
+					r.Failf("uvm: waiter tag has kind %#04x", tag.Kind)
+					return
+				}
+				x, err := m.xlatByTag(tag)
 				if err != nil {
 					r.Fail(fmt.Errorf("%w: uvm waiter: %v", snapshot.ErrCorrupt, err))
 					return
 				}
-				st.waiters[idx] = append(st.waiters[idx], tagged{tag: tag, fn: fn})
+				if waiting[x.id] {
+					r.Failf("uvm: translation %d waits on two pages", x.id)
+					return
+				}
+				waiting[x.id] = true
+				st.addWaiter(idx, x)
 			}
 		}
 	}
@@ -496,19 +504,18 @@ func (m *Manager) ResolveEvent(tag engine.Tag) (func(), error) {
 		if err != nil {
 			return nil, err
 		}
+		fn := m.xlatL1Fn
 		switch tag.Kind {
-		case TagXlatL1:
-			return x.l1Stage, nil
 		case TagXlatL2Grant:
-			return x.l2Grant, nil
+			fn = m.xlatL2GrantFn
 		case TagXlatL2Stage:
-			return x.l2Stage, nil
-		default:
-			return x.faultDone, nil
+			fn = m.xlatL2StageFn
+		case TagXlatFault:
+			fn = m.xlatFaultFn
 		}
+		return func() { fn(x.id) }, nil
 	case TagProcessFault:
-		page := memdef.PageNum(tag.A)
-		return func() { m.processFault(page) }, nil
+		return func() { m.faultFn(tag.A) }, nil
 	case TagFaultRetry:
 		page := memdef.PageNum(tag.A)
 		attempt := int(tag.B)
@@ -516,18 +523,16 @@ func (m *Manager) ResolveEvent(tag engine.Tag) (func(), error) {
 			return nil, fmt.Errorf("uvm: fault retry attempt %d out of range", attempt)
 		}
 		return func() { m.serviceFault(page, attempt) }, nil
-	case TagMigSvc:
+	case TagMigSvc, TagMigXfer:
 		id, err := m.migByTag(tag)
 		if err != nil {
 			return nil, err
 		}
-		return func() { m.migTransfer(id) }, nil
-	case TagMigXfer:
-		id, err := m.migByTag(tag)
-		if err != nil {
-			return nil, err
+		fn := m.migSvcFn
+		if tag.Kind == TagMigXfer {
+			fn = m.migXferFn
 		}
-		return func() { m.migArrived(id) }, nil
+		return func() { fn(id) }, nil
 	default:
 		return nil, fmt.Errorf("uvm: unknown event tag kind %#04x", tag.Kind)
 	}
