@@ -1,8 +1,13 @@
 package cache
 
 import (
+	"encoding/binary"
+
 	"github.com/reproductions/cppe/internal/snapshot"
 )
+
+// lineBytes is the encoded size of one line: tag, valid, dirty, lru.
+const lineBytes = 8 + 1 + 1 + 8
 
 // Encode writes the complete tag-store state: every line (tag, valid, dirty,
 // lru), the LRU tick, and the counters. Geometry is rebuilt from
@@ -10,11 +15,22 @@ import (
 func (c *Cache) Encode(w *snapshot.Writer) {
 	w.Mark("CACH")
 	w.PutU64(uint64(len(c.tags)))
-	for i := range c.tags {
-		w.PutU64(c.tags[i])
-		w.PutBool(c.flags[i]&lineValid != 0)
-		w.PutBool(c.flags[i]&lineDirty != 0)
-		w.PutU64(c.lru[i])
+	// The lines are most of a checkpoint: reserve the section once and write
+	// each fixed-width record (tag u64, valid bool, dirty bool, lru u64)
+	// directly, the bytes of the equivalent per-field Puts.
+	if b := w.Reserve(lineBytes * len(c.tags)); b != nil {
+		for i := range c.tags {
+			e := b[i*lineBytes : (i+1)*lineBytes]
+			binary.LittleEndian.PutUint64(e[0:8], c.tags[i])
+			e[8], e[9] = 0, 0
+			if c.flags[i]&lineValid != 0 {
+				e[8] = 1
+			}
+			if c.flags[i]&lineDirty != 0 {
+				e[9] = 1
+			}
+			binary.LittleEndian.PutUint64(e[10:18], c.lru[i])
+		}
 	}
 	w.PutU64(c.tick)
 	w.PutU64(c.hits)
@@ -27,7 +43,7 @@ func (c *Cache) Encode(w *snapshot.Writer) {
 // cache.
 func (c *Cache) Decode(r *snapshot.Reader) {
 	r.ExpectMark("CACH")
-	n := r.GetCount(18)
+	n := r.GetCount(lineBytes)
 	if r.Err() != nil {
 		return
 	}

@@ -32,19 +32,22 @@ var ErrCheckpointMismatch = errors.New("harness: checkpoint does not match this 
 // session knob matches.
 
 // writeCheckpoint atomically replaces path with the machine's current state.
-// The temporary file lives in the same directory so the rename is atomic on
-// POSIX filesystems; a process killed mid-write leaves the previous checkpoint
-// intact.
+// The whole file is encoded once into one pooled buffer: the outer frame and
+// the envelope are written around the machine's own frame in place, behind a
+// length prefix patched when the machine frame closes. The temporary file
+// lives in the same directory so the rename is atomic on POSIX filesystems; a
+// process killed mid-write leaves the previous checkpoint intact.
 func (s *Session) writeCheckpoint(path string, k Key, b *built) error {
-	blob, err := b.machine.Snapshot()
-	if err != nil {
-		return fmt.Errorf("harness: checkpoint %v: %w", k, err)
+	if b.cfgJSON == nil {
+		cfgJSON, err := memdef.ConfigJSON(b.cfg)
+		if err != nil {
+			return fmt.Errorf("harness: checkpoint %v: %w", k, err)
+		}
+		b.cfgJSON = cfgJSON
 	}
-	cfgJSON, err := memdef.ConfigJSON(b.cfg)
-	if err != nil {
-		return fmt.Errorf("harness: checkpoint %v: %w", k, err)
-	}
-	w := snapshot.NewWriter(len(blob) + 256)
+	w := s.checkpointWriter()
+	defer s.releaseCheckpointWriter(w)
+	outer := w.BeginFrame()
 	w.Mark("CKPT")
 	w.PutString(k.Bench)
 	w.PutString(k.Setup)
@@ -53,12 +56,15 @@ func (s *Session) writeCheckpoint(path string, k Key, b *built) error {
 	w.PutInt(s.cfg.Warps)
 	w.PutInt(s.cfg.AccessesPerPage)
 	w.PutI64(s.cfg.Seed)
-	w.PutString(string(cfgJSON))
+	w.PutBytes(b.cfgJSON)
 	w.PutU64(b.traceHash)
 	w.PutInt(b.footprint)
 	w.PutU64(uint64(b.machine.Eng.Now()))
-	w.PutBytes(blob)
-	data, err := w.Frame()
+	blob := w.BeginBytes()
+	b.machine.SnapshotTo(w)
+	w.EndBytes(blob)
+	w.EndFrame(outer)
+	data, err := w.Bytes()
 	if err != nil {
 		return fmt.Errorf("harness: checkpoint %v: %w", k, err)
 	}
@@ -71,6 +77,27 @@ func (s *Session) writeCheckpoint(path string, k Key, b *built) error {
 		return fmt.Errorf("harness: checkpoint %v: %w", k, err)
 	}
 	return nil
+}
+
+// checkpointWriter takes a buffer from the session's free list, or a new one
+// when every retained buffer is in use.
+func (s *Session) checkpointWriter() *snapshot.Writer {
+	select {
+	case w := <-s.ckptWriters:
+		return w
+	default:
+		return snapshot.NewWriter(0)
+	}
+}
+
+// releaseCheckpointWriter empties w and returns it to the free list, dropping
+// it when the list already holds one buffer per concurrent simulation.
+func (s *Session) releaseCheckpointWriter(w *snapshot.Writer) {
+	w.Reset()
+	select {
+	case s.ckptWriters <- w:
+	default:
+	}
 }
 
 // runCheckpointed drives a built machine to completion, writing a checkpoint

@@ -20,6 +20,7 @@ import (
 	"github.com/reproductions/cppe/internal/policy"
 	"github.com/reproductions/cppe/internal/prefetch"
 	"github.com/reproductions/cppe/internal/sm"
+	"github.com/reproductions/cppe/internal/snapshot"
 	"github.com/reproductions/cppe/internal/stats"
 	"github.com/reproductions/cppe/internal/trace"
 	"github.com/reproductions/cppe/internal/uvm"
@@ -144,6 +145,10 @@ type Session struct {
 	// sweepAgg accumulates sweep progress from the per-worker delta shards
 	// (see stats.SweepShard); it is only touched at epoch commits.
 	sweepAgg stats.SweepAgg
+	// ckptWriters is a free list of checkpoint buffers shared by every run of
+	// the session, one per concurrent simulation (Parallelism): a warmed
+	// checkpoint reuses a buffer instead of allocating its payload.
+	ckptWriters chan *snapshot.Writer
 
 	mu    sync.Mutex
 	cache map[Key]Result
@@ -151,11 +156,13 @@ type Session struct {
 
 // NewSession returns a session with the standard setups registered.
 func NewSession(cfg Config) *Session {
+	cfg = cfg.withDefaults()
 	s := &Session{
-		cfg:    cfg.withDefaults(),
-		setups: make(map[string]core.Setup),
-		traces: workload.NewCache(),
-		cache:  make(map[Key]Result),
+		cfg:         cfg,
+		setups:      make(map[string]core.Setup),
+		traces:      workload.NewCache(),
+		ckptWriters: make(chan *snapshot.Writer, max(cfg.Parallelism, 1)),
+		cache:       make(map[Key]Result),
 	}
 	for _, su := range []core.Setup{
 		core.SetupBaseline, core.SetupCPPE, core.SetupCPPES1,
@@ -330,6 +337,7 @@ type built struct {
 	cfg       memdef.Config
 	footprint int
 	traceHash uint64
+	cfgJSON   []byte // canonical cfg JSON for checkpoint envelopes, encoded on first use
 }
 
 // ErrTraceDrift reports that the session's memoized trace carries a

@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"github.com/reproductions/cppe/internal/evict"
@@ -93,12 +91,11 @@ func driveFuzz(t *testing.T, name string, pol evict.Policy, data []byte) {
 // (magic, version, length, correct CRC) so fuzz mutations reach the policy
 // decoders instead of dying at the checksum gate.
 func reframe(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+18)
-	out = append(out, 'C', 'P', 'P', 'E')
-	out = binary.LittleEndian.AppendUint16(out, snapshot.Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+	w := snapshot.NewWriter(len(payload) + 18)
+	off := w.BeginFrame()
+	copy(w.Reserve(len(payload)), payload)
+	w.EndFrame(off)
+	out, _ := w.Bytes() // a fresh writer cannot fail
 	return out
 }
 
@@ -128,8 +125,8 @@ func FuzzPolicySnapshot(f *testing.F) {
 		}
 		w := snapshot.NewWriter(1 << 10)
 		ps.EncodeState(w)
-		if frame, err := w.Frame(); err == nil {
-			f.Add(frame[14 : len(frame)-4]) // bare payload; the fuzz body reframes
+		if payload, err := w.Bytes(); err == nil {
+			f.Add(payload) // bare payload; the fuzz body reframes
 		}
 	}
 	f.Add([]byte{})

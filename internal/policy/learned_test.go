@@ -86,8 +86,10 @@ func TestLearnedSnapshotRoundTrip(t *testing.T) {
 		a.OnTouch(memdef.ChunkID(i), i)
 	}
 	w := snapshot.NewWriter(1 << 10)
+	off := w.BeginFrame()
 	a.EncodeState(w)
-	frame, err := w.Frame()
+	w.EndFrame(off)
+	frame, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +121,7 @@ func TestLearnedSnapshotRoundTrip(t *testing.T) {
 func TestLearnedDecodeRejectsBadCursor(t *testing.T) {
 	a := NewLearned(7)
 	w := snapshot.NewWriter(1 << 10)
+	off := w.BeginFrame()
 	w.Mark("PLRN")
 	a.chain.Encode(w)
 	w.PutU64(a.rng.s)
@@ -126,7 +129,8 @@ func TestLearnedDecodeRejectsBadCursor(t *testing.T) {
 		w.PutI64(wi)
 	}
 	w.PutInt(ringCap + 3) // out of range
-	frame, err := w.Frame()
+	w.EndFrame(off)
+	frame, err := w.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,8 +259,10 @@ func encode(t *testing.T, pol evict.Policy) []byte {
 		return nil
 	}
 	w := snapshot.NewWriter(1 << 12)
+	off := w.BeginFrame()
 	ps.EncodeState(w)
-	frame, err := w.Frame()
+	w.EndFrame(off)
+	frame, err := w.Bytes()
 	if err != nil {
 		t.Fatalf("EncodeState: %v", err)
 	}
@@ -437,8 +439,10 @@ func RunPrefetch(t *testing.T, factory policy.PrefetchFactory) {
 			a.step()
 		}
 		w := snapshot.NewWriter(1 << 12)
+		off := w.BeginFrame()
 		ps.EncodeState(w)
-		frame, err := w.Frame()
+		w.EndFrame(off)
+		frame, err := w.Bytes()
 		if err != nil {
 			t.Fatalf("EncodeState: %v", err)
 		}

@@ -89,22 +89,26 @@ func (st *Store) GC(cfg GCConfig, now time.Time, keep func(id string) bool) GCSt
 		return a.id < b.id
 	})
 
-	protected := func(id string) bool {
-		st.mu.Lock()
-		pinned := st.pinnedLocked(id)
-		st.mu.Unlock()
-		return pinned || (keep != nil && keep(id))
-	}
-	evict := func(c gcCandidate) {
-		if st.fs.Remove(c.path) != nil {
-			return
+	// evict removes c unless it is protected, reporting whether a pin or keep
+	// saved it. The pin check and the removal share st.mu, so a reader that
+	// pins between them cannot have the file taken from under its read.
+	evict := func(c gcCandidate) (protected bool) {
+		if keep != nil && keep(c.id) {
+			return true
 		}
 		st.mu.Lock()
+		defer st.mu.Unlock()
+		if st.pinnedLocked(c.id) {
+			return true
+		}
+		if st.fs.Remove(c.path) != nil {
+			return false
+		}
 		delete(st.lastServed, c.id)
-		st.mu.Unlock()
 		out.EvictedResults++
 		out.ReclaimedBytes += c.size
 		total -= c.size
+		return false
 	}
 
 	for _, c := range cands {
@@ -116,11 +120,9 @@ func (st *Store) GC(cfg GCConfig, now time.Time, keep func(id string) bool) GCSt
 			}
 			continue
 		}
-		if protected(c.id) {
+		if evict(c) {
 			out.PinsHonored++
-			continue
 		}
-		evict(c)
 	}
 	return out
 }

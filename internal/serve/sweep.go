@@ -278,25 +278,30 @@ func (s *Server) sweepCountsLocked(sw *Sweep) SweepCounts {
 	c := SweepCounts{Points: len(sw.Points)}
 	for _, p := range sw.Points {
 		st, attempts, _ := s.pointViewLocked(p.JobID)
-		c.Retries += attempts
-		switch st {
-		case StatePending:
-			c.Pending++
-		case StateAccepted, StateQueued:
-			c.Queued++
-		case StateRunning:
-			c.Running++
-		case StateRetrying:
-			c.Retrying++
-		case StateCached:
-			c.Cached++
-		case StateFailed:
-			c.Failed++
-		case StateEvicted:
-			c.Evicted++
-		}
+		c.add(st, attempts)
 	}
 	return c
+}
+
+// add counts one point in state st that has used attempts.
+func (c *SweepCounts) add(st State, attempts int) {
+	c.Retries += attempts
+	switch st {
+	case StatePending:
+		c.Pending++
+	case StateAccepted, StateQueued:
+		c.Queued++
+	case StateRunning:
+		c.Running++
+	case StateRetrying:
+		c.Retrying++
+	case StateCached:
+		c.Cached++
+	case StateFailed:
+		c.Failed++
+	case StateEvicted:
+		c.Evicted++
+	}
 }
 
 // sweepDoneLocked reports whether every point is terminal (s.mu held). A
@@ -423,12 +428,17 @@ func (s *Server) advanceSweepLocked(sw *Sweep) {
 	}
 }
 
-// advanceAllLocked advances every sweep's window (s.mu held); called on each
-// terminal job transition, in sorted order so fan-out is stable.
+// advanceAllLocked advances every live sweep's window (s.mu held); called on
+// each terminal job transition, in sorted order so fan-out is stable. A done
+// sweep is skipped: every point is admitted (rearmSweepLocked clears done
+// before un-admitting any), so advancing it is a no-op that would still stat
+// each of its results.
 func (s *Server) advanceAllLocked() {
 	ids := make([]string, 0, len(s.sweeps))
-	for id := range s.sweeps {
-		ids = append(ids, id)
+	for id, sw := range s.sweeps {
+		if !sw.done {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
@@ -529,12 +539,16 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown sweep"})
 		return
 	}
-	out := SweepStatusResponse{ID: id, State: "running", Counts: s.sweepCountsLocked(sw)}
-	if s.sweepDoneLocked(sw) {
-		out.State = "done"
-	}
-	for _, p := range sw.Points {
+	// Counts, state and points come from one view of each point: job states
+	// move without s.mu, so separate passes could disagree (a point counted
+	// running in a sweep reported done).
+	out := SweepStatusResponse{ID: id, State: "done", Counts: SweepCounts{Points: len(sw.Points)}}
+	for i, p := range sw.Points {
 		st, attempts, errMsg := s.pointViewLocked(p.JobID)
+		out.Counts.add(st, attempts)
+		if !sw.admitted[i] || !terminalPointState(st) {
+			out.State = "running"
+		}
 		out.Points = append(out.Points, SweepPointStatus{
 			Benchmark: p.Req.Benchmark, Setup: p.Req.Setup,
 			Oversubscription: p.Req.Oversubscription, JobID: p.JobID,

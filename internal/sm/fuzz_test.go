@@ -1,8 +1,6 @@
 package sm
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"github.com/reproductions/cppe/internal/snapshot"
@@ -12,12 +10,11 @@ import (
 // (magic, version, length, correct CRC), so fuzz mutations reach the payload
 // decoders instead of dying at the checksum gate.
 func reframe(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+18)
-	out = append(out, 'C', 'P', 'P', 'E')
-	out = binary.LittleEndian.AppendUint16(out, snapshot.Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+	w := snapshot.NewWriter(len(payload) + 18)
+	off := w.BeginFrame()
+	copy(w.Reserve(len(payload)), payload)
+	w.EndFrame(off)
+	out, _ := w.Bytes() // a fresh writer cannot fail
 	return out
 }
 

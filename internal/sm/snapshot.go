@@ -245,8 +245,17 @@ func (m *Machine) resolveEvent(tag engine.Tag) (func(), error) {
 // Snapshot serializes the paused machine into a framed checkpoint payload.
 func (m *Machine) Snapshot() ([]byte, error) {
 	w := snapshot.NewWriter(1 << 16)
+	m.SnapshotTo(w)
+	return w.Bytes()
+}
+
+// SnapshotTo appends the paused machine's framed checkpoint to w in place —
+// the bytes Snapshot returns — so a caller can nest it inside its own frame
+// without copying.
+func (m *Machine) SnapshotTo(w *snapshot.Writer) {
+	off := w.BeginFrame()
 	m.EncodeTo(w)
-	return w.Frame()
+	w.EndFrame(off)
 }
 
 // Restore rebuilds machine state from a framed checkpoint produced by

@@ -20,6 +20,10 @@
 //	[14:n)  payload
 //	[n:n+4) CRC-32 (IEEE) of bytes [0:n)
 //
+// Writer.BeginFrame writes the header with a length placeholder and
+// Writer.EndFrame patches the length and appends the CRC, so frames nest
+// inside one buffer.
+//
 // Decoding never panics on malformed input: truncations, bit flips, bad
 // counts and version skew all surface as wrapped ErrTruncated / ErrChecksum /
 // ErrVersion / ErrBadMagic / ErrCorrupt values.
@@ -31,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Version is the current checkpoint format version. Any change to any
@@ -38,6 +43,9 @@ import (
 const Version uint16 = 2
 
 var magic = [4]byte{'C', 'P', 'P', 'E'}
+
+// frameHeader is the size of a frame's magic, version and length fields.
+const frameHeader = 4 + 2 + 8
 
 // Structured decode failures. All errors returned by Open/Reader wrap one of
 // these, so callers can classify failures with errors.Is.
@@ -57,8 +65,11 @@ var (
 	ErrCorrupt = errors.New("snapshot: corrupt payload")
 )
 
-// Writer accumulates a checkpoint payload. The zero value is ready to use.
-// All Put methods are sticky-error no-ops after the first failure.
+// Writer accumulates checkpoint bytes in one buffer: frames are opened and
+// closed in place (BeginFrame/EndFrame) around the fields encoders Put, so a
+// nested checkpoint is written once, without copying a payload into its frame.
+// The zero value is ready to use. All Put methods are sticky-error no-ops
+// after the first failure.
 type Writer struct {
 	buf []byte
 	err error
@@ -166,20 +177,95 @@ func (w *Writer) Mark(tag string) {
 	w.buf = append(w.buf, m[:]...)
 }
 
-// Frame wraps the accumulated payload in magic/version/length/CRC framing and
-// returns the complete checkpoint file contents.
-func (w *Writer) Frame() ([]byte, error) {
+// BeginFrame opens a frame in place at the end of the buffer: it writes the
+// magic, the version and a length placeholder, and returns the frame's offset
+// for the matching EndFrame. Frames nest: a frame opened inside another is
+// part of the outer frame's payload.
+func (w *Writer) BeginFrame() int {
+	off := len(w.buf)
+	if w.err != nil {
+		return off
+	}
+	w.buf = append(w.buf, magic[:]...)
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, Version)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, 0)
+	return off
+}
+
+// EndFrame closes the frame BeginFrame opened at off: it patches the payload
+// length (everything written since the header) and appends the CRC-32 of the
+// whole frame.
+func (w *Writer) EndFrame(off int) {
+	if w.err != nil {
+		return
+	}
+	if off < 0 || off+frameHeader > len(w.buf) {
+		w.Fail(fmt.Errorf("snapshot: EndFrame at offset %d of a %d-byte buffer", off, len(w.buf)))
+		return
+	}
+	binary.LittleEndian.PutUint64(w.buf[off+6:off+frameHeader], uint64(len(w.buf)-off-frameHeader))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf[off:]))
+}
+
+// BeginBytes reserves the u32 length prefix of a byte field whose contents
+// are written in place by later Put calls, and returns its offset for the
+// matching EndBytes. The result reads back with GetBytes like PutBytes.
+func (w *Writer) BeginBytes() int {
+	off := len(w.buf)
+	w.PutU32(0)
+	return off
+}
+
+// EndBytes patches the length prefix BeginBytes reserved at off with the
+// number of bytes written since.
+func (w *Writer) EndBytes(off int) {
+	if w.err != nil {
+		return
+	}
+	if off < 0 || off+4 > len(w.buf) {
+		w.Fail(fmt.Errorf("snapshot: EndBytes at offset %d of a %d-byte buffer", off, len(w.buf)))
+		return
+	}
+	n := len(w.buf) - off - 4
+	if n > math.MaxUint32 {
+		w.Fail(fmt.Errorf("snapshot: %d-byte field overflows its u32 length", n))
+		return
+	}
+	binary.LittleEndian.PutUint32(w.buf[off:off+4], uint32(n))
+}
+
+// Reserve appends n bytes and returns them for the caller to fill, so a bulk
+// encoder can write a fixed-width section in one loop instead of one Put per
+// field. It returns nil after a failure.
+func (w *Writer) Reserve(n int) []byte {
+	if w.err != nil {
+		return nil
+	}
+	if n < 0 {
+		w.Fail(fmt.Errorf("snapshot: reserve of %d bytes", n))
+		return nil
+	}
+	w.buf = slices.Grow(w.buf, n)
+	off := len(w.buf)
+	w.buf = w.buf[:off+n]
+	return w.buf[off:]
+}
+
+// Reset empties the writer and clears its error, keeping the buffer's
+// capacity, so one Writer can encode checkpoint after checkpoint without
+// reallocating.
+func (w *Writer) Reset() {
+	w.buf = w.buf[:0]
+	w.err = nil
+}
+
+// Bytes returns everything written so far, or the first error. The slice
+// aliases the writer's buffer: it is valid until the next Put or Reset.
+func (w *Writer) Bytes() ([]byte, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	out := make([]byte, 0, 4+2+8+len(w.buf)+4)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(w.buf)))
-	out = append(out, w.buf...)
-	sum := crc32.ChecksumIEEE(out)
-	out = binary.LittleEndian.AppendUint32(out, sum)
-	return out, nil
+	return w.buf, nil
 }
 
 // Reader consumes a checkpoint payload. All Get methods are sticky-error:
@@ -195,7 +281,7 @@ type Reader struct {
 // checkpoint file and returns a Reader positioned at the start of the
 // payload.
 func Open(data []byte) (*Reader, error) {
-	if len(data) < 4+2+8+4 {
+	if len(data) < frameHeader+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the minimal frame", ErrTruncated, len(data))
 	}
 	if [4]byte(data[0:4]) != magic {
@@ -205,8 +291,8 @@ func Open(data []byte) (*Reader, error) {
 	if ver != Version {
 		return nil, fmt.Errorf("%w: file version %d, supported version %d", ErrVersion, ver, Version)
 	}
-	plen := binary.LittleEndian.Uint64(data[6:14])
-	if plen > uint64(len(data)) || uint64(len(data)) != 4+2+8+plen+4 {
+	plen := binary.LittleEndian.Uint64(data[6:frameHeader])
+	if plen > uint64(len(data)) || uint64(len(data)) != frameHeader+plen+4 {
 		return nil, fmt.Errorf("%w: declared payload %d bytes, file has %d", ErrTruncated, plen, len(data))
 	}
 	body := data[:len(data)-4]
@@ -214,7 +300,7 @@ func Open(data []byte) (*Reader, error) {
 	if crc32.ChecksumIEEE(body) != want {
 		return nil, fmt.Errorf("%w: crc %08x, want %08x", ErrChecksum, crc32.ChecksumIEEE(body), want)
 	}
-	return &Reader{buf: data[14 : 14+plen]}, nil
+	return &Reader{buf: data[frameHeader : frameHeader+plen]}, nil
 }
 
 // Err returns the first decode error.

@@ -10,8 +10,10 @@ import (
 func frame(t *testing.T, build func(w *Writer)) []byte {
 	t.Helper()
 	w := NewWriter(64)
+	off := w.BeginFrame()
 	build(w)
-	data, err := w.Frame()
+	w.EndFrame(off)
+	data, err := w.Bytes()
 	if err != nil {
 		t.Fatalf("frame: %v", err)
 	}
@@ -125,8 +127,8 @@ func TestWriterStickyError(t *testing.T) {
 	if w.Err() != boom {
 		t.Errorf("err = %v", w.Err())
 	}
-	if _, err := w.Frame(); err != boom {
-		t.Errorf("frame err = %v", err)
+	if _, err := w.Bytes(); err != boom {
+		t.Errorf("bytes err = %v", err)
 	}
 	if w.Len() != 8 {
 		t.Errorf("writes after failure extended the payload to %d bytes", w.Len())
