@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"encoding/binary"
-
 	"github.com/reproductions/cppe/internal/snapshot"
 )
 
@@ -15,21 +13,14 @@ const lineBytes = 8 + 1 + 1 + 8
 func (c *Cache) Encode(w *snapshot.Writer) {
 	w.Mark("CACH")
 	w.PutU64(uint64(len(c.tags)))
-	// The lines are most of a checkpoint: reserve the section once and write
-	// each fixed-width record (tag u64, valid bool, dirty bool, lru u64)
-	// directly, the bytes of the equivalent per-field Puts.
-	if b := w.Reserve(lineBytes * len(c.tags)); b != nil {
+	// The lines are most of a checkpoint: reserve their section once and
+	// write the records in one loop.
+	if sec := w.Reserve(lineBytes * len(c.tags)); sec != nil {
 		for i := range c.tags {
-			e := b[i*lineBytes : (i+1)*lineBytes]
-			binary.LittleEndian.PutUint64(e[0:8], c.tags[i])
-			e[8], e[9] = 0, 0
-			if c.flags[i]&lineValid != 0 {
-				e[8] = 1
-			}
-			if c.flags[i]&lineDirty != 0 {
-				e[9] = 1
-			}
-			binary.LittleEndian.PutUint64(e[10:18], c.lru[i])
+			sec = sec.PutU64(c.tags[i]).
+				PutBool(c.flags[i]&lineValid != 0).
+				PutBool(c.flags[i]&lineDirty != 0).
+				PutU64(c.lru[i])
 		}
 	}
 	w.PutU64(c.tick)

@@ -38,12 +38,9 @@ var ErrCheckpointMismatch = errors.New("harness: checkpoint does not match this 
 // lives in the same directory so the rename is atomic on POSIX filesystems; a
 // process killed mid-write leaves the previous checkpoint intact.
 func (s *Session) writeCheckpoint(path string, k Key, b *built) error {
-	if b.cfgJSON == nil {
-		cfgJSON, err := memdef.ConfigJSON(b.cfg)
-		if err != nil {
-			return fmt.Errorf("harness: checkpoint %v: %w", k, err)
-		}
-		b.cfgJSON = cfgJSON
+	cfgJSON, err := memdef.ConfigJSON(b.cfg)
+	if err != nil {
+		return fmt.Errorf("harness: checkpoint %v: %w", k, err)
 	}
 	w := s.checkpointWriter()
 	defer s.releaseCheckpointWriter(w)
@@ -56,7 +53,7 @@ func (s *Session) writeCheckpoint(path string, k Key, b *built) error {
 	w.PutInt(s.cfg.Warps)
 	w.PutInt(s.cfg.AccessesPerPage)
 	w.PutI64(s.cfg.Seed)
-	w.PutBytes(b.cfgJSON)
+	w.PutBytes(cfgJSON)
 	w.PutU64(b.traceHash)
 	w.PutInt(b.footprint)
 	w.PutU64(uint64(b.machine.Eng.Now()))

@@ -337,7 +337,6 @@ type built struct {
 	cfg       memdef.Config
 	footprint int
 	traceHash uint64
-	cfgJSON   []byte // canonical cfg JSON for checkpoint envelopes, encoded on first use
 }
 
 // ErrTraceDrift reports that the session's memoized trace carries a

@@ -70,12 +70,7 @@ func TestServeRealSession(t *testing.T) {
 	}
 
 	// New process life over the same state dir: the cache survives, and the
-	// duplicate is answered from disk without starting a worker or a sim. The
-	// first life ends first: its worker journals the cached state only after
-	// waking the job's waiters.
-	if err := srv.Shutdown(0); err != nil {
-		t.Fatal(err)
-	}
+	// duplicate is answered from disk without starting a worker or a sim.
 	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -153,16 +153,26 @@ func (j *Job) bumpAttempts() int {
 	return j.attempts
 }
 
-// finish moves the job to a terminal state and wakes all waiters.
-func (j *Job) finish(s State, errMsg string) {
+// finish moves the job to a terminal state, runs persist (when non-nil) to
+// make that state durable, and only then wakes the waiters, so a waiter never
+// sees the job finished before its terminal record is journaled. The channel
+// woken is the one current at the transition: a rearm while persist runs
+// gives the job a fresh channel for new waiters, which stays open.
+func (j *Job) finish(s State, errMsg string, persist func(*Job)) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.state = s
 	j.errMsg = errMsg
+	done := j.done
+	j.mu.Unlock()
+	if persist != nil {
+		persist(j)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	select {
-	case <-j.done:
+	case <-done:
 	default:
-		close(j.done)
+		close(done)
 	}
 }
 

@@ -29,6 +29,22 @@ func (f slowQueuedJournalFS) WriteFile(name string, data []byte, perm fs.FileMod
 	return f.FS.WriteFile(name, data, perm)
 }
 
+// slowTerminalJournalFS delays every journal write of a terminal record, which
+// widens the window between a job's terminal transition and the moment that
+// state is durable.
+type slowTerminalJournalFS struct {
+	fsfault.FS
+	delay time.Duration
+}
+
+func (f slowTerminalJournalFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
+	if filepath.Base(filepath.Dir(name)) == "journal" &&
+		(bytes.Contains(data, []byte(`"state": "cached"`)) || bytes.Contains(data, []byte(`"state": "failed"`))) {
+		time.Sleep(f.delay)
+	}
+	return f.FS.WriteFile(name, data, perm)
+}
+
 // logRecorder collects the service's log lines.
 type logRecorder struct {
 	mu    sync.Mutex
@@ -138,5 +154,83 @@ func TestStoreConcurrentWritesOfOneRecord(t *testing.T) {
 	noTornTemps(t, dir)
 	if recs, err := st.Jobs(); err != nil || len(recs) != 1 {
 		t.Errorf("Jobs() = %+v, %v; want the one record", recs, err)
+	}
+}
+
+// TestTerminalRecordJournaledBeforeWake: a job's waiters wake only once its
+// terminal record is on disk, so a waiter that restarts the service right away
+// finds the job finished instead of replaying it as unfinished and running
+// it again. Holds for success and for failure.
+func TestTerminalRecordJournaledBeforeWake(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		failures int
+		want     State
+	}{
+		{"cached", 0, StateCached},
+		{"failed", 100, StateFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stub := newStubRunner()
+			stub.failures["SRD-cppe-50"] = tc.failures
+			cfg := testConfig(t.TempDir(), stub)
+			cfg.FS = slowTerminalJournalFS{FS: fsfault.OS, delay: 100 * time.Millisecond}
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Start()
+			defer srv.Shutdown(0)
+
+			code, sr, _ := post(t, srv.Handler(), srdBody)
+			if code != http.StatusAccepted {
+				t.Fatalf("POST: %d %+v", code, sr)
+			}
+			if j := waitDone(t, srv, sr.ID); j.State() != tc.want {
+				t.Fatalf("job = %s (err=%q), want %s", j.State(), j.Err(), tc.want)
+			}
+			recs, err := srv.Store().Jobs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range recs {
+				if rec.ID == sr.ID {
+					if rec.State != tc.want {
+						t.Errorf("waiter woke with the journal at %s, want %s", rec.State, tc.want)
+					}
+					return
+				}
+			}
+			t.Errorf("no journal record for %s", sr.ID)
+		})
+	}
+}
+
+// TestFinishRearmDuringPersist: a rearm while the terminal record is being
+// persisted gives the job a fresh done channel for new waiters. finish wakes
+// the waiters it finished for, after persisting, and leaves the fresh channel
+// open.
+func TestFinishRearmDuringPersist(t *testing.T) {
+	j := NewJob("id", Request{})
+	old := j.Done()
+	var fresh <-chan struct{}
+	j.finish(StateFailed, "boom", func(j *Job) {
+		select {
+		case <-old:
+			t.Error("waiters woke before the terminal record was persisted")
+		default:
+		}
+		j.rearm()
+		fresh = j.Done()
+	})
+	select {
+	case <-old:
+	default:
+		t.Error("finish did not wake the waiters it finished for")
+	}
+	select {
+	case <-fresh:
+		t.Error("finish closed the re-armed job's done channel")
+	default:
 	}
 }

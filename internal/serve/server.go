@@ -520,7 +520,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Completed in a previous process life; startup compaction dropped
 		// the journal record, so the result file alone carries the job.
 		j = NewJob(id, req)
-		j.finish(StateCached, "")
+		j.finish(StateCached, "", nil)
 		s.jobs[id] = j
 		s.mu.Unlock()
 		s.counters.CacheHits.Add(1)
@@ -564,8 +564,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			delete(s.jobs, id)
 			s.store.DeleteJob(id)
 		} else {
-			j.finish(StateFailed, "requeue rejected: admission queue full")
-			j.journal(s.store.PutJob)
+			j.finish(StateFailed, "requeue rejected: admission queue full",
+				func(j *Job) { j.journal(s.store.PutJob) })
 			s.advanceAllLocked() // a watched point just went terminal
 		}
 		s.mu.Unlock()
@@ -781,8 +781,7 @@ func (s *Server) park(j *Job) {
 
 func (s *Server) fail(j *Job, msg string) {
 	s.counters.Failed.Add(1)
-	j.finish(StateFailed, msg)
-	s.persist(j)
+	j.finish(StateFailed, msg, s.persist)
 	s.cfg.Logf("serve: job %s failed: %s", j.ID, msg)
 	s.onJobEvent(j, evPointFailed, 0)
 }
@@ -939,8 +938,7 @@ func (s *Server) execute(j *Job) {
 				s.fail(j, jerr.Error())
 				return
 			}
-			j.finish(StateCached, "")
-			s.persist(j)
+			j.finish(StateCached, "", s.persist)
 			s.onJobEvent(j, evPointDone, 0)
 			s.maybeGC()
 			return

@@ -278,30 +278,25 @@ func (s *Server) sweepCountsLocked(sw *Sweep) SweepCounts {
 	c := SweepCounts{Points: len(sw.Points)}
 	for _, p := range sw.Points {
 		st, attempts, _ := s.pointViewLocked(p.JobID)
-		c.add(st, attempts)
+		c.Retries += attempts
+		switch st {
+		case StatePending:
+			c.Pending++
+		case StateAccepted, StateQueued:
+			c.Queued++
+		case StateRunning:
+			c.Running++
+		case StateRetrying:
+			c.Retrying++
+		case StateCached:
+			c.Cached++
+		case StateFailed:
+			c.Failed++
+		case StateEvicted:
+			c.Evicted++
+		}
 	}
 	return c
-}
-
-// add counts one point in state st that has used attempts.
-func (c *SweepCounts) add(st State, attempts int) {
-	c.Retries += attempts
-	switch st {
-	case StatePending:
-		c.Pending++
-	case StateAccepted, StateQueued:
-		c.Queued++
-	case StateRunning:
-		c.Running++
-	case StateRetrying:
-		c.Retrying++
-	case StateCached:
-		c.Cached++
-	case StateFailed:
-		c.Failed++
-	case StateEvicted:
-		c.Evicted++
-	}
 }
 
 // sweepDoneLocked reports whether every point is terminal (s.mu held). A
@@ -539,16 +534,16 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown sweep"})
 		return
 	}
-	// Counts, state and points come from one view of each point: job states
-	// move without s.mu, so separate passes could disagree (a point counted
-	// running in a sweep reported done).
-	out := SweepStatusResponse{ID: id, State: "done", Counts: SweepCounts{Points: len(sw.Points)}}
-	for i, p := range sw.Points {
+	// Done is decided before the counts: a job can go terminal without s.mu
+	// but leaves a terminal state only under it, so a sweep found done cannot
+	// then count a point as running.
+	out := SweepStatusResponse{ID: id, State: "running"}
+	if s.sweepDoneLocked(sw) {
+		out.State = "done"
+	}
+	out.Counts = s.sweepCountsLocked(sw)
+	for _, p := range sw.Points {
 		st, attempts, errMsg := s.pointViewLocked(p.JobID)
-		out.Counts.add(st, attempts)
-		if !sw.admitted[i] || !terminalPointState(st) {
-			out.State = "running"
-		}
 		out.Points = append(out.Points, SweepPointStatus{
 			Benchmark: p.Req.Benchmark, Setup: p.Req.Setup,
 			Oversubscription: p.Req.Oversubscription, JobID: p.JobID,

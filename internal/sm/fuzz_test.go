@@ -26,7 +26,7 @@ func FuzzRestore(f *testing.F) {
 	su := snapshotSetups()[0]
 	seedMachine := su.build()
 	if _, paused := seedMachine.RunUntil(0, 500); paused {
-		if blob, err := seedMachine.Snapshot(); err == nil {
+		if blob, err := snapshotBytes(seedMachine); err == nil {
 			f.Add(blob)
 			f.Add(blob[:len(blob)/2])
 			// The bare payload, so mutations of real encoder output get

@@ -242,24 +242,16 @@ func (m *Machine) resolveEvent(tag engine.Tag) (func(), error) {
 	return nil, fmt.Errorf("sm: unknown event tag kind %#04x", tag.Kind)
 }
 
-// Snapshot serializes the paused machine into a framed checkpoint payload.
-func (m *Machine) Snapshot() ([]byte, error) {
-	w := snapshot.NewWriter(1 << 16)
-	m.SnapshotTo(w)
-	return w.Bytes()
-}
-
-// SnapshotTo appends the paused machine's framed checkpoint to w in place —
-// the bytes Snapshot returns — so a caller can nest it inside its own frame
-// without copying.
+// SnapshotTo appends the paused machine's framed checkpoint to w in place,
+// so a caller can nest it inside its own frame without copying.
 func (m *Machine) SnapshotTo(w *snapshot.Writer) {
 	off := w.BeginFrame()
 	m.EncodeTo(w)
 	w.EndFrame(off)
 }
 
-// Restore rebuilds machine state from a framed checkpoint produced by
-// Snapshot, then audits the result: the cross-module conservation invariants
+// Restore rebuilds machine state from a framed checkpoint written by
+// SnapshotTo, then audits the result: the cross-module conservation invariants
 // must hold for the restored state before it is allowed to run. The receiver
 // must be freshly constructed from the same configuration, policy,
 // prefetcher, and traces. On error the machine must be discarded: state may

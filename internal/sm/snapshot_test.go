@@ -9,8 +9,16 @@ import (
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/memdef"
 	"github.com/reproductions/cppe/internal/prefetch"
+	"github.com/reproductions/cppe/internal/snapshot"
 	"github.com/reproductions/cppe/internal/uvm"
 )
+
+// snapshotBytes returns the paused machine's framed checkpoint on its own.
+func snapshotBytes(m *Machine) ([]byte, error) {
+	w := snapshot.NewWriter(1 << 16)
+	m.SnapshotTo(w)
+	return w.Bytes()
+}
 
 // oversubTraces builds a multi-warp strided workload whose footprint exceeds
 // the configured capacity, so checkpoints land while faults, migrations, and
@@ -83,7 +91,7 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 				if !paused {
 					t.Fatalf("cycle %d: machine finished before pause", c)
 				}
-				blob, err := m1.Snapshot()
+				blob, err := snapshotBytes(m1)
 				if err != nil {
 					t.Fatalf("cycle %d: snapshot: %v", c, err)
 				}
@@ -117,7 +125,7 @@ func TestSnapshotResumeTwice(t *testing.T) {
 	if _, paused := m1.RunUntil(0, refRes.Cycles/4); !paused {
 		t.Fatal("finished before first pause")
 	}
-	blob1, err := m1.Snapshot()
+	blob1, err := snapshotBytes(m1)
 	if err != nil {
 		t.Fatalf("first snapshot: %v", err)
 	}
@@ -128,7 +136,7 @@ func TestSnapshotResumeTwice(t *testing.T) {
 	if _, paused := m2.RunUntil(0, refRes.Cycles/2); !paused {
 		t.Fatal("finished before second pause")
 	}
-	blob2, err := m2.Snapshot()
+	blob2, err := snapshotBytes(m2)
 	if err != nil {
 		t.Fatalf("second snapshot: %v", err)
 	}
@@ -148,7 +156,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if _, paused := m.RunUntil(0, 500); !paused {
 		t.Fatal("finished before pause")
 	}
-	blob, err := m.Snapshot()
+	blob, err := snapshotBytes(m)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -193,7 +201,7 @@ func TestSnapshotRefusedUnderChaos(t *testing.T) {
 	if _, paused := m.RunUntil(0, 500); !paused {
 		t.Fatal("finished before pause")
 	}
-	_, err := m.Snapshot()
+	_, err := snapshotBytes(m)
 	if !errors.Is(err, uvm.ErrNotCheckpointable) {
 		t.Fatalf("snapshot under chaos: err = %v, want ErrNotCheckpointable", err)
 	}
@@ -207,7 +215,7 @@ func TestSnapshotRejectsConfigMismatch(t *testing.T) {
 	if _, paused := m.RunUntil(0, 500); !paused {
 		t.Fatal("finished before pause")
 	}
-	blob, err := m.Snapshot()
+	blob, err := snapshotBytes(m)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -252,7 +260,7 @@ func TestSnapshotInitialState(t *testing.T) {
 	want := captureFinal(ref, ref.Run(0))
 
 	m1 := su.build()
-	blob, err := m1.Snapshot()
+	blob, err := snapshotBytes(m1)
 	if err != nil {
 		t.Fatalf("initial snapshot: %v", err)
 	}
@@ -276,7 +284,7 @@ func TestEncodeRefusesUntaggedEvent(t *testing.T) {
 		t.Fatal("finished before pause")
 	}
 	m.Eng.Schedule(3, func() {}) // legacy untagged API
-	_, err := m.Snapshot()
+	_, err := snapshotBytes(m)
 	if !errors.Is(err, engine.ErrUntagged) {
 		t.Fatalf("snapshot with untagged event: err = %v, want ErrUntagged", err)
 	}

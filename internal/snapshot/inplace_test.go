@@ -212,3 +212,42 @@ func TestEndFrameBadOffsetFails(t *testing.T) {
 		t.Error("negative Reserve did not fail")
 	}
 }
+
+// TestSectionMatchesPuts: records written through a reserved Section are the
+// bytes of the equivalent Writer Puts, and the section ends exactly filled.
+func TestSectionMatchesPuts(t *testing.T) {
+	type rec struct {
+		a    uint64
+		b, c bool
+		d    uint64
+	}
+	recs := []rec{{1, true, false, 1 << 63}, {0xdeadbeef, false, true, 0}, {0, false, false, 42}}
+	const size = 8 + 1 + 1 + 8
+
+	var puts Writer
+	puts.Mark("SECT")
+	for _, r := range recs {
+		puts.PutU64(r.a)
+		puts.PutBool(r.b)
+		puts.PutBool(r.c)
+		puts.PutU64(r.d)
+	}
+	want, _ := puts.Bytes()
+
+	var w Writer
+	w.Mark("SECT")
+	sec := w.Reserve(size * len(recs))
+	for _, r := range recs {
+		sec = sec.PutU64(r.a).PutBool(r.b).PutBool(r.c).PutU64(r.d)
+	}
+	if len(sec) != 0 {
+		t.Errorf("%d reserved bytes left unwritten", len(sec))
+	}
+	got, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("section bytes differ from per-field Puts:\n got %x\nwant %x", got, want)
+	}
+}

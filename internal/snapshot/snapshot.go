@@ -234,10 +234,10 @@ func (w *Writer) EndBytes(off int) {
 	binary.LittleEndian.PutUint32(w.buf[off:off+4], uint32(n))
 }
 
-// Reserve appends n bytes and returns them for the caller to fill, so a bulk
-// encoder can write a fixed-width section in one loop instead of one Put per
-// field. It returns nil after a failure.
-func (w *Writer) Reserve(n int) []byte {
+// Reserve appends n bytes and returns them as a Section for the caller to
+// fill, so a bulk encoder can write a run of fixed-width records in one loop
+// instead of one sticky-error Put per field. It returns nil after a failure.
+func (w *Writer) Reserve(n int) Section {
 	if w.err != nil {
 		return nil
 	}
@@ -249,6 +249,27 @@ func (w *Writer) Reserve(n int) []byte {
 	off := len(w.buf)
 	w.buf = w.buf[:off+n]
 	return w.buf[off:]
+}
+
+// Section is a run of bytes reserved in a Writer. Its Put methods write the
+// encoding of the Writer method of the same name at the start of the section
+// and return the rest, so records chain: s = s.PutU64(a).PutBool(b). Writing
+// past the reserved length panics.
+type Section []byte
+
+// PutU64 writes v as 8 little-endian bytes.
+func (s Section) PutU64(v uint64) Section {
+	binary.LittleEndian.PutUint64(s, v)
+	return s[8:]
+}
+
+// PutBool writes one byte, 1 for true.
+func (s Section) PutBool(v bool) Section {
+	s[0] = 0
+	if v {
+		s[0] = 1
+	}
+	return s[1:]
 }
 
 // Reset empties the writer and clears its error, keeping the buffer's
