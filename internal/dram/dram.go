@@ -18,15 +18,13 @@
 package dram
 
 import (
-	"fmt"
-
 	"github.com/reproductions/cppe/internal/engine"
 	"github.com/reproductions/cppe/internal/memdef"
 )
 
 // bank is one DRAM bank with an open-row buffer.
 type bank struct {
-	res     *engine.Resource
+	res     engine.Resource
 	openRow uint64
 	hasRow  bool
 
@@ -34,15 +32,15 @@ type bank struct {
 	rowMisses uint64
 }
 
-// channel is one GDDR5 channel: banks plus a shared data bus. Banks are
-// stored by value so route's bank lookup lands in one contiguous array
-// instead of chasing a per-bank pointer; bankMask is len(banks)-1 when the
-// bank count is a power of two (Table I's 16), letting route mask instead of
-// divide.
+// channel is one GDDR5 channel: banks plus a shared data bus. Banks (and
+// their resources) are stored by value so route's bank lookup lands in one
+// contiguous array instead of chasing a per-bank pointer; bankMask is
+// len(banks)-1 when the bank count is a power of two (Table I's 16), letting
+// route mask instead of divide.
 type channel struct {
 	banks    []bank
 	bankMask uint64
-	bus      *engine.Resource
+	bus      engine.Resource
 }
 
 // DRAM is the multi-channel memory system.
@@ -67,10 +65,10 @@ func New(eng *engine.Engine, cfg memdef.Config) *DRAM {
 	}
 	d := &DRAM{eng: eng, cfg: cfg, rowShift: shift}
 	for i := 0; i < cfg.DRAMChannels; i++ {
-		ch := &channel{bus: engine.NewResource(eng, fmt.Sprintf("dram-ch%d-bus", i))}
+		ch := &channel{bus: *engine.NewResource(eng)}
 		ch.banks = make([]bank, cfg.DRAMBanksPerChannel)
 		for b := range ch.banks {
-			ch.banks[b].res = engine.NewResource(eng, fmt.Sprintf("dram-ch%d-bank%d", i, b))
+			ch.banks[b].res = *engine.NewResource(eng)
 		}
 		if n := uint64(len(ch.banks)); n&(n-1) == 0 {
 			ch.bankMask = n - 1

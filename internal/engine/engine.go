@@ -599,13 +599,12 @@ type Resource struct {
 	//cppelint:statecov wiring reference to the engine, rewired at construction
 	eng  *Engine
 	free memdef.Cycle // next cycle at which the resource is idle
-	name string
 	busy memdef.Cycle // total busy cycles, for utilization stats
 }
 
 // NewResource returns an idle resource bound to eng.
-func NewResource(eng *Engine, name string) *Resource {
-	return &Resource{eng: eng, name: name}
+func NewResource(eng *Engine) *Resource {
+	return &Resource{eng: eng}
 }
 
 // Acquire books dur cycles of exclusive use starting no earlier than now and
@@ -636,6 +635,3 @@ func (r *Resource) FreeAt() memdef.Cycle { return r.free }
 
 // BusyCycles returns the cumulative booked cycles.
 func (r *Resource) BusyCycles() memdef.Cycle { return r.busy }
-
-// Name returns the diagnostic name of the resource.
-func (r *Resource) Name() string { return r.name }

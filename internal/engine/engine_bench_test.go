@@ -41,7 +41,7 @@ func BenchmarkScheduleFanOut(b *testing.B) {
 // BenchmarkResourceAcquire measures the bandwidth-resource fast path.
 func BenchmarkResourceAcquire(b *testing.B) {
 	e := New()
-	r := NewResource(e, "bench")
+	r := NewResource(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Acquire(3)

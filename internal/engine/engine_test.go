@@ -123,7 +123,7 @@ func TestEventBudget(t *testing.T) {
 
 func TestResourceSerialization(t *testing.T) {
 	e := New()
-	r := NewResource(e, "bus")
+	r := NewResource(e)
 	// Three back-to-back 10-cycle jobs booked at cycle 0 finish at 10/20/30.
 	var finishes []memdef.Cycle
 	e.Schedule(0, func() {
@@ -145,7 +145,7 @@ func TestResourceSerialization(t *testing.T) {
 
 func TestResourceIdleGap(t *testing.T) {
 	e := New()
-	r := NewResource(e, "bus")
+	r := NewResource(e)
 	e.Schedule(0, func() { r.Acquire(5) })
 	e.Schedule(100, func() {
 		// Resource has been idle since cycle 5; job starts now (100).
@@ -227,7 +227,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestResourceAcquireAt(t *testing.T) {
 	e := New()
-	r := NewResource(e, "bus")
+	r := NewResource(e)
 	e.Schedule(0, func() {
 		// Earliest in the future: starts there.
 		if got := r.AcquireAt(50, 10); got != 60 {

@@ -101,17 +101,6 @@ func (b PageBitmap) Count() int {
 	return int((v + (v >> 8)) & 0x1f)
 }
 
-// Indices returns the chunk page indices of all set bits in ascending order.
-func (b PageBitmap) Indices() []int {
-	out := make([]int, 0, b.Count())
-	for i := 0; i < ChunkPages; i++ {
-		if b.Has(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 func (b PageBitmap) String() string {
 	buf := make([]byte, ChunkPages)
 	for i := 0; i < ChunkPages; i++ {

@@ -160,8 +160,9 @@ func (l *Learned) OnTouch(c memdef.ChunkID, pageIdx int) {
 }
 
 // features builds the candidate's vector. rank is its 0-based position among
-// the scanned candidates (0 = LRU-most).
-func (l *Learned) features(e *evict.Entry, rank, scanned int) [nFeatures]int64 {
+// the scanned candidates (0 = LRU-most); recent is the view's eviction window,
+// read once per selection (it cannot change while one is in progress).
+func (l *Learned) features(e *evict.Entry, rank, scanned int, recent []EvictionRecord) [nFeatures]int64 {
 	var f [nFeatures]int64
 	f[featBias] = 256
 	f[featRank] = int64(rank) * 256 / int64(scanned)
@@ -173,7 +174,7 @@ func (l *Learned) features(e *evict.Entry, rank, scanned int) [nFeatures]int64 {
 		if cap := l.view.CapacityPages(); cap > 0 {
 			f[featPressure] = int64(l.view.ResidentPages()) * 256 / int64(cap)
 		}
-		for _, rec := range l.view.RecentEvictions() {
+		for _, rec := range recent {
 			if rec.Chunk == e.Chunk {
 				f[featRecycled] = 256
 				break
@@ -220,17 +221,21 @@ func (l *Learned) SelectVictim(excluded func(memdef.ChunkID) bool) (memdef.Chunk
 	if n == 0 {
 		return 0, false
 	}
+	var recent []EvictionRecord
+	if l.view != nil {
+		recent = l.view.RecentEvictions()
+	}
 	pick := 0
 	var bestFeats [nFeatures]int64
 	var bestScore int64
 	if l.rng.next()%exploreDenom == 0 {
 		// Exploration: take the LRU head unconditionally.
-		bestFeats = l.features(cands[0], 0, n)
+		bestFeats = l.features(cands[0], 0, n, recent)
 		bestScore = l.score(bestFeats)
 		l.stats.Explorations++
 	} else {
 		for i := 0; i < n; i++ {
-			f := l.features(cands[i], i, n)
+			f := l.features(cands[i], i, n, recent)
 			s := l.score(f)
 			if i == 0 || s > bestScore {
 				pick, bestFeats, bestScore = i, f, s

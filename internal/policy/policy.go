@@ -30,7 +30,8 @@ import (
 // APIVersion is the current policy-contract version. A Registration must
 // carry exactly this version: the registry refuses registrations written
 // against a different contract instead of letting them misbehave at runtime.
-const APIVersion = 1
+// Version 2 changed Prefetcher.Plan to append into a caller-owned buffer.
+const APIVersion = 2
 
 // Typed registry errors. They are surfaced through harness Result.Err (and a
 // nonzero cppe-sim exit), never panics.

@@ -385,9 +385,10 @@ func Run(t *testing.T, factory policy.EvictionFactory) {
 	})
 }
 
-// RunPrefetch drives one prefetcher through the conformance suite: Plan
-// output invariants (contains the faulted page, no resident pages, ascending
-// order), determinism, and snapshot equivalence.
+// RunPrefetch drives one prefetcher through the conformance suite: the Plan
+// append contract (a non-empty dst prefix comes back untouched; the appended
+// pages contain the faulted page, no resident pages, and ascend),
+// determinism, and snapshot equivalence.
 func RunPrefetch(t *testing.T, factory policy.PrefetchFactory) {
 	t.Helper()
 
@@ -489,7 +490,14 @@ type prefetchRunner struct {
 	plans     int
 	planHash  uint64
 	planPages int
+	// buf is the reused Plan destination, as the driver keeps one.
+	buf []memdef.PageNum
 }
+
+// sentinelPages prefix every Plan destination; no scripted fault touches
+// them, so a prefetcher that overwrites dst instead of appending to it is
+// caught.
+var sentinelPages = [...]memdef.PageNum{1 << 40, 1<<40 + 7, 3}
 
 func (r *prefetchRunner) next() uint64 {
 	r.rng += 0x9e3779b97f4a7c15
@@ -528,7 +536,19 @@ func (r *prefetchRunner) step() {
 		}
 		return
 	}
-	plan := r.pf.Plan(p, prefetch.Context{Resident: r.isResident, MemoryFull: r.full})
+	dst := append(r.buf[:0], sentinelPages[:]...)
+	out := r.pf.Plan(dst, p, prefetch.Context{Resident: r.isResident, MemoryFull: r.full})
+	n := len(sentinelPages)
+	if len(out) < n {
+		r.t.Fatalf("plan for %v dropped the dst prefix: returned %d pages, dst had %d", p, len(out), n)
+	}
+	for i, q := range sentinelPages {
+		if dst[i] != q || out[i] != q {
+			r.t.Fatalf("plan for %v overwrote dst[%d]: dst %v, result %v", p, i, dst[:n], out[:n])
+		}
+	}
+	r.buf = out
+	plan := out[n:]
 	seenP := false
 	for i, q := range plan {
 		if i > 0 && q <= plan[i-1] {

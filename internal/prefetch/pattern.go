@@ -91,28 +91,29 @@ func MustPattern(scheme DeletionScheme, minUntouch int) *Pattern {
 func (pf *Pattern) Name() string { return fmt.Sprintf("pattern-s%d", int(pf.scheme)) }
 
 // Plan implements the pattern lookup described above.
-func (pf *Pattern) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
+func (pf *Pattern) Plan(dst []memdef.PageNum, p memdef.PageNum, ctx Context) []memdef.PageNum {
 	if !ctx.MemoryFull {
-		return chunkPages(p, ctx.Resident)
+		return chunkPages(dst, p, ctx.Resident)
 	}
 	c := p.Chunk()
 	e, ok := pf.buf[c]
 	if !ok {
-		return chunkPages(p, ctx.Resident)
+		return chunkPages(dst, p, ctx.Resident)
 	}
 	pf.stats.Hits++
 	if e.touched.Has(p.Index()) {
 		// Pattern match: migrate only the touched pages of the pattern.
 		pf.stats.Matches++
 		e.matchedOnce = true
-		out := make([]memdef.PageNum, 0, e.touched.Count())
-		for _, i := range e.touched.Indices() {
-			q := c.Page(i)
-			if q == p || !ctx.Resident(q) {
-				out = append(out, q)
+		for i := 0; i < memdef.ChunkPages; i++ {
+			if !e.touched.Has(i) {
+				continue
+			}
+			if q := c.Page(i); q == p || !ctx.Resident(q) {
+				dst = append(dst, q)
 			}
 		}
-		return out
+		return dst
 	}
 	// Mismatch: whole chunk, and delete per scheme.
 	pf.stats.Mismatches++
@@ -120,7 +121,7 @@ func (pf *Pattern) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
 		delete(pf.buf, c)
 		pf.stats.Deletions++
 	}
-	return chunkPages(p, ctx.Resident)
+	return chunkPages(dst, p, ctx.Resident)
 }
 
 // OnMigrate implements Prefetcher (the buffer is fed by evictions only).

@@ -8,8 +8,9 @@
 //   - CPPE's access pattern-aware prefetcher (Section IV-C), with the two
 //     pattern-buffer deletion schemes of Fig. 6/7.
 //
-// A prefetcher is consulted by the UVM driver on every far fault and returns
-// the set of pages to migrate, always including the faulted page.
+// A prefetcher is consulted by the UVM driver on every far fault and appends
+// the set of pages to migrate, always including the faulted page, to a buffer
+// the driver owns.
 package prefetch
 
 import "github.com/reproductions/cppe/internal/memdef"
@@ -29,10 +30,13 @@ type Context struct {
 type Prefetcher interface {
 	// Name returns a short identifier ("locality", "pattern-s2", ...).
 	Name() string
-	// Plan returns the pages to migrate for a fault on page p. The result
-	// always contains p, contains no resident pages, and is ordered by
-	// ascending page number.
-	Plan(p memdef.PageNum, ctx Context) []memdef.PageNum
+	// Plan appends the pages to migrate for a fault on page p to dst and
+	// returns the extended slice, like strconv.AppendInt. The elements
+	// already in dst are left untouched; the appended pages always contain
+	// p, contain no resident pages, and are in ascending page order. The
+	// driver passes a reused buffer, so Plan must not retain dst or the
+	// result.
+	Plan(dst []memdef.PageNum, p memdef.PageNum, ctx Context) []memdef.PageNum
 	// OnMigrate informs the prefetcher that pages became resident.
 	OnMigrate(pages []memdef.PageNum)
 	// OnEvict informs the prefetcher that chunk c was evicted; touched is
@@ -41,18 +45,18 @@ type Prefetcher interface {
 	OnEvict(c memdef.ChunkID, touched memdef.PageBitmap, untouch int)
 }
 
-// chunkPages lists the non-resident pages of p's chunk in ascending order —
-// the 64 KiB basic-block migration set used by the locality prefetcher.
-func chunkPages(p memdef.PageNum, resident func(memdef.PageNum) bool) []memdef.PageNum {
+// chunkPages appends the non-resident pages of p's chunk to dst in ascending
+// order — the 64 KiB basic-block migration set used by the locality
+// prefetcher.
+func chunkPages(dst []memdef.PageNum, p memdef.PageNum, resident func(memdef.PageNum) bool) []memdef.PageNum {
 	c := p.Chunk()
-	out := make([]memdef.PageNum, 0, memdef.ChunkPages)
 	for i := 0; i < memdef.ChunkPages; i++ {
 		q := c.Page(i)
 		if q == p || !resident(q) {
-			out = append(out, q)
+			dst = append(dst, q)
 		}
 	}
-	return out
+	return dst
 }
 
 // Locality is the sequential-local prefetcher [9]: every fault migrates the
@@ -66,9 +70,9 @@ func NewLocality() *Locality { return &Locality{} }
 // Name implements Prefetcher.
 func (*Locality) Name() string { return "locality" }
 
-// Plan returns all non-resident pages of the faulted chunk.
-func (*Locality) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
-	return chunkPages(p, ctx.Resident)
+// Plan appends all non-resident pages of the faulted chunk.
+func (*Locality) Plan(dst []memdef.PageNum, p memdef.PageNum, ctx Context) []memdef.PageNum {
+	return chunkPages(dst, p, ctx.Resident)
 }
 
 // OnMigrate implements Prefetcher (stateless).
@@ -88,12 +92,12 @@ func NewDisableOnFull() *DisableOnFull { return &DisableOnFull{} }
 // Name implements Prefetcher.
 func (*DisableOnFull) Name() string { return "disable-on-full" }
 
-// Plan returns the chunk before memory fills, the single page after.
-func (*DisableOnFull) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
+// Plan appends the chunk before memory fills, the single page after.
+func (*DisableOnFull) Plan(dst []memdef.PageNum, p memdef.PageNum, ctx Context) []memdef.PageNum {
 	if ctx.MemoryFull {
-		return []memdef.PageNum{p}
+		return append(dst, p)
 	}
-	return chunkPages(p, ctx.Resident)
+	return chunkPages(dst, p, ctx.Resident)
 }
 
 // OnMigrate implements Prefetcher (stateless).
@@ -112,9 +116,9 @@ func NewNone() *None { return &None{} }
 // Name implements Prefetcher.
 func (*None) Name() string { return "none" }
 
-// Plan returns only the faulted page.
-func (*None) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
-	return []memdef.PageNum{p}
+// Plan appends only the faulted page.
+func (*None) Plan(dst []memdef.PageNum, p memdef.PageNum, ctx Context) []memdef.PageNum {
+	return append(dst, p)
 }
 
 // OnMigrate implements Prefetcher (stateless).

@@ -24,7 +24,7 @@ func pagesEqual(got []memdef.PageNum, want ...memdef.PageNum) bool {
 func TestLocalityPlansWholeChunk(t *testing.T) {
 	l := NewLocality()
 	// Fault in the middle of chunk 2 (pages 32..47).
-	got := l.Plan(37, Context{Resident: nothingResident})
+	got := l.Plan(nil, 37, Context{Resident: nothingResident})
 	if len(got) != memdef.ChunkPages {
 		t.Fatalf("plan = %v", got)
 	}
@@ -38,7 +38,7 @@ func TestLocalityPlansWholeChunk(t *testing.T) {
 func TestLocalitySkipsResident(t *testing.T) {
 	l := NewLocality()
 	resident := func(p memdef.PageNum) bool { return p%2 == 0 && p != 36 }
-	got := l.Plan(36, Context{Resident: resident})
+	got := l.Plan(nil, 36, Context{Resident: resident})
 	// Faulted page 36 always included; odd pages included; other evens not.
 	found := false
 	for _, p := range got {
@@ -59,7 +59,7 @@ func TestLocalitySkipsResident(t *testing.T) {
 
 func TestLocalityIgnoresMemoryFull(t *testing.T) {
 	l := NewLocality()
-	got := l.Plan(5, Context{Resident: nothingResident, MemoryFull: true})
+	got := l.Plan(nil, 5, Context{Resident: nothingResident, MemoryFull: true})
 	if len(got) != memdef.ChunkPages {
 		t.Fatalf("baseline must keep prefetching when full; plan = %v", got)
 	}
@@ -67,11 +67,11 @@ func TestLocalityIgnoresMemoryFull(t *testing.T) {
 
 func TestDisableOnFull(t *testing.T) {
 	d := NewDisableOnFull()
-	before := d.Plan(5, Context{Resident: nothingResident})
+	before := d.Plan(nil, 5, Context{Resident: nothingResident})
 	if len(before) != memdef.ChunkPages {
 		t.Fatalf("pre-full plan = %v", before)
 	}
-	after := d.Plan(5, Context{Resident: nothingResident, MemoryFull: true})
+	after := d.Plan(nil, 5, Context{Resident: nothingResident, MemoryFull: true})
 	if !pagesEqual(after, 5) {
 		t.Fatalf("post-full plan = %v, want just the faulted page", after)
 	}
@@ -79,7 +79,7 @@ func TestDisableOnFull(t *testing.T) {
 
 func TestNonePlansSinglePage(t *testing.T) {
 	n := NewNone()
-	if got := n.Plan(123, Context{Resident: nothingResident}); !pagesEqual(got, 123) {
+	if got := n.Plan(nil, 123, Context{Resident: nothingResident}); !pagesEqual(got, 123) {
 		t.Fatalf("plan = %v", got)
 	}
 }
@@ -98,7 +98,7 @@ func TestPatternBadScheme(t *testing.T) {
 
 func TestPatternBehavesLikeLocalityBeforeFull(t *testing.T) {
 	pf := MustPattern(Scheme2, 0)
-	got := pf.Plan(5, Context{Resident: nothingResident})
+	got := pf.Plan(nil, 5, Context{Resident: nothingResident})
 	if len(got) != memdef.ChunkPages {
 		t.Fatalf("plan = %v", got)
 	}
@@ -125,7 +125,7 @@ func TestPatternMatchPrefetchesOnlyPattern(t *testing.T) {
 		touched = touched.Set(i)
 	}
 	pf.OnEvict(0, touched, 8)
-	got := pf.Plan(4, Context{Resident: nothingResident, MemoryFull: true})
+	got := pf.Plan(nil, 4, Context{Resident: nothingResident, MemoryFull: true})
 	if !pagesEqual(got, 0, 2, 4, 6, 8, 10, 12, 14) {
 		t.Fatalf("plan = %v, want the stride-2 pages", got)
 	}
@@ -143,7 +143,7 @@ func TestPatternMismatchMigratesWholeChunk(t *testing.T) {
 	}
 	pf.OnEvict(0, touched, 8)
 	// Page 5 does not match the stride-2 pattern.
-	got := pf.Plan(5, Context{Resident: nothingResident, MemoryFull: true})
+	got := pf.Plan(nil, 5, Context{Resident: nothingResident, MemoryFull: true})
 	if len(got) != memdef.ChunkPages {
 		t.Fatalf("mismatch plan = %v, want whole chunk", got)
 	}
@@ -158,7 +158,7 @@ func TestPatternFig6Schemes(t *testing.T) {
 	for _, scheme := range []DeletionScheme{Scheme1, Scheme2} {
 		pf := MustPattern(scheme, 1)
 		pf.OnEvict(0, pattern, 14)
-		pf.Plan(2, Context{Resident: nothingResident, MemoryFull: true})
+		pf.Plan(nil, 2, Context{Resident: nothingResident, MemoryFull: true})
 		if pf.Len() != 0 {
 			t.Errorf("scheme %d: entry survived first-lookup mismatch", scheme)
 		}
@@ -175,14 +175,14 @@ func TestPatternFig6Schemes(t *testing.T) {
 			Resident:   func(p memdef.PageNum) bool { return resident[p] },
 			MemoryFull: true,
 		}
-		for _, p := range pf.Plan(1, ctx) {
+		for _, p := range pf.Plan(nil, 1, ctx) {
 			resident[p] = true
 		}
 		// First fault migrated pages 1 and 3 only.
 		if !resident[1] || !resident[3] || resident[2] {
 			t.Fatalf("scheme %d: first fault migrated wrong set", scheme)
 		}
-		got := pf.Plan(2, ctx)
+		got := pf.Plan(nil, 2, ctx)
 		// Whole chunk except the already-resident 1 and 3.
 		for _, p := range got {
 			if p == 1 || p == 3 {
@@ -211,7 +211,7 @@ func TestPatternReRecordingOverwrites(t *testing.T) {
 	if pf.Len() != 1 {
 		t.Fatalf("len = %d", pf.Len())
 	}
-	got := pf.Plan(memdef.PageNum(1), Context{Resident: nothingResident, MemoryFull: true})
+	got := pf.Plan(nil, memdef.PageNum(1), Context{Resident: nothingResident, MemoryFull: true})
 	if !pagesEqual(got, 1) {
 		t.Fatalf("plan = %v; stale pattern used", got)
 	}
@@ -219,7 +219,7 @@ func TestPatternReRecordingOverwrites(t *testing.T) {
 
 func TestTreePrefetchesFaultedChunkWhenColdRegion(t *testing.T) {
 	tr := NewTree()
-	got := tr.Plan(0, Context{Resident: nothingResident})
+	got := tr.Plan(nil, 0, Context{Resident: nothingResident})
 	if len(got) != memdef.ChunkPages {
 		t.Fatalf("cold plan = %v", got)
 	}
@@ -231,7 +231,7 @@ func TestTreeMajorityExpansion(t *testing.T) {
 	// fetched (2/2 > 1/2 requires strictly more than half: 2 > 1 yes), and
 	// the 4-chunk node has 2 of 4 -> not expanded.
 	tr.OnMigrate([]memdef.PageNum{0}) // chunk 0 fetched
-	got := tr.Plan(memdef.ChunkID(1).FirstPage(), Context{Resident: func(p memdef.PageNum) bool {
+	got := tr.Plan(nil, memdef.ChunkID(1).FirstPage(), Context{Resident: func(p memdef.PageNum) bool {
 		return p.Chunk() == 0
 	}})
 	// Plan = chunk 1 only (16 pages): node of 2 is majority-fetched only
@@ -242,7 +242,7 @@ func TestTreeMajorityExpansion(t *testing.T) {
 	// Now chunks 0,1 fetched; fault into chunk 2: node {2,3} has 1/2 (not
 	// majority); node {0,1,2,3} has 3/4 -> expand to chunk 3 as well.
 	tr.OnMigrate([]memdef.PageNum{memdef.ChunkID(1).FirstPage()})
-	got = tr.Plan(memdef.ChunkID(2).FirstPage(), Context{Resident: func(p memdef.PageNum) bool {
+	got = tr.Plan(nil, memdef.ChunkID(2).FirstPage(), Context{Resident: func(p memdef.PageNum) bool {
 		return p.Chunk() <= 1
 	}})
 	if len(got) != 2*memdef.ChunkPages {
@@ -286,7 +286,7 @@ func TestPlansAreAscendingAndContainFault(t *testing.T) {
 	for _, pf := range prefetchers {
 		for _, fault := range []memdef.PageNum{0, 7, 31, 100, 1023} {
 			for _, full := range []bool{false, true} {
-				got := pf.Plan(fault, Context{Resident: nothingResident, MemoryFull: full})
+				got := pf.Plan(nil, fault, Context{Resident: nothingResident, MemoryFull: full})
 				if len(got) == 0 {
 					t.Fatalf("%s: empty plan", pf.Name())
 				}

@@ -34,7 +34,7 @@ func TestPlanNeverIncludesResidentPages(t *testing.T) {
 			MemoryFull: full,
 		}
 		for _, pf := range prefetchers() {
-			for _, p := range pf.Plan(fault, ctx) {
+			for _, p := range pf.Plan(nil, fault, ctx) {
 				if p != fault && resident[p] {
 					return false
 				}
@@ -59,7 +59,7 @@ func TestPatternPlanSubsetOfRecordedPattern(t *testing.T) {
 		pf := MustPattern(Scheme2, 1)
 		pf.OnEvict(3, mask, 16-mask.Count())
 		fault := memdef.ChunkID(3).Page(idx)
-		plan := pf.Plan(fault, Context{Resident: nothingResident, MemoryFull: true})
+		plan := pf.Plan(nil, fault, Context{Resident: nothingResident, MemoryFull: true})
 		if mask.Has(idx) {
 			// Match: every planned page is in the pattern.
 			for _, p := range plan {
@@ -94,7 +94,7 @@ func TestPatternBufferBounded(t *testing.T) {
 			}
 		default:
 			idx := rng.Intn(memdef.ChunkPages)
-			pf.Plan(c.Page(idx), Context{Resident: nothingResident, MemoryFull: true})
+			pf.Plan(nil, c.Page(idx), Context{Resident: nothingResident, MemoryFull: true})
 		}
 		if pf.Len() > len(distinct) {
 			t.Fatalf("buffer %d exceeds distinct recorded %d", pf.Len(), len(distinct))

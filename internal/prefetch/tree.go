@@ -32,9 +32,13 @@ func (t *Tree) Name() string { return "tree" }
 
 // Plan migrates the faulted basic block, then expands up the tree while the
 // majority rule holds.
-func (t *Tree) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
+func (t *Tree) Plan(dst []memdef.PageNum, p memdef.PageNum, ctx Context) []memdef.PageNum {
 	c := p.Chunk()
-	planned := map[memdef.ChunkID]bool{c: true}
+	// Every subtree walked below lies inside the faulted 2 MiB region, so the
+	// planned set is a bit per chunk of that region.
+	region := memdef.ChunkID(uint64(c) / treeSpanChunks * treeSpanChunks)
+	var planned [treeSpanChunks]bool
+	planned[c-region] = true
 
 	// Walk up: node sizes 2, 4, 8, 16, 32 chunks.
 	for span := 2; span <= treeSpanChunks; span *= 2 {
@@ -42,7 +46,7 @@ func (t *Tree) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
 		have := 0
 		for i := 0; i < span; i++ {
 			cc := base + memdef.ChunkID(i)
-			if t.fetched[cc] || planned[cc] {
+			if t.fetched[cc] || planned[cc-region] {
 				have++
 			}
 		}
@@ -55,30 +59,26 @@ func (t *Tree) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
 		for i := 0; i < span; i++ {
 			cc := base + memdef.ChunkID(i)
 			if !t.fetched[cc] {
-				planned[cc] = true
+				planned[cc-region] = true
 			}
 		}
 	}
 
-	// Materialize: ascending page order over planned chunks. Every planned
-	// chunk lies inside the faulted 2 MiB region (all subtree bases do), so
-	// scanning the region in order visits them ascending without ranging over
-	// the map — map iteration order is randomized and must never shape a
-	// migration plan.
-	region := memdef.ChunkID(uint64(c) / treeSpanChunks * treeSpanChunks)
-	out := make([]memdef.PageNum, 0, len(planned)*memdef.ChunkPages)
-	for cc := region; cc < region+treeSpanChunks; cc++ {
-		if !planned[cc] {
+	// Materialize: ascending page order over the planned chunks of the
+	// region.
+	for i, ok := range planned {
+		if !ok {
 			continue
 		}
-		for i := 0; i < memdef.ChunkPages; i++ {
-			q := cc.Page(i)
+		cc := region + memdef.ChunkID(i)
+		for j := 0; j < memdef.ChunkPages; j++ {
+			q := cc.Page(j)
 			if q == p || !ctx.Resident(q) {
-				out = append(out, q)
+				dst = append(dst, q)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // OnMigrate marks chunks as fetched.

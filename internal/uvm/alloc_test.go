@@ -10,35 +10,18 @@ import (
 	"github.com/reproductions/cppe/internal/xbus"
 )
 
-// chunkPlanner plans the whole faulted chunk into a reused buffer. The
-// shipped prefetchers return a fresh slice per Plan (their public contract),
-// so this stand-in isolates the driver's own allocations.
-type chunkPlanner struct {
-	prefetch.None
-	buf []memdef.PageNum
-}
-
-func (p *chunkPlanner) Plan(page memdef.PageNum, ctx prefetch.Context) []memdef.PageNum {
-	p.buf = p.buf[:0]
-	for i := 0; i < memdef.ChunkPages; i++ {
-		if q := page.Chunk().Page(i); q == page || !ctx.Resident(q) {
-			p.buf = append(p.buf, q)
-		}
-	}
-	return p.buf
-}
-
 // TestFaultPathAllocFree gates the far-fault path: a warmed manager at a
 // small capacity, where every step faults a chunk in, merges two more
 // translations into that fault, and evicts a chunk to make room, allocates
-// nothing per fault.
+// nothing per fault. The plan comes from the shipped locality prefetcher,
+// which appends into the driver's reused plan buffer.
 func TestFaultPathAllocFree(t *testing.T) {
 	eng := engine.New()
 	cfg := memdef.DefaultConfig()
 	cfg.NumSMs = 2
 	const capChunks, chunks = 8, 32
 	cfg.MemoryPages = capChunks * memdef.ChunkPages
-	m := New(eng, cfg, xbus.New(eng, cfg), evict.NewLRU(), &chunkPlanner{}, &flatMem{eng: eng})
+	m := New(eng, cfg, xbus.New(eng, cfg), evict.NewLRU(), prefetch.NewLocality(), &flatMem{eng: eng})
 
 	completed := 0
 	done := func() { completed++ }

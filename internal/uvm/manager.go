@@ -331,6 +331,10 @@ type Manager struct {
 	migs    []*migEntry
 	migFree []uint64
 	migBuf  []chunkMask // commitMigration per-chunk grouping scratch
+	// planBuf is the buffer each fault's plan is appended into: scratch,
+	// overwritten by every Plan call and copied into migEntry.plan by
+	// allocMig.
+	planBuf []memdef.PageNum
 
 	footprintPages int
 	aborted        bool
@@ -689,24 +693,27 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 		return
 	}
 
-	plan := m.pf.Plan(page, prefetch.Context{
+	plan := m.pf.Plan(m.planBuf[:0], page, prefetch.Context{
 		Resident:   m.residentFn,
 		MemoryFull: m.memoryFull,
 	})
+	m.planBuf = plan
 	// A plan may never exceed half the GPU memory (large tree-prefetch
-	// expansions on small memories), or eviction could not make room.
+	// expansions on small memories), or eviction could not make room. The
+	// trimmed plan is the faulted page followed by the plan's first other
+	// pages in order: rotate the page to the front, then truncate.
 	if m.capacityPages > 0 && len(plan) > m.capacityPages/2 {
-		trimmed := make([]memdef.PageNum, 0, m.capacityPages/2)
-		trimmed = append(trimmed, page)
-		for _, p := range plan {
-			if len(trimmed) >= m.capacityPages/2 {
+		n := max(m.capacityPages/2, 1)
+		k := n - 1
+		for i, p := range plan[:n] {
+			if p == page {
+				k = i
 				break
 			}
-			if p != page {
-				trimmed = append(trimmed, p)
-			}
 		}
-		plan = trimmed
+		copy(plan[1:k+1], plan[:k])
+		plan[0] = page
+		plan = plan[:n]
 	}
 
 	// Make room. Evictions are decided synchronously (the driver unmaps
@@ -717,7 +724,7 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 				// Nothing evictable (pathological tiny capacity): shrink the
 				// plan to just the faulted page and retry once.
 				if len(plan) > 1 {
-					plan = []memdef.PageNum{page}
+					plan = append(plan[:0], page)
 					continue
 				}
 				// Still no room for a single page: abort this run with a

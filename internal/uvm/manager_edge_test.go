@@ -73,6 +73,72 @@ func TestTreePlanTruncatedToHalfCapacity(t *testing.T) {
 	}
 }
 
+// spanPlanner plans the first span pages of memory for every fault and
+// records the migrated plans in the order the driver commits them.
+type spanPlanner struct {
+	prefetch.None
+	span     int
+	migrated [][]memdef.PageNum
+}
+
+func (p *spanPlanner) Plan(dst []memdef.PageNum, page memdef.PageNum, ctx prefetch.Context) []memdef.PageNum {
+	for q := memdef.PageNum(0); q < memdef.PageNum(p.span); q++ {
+		dst = append(dst, q)
+	}
+	return dst
+}
+
+func (p *spanPlanner) OnMigrate(pages []memdef.PageNum) {
+	p.migrated = append(p.migrated, append([]memdef.PageNum(nil), pages...))
+}
+
+// TestPlanTrimKeepsFaultedPageFirst pins the half-capacity trim, done in
+// place on the driver's plan buffer: the faulted page first, then the plan's
+// other pages in order, up to half the capacity.
+func TestPlanTrimKeepsFaultedPageFirst(t *testing.T) {
+	const capacity = 4 * memdef.ChunkPages // trims plans to 32 pages
+	for _, tc := range []struct {
+		name  string
+		fault memdef.PageNum
+		want  []memdef.PageNum
+	}{
+		{"fault inside the kept prefix", 20, append([]memdef.PageNum{20}, append(pageRange(0, 20), pageRange(21, 32)...)...)},
+		{"fault beyond the kept prefix", 40, append([]memdef.PageNum{40}, pageRange(0, 31)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pf := &spanPlanner{span: 3 * memdef.ChunkPages}
+			r := newRig(t, capacity, evict.NewLRU(), pf)
+			r.access(t, 0, tc.fault)
+			if len(pf.migrated) != 1 {
+				t.Fatalf("%d migrations, want 1", len(pf.migrated))
+			}
+			if got := pf.migrated[0]; !pagesEqual(got, tc.want) {
+				t.Fatalf("migrated %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+func pageRange(lo, hi memdef.PageNum) []memdef.PageNum {
+	var out []memdef.PageNum
+	for p := lo; p < hi; p++ {
+		out = append(out, p)
+	}
+	return out
+}
+
+func pagesEqual(a, b []memdef.PageNum) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestQueuedFaultFindsPageAlreadyResident(t *testing.T) {
 	// Two faults to different pages of the same chunk, issued in the same
 	// cycle: the second queues, and by the time it is processed the first

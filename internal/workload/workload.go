@@ -15,6 +15,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -262,18 +263,18 @@ func (b Benchmark) seedFor(opt Options) int64 {
 	return h ^ opt.Seed
 }
 
-// Generate synthesizes the benchmark's trace.
+// Generate synthesizes the benchmark's trace. The archetype generator runs
+// once and records each pass's global page order; layout then sizes every
+// warp exactly and deals the passes into one backing array.
 func (b Benchmark) Generate(opt Options) Trace {
 	opt = opt.withDefaults()
-	pages := b.FootprintPages(opt.Scale)
-	rng := rand.New(rand.NewSource(b.seedFor(opt)))
+	seed := b.seedFor(opt)
 	g := &gen{
 		b:     b,
 		opt:   opt,
-		pages: pages,
-		rng:   rng,
-		seed:  b.seedFor(opt),
-		warps: make([][]memdef.Access, opt.Warps),
+		pages: b.FootprintPages(opt.Scale),
+		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
 	}
 	g.buildMembership()
 	switch b.p.arch {
@@ -290,20 +291,7 @@ func (b Benchmark) Generate(opt Options) Trace {
 	case archRegionMove:
 		g.regionMove()
 	}
-	touched := make(map[memdef.PageNum]struct{})
-	total := 0
-	for _, w := range g.warps {
-		total += len(w)
-		for _, a := range w {
-			touched[a.Addr.Page()] = struct{}{}
-		}
-	}
-	return Trace{
-		Warps:          g.warps,
-		FootprintPages: pages,
-		TouchedPages:   len(touched),
-		Accesses:       total,
-	}
+	return g.layout()
 }
 
 // gen is the generator working state.
@@ -313,11 +301,23 @@ type gen struct {
 	pages int
 	rng   *rand.Rand
 	seed  int64
-	warps [][]memdef.Access
 	// member[p] reports whether page p is in the touched set.
 	member []bool
 	// memberList is the ascending list of member pages.
 	memberList []int
+	// passes are the recorded traversals, in generation order.
+	passes []passOrder
+	// arena backs the page orders built per pass (the others are
+	// subslices of memberList).
+	arena []int
+	// warps are the per-warp access streams layout deals the passes into.
+	warps [][]memdef.Access
+}
+
+// passOrder is one traversal: a global page order and the salt of its accesses.
+type passOrder struct {
+	order []int
+	salt  int
 }
 
 // inSubset deterministically decides whether member page pg participates in
@@ -340,20 +340,28 @@ func (g *gen) rareDue(pass int) bool {
 	return re > 0 && (pass+1)%re == 0
 }
 
-// chunkSweep appends one chunk's accesses for a pass to order: its member
-// pages (subject to the per-pass subset) and, on rare passes, the chunk's
-// off-pattern page (index 1, never a stride member).
-func (g *gen) chunkSweep(order []int, c, pass int) []int {
+// chunkSweep appends one chunk's accesses for a pass to the arena: its
+// member pages (subject to the per-pass subset) and, on rare passes, the
+// chunk's off-pattern page (index 1, never a stride member).
+func (g *gen) chunkSweep(c, pass int) {
 	for k := 0; k < memdef.ChunkPages; k++ {
 		pg := c*memdef.ChunkPages + k
 		if g.member[pg] && g.inSubset(pg, pass) {
-			order = append(order, pg)
+			g.arena = append(g.arena, pg)
 		}
 	}
 	if g.rareDue(pass) {
-		order = append(order, c*memdef.ChunkPages+1)
+		g.arena = append(g.arena, c*memdef.ChunkPages+1)
 	}
-	return order
+}
+
+// reserveArena sizes the arena for the orders the generator builds: per
+// pass, at most every member page, one off-pattern page per chunk and one
+// hot page per four chunks. Outgrowing it would only cost a reallocation;
+// orders already recorded keep their old backing.
+func (g *gen) reserveArena() {
+	chunks := g.pages / memdef.ChunkPages
+	g.arena = make([]int, 0, g.b.p.passes*(len(g.memberList)+chunks+chunks/4+1))
 }
 
 // buildMembership fixes the touched-page set: strided benchmarks touch every
@@ -387,6 +395,13 @@ func (g *gen) buildMembership() {
 			g.member[c*memdef.ChunkPages] = true
 		}
 	}
+	n := 0
+	for _, m := range g.member {
+		if m {
+			n++
+		}
+	}
+	g.memberList = make([]int, 0, n)
 	for i, m := range g.member {
 		if m {
 			g.memberList = append(g.memberList, i)
@@ -420,16 +435,54 @@ func (g *gen) emit(w, page, salt int) {
 // (and hence the thrashing behaviour the paper studies) under concurrency.
 const blockPages = 2
 
-// distribute appends one pass's global page order to the warps, block by
-// block.
+// distribute records one pass's global page order; layout deals it to the
+// warps block by block.
 func (g *gen) distribute(order []int, salt int) {
-	w := 0
-	for i := 0; i < len(order); i += blockPages {
-		end := minInt(len(order), i+blockPages)
-		for _, pg := range order[i:end] {
-			g.emit(w, pg, salt)
+	g.passes = append(g.passes, passOrder{order: order, salt: salt})
+}
+
+// layout builds the trace from the recorded passes. A pass's contribution to
+// each warp depends only on its length, so every warp's exact length is known
+// before any access is written: the warps are carved out of one backing array
+// of exactly Accesses entries, each capped at its own length so an append to
+// one warp can never write into the next (traces are shared across a sweep).
+func (g *gen) layout() Trace {
+	nw, app := g.opt.Warps, g.opt.AccessesPerPage
+	// ends[w+1] accumulates warp w's length, then becomes its end offset.
+	ends := make([]int, nw+1)
+	seen := make([]uint64, (g.pages+63)/64)
+	for _, ps := range g.passes {
+		for i, w := 0, 0; i < len(ps.order); i, w = i+blockPages, (w+1)%nw {
+			ends[w+1] += minInt(blockPages, len(ps.order)-i) * app
 		}
-		w = (w + 1) % g.opt.Warps
+		for _, pg := range ps.order {
+			seen[pg/64] |= 1 << uint(pg%64)
+		}
+	}
+	for w := 0; w < nw; w++ {
+		ends[w+1] += ends[w]
+	}
+	backing := make([]memdef.Access, ends[nw])
+	g.warps = make([][]memdef.Access, nw)
+	for w := range g.warps {
+		g.warps[w] = backing[ends[w]:ends[w]:ends[w+1]]
+	}
+	for _, ps := range g.passes {
+		for i, w := 0, 0; i < len(ps.order); i, w = i+blockPages, (w+1)%nw {
+			for _, pg := range ps.order[i:minInt(len(ps.order), i+blockPages)] {
+				g.emit(w, pg, ps.salt)
+			}
+		}
+	}
+	touched := 0
+	for _, x := range seen {
+		touched += bits.OnesCount64(x)
+	}
+	return Trace{
+		Warps:          g.warps,
+		FootprintPages: g.pages,
+		TouchedPages:   touched,
+		Accesses:       ends[nw],
 	}
 }
 
@@ -466,8 +519,9 @@ func (g *gen) mostRep() {
 	p := g.b.p
 	chunks := g.pages / memdef.ChunkPages
 	hotPages := maxInt(1, int(float64(len(g.memberList))*p.hotFrac))
+	g.reserveArena()
+	chunkOrder := make([]int, chunks)
 	for pass := 0; pass < p.passes; pass++ {
-		chunkOrder := make([]int, chunks)
 		for i := range chunkOrder {
 			chunkOrder[i] = i
 		}
@@ -476,14 +530,14 @@ func (g *gen) mostRep() {
 				chunkOrder[i], chunkOrder[j] = chunkOrder[j], chunkOrder[i]
 			})
 		}
-		var order []int
+		start := len(g.arena)
 		for i, c := range chunkOrder {
-			order = g.chunkSweep(order, c, pass)
+			g.chunkSweep(c, pass)
 			if p.hotFrac > 0 && i%4 == 0 {
-				order = append(order, g.memberList[(i*2654435761)%hotPages])
+				g.arena = append(g.arena, g.memberList[(i*2654435761)%hotPages])
 			}
 		}
-		g.distribute(order, pass)
+		g.distribute(g.arena[start:], pass)
 	}
 }
 
@@ -494,14 +548,15 @@ func (g *gen) repThrash() {
 	p := g.b.p
 	hot := g.memberList[:maxInt(1, int(float64(len(g.memberList))*p.hotFrac))]
 	chunks := g.pages / memdef.ChunkPages
+	g.reserveArena()
 	for pass := 0; pass < p.passes; pass++ {
 		g.distribute(hot, pass*3)
 		g.distribute(hot, pass*3+1)
-		var sweep []int
+		start := len(g.arena)
 		for c := 0; c < chunks; c++ {
-			sweep = g.chunkSweep(sweep, c, pass)
+			g.chunkSweep(c, pass)
 		}
-		g.distribute(sweep, pass*3+2)
+		g.distribute(g.arena[start:], pass*3+2)
 	}
 }
 

@@ -60,8 +60,8 @@ func New(eng *engine.Engine, cfg memdef.Config) *Link {
 		eng: eng,
 		cfg: cfg,
 		dir: [2]*engine.Resource{
-			engine.NewResource(eng, "pcie-h2d"),
-			engine.NewResource(eng, "pcie-d2h"),
+			engine.NewResource(eng),
+			engine.NewResource(eng),
 		},
 	}
 }

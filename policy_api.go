@@ -49,7 +49,9 @@ type (
 	// EvictionPolicy is the contract an eviction policy implements; see the
 	// documentation of the aliased interface for the event-ordering contract.
 	EvictionPolicy = evict.Policy
-	// Prefetcher is the contract a prefetcher implements.
+	// Prefetcher is the contract a prefetcher implements. Plan appends its
+	// migration set to a driver-owned buffer and returns the extended slice;
+	// see the aliased interface for the append contract.
 	Prefetcher = prefetch.Prefetcher
 	// PrefetchContext carries per-fault machine state into Prefetcher.Plan.
 	PrefetchContext = prefetch.Context
