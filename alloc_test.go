@@ -1,6 +1,9 @@
 package cppe
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestRunAllocCeiling gates the allocations of one whole simulation per policy
 // family at scale 0.05 and 50% oversubscription, in a fresh session.
@@ -31,4 +34,66 @@ func TestRunAllocCeiling(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWarmAllocCeiling gates the allocations of runs that share a session,
+// which hands each finished machine to the next run to reset in place
+// instead of building a new one.
+//
+// The Fig. 8 sweep (92 runs at scale 0.05, Parallelism 2, fresh session)
+// builds only the machines its two workers hold at once; the other runs
+// recycle them, leaving about 176 allocations per simulation (policy
+// objects, trace generation, results). Eight distinct keys run one after
+// another through Run recycle one machine: runs 2–8 allocate about 130
+// each. Each ceiling sits about 15% above its count; building a machine per
+// run costs about 1,100 allocations more.
+func TestWarmAllocCeiling(t *testing.T) {
+	t.Run("fig8-sweep", func(t *testing.T) {
+		s := NewSession(Options{Scale: 0.05, Parallelism: 2})
+		a := mallocs(func() {
+			if _, err := s.Experiment(ExpFig8); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perSim := float64(a) / float64(s.CachedRuns())
+		t.Logf("fig8 sweep at scale 0.05: %.1f allocs per simulation (%d over %d runs)", perSim, a, s.CachedRuns())
+		if perSim > 205 {
+			t.Errorf("fig8 sweep at scale 0.05: %.1f allocs per simulation, ceiling 205", perSim)
+		}
+	})
+	t.Run("sequential-runs", func(t *testing.T) {
+		keys := []Request{
+			{Benchmark: "SRD", Setup: SetupCPPE, Oversubscription: 50},
+			{Benchmark: "HIS", Setup: SetupLearned, Oversubscription: 75},
+			{Benchmark: "STN", Setup: SetupDisableOnFull, Oversubscription: 50},
+			{Benchmark: "BFS", Setup: SetupTree, Oversubscription: 0},
+			{Benchmark: "NW", Setup: SetupBaseline, Oversubscription: 50},
+			{Benchmark: "KMN", Setup: SetupRandom, Oversubscription: 75},
+			{Benchmark: "HWL", Setup: SetupHPE, Oversubscription: 50},
+			{Benchmark: "MVT", Setup: SetupCPPE, Oversubscription: 0},
+		}
+		s := NewSession(Options{Scale: 0.05, Parallelism: 1})
+		s.MustRun(keys[0]) // builds the machine the other runs recycle
+		a := mallocs(func() {
+			for _, k := range keys[1:] {
+				s.MustRun(k)
+			}
+		})
+		perRun := float64(a) / float64(len(keys)-1)
+		t.Logf("runs 2-%d of one session: %.1f allocs per run", len(keys), perRun)
+		if perRun > 150 {
+			t.Errorf("runs 2-%d of one session: %.1f allocs per run, ceiling 150", len(keys), perRun)
+		}
+	})
+}
+
+// mallocs returns the number of heap allocations f makes. Unlike
+// testing.AllocsPerRun it runs f once, so a session's first run is measured
+// rather than spent on warm-up.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -81,10 +81,6 @@ func New(name string, capacityBytes, ways, lineSize int) *Cache {
 		ways:   ways,
 		lineSz: lineSize,
 		shift:  shift,
-		tags:   make([]uint64, linesTotal),
-		flags:  make([]uint8, linesTotal),
-		lru:    make([]uint64, linesTotal),
-		hint:   make([]uint16, linesTotal/ways),
 	}
 	if c.sets&(c.sets-1) == 0 {
 		c.setMask = uint64(c.sets - 1)
@@ -92,7 +88,38 @@ func New(name string, capacityBytes, ways, lineSize int) *Cache {
 			c.setShift++
 		}
 	}
+	c.Reset()
 	return c
+}
+
+// Reset empties the cache — every line invalid, LRU clock and counters at
+// zero — keeping its name, geometry and tag-store storage.
+func (c *Cache) Reset() {
+	lines := c.sets * c.ways
+	*c = Cache{
+		name:     c.name,
+		sets:     c.sets,
+		ways:     c.ways,
+		lineSz:   c.lineSz,
+		shift:    c.shift,
+		setMask:  c.setMask,
+		setShift: c.setShift,
+		tags:     zeroed(c.tags, lines),
+		flags:    zeroed(c.flags, lines),
+		lru:      zeroed(c.lru, lines),
+		hint:     zeroed(c.hint, c.sets),
+	}
+}
+
+// zeroed returns buf resized to n zero elements, reusing its storage when it
+// is big enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 func (c *Cache) indexOf(a memdef.VirtAddr) (set int, tag uint64) {

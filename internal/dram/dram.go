@@ -67,15 +67,25 @@ func New(eng *engine.Engine, cfg memdef.Config) *DRAM {
 	for i := 0; i < cfg.DRAMChannels; i++ {
 		ch := &channel{bus: *engine.NewResource(eng)}
 		ch.banks = make([]bank, cfg.DRAMBanksPerChannel)
-		for b := range ch.banks {
-			ch.banks[b].res = *engine.NewResource(eng)
-		}
 		if n := uint64(len(ch.banks)); n&(n-1) == 0 {
 			ch.bankMask = n - 1
 		}
 		d.channels = append(d.channels, ch)
 	}
+	d.Reset()
 	return d
+}
+
+// Reset returns every bank and bus to idle with no open row and zeroed
+// counters, keeping the geometry.
+func (d *DRAM) Reset() {
+	for _, ch := range d.channels {
+		ch.bus.Reset()
+		for b := range ch.banks {
+			ch.banks[b] = bank{res: *engine.NewResource(d.eng)}
+		}
+	}
+	*d = DRAM{eng: d.eng, cfg: d.cfg, channels: d.channels, rowShift: d.rowShift}
 }
 
 // route maps an address to (channel, bank, row): rows interleave across

@@ -136,7 +136,38 @@ type Engine struct {
 
 // New returns an empty engine at cycle 0.
 func New() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	e.Reset()
+	return e
+}
+
+// Reset returns the engine to the state New produces — cycle 0, empty queue,
+// no budget, and no pause, watchdog or periodic hook armed — while keeping
+// its node pool and overflow-heap capacity. Pending events (an aborted or
+// paused run leaves some queued) are dropped: their nodes go back to the
+// pool, so a recycled engine schedules without allocating.
+func (e *Engine) Reset() {
+	for w, word := range e.ringBits {
+		for ; word != 0; word &= word - 1 {
+			b := &e.ring[w<<6+bits.TrailingZeros64(word)]
+			for n := b.head; n != nil; {
+				next := n.next
+				e.recycle(n)
+				n = next
+			}
+		}
+	}
+	for _, n := range e.overflow {
+		e.recycle(n)
+	}
+	clear(e.overflow)
+	*e = Engine{free: e.free, overflow: e.overflow[:0]}
+}
+
+// recycle clears n and pushes it onto the node pool.
+func (e *Engine) recycle(n *eventNode) {
+	*n = eventNode{next: e.free}
+	e.free = n
 }
 
 // Now returns the current simulated cycle.
@@ -520,10 +551,7 @@ func (e *Engine) Run(done func() bool) (memdef.Cycle, error) {
 		// Copy the callback out and recycle the node before invoking it: the
 		// callback may schedule new events, which can then reuse this node.
 		fn, argFn, arg := n.fn, n.argFn, n.arg
-		n.fn, n.argFn, n.arg = nil, nil, 0
-		n.tag = Tag{}
-		n.next = e.free
-		e.free = n
+		e.recycle(n)
 		if fn != nil {
 			fn()
 		} else {
@@ -606,6 +634,9 @@ type Resource struct {
 func NewResource(eng *Engine) *Resource {
 	return &Resource{eng: eng}
 }
+
+// Reset makes the resource idle again, with no booked or busy cycles.
+func (r *Resource) Reset() { *r = Resource{eng: r.eng} }
 
 // Acquire books dur cycles of exclusive use starting no earlier than now and
 // no earlier than the end of previously booked work. It returns the

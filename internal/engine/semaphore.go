@@ -34,7 +34,16 @@ func NewSemaphore(eng *Engine, capacity int) *Semaphore {
 	if capacity <= 0 {
 		panic("engine: semaphore capacity must be positive")
 	}
-	return &Semaphore{eng: eng, cap: capacity}
+	s := &Semaphore{eng: eng}
+	s.Reset(capacity)
+	return s
+}
+
+// Reset empties the semaphore — no holders, no waiters, peak 0 — with the
+// given (positive) capacity, keeping the waiter ring's storage.
+func (s *Semaphore) Reset(capacity int) {
+	clear(s.ring)
+	*s = Semaphore{eng: s.eng, cap: capacity, ring: s.ring}
 }
 
 // Acquire grants a slot to fn as soon as one is available (immediately, via a

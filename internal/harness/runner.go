@@ -150,6 +150,13 @@ type Session struct {
 	// checkpoint reuses a buffer instead of allocating its payload.
 	ckptWriters chan *snapshot.Writer
 
+	// machines is the free list of finished machines: collect hands each
+	// run's machine back, and the next build resets one in place instead of
+	// allocating a new one. It never holds more machines than once ran at
+	// the same time, and keeps them for the session's lifetime.
+	machinesMu sync.Mutex
+	machines   []*sm.Machine
+
 	mu    sync.Mutex
 	cache map[Key]Result
 }
@@ -380,31 +387,66 @@ func (s *Session) buildChecked(k Key, wantTraceHash uint64) (*built, error) {
 		return nil, fmt.Errorf("%w: trace %#x, checkpoint envelope %#x for %v",
 			ErrTraceDrift, generated.Fingerprint, wantTraceHash, k)
 	}
-	cfg := s.cfg.Base
-	cfg.MemoryPages = capacityFor(generated.FootprintPages, k.OversubPct)
+	seed := s.cfg.Seed ^ int64(len(k.Bench)) ^ 0x5eed
+	return s.assemble(setup, seed, k.OversubPct, generated.Warps, generated.FootprintPages, generated.Fingerprint)
+}
 
-	policy, err := setup.NewPolicy(cfg, s.cfg.Seed^int64(len(k.Bench))^0x5eed)
+// assemble instantiates the setup's policy (seeded with seed) and prefetcher
+// for a capacity of oversubPct of footprint, and binds them and the warps to
+// a machine from the session's free list (see machine).
+func (s *Session) assemble(setup core.Setup, seed int64, oversubPct int, warps [][]memdef.Access, footprint int, traceHash uint64) (*built, error) {
+	cfg := s.cfg.Base
+	cfg.MemoryPages = capacityFor(footprint, oversubPct)
+	policy, err := setup.NewPolicy(cfg, seed)
 	if err != nil {
-		return nil, fmt.Errorf("harness: setup %q policy: %w", k.Setup, err)
+		return nil, fmt.Errorf("harness: setup %q policy: %w", setup.Name, err)
 	}
 	pf, err := setup.NewPrefetcher(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("harness: setup %q prefetcher: %w", k.Setup, err)
+		return nil, fmt.Errorf("harness: setup %q prefetcher: %w", setup.Name, err)
 	}
-	machine := sm.NewMachine(cfg, policy, pf, generated.Warps)
-	machine.SetFootprint(generated.FootprintPages)
+	machine, err := s.machine(cfg, policy, pf, warps)
+	if err != nil {
+		return nil, err
+	}
+	machine.SetFootprint(footprint)
 	machine.SetWatchdog(s.cfg.WatchdogWindow)
 	return &built{
 		machine:   machine,
 		policy:    policy,
 		pf:        pf,
 		cfg:       cfg,
-		footprint: generated.FootprintPages,
-		traceHash: generated.Fingerprint,
+		footprint: footprint,
+		traceHash: traceHash,
 	}, nil
 }
 
-// collect assembles the harness Result from a finished machine.
+// machine returns a machine reset for one run: the most recently released
+// one from the session's free list, or a zero Machine, which Reset builds
+// from scratch. Every machine of a session shares the Base shape, so a
+// recycled one always fits.
+func (s *Session) machine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, warps [][]memdef.Access) (*sm.Machine, error) {
+	var m *sm.Machine
+	s.machinesMu.Lock()
+	if n := len(s.machines); n > 0 {
+		m = s.machines[n-1]
+		s.machines[n-1] = nil
+		s.machines = s.machines[:n-1]
+	}
+	s.machinesMu.Unlock()
+	if m == nil {
+		m = &sm.Machine{}
+	}
+	if err := m.Reset(cfg, pol, pf, warps); err != nil {
+		return nil, fmt.Errorf("harness: machine: %w", err)
+	}
+	return m, nil
+}
+
+// collect assembles the harness Result from a finished machine, then hands
+// the machine back to the session's free list: collect is the one terminal
+// step of every run path, and b must not be run again. A run that panics or
+// fails to restore or checkpoint never gets here, so its machine is dropped.
 func (s *Session) collect(k Key, b *built, res sm.Result) Result {
 	out := Result{
 		Key:            k,
@@ -432,6 +474,10 @@ func (s *Session) collect(k Key, b *built, res sm.Result) Result {
 		st := l.Stats()
 		out.Learned = &st
 	}
+	s.machinesMu.Lock()
+	s.machines = append(s.machines, b.machine)
+	s.machinesMu.Unlock()
+	b.machine = nil
 	return out
 }
 
@@ -440,15 +486,7 @@ func (s *Session) collect(k Key, b *built, res sm.Result) Result {
 // recovered into Result.Err, so one broken run degrades into one failed table
 // cell instead of killing the whole parallel sweep.
 func (s *Session) runOne(k Key) (out Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			out = Result{
-				Key:     k,
-				Crashed: true,
-				Err:     fmt.Errorf("%w: %v\n%s", ErrPanic, r, debug.Stack()),
-			}
-		}
-	}()
+	defer recoverRunStack(k, &out)
 	b, err := s.build(k)
 	if err != nil {
 		return Result{Key: k, Crashed: true, Err: err}
@@ -457,63 +495,34 @@ func (s *Session) runOne(k Key) (out Result) {
 	return s.collect(k, b, res)
 }
 
+// recoverRunStack is recoverRun with the panicking goroutine's stack in the
+// error.
+func recoverRunStack(k Key, out *Result) {
+	if r := recover(); r != nil {
+		*out = Result{
+			Key:     k,
+			Crashed: true,
+			Err:     fmt.Errorf("%w: %v\n%s", ErrPanic, r, debug.Stack()),
+		}
+	}
+}
+
 // RunTrace simulates a pre-recorded trace (instead of a generated Table II
 // workload) under the named setup at the given oversubscription rate. Trace
-// runs are not cached: the trace's identity is not part of a Key.
+// runs are not cached: the trace's identity is not part of a Key. The policy
+// is seeded with the session seed itself.
 func (s *Session) RunTrace(tr *trace.Trace, setupName string, oversubPct int) (out Result) {
 	k := Key{Bench: "trace", Setup: setupName, OversubPct: oversubPct}
-	defer func() {
-		if r := recover(); r != nil {
-			out = Result{
-				Key:     k,
-				Crashed: true,
-				Err:     fmt.Errorf("%w: %v\n%s", ErrPanic, r, debug.Stack()),
-			}
-		}
-	}()
+	defer recoverRunStack(k, &out)
 	setup, err := s.ResolveSetup(setupName)
 	if err != nil {
 		return Result{Key: k, Crashed: true, Err: err}
 	}
-	cfg := s.cfg.Base
-	cfg.MemoryPages = capacityFor(tr.FootprintPages, oversubPct)
-
-	policy, err := setup.NewPolicy(cfg, s.cfg.Seed)
+	b, err := s.assemble(setup, s.cfg.Seed, oversubPct, tr.Warps, tr.FootprintPages, 0)
 	if err != nil {
-		return Result{Key: k, Crashed: true, Err: fmt.Errorf("harness: setup %q policy: %w", setupName, err)}
+		return Result{Key: k, Crashed: true, Err: err}
 	}
-	pf, err := setup.NewPrefetcher(cfg)
-	if err != nil {
-		return Result{Key: k, Crashed: true, Err: fmt.Errorf("harness: setup %q prefetcher: %w", setupName, err)}
-	}
-	machine := sm.NewMachine(cfg, policy, pf, tr.Warps)
-	machine.SetFootprint(tr.FootprintPages)
-	machine.SetWatchdog(s.cfg.WatchdogWindow)
-	res := machine.Run(s.cfg.MaxEvents)
-
-	out = Result{
-		Key:            k,
-		Cycles:         res.Cycles,
-		Crashed:        res.Crashed,
-		Err:            res.Err,
-		Accesses:       res.Accesses,
-		FootprintPages: tr.FootprintPages,
-		CapacityPages:  cfg.MemoryPages,
-		UVM:            machine.MMU.Stats(),
-	}
-	if m, ok := policy.(*evict.MHPE); ok {
-		st := m.Stats()
-		out.MHPE = &st
-	}
-	if h, ok := policy.(*evict.HPE); ok {
-		st := h.Stats()
-		out.HPE = &st
-	}
-	if p, ok := pf.(*prefetch.Pattern); ok {
-		st := p.Stats()
-		out.Pattern = &st
-	}
-	return out
+	return s.collect(k, b, b.machine.Run(s.cfg.MaxEvents))
 }
 
 // Speedup returns cycles(reference)/cycles(candidate): > 1 means the

@@ -2,12 +2,15 @@ package harness
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/memdef"
 	"github.com/reproductions/cppe/internal/policy"
+	"github.com/reproductions/cppe/internal/sm"
+	"github.com/reproductions/cppe/internal/trace"
 	"github.com/reproductions/cppe/internal/workload"
 )
 
@@ -183,6 +186,61 @@ func TestResultTypedStats(t *testing.T) {
 	base := s.Run(Key{"STN", "baseline", 50})
 	if base.MHPE != nil || base.Pattern != nil || base.HPE != nil {
 		t.Fatal("baseline run has policy-specific stats")
+	}
+}
+
+// TestRunTraceReportsPolicyStats runs a recorded trace under the learned and
+// cppe setups. Trace runs share the build and collect steps of keyed runs,
+// so they report the same typed policy stats, the perceptron's included.
+func TestRunTraceReportsPolicyStats(t *testing.T) {
+	b, _ := workload.ByAbbr("STN")
+	g := b.Generate(workload.Options{Scale: 0.05, Warps: 16})
+	tr := &trace.Trace{FootprintPages: g.FootprintPages, Warps: g.Warps}
+	s := NewSession(Config{Scale: 0.05, Warps: 16})
+	learned := s.RunTrace(tr, "learned", 50)
+	if learned.Err != nil || learned.Learned == nil {
+		t.Fatalf("learned trace run: err %v, Learned stats %v; want stats", learned.Err, learned.Learned)
+	}
+	if learned.Learned.Evictions == 0 {
+		t.Errorf("learned trace run made no eviction decisions: %+v", *learned.Learned)
+	}
+	cppeRun := s.RunTrace(tr, "cppe", 50)
+	if cppeRun.Err != nil || cppeRun.MHPE == nil || cppeRun.Pattern == nil || cppeRun.Learned != nil {
+		t.Fatalf("cppe trace run: err %v, MHPE %v, Pattern %v, Learned %v", cppeRun.Err, cppeRun.MHPE, cppeRun.Pattern, cppeRun.Learned)
+	}
+}
+
+// TestSessionRecyclesMachines checks the session's machine free list: each
+// finished run hands its machine back, the next run reuses it, and a run on
+// a recycled machine — another benchmark, setup and capacity before it —
+// returns exactly what a fresh session returns.
+func TestSessionRecyclesMachines(t *testing.T) {
+	s := NewSession(Config{Scale: 0.05, Warps: 16, Parallelism: 1})
+	for i, k := range []Key{{"STN", "cppe", 50}, {"NW", "baseline", 75}, {"HIS", "learned", 0}, {"BFS", "tree", 50}} {
+		var reused *sm.Machine
+		if i > 0 {
+			reused = s.machines[0]
+		}
+		got := s.Run(k)
+		if len(s.machines) != 1 || (reused != nil && s.machines[0] != reused) {
+			t.Fatalf("after %v: free list %v, want the one machine %p", k, s.machines, reused)
+		}
+		want := NewSession(Config{Scale: 0.05, Warps: 16, Parallelism: 1}).Run(k)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v on a recycled machine:\n got %+v\nwant %+v", k, got, want)
+		}
+	}
+
+	// A lockstep sweep never keeps more machines than it ran at once: two
+	// workers of at most two lanes each.
+	par := NewSession(Config{Scale: 0.05, Warps: 16, Parallelism: 2})
+	par.Warm([]Key{
+		{"STN", "cppe", 50}, {"STN", "baseline", 50},
+		{"NW", "cppe", 50}, {"NW", "baseline", 50},
+		{"SRD", "cppe", 50}, {"SRD", "baseline", 50},
+	})
+	if n := len(par.machines); n == 0 || n > 4 {
+		t.Errorf("after a 3-group sweep at Parallelism 2: %d machines on the free list, want 1 to 4", n)
 	}
 }
 

@@ -50,8 +50,11 @@ type PTE struct {
 // node is one directory page of the radix tree.
 type node struct {
 	children [fanout]*node // interior levels
-	leaves   []PTE         // level-0 only, allocated lazily
-	present  []bool
+	// leaves and present are level-0 only, allocated lazily: a node has leaf
+	// arrays when len(leaves) > 0. A recycled node keeps their storage at
+	// length 0.
+	leaves  []PTE
+	present []bool
 	// id is the node's pseudo physical identity, assigned lazily on the
 	// walker's first visit (see nodeID); 0 means not yet assigned. Keeping it
 	// in the node replaces a map[*node]uint64 lookup on every walk level.
@@ -65,11 +68,50 @@ type Table struct {
 	// nextNodeID assigns each directory node a pseudo physical address so the
 	// walker's per-level accesses have distinct cache-visible addresses.
 	nextNodeID uint64
+	// nodes registers every directory node below the root in allocation
+	// order. Reset truncates it; newNode hands the retained nodes out again
+	// before allocating, up to the high-water mark of earlier use.
+	nodes []*node
 }
 
 // New returns an empty table.
 func New() *Table {
-	return &Table{}
+	t := &Table{}
+	t.Reset()
+	return t
+}
+
+// Reset empties the table — no mapping, no directory node, node IDs
+// restarting at 1 — keeping its nodes for reuse.
+func (t *Table) Reset() {
+	*t = Table{nodes: t.nodes[:0]}
+}
+
+// newNode returns an empty directory node: a retained one below the
+// registry's high-water mark, else a new one.
+func (t *Table) newNode() *node {
+	i := len(t.nodes)
+	if i < cap(t.nodes) {
+		if n := t.nodes[:i+1][i]; n != nil {
+			t.nodes = t.nodes[:i+1]
+			*n = node{leaves: n.leaves[:0], present: n.present[:0]}
+			return n
+		}
+	}
+	n := &node{}
+	t.nodes = append(t.nodes, n)
+	return n
+}
+
+// allocLeaves gives n zeroed leaf arrays, reusing retained storage.
+func (n *node) allocLeaves() {
+	if cap(n.leaves) < fanout {
+		n.leaves, n.present = make([]PTE, fanout), make([]bool, fanout)
+		return
+	}
+	n.leaves, n.present = n.leaves[:fanout], n.present[:fanout]
+	clear(n.leaves)
+	clear(n.present)
 }
 
 // indexAt extracts the level-l index (l = Levels-1 is the root) of page p.
@@ -98,7 +140,7 @@ func (t *Table) Map(p memdef.PageNum, f FrameNum) error {
 func (t *Table) Unmap(p memdef.PageNum) (PTE, error) {
 	n := t.walkNoAlloc(p)
 	i := indexAt(p, 0)
-	if n == nil || n.leaves == nil || !n.present[i] {
+	if n == nil || len(n.leaves) == 0 || !n.present[i] {
 		return PTE{}, fmt.Errorf("%w: %v", ErrUnmapUnmapped, p)
 	}
 	pte := n.leaves[i]
@@ -112,7 +154,7 @@ func (t *Table) Unmap(p memdef.PageNum) (PTE, error) {
 func (t *Table) Lookup(p memdef.PageNum) FrameNum {
 	n := t.walkNoAlloc(p)
 	i := indexAt(p, 0)
-	if n == nil || n.leaves == nil || !n.present[i] {
+	if n == nil || len(n.leaves) == 0 || !n.present[i] {
 		return InvalidFrame
 	}
 	return n.leaves[i].Frame
@@ -126,7 +168,7 @@ func (t *Table) IsMapped(p memdef.PageNum) bool { return t.Lookup(p) != InvalidF
 func (t *Table) SetDirty(p memdef.PageNum) {
 	n := t.walkNoAlloc(p)
 	i := indexAt(p, 0)
-	if n == nil || n.leaves == nil || !n.present[i] {
+	if n == nil || len(n.leaves) == 0 || !n.present[i] {
 		return
 	}
 	n.leaves[i].Dirty = true
@@ -136,7 +178,7 @@ func (t *Table) SetDirty(p memdef.PageNum) {
 func (t *Table) IsDirty(p memdef.PageNum) bool {
 	n := t.walkNoAlloc(p)
 	i := indexAt(p, 0)
-	if n == nil || n.leaves == nil || !n.present[i] {
+	if n == nil || len(n.leaves) == 0 || !n.present[i] {
 		return false
 	}
 	return n.leaves[i].Dirty
@@ -204,13 +246,12 @@ func (t *Table) walkAlloc(p memdef.PageNum) *node {
 	for l := Levels - 1; l >= 1; l-- {
 		i := indexAt(p, l)
 		if n.children[i] == nil {
-			n.children[i] = &node{}
+			n.children[i] = t.newNode()
 		}
 		n = n.children[i]
 	}
-	if n.leaves == nil {
-		n.leaves = make([]PTE, fanout)
-		n.present = make([]bool, fanout)
+	if len(n.leaves) == 0 {
+		n.allocLeaves()
 	}
 	return n
 }

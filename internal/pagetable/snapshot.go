@@ -20,8 +20,8 @@ func (t *Table) Encode(w *snapshot.Writer) {
 func encodeNode(w *snapshot.Writer, n *node, level int) {
 	w.PutU64(n.id)
 	if level == 0 {
-		w.PutBool(n.leaves != nil)
-		if n.leaves == nil {
+		w.PutBool(len(n.leaves) > 0)
+		if len(n.leaves) == 0 {
 			return
 		}
 		for i := 0; i < fanout; i++ {
@@ -63,7 +63,7 @@ func (t *Table) Decode(r *snapshot.Reader) {
 	}
 	wantMapped := r.GetInt()
 	t.nextNodeID = r.GetU64()
-	got := decodeNode(r, &t.root, Levels-1)
+	got := t.decodeNode(r, &t.root, Levels-1)
 	if r.Err() != nil {
 		return
 	}
@@ -74,14 +74,13 @@ func (t *Table) Decode(r *snapshot.Reader) {
 	t.mapped = got
 }
 
-func decodeNode(r *snapshot.Reader, n *node, level int) int {
+func (t *Table) decodeNode(r *snapshot.Reader, n *node, level int) int {
 	n.id = r.GetU64()
 	if level == 0 {
 		if !r.GetBool() {
 			return 0
 		}
-		n.leaves = make([]PTE, fanout)
-		n.present = make([]bool, fanout)
+		n.allocLeaves()
 		present := 0
 		for i := 0; i < fanout; i++ {
 			if r.GetBool() {
@@ -107,9 +106,9 @@ func decodeNode(r *snapshot.Reader, n *node, level int) int {
 		if words[i>>6]&(1<<uint(i&63)) == 0 {
 			continue
 		}
-		child := &node{}
+		child := t.newNode()
 		n.children[i] = child
-		present += decodeNode(r, child, level-1)
+		present += t.decodeNode(r, child, level-1)
 		if r.Err() != nil {
 			return present
 		}

@@ -81,7 +81,9 @@ type Walker struct {
 	slots *engine.Semaphore
 	mem   MemAccessor
 	// states is the walk-context registry, indexed by walkState.id; free
-	// chains the inactive ones.
+	// chains the inactive ones. Reset truncates the registry and newState
+	// hands the retained contexts out again in ID order, so a reset walker
+	// assigns the same IDs as a new one.
 	states []*walkState
 	free   *walkState
 
@@ -95,13 +97,32 @@ type Walker struct {
 
 // New builds a walker over table, issuing PWC-miss reads through mem.
 func New(eng *engine.Engine, cfg memdef.Config, table *pagetable.Table, mem MemAccessor) *Walker {
-	return &Walker{
+	w := &Walker{
 		eng:   eng,
 		cfg:   cfg,
 		table: table,
 		pwc:   cache.New("pwc", cfg.PWCBytes, cfg.PWCWays, cfg.PWCEntryBytes),
 		slots: engine.NewSemaphore(eng, cfg.PTWConcurrentWalks),
 		mem:   mem,
+	}
+	w.Reset()
+	return w
+}
+
+// Reset returns the walker to its constructed state — empty page-walk cache,
+// no walk in flight, zeroed counters — keeping its walk contexts for reuse.
+// The table it walks is reset by its owner.
+func (w *Walker) Reset() {
+	w.pwc.Reset()
+	w.slots.Reset(w.cfg.PTWConcurrentWalks)
+	*w = Walker{
+		eng:    w.eng,
+		cfg:    w.cfg,
+		table:  w.table,
+		pwc:    w.pwc,
+		slots:  w.slots,
+		mem:    w.mem,
+		states: w.states[:0],
 	}
 }
 
@@ -112,9 +133,17 @@ type Result struct {
 	Frame  pagetable.FrameNum
 }
 
-// newState builds a walk context with the next registry ID and its
+// newState returns an idle walk context with the next registry ID: a
+// retained one below the registry's high-water mark, else a new one with its
 // once-allocated stage callbacks.
 func (w *Walker) newState() *walkState {
+	if i := len(w.states); i < cap(w.states) {
+		if x := w.states[:i+1][i]; x != nil {
+			w.states = w.states[:i+1]
+			*x = walkState{w: w, id: x.id, steps: x.steps[:0], granted: x.granted, stage: x.stage, memDone: x.memDone}
+			return x
+		}
+	}
 	x := &walkState{w: w, id: uint64(len(w.states)), steps: make([]pagetable.WalkStep, 0, pagetable.Levels)}
 	x.granted = func() {
 		x.w.walks++

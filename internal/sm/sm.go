@@ -73,14 +73,24 @@ type memPath struct {
 	cfg memdef.Config
 	l2  *cache.Cache
 	// dram is the backing memory; reqs is the request registry indexed by
-	// memReq.id, free the chain of inactive contexts.
+	// memReq.id, free the chain of inactive contexts. A machine reset
+	// truncates the registry and empties the chain; newReq then hands the
+	// retained contexts out again in ID order.
 	dram *dram.DRAM
 	reqs []*memReq
 	free *memReq
 }
 
-// newReq builds a request context with the next registry ID.
+// newReq returns an idle request context with the next registry ID: a
+// retained one below the registry's high-water mark, else a new one.
 func (mp *memPath) newReq() *memReq {
+	if i := len(mp.reqs); i < cap(mp.reqs) {
+		if rq := mp.reqs[:i+1][i]; rq != nil {
+			mp.reqs = mp.reqs[:i+1]
+			*rq = memReq{mp: mp, id: rq.id, run: rq.run}
+			return rq
+		}
+	}
 	rq := &memReq{mp: mp, id: uint64(len(mp.reqs))}
 	rq.run = rq.l2Stage
 	mp.reqs = append(mp.reqs, rq)
@@ -134,7 +144,7 @@ type warp struct {
 	pos   int
 
 	// In-flight access state (one access outstanding per warp), read by the
-	// per-warp stage callbacks below, which are built once in NewMachine.
+	// per-warp stage callbacks below, which are built once in newWarp.
 	acc   memdef.Access
 	issue memdef.Cycle
 
@@ -179,49 +189,76 @@ type Machine struct {
 // prefetcher, and loads one trace per warp. Traces beyond
 // NumSMs x WarpsPerSM panic; missing traces just leave warps idle.
 func NewMachine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, traces [][]memdef.Access) *Machine {
-	if err := cfg.Validate(); err != nil {
+	m := &Machine{}
+	if err := m.Reset(cfg, pol, pf, traces); err != nil {
 		panic(err)
 	}
-	maxWarps := cfg.NumSMs * cfg.WarpsPerSM
-	if len(traces) > maxWarps {
-		panic(fmt.Sprintf("sm: %d traces exceed %d warps", len(traces), maxWarps))
-	}
-	eng := engine.New()
-	l2 := cache.New("l2", cfg.L2CacheBytes, cfg.L2CacheWays, cfg.L2CacheLineSz)
-	dr := dram.New(eng, cfg)
-	link := xbus.New(eng, cfg)
-	mp := &memPath{eng: eng, cfg: cfg, l2: l2, dram: dr}
-	mmu := uvm.New(eng, cfg, link, pol, pf, mp)
+	return m
+}
 
-	m := &Machine{Eng: eng, Cfg: cfg, L2: l2, DRAM: dr, Link: link, MMU: mmu, mp: mp}
-	m.stepWarp = func(g uint64) { m.allWarps[g].step() }
+// Reset rebuilds the machine in place for a new run: afterwards it is
+// indistinguishable from NewMachine(cfg, pol, pf, traces) — same state, same
+// registry IDs, same snapshot bytes — but it reuses the components, tag
+// stores, context registries and event nodes of its previous run instead of
+// allocating them. A zero Machine is built from scratch. A built machine
+// accepts only a cfg of the shape it was built with: every field except
+// MemoryPages must match. Reset discards whatever the previous run left,
+// finished, aborted or paused.
+func (m *Machine) Reset(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, traces [][]memdef.Access) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if maxWarps := cfg.NumSMs * cfg.WarpsPerSM; len(traces) > maxWarps {
+		return fmt.Errorf("sm: %d traces exceed %d warps", len(traces), maxWarps)
+	}
+	if m.Eng == nil {
+		m.build(cfg, pol, pf)
+	} else {
+		if shape(cfg) != shape(m.Cfg) {
+			return fmt.Errorf("sm: reset changes the machine's shape (only MemoryPages may differ)")
+		}
+		m.Eng.Reset()
+		m.L2.Reset()
+		m.DRAM.Reset()
+		m.Link.Reset()
+		m.MMU.Reset(cfg, pol, pf)
+		for _, s := range m.SMs {
+			s.l1.Reset()
+			*s = SM{id: s.id, machine: m, l1: s.l1, warps: s.warps[:0]}
+		}
+	}
+	*m.mp = memPath{eng: m.Eng, cfg: cfg, l2: m.L2, dram: m.DRAM, reqs: m.mp.reqs[:0]}
+	*m = Machine{
+		Eng:      m.Eng,
+		Cfg:      cfg,
+		L2:       m.L2,
+		DRAM:     m.DRAM,
+		Link:     m.Link,
+		MMU:      m.MMU,
+		SMs:      m.SMs,
+		mp:       m.mp,
+		allWarps: m.allWarps[:0],
+		stepWarp: m.stepWarp,
+	}
 	if cfg.AuditEveryCycles > 0 {
 		// Integrity auditing: periodic full-state checks run between events
 		// (read-only, so they never perturb event ordering or results).
 		aud := audit.New()
-		aud.SetClock(eng.Now)
-		mmu.AttachAuditor(aud)
-		eng.SetPeriodic(cfg.AuditEveryCycles, func() {
+		aud.SetClock(m.Eng.Now)
+		m.MMU.AttachAuditor(aud)
+		m.Eng.SetPeriodic(cfg.AuditEveryCycles, func() {
 			if aud.CheckNow("periodic") > 0 {
 				// Fail-stop: end the run with the structured violation
 				// instead of simulating corrupted state to completion.
-				mmu.Abort(aud.Err())
+				m.MMU.Abort(aud.Err())
 			}
 		})
 		m.aud = aud
 	}
 	if cfg.ChaosSeed != 0 {
 		inj := inject.New(inject.Defaults(cfg.ChaosSeed))
-		mmu.SetInjector(inj)
+		m.MMU.SetInjector(inj)
 		m.inj = inj
-	}
-	for i := 0; i < cfg.NumSMs; i++ {
-		s := &SM{
-			id:      memdef.SMID(i),
-			machine: m,
-			l1:      cache.New(fmt.Sprintf("l1-sm%d", i), cfg.L1CacheBytes, cfg.L1CacheWays, cfg.L1CacheLineSz),
-		}
-		m.SMs = append(m.SMs, s)
 	}
 	// Round-robin trace assignment across SMs so a workload's parallelism
 	// spreads over the machine the way a real grid would.
@@ -229,37 +266,76 @@ func NewMachine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, tra
 		if len(tr) == 0 {
 			continue
 		}
-		s := m.SMs[wi%cfg.NumSMs]
-		w := &warp{
-			id:    memdef.WarpID(wi),
-			gid:   uint64(len(m.allWarps)),
-			sm:    s,
-			trace: tr,
-		}
-		w.translated = func() {
-			m.Eng.ScheduleTagged(m.Cfg.L1HitLatency, engine.Tag{Kind: TagWarpL1, A: w.gid}, w.l1Stage)
-		}
-		w.l1Stage = func() {
-			res := s.l1.Access(w.acc.Addr, w.acc.Kind)
-			if res.WritebackVictim {
-				m.DRAM.Access(w.acc.Addr, memdef.Write, nil)
-			}
-			if res.Hit {
-				w.finished()
-				return
-			}
-			m.mp.Access(w.acc.Addr, w.acc.Kind, engine.Tag{Kind: TagWarpFin, A: w.gid}, w.finished)
-		}
-		w.finished = func() {
-			w.sm.accessesDone++
-			w.sm.stallCycles += m.Eng.Now() - w.issue
-			m.Eng.ScheduleArgTagged(m.Cfg.ComputeGapCycles, engine.Tag{Kind: TagWarpStep, A: w.gid}, m.stepWarp, w.gid)
-		}
-		s.warps = append(s.warps, w)
-		m.allWarps = append(m.allWarps, w)
+		w := m.newWarp()
+		w.id = memdef.WarpID(wi)
+		w.sm = m.SMs[wi%cfg.NumSMs]
+		w.trace = tr
+		w.sm.warps = append(w.sm.warps, w)
 		m.activeWarps++
 	}
-	return m
+	return nil
+}
+
+// build allocates the components of a machine of cfg's shape.
+func (m *Machine) build(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher) {
+	m.Eng = engine.New()
+	m.L2 = cache.New("l2", cfg.L2CacheBytes, cfg.L2CacheWays, cfg.L2CacheLineSz)
+	m.DRAM = dram.New(m.Eng, cfg)
+	m.Link = xbus.New(m.Eng, cfg)
+	m.mp = &memPath{}
+	m.MMU = uvm.New(m.Eng, cfg, m.Link, pol, pf, m.mp)
+	for i := 0; i < cfg.NumSMs; i++ {
+		m.SMs = append(m.SMs, &SM{
+			id:      memdef.SMID(i),
+			machine: m,
+			l1:      cache.New(fmt.Sprintf("l1-sm%d", i), cfg.L1CacheBytes, cfg.L1CacheWays, cfg.L1CacheLineSz),
+		})
+	}
+	m.stepWarp = func(g uint64) { m.allWarps[g].step() }
+}
+
+// shape is cfg without its per-run capacity: the part of a configuration
+// that fixes the machine's structure and wiring.
+func shape(cfg memdef.Config) memdef.Config {
+	cfg.MemoryPages = 0
+	return cfg
+}
+
+// newWarp appends an idle warp to allWarps: a retained one below the
+// registry's high-water mark, else a new one with its once-built stage
+// callbacks. The callbacks reach the warp's SM through w.sm, so a retained
+// warp serves whichever SM its next trace lands on.
+func (m *Machine) newWarp() *warp {
+	gid := len(m.allWarps)
+	if gid < cap(m.allWarps) {
+		if w := m.allWarps[:gid+1][gid]; w != nil {
+			m.allWarps = m.allWarps[:gid+1]
+			*w = warp{gid: w.gid, translated: w.translated, l1Stage: w.l1Stage, finished: w.finished}
+			return w
+		}
+	}
+	w := &warp{gid: uint64(gid)}
+	w.translated = func() {
+		m.Eng.ScheduleTagged(m.Cfg.L1HitLatency, engine.Tag{Kind: TagWarpL1, A: w.gid}, w.l1Stage)
+	}
+	w.l1Stage = func() {
+		res := w.sm.l1.Access(w.acc.Addr, w.acc.Kind)
+		if res.WritebackVictim {
+			m.DRAM.Access(w.acc.Addr, memdef.Write, nil)
+		}
+		if res.Hit {
+			w.finished()
+			return
+		}
+		m.mp.Access(w.acc.Addr, w.acc.Kind, engine.Tag{Kind: TagWarpFin, A: w.gid}, w.finished)
+	}
+	w.finished = func() {
+		w.sm.accessesDone++
+		w.sm.stallCycles += m.Eng.Now() - w.issue
+		m.Eng.ScheduleArgTagged(m.Cfg.ComputeGapCycles, engine.Tag{Kind: TagWarpStep, A: w.gid}, m.stepWarp, w.gid)
+	}
+	m.allWarps = append(m.allWarps, w)
+	return w
 }
 
 // SetFootprint forwards the application footprint to the thrash detector.

@@ -86,28 +86,53 @@ func New(name string, entries, ways int) *TLB {
 		panic(fmt.Sprintf("tlb: bad geometry %d entries / %d ways", entries, ways))
 	}
 	t := &TLB{
-		name:    name,
-		sets:    entries / ways,
-		ways:    ways,
-		entries: make([]entry, entries),
+		name: name,
+		sets: entries / ways,
+		ways: ways,
 	}
+	t.Reset()
+	return t
+}
+
+// Reset empties the TLB — no valid entry, LRU clock and counters at zero —
+// keeping its name, geometry and storage.
+func (t *TLB) Reset() {
+	entries := t.sets * t.ways
 	// Index capacity: power-of-two, at least 4x entries, so the probe load
 	// factor stays at or below 1/4.
-	cap := 1
-	for cap < 4*entries {
-		cap <<= 1
+	idxCap := 1
+	for idxCap < 4*entries {
+		idxCap <<= 1
 	}
-	t.idxKeys = make([]memdef.PageNum, cap)
-	t.idxSlots = make([]int32, cap)
-	t.idxState = make([]uint8, cap)
-	t.idxMask = uint64(cap - 1)
-	t.idxShift = uint(64 - bits.TrailingZeros(uint(cap)))
+	*t = TLB{
+		name:     t.name,
+		sets:     t.sets,
+		ways:     t.ways,
+		entries:  zeroed(t.entries, entries),
+		idxKeys:  zeroed(t.idxKeys, idxCap),
+		idxSlots: zeroed(t.idxSlots, idxCap),
+		idxState: zeroed(t.idxState, idxCap),
+		idxMask:  uint64(idxCap - 1),
+		idxShift: uint(64 - bits.TrailingZeros(uint(idxCap))),
+		prev:     t.prev,
+		next:     t.next,
+	}
 	if t.sets == 1 {
-		t.prev = make([]int32, entries)
-		t.next = make([]int32, entries)
+		t.prev = zeroed(t.prev, entries)
+		t.next = zeroed(t.next, entries)
 		t.resetLists()
 	}
-	return t
+}
+
+// zeroed returns buf resized to n zero elements, reusing its storage when it
+// is big enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // resetLists rebuilds the fully-associative lists for an empty TLB: no

@@ -292,12 +292,16 @@ type Manager struct {
 	nextFrame  pagetable.FrameNum
 
 	// chunkTab is the dense per-chunk state table: chunk c lives at
-	// chunkTab[c-chunkBase]. Entries are carved out of chunkSlab on first
-	// touch and kept (zeroed, waiters preserved) across evictions, so
-	// pointers are stable.
+	// chunkTab[c-chunkBase]. Entries are handed out by newChunkState on
+	// first touch and kept (zeroed, waiters preserved) across evictions.
 	chunkBase memdef.ChunkID
 	chunkTab  []*chunkState
-	chunkSlab []chunkState
+	// chunkSlabs holds the chunk states in slabs that are never moved, so
+	// every handed-out pointer stays valid; the first chunkUsed states are
+	// in use. Reset rewinds chunkUsed, and newChunkState zeroes each
+	// retained state as it hands it out again.
+	chunkSlabs [][]chunkState
+	chunkUsed  int
 
 	// migSlots bounds concurrent fault-batch processing by the driver.
 	migSlots *engine.Semaphore
@@ -323,11 +327,14 @@ type Manager struct {
 
 	// xlats is the translation-context registry, indexed by xlat.id;
 	// xlatFree chains the inactive ones. Contexts are carved out of xlatSlab.
+	// Reset truncates the registry (the free chain starts empty) and newXlat
+	// hands the retained contexts out again up to the high-water mark.
 	xlats    []*xlat
 	xlatFree *xlat
 	xlatSlab []xlat
 	// migs is the migration registry, indexed by migration ID; migFree holds
-	// recyclable IDs (plan slices keep their capacity across reuse).
+	// recyclable IDs (plan slices keep their capacity across reuse). Reset
+	// truncates both; newMig hands retained entries out again.
 	migs    []*migEntry
 	migFree []uint64
 	migBuf  []chunkMask // commitMigration per-chunk grouping scratch
@@ -373,38 +380,16 @@ type Manager struct {
 // walker for PWC misses (typically the shared L2 cache + DRAM).
 func New(eng *engine.Engine, cfg memdef.Config, link *xbus.Link, policy evict.Policy, pf prefetch.Prefetcher, walkMem ptw.MemAccessor) *Manager {
 	m := &Manager{
-		eng:           eng,
-		cfg:           cfg,
-		table:         pagetable.New(),
-		link:          link,
-		policy:        policy,
-		pf:            pf,
-		l2tlb:         tlb.New("l2tlb", cfg.L2TLBEntries, cfg.L2TLBWays),
-		capacityPages: cfg.MemoryPages,
+		eng:      eng,
+		table:    pagetable.New(),
+		link:     link,
+		l2tlb:    tlb.New("l2tlb", cfg.L2TLBEntries, cfg.L2TLBWays),
+		l2ports:  engine.NewSemaphore(eng, l2Ports(cfg)),
+		migSlots: engine.NewSemaphore(eng, driverSlots(cfg)),
 	}
 	for i := 0; i < cfg.NumSMs; i++ {
 		m.l1tlbs = append(m.l1tlbs, tlb.New(fmt.Sprintf("l1tlb-sm%d", i), cfg.L1TLBEntries, cfg.L1TLBEntries))
 	}
-	// Clamp driver concurrency so in-flight reservations (one chunk per
-	// slot at most) can never exceed half of a finite capacity.
-	slots := cfg.MaxConcurrentMigrations
-	if slots <= 0 {
-		slots = 1
-	}
-	if cfg.MemoryPages > 0 {
-		if lim := cfg.MemoryPages / memdef.ChunkPages / 2; slots > lim {
-			slots = lim
-		}
-		if slots < 1 {
-			slots = 1
-		}
-	}
-	m.migSlots = engine.NewSemaphore(eng, slots)
-	ports := cfg.L2TLBPorts
-	if ports <= 0 {
-		ports = 1
-	}
-	m.l2ports = engine.NewSemaphore(eng, ports)
 	m.walker = ptw.New(eng, cfg, m.table, walkMem)
 	m.xlatL1Fn = m.xlatL1
 	m.xlatL2GrantFn = m.xlatL2Grant
@@ -415,10 +400,76 @@ func New(eng *engine.Engine, cfg memdef.Config, link *xbus.Link, policy evict.Po
 	m.migXferFn = m.migArrived
 	m.residentFn = m.isResidentOrInflight
 	m.excludedFn = m.victimExcluded
+	m.Reset(cfg, policy, pf)
+	return m
+}
+
+// Reset returns the manager to the state New builds for cfg, policy and pf:
+// empty TLBs, page table and walker, nothing in flight, zeroed accounting and
+// statistics, and no auditor or injector attached. cfg must have the shape
+// the manager was built with; only MemoryPages — the capacity, and with it
+// the driver-slot clamp — may differ. The registries keep their contexts and
+// hand them out again in ID order, so IDs, free-list order and every encoded
+// registry length match a new manager's.
+func (m *Manager) Reset(cfg memdef.Config, policy evict.Policy, pf prefetch.Prefetcher) {
+	m.table.Reset()
+	m.walker.Reset()
+	for _, t := range m.l1tlbs {
+		t.Reset()
+	}
+	m.l2tlb.Reset()
+	m.l2ports.Reset(l2Ports(cfg))
+	m.migSlots.Reset(driverSlots(cfg))
+	clear(m.chunkTab[:cap(m.chunkTab)])
+	*m = Manager{
+		eng:           m.eng,
+		cfg:           cfg,
+		table:         m.table,
+		link:          m.link,
+		policy:        policy,
+		pf:            pf,
+		l1tlbs:        m.l1tlbs,
+		l2tlb:         m.l2tlb,
+		l2ports:       m.l2ports,
+		walker:        m.walker,
+		capacityPages: cfg.MemoryPages,
+		freeFrames:    m.freeFrames[:0],
+		chunkTab:      m.chunkTab[:0],
+		chunkSlabs:    m.chunkSlabs,
+		migSlots:      m.migSlots,
+		xlatL1Fn:      m.xlatL1Fn,
+		xlatL2GrantFn: m.xlatL2GrantFn,
+		xlatL2StageFn: m.xlatL2StageFn,
+		xlatFaultFn:   m.xlatFaultFn,
+		faultFn:       m.faultFn,
+		migSvcFn:      m.migSvcFn,
+		migXferFn:     m.migXferFn,
+		residentFn:    m.residentFn,
+		excludedFn:    m.excludedFn,
+		xlats:         m.xlats[:0],
+		xlatSlab:      m.xlatSlab,
+		migs:          m.migs[:0],
+		migFree:       m.migFree[:0],
+		migBuf:        m.migBuf[:0],
+		planBuf:       m.planBuf[:0],
+	}
 	// View-driven policies get the narrow machine view bound exactly once,
 	// before any event callback (see view.go).
 	m.bindViews()
-	return m
+}
+
+// l2Ports is the shared L2 TLB's port count (Table I: 2).
+func l2Ports(cfg memdef.Config) int { return max(cfg.L2TLBPorts, 1) }
+
+// driverSlots is the driver's fault-processing concurrency, clamped so
+// in-flight reservations (one chunk per slot at most) can never exceed half
+// of a finite capacity.
+func driverSlots(cfg memdef.Config) int {
+	slots := max(cfg.MaxConcurrentMigrations, 1)
+	if cfg.MemoryPages > 0 {
+		slots = max(min(slots, cfg.MemoryPages/memdef.ChunkPages/2), 1)
+	}
+	return slots
 }
 
 // SetFootprint tells the thrash detector the application's total footprint
@@ -462,9 +513,17 @@ func (m *Manager) ResidentPages() int { return m.usedPages }
 // at once. Slabs are never moved, so every handed-out pointer stays valid.
 const slabSize = 64
 
-// newXlat builds a translation context with the next registry ID and its
+// newXlat returns an idle translation context with the next registry ID: a
+// retained one below the registry's high-water mark, else a new one with its
 // once-allocated walker callback.
 func (m *Manager) newXlat() *xlat {
+	if i := len(m.xlats); i < cap(m.xlats) {
+		if x := m.xlats[:i+1][i]; x != nil {
+			m.xlats = m.xlats[:i+1]
+			*x = xlat{id: x.id, walkDone: x.walkDone}
+			return x
+		}
+	}
 	if len(m.xlatSlab) == 0 {
 		m.xlatSlab = make([]xlat, slabSize)
 	}
@@ -760,18 +819,34 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 
 // allocMig registers plan as an in-flight migration and returns its ID.
 func (m *Manager) allocMig(plan []memdef.PageNum) uint64 {
-	var id uint64
+	var mg *migEntry
+	id := uint64(len(m.migs))
 	if n := len(m.migFree); n > 0 {
 		id = m.migFree[n-1]
 		m.migFree = m.migFree[:n-1]
+		mg = m.migs[id]
 	} else {
-		id = uint64(len(m.migs))
-		m.migs = append(m.migs, &migEntry{})
+		mg = m.newMig()
 	}
-	mg := m.migs[id]
 	mg.plan = append(mg.plan[:0], plan...)
 	mg.active = true
 	return id
+}
+
+// newMig appends an idle migration entry to the registry: a retained one
+// below the registry's high-water mark (its plan storage kept), else a new
+// one.
+func (m *Manager) newMig() *migEntry {
+	if i := len(m.migs); i < cap(m.migs) {
+		if mg := m.migs[:i+1][i]; mg != nil {
+			m.migs = m.migs[:i+1]
+			*mg = migEntry{plan: mg.plan[:0]}
+			return mg
+		}
+	}
+	mg := &migEntry{}
+	m.migs = append(m.migs, mg)
+	return mg
 }
 
 // migTransfer starts migration id's H2D transfer after the fault-service
@@ -878,7 +953,10 @@ func (m *Manager) lookupChunk(c memdef.ChunkID) *chunkState {
 func (m *Manager) chunkState(c memdef.ChunkID) *chunkState {
 	if len(m.chunkTab) == 0 {
 		m.chunkBase = c
-		m.chunkTab = make([]*chunkState, 1, 64)
+		if cap(m.chunkTab) == 0 {
+			m.chunkTab = make([]*chunkState, 0, 64)
+		}
+		m.chunkTab = m.chunkTab[:1] // Reset cleared the retained storage
 	} else if c < m.chunkBase {
 		// Grow downward: shift existing entries up, with headroom.
 		pad := int(m.chunkBase-c) + len(m.chunkTab)
@@ -905,13 +983,16 @@ func (m *Manager) chunkState(c memdef.ChunkID) *chunkState {
 	return st
 }
 
-// newChunkState carves a zeroed chunk state out of chunkSlab.
+// newChunkState hands out the next zeroed chunk state from chunkSlabs,
+// adding a slab when every retained one is in use.
 func (m *Manager) newChunkState() *chunkState {
-	if len(m.chunkSlab) == 0 {
-		m.chunkSlab = make([]chunkState, slabSize)
+	i := m.chunkUsed
+	if i/slabSize == len(m.chunkSlabs) {
+		m.chunkSlabs = append(m.chunkSlabs, make([]chunkState, slabSize))
 	}
-	st := &m.chunkSlab[0]
-	m.chunkSlab = m.chunkSlab[1:]
+	m.chunkUsed++
+	st := &m.chunkSlabs[i/slabSize][i%slabSize]
+	*st = chunkState{}
 	return st
 }
 

@@ -280,7 +280,7 @@ func (m *Manager) Decode(r *snapshot.Reader, linkDone func(tag engine.Tag) (func
 		return
 	}
 	for len(m.migs) < migTotal {
-		m.migs = append(m.migs, &migEntry{})
+		m.newMig()
 	}
 	migSeen := make([]bool, migTotal)
 	for i := 0; i < migActive; i++ {

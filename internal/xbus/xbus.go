@@ -56,13 +56,29 @@ type Link struct {
 
 // New returns an idle link.
 func New(eng *engine.Engine, cfg memdef.Config) *Link {
-	return &Link{
+	l := &Link{
 		eng: eng,
 		cfg: cfg,
 		dir: [2]*engine.Resource{
 			engine.NewResource(eng),
 			engine.NewResource(eng),
 		},
+	}
+	l.Reset()
+	return l
+}
+
+// Reset returns the link to idle with zeroed counters and audit tracking
+// off, keeping the outstanding-transfer storage.
+func (l *Link) Reset() {
+	for _, r := range l.dir {
+		r.Reset()
+	}
+	*l = Link{
+		eng:         l.eng,
+		cfg:         l.cfg,
+		dir:         l.dir,
+		outstanding: [2][]transferRec{l.outstanding[0][:0], l.outstanding[1][:0]},
 	}
 }
 
