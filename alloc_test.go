@@ -41,12 +41,13 @@ func TestRunAllocCeiling(t *testing.T) {
 // instead of building a new one.
 //
 // The Fig. 8 sweep (92 runs at scale 0.05, Parallelism 2, fresh session)
-// builds only the machines its two workers hold at once; the other runs
-// recycle them, leaving about 176 allocations per simulation (policy
-// objects, trace generation, results). Eight distinct keys run one after
-// another through Run recycle one machine: runs 2–8 allocate about 130
-// each. Each ceiling sits about 15% above its count; building a machine per
-// run costs about 1,100 allocations more.
+// runs each key on a worker that holds one machine at a time, so it builds
+// only the two machines its workers hold at once; the other runs recycle
+// them, leaving about 97 allocations per simulation (policy objects, trace
+// generation, results). Eight distinct keys run one after another through
+// Run recycle one machine: runs 2–8 allocate about 130 each. Each ceiling
+// sits about 15% above its count; building a machine per run costs about
+// 1,100 allocations more.
 func TestWarmAllocCeiling(t *testing.T) {
 	t.Run("fig8-sweep", func(t *testing.T) {
 		s := NewSession(Options{Scale: 0.05, Parallelism: 2})
@@ -57,8 +58,8 @@ func TestWarmAllocCeiling(t *testing.T) {
 		})
 		perSim := float64(a) / float64(s.CachedRuns())
 		t.Logf("fig8 sweep at scale 0.05: %.1f allocs per simulation (%d over %d runs)", perSim, a, s.CachedRuns())
-		if perSim > 205 {
-			t.Errorf("fig8 sweep at scale 0.05: %.1f allocs per simulation, ceiling 205", perSim)
+		if perSim > 111 {
+			t.Errorf("fig8 sweep at scale 0.05: %.1f allocs per simulation, ceiling 111", perSim)
 		}
 	})
 	t.Run("sequential-runs", func(t *testing.T) {

@@ -6,7 +6,7 @@
 //	cppe-bench -exp fig8           # one experiment
 //	cppe-bench -list               # list experiment ids
 //	cppe-bench -scale 0.1 -exp fig3
-//	cppe-bench -exp fig8 -json BENCH_engine.json   # machine-readable perf report
+//	GOMAXPROCS=1 cppe-bench -exp fig8 -parallel 1 -json BENCH_sweep.json   # machine-readable perf report
 //	cppe-bench -exp fig8 -cpuprofile cpu.pprof     # profile the experiment runs
 //
 // Output is aligned text; simulation results are cached within one
@@ -54,8 +54,8 @@ type expResult struct {
 }
 
 // sweepReport is the session's committed sweep-progress totals (see
-// stats.SweepTotals): what the lockstep workers folded into the shared
-// aggregate, plus how many shard commits it took.
+// stats.SweepTotals): what Warm's runs folded into the shared aggregate, one
+// commit per clean run.
 type sweepReport struct {
 	Runs          uint64 `json:"runs"`
 	Cycles        uint64 `json:"cycles"`

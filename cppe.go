@@ -269,7 +269,9 @@ func (s *Session) Run(req Request) (Result, error) {
 // RunCheckpointed executes one simulation like Run, additionally writing a
 // resumable checkpoint to path roughly every everyCycles cycles of simulated
 // time. A process killed mid-run can continue from the last checkpoint with
-// ResumeCheckpoint. Fault injection (ChaosSeed) cannot be checkpointed: the
+// ResumeCheckpoint, or by calling RunCheckpointed again: a valid checkpoint
+// of the same simulation already at path is continued, with the same result,
+// and any other file there is removed. Fault injection (ChaosSeed) cannot be checkpointed: the
 // run fails with a structured error instead of writing a snapshot that could
 // not reproduce the injected schedule.
 func (s *Session) RunCheckpointed(req Request, path string, everyCycles uint64) (Result, error) {

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 
 	"github.com/reproductions/cppe/internal/memdef"
 	"github.com/reproductions/cppe/internal/snapshot"
@@ -97,31 +94,14 @@ func (s *Session) releaseCheckpointWriter(w *snapshot.Writer) {
 	}
 }
 
-// runCheckpointed drives a built machine to completion, writing a checkpoint
-// to path after every pause boundary. every <= 0 degrades to a plain run.
-func (s *Session) runCheckpointed(k Key, b *built, path string, every memdef.Cycle) Result {
-	if every <= 0 || path == "" {
-		return s.collect(k, b, b.machine.Run(s.cfg.MaxEvents))
-	}
-	for {
-		res, paused := b.machine.RunUntil(s.cfg.MaxEvents, b.machine.Eng.Now()+every)
-		if !paused {
-			return s.collect(k, b, res)
-		}
-		if err := s.writeCheckpoint(path, k, b); err != nil {
-			// Fail-stop: a run the user asked to checkpoint but that cannot be
-			// checkpointed (or persisted) is reported, not silently degraded.
-			return Result{Key: k, Crashed: true, Err: err,
-				FootprintPages: b.footprint, CapacityPages: b.cfg.MemoryPages}
-		}
-	}
-}
-
 // RunCheckpointed executes one simulation like Run, additionally writing a
 // resumable checkpoint to path roughly every `every` cycles of simulated time
-// (at the first event boundary past each multiple). The result is cached like
-// any other run. Checkpointing requires a checkpointable configuration: fault
-// injection (ChaosSeed) cannot be checkpointed and fails the run.
+// (at the first event boundary past each multiple). It acquires its machine
+// like RunResumable: a valid leftover checkpoint of k at path is continued,
+// which yields the same Result by resume equivalence, and any other leftover
+// is removed. The last checkpoint stays on disk, and the result is cached
+// like any other run. Checkpointing requires a checkpointable configuration:
+// fault injection (ChaosSeed) cannot be checkpointed and fails the run.
 func (s *Session) RunCheckpointed(k Key, path string, every memdef.Cycle) Result {
 	s.mu.Lock()
 	if r, ok := s.cache[k]; ok {
@@ -129,56 +109,11 @@ func (s *Session) RunCheckpointed(k Key, path string, every memdef.Cycle) Result
 		return r
 	}
 	s.mu.Unlock()
-	r := s.runCheckpointedFresh(k, path, every)
+	r, _ := s.runResumable(k, runOpts{path: path, every: every})
 	s.mu.Lock()
 	s.cache[k] = r
 	s.mu.Unlock()
 	return r
-}
-
-func (s *Session) runCheckpointedFresh(k Key, path string, every memdef.Cycle) (out Result) {
-	defer recoverRun(k, &out)
-	// A leftover file at path that is not a checkpoint of this exact
-	// simulation must not survive the run: if the fresh run finishes before
-	// its first pause boundary it would never overwrite the file, and a later
-	// `-resume` would silently continue a different simulation.
-	s.discardStaleCheckpoint(k, path)
-	b, err := s.build(k)
-	if err != nil {
-		return Result{Key: k, Crashed: true, Err: err}
-	}
-	return s.runCheckpointed(k, b, path, every)
-}
-
-// discardStaleCheckpoint removes a leftover file at path unless it is a
-// well-formed checkpoint of k taken under this session's parameters. Stale
-// checkpoints are removed, not just ignored: leaving one behind after a
-// fresh-run fallback hands a later resume a simulation it must not continue.
-// A half-written temporary from a killed writeCheckpoint is always removed.
-func (s *Session) discardStaleCheckpoint(k Key, path string) {
-	_ = os.Remove(path + ".tmp") // best-effort cleanup; a leftover is re-discarded on the next run
-	env, err := readEnvelope(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		return
-	case err != nil:
-		// Unreadable, corrupt, or truncated: unusable by definition.
-		_ = os.Remove(path) // best-effort cleanup; a leftover is re-discarded on the next run
-		return
-	}
-	if env.key != k ||
-		env.scale != s.cfg.Scale || env.warps != s.cfg.Warps ||
-		env.app != s.cfg.AccessesPerPage || env.seed != s.cfg.Seed {
-		_ = os.Remove(path) // best-effort cleanup; a leftover is re-discarded on the next run
-	}
-}
-
-// recoverRun converts a panic into a crashed Result (shared with runOne's
-// inline recovery semantics).
-func recoverRun(k Key, out *Result) {
-	if r := recover(); r != nil {
-		*out = Result{Key: k, Crashed: true, Err: fmt.Errorf("%w: %v", ErrPanic, r)}
-	}
 }
 
 // envelope is the parsed metadata of one checkpoint file, plus the machine
@@ -285,71 +220,12 @@ func (s *Session) Resume(path string, every memdef.Cycle) (Result, error) {
 	k := env.key
 
 	out := func() (out Result) {
-		defer recoverRun(k, &out)
-		return s.runCheckpointed(k, b, path, every)
+		defer recoverRunStack(k, &out)
+		out, _ = s.drive(k, b, runOpts{path: path, every: every})
+		return out
 	}()
 	s.mu.Lock()
 	s.cache[k] = out
 	s.mu.Unlock()
 	return out, nil
-}
-
-// CheckpointPath names the checkpoint file for one key inside dir, with the
-// key's characters conservatively mapped to a portable filename.
-func CheckpointPath(dir string, k Key) string {
-	mangle := func(s string) string {
-		return strings.Map(func(r rune) rune {
-			switch {
-			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-				return r
-			default:
-				return '_'
-			}
-		}, s)
-	}
-	name := fmt.Sprintf("%s_%s_%d.ckpt", mangle(k.Bench), mangle(k.Setup), k.OversubPct)
-	return filepath.Join(dir, name)
-}
-
-// WarmCheckpointed is Warm with kill-resilience: each missing key checkpoints
-// into its own file under dir every `every` cycles, and a key whose valid
-// checkpoint already exists (from a previous, interrupted sweep) resumes from
-// it instead of starting over. Invalid, corrupt, or mismatched checkpoints
-// are removed and the run starts fresh — a sweep never silently resumes from
-// (or leaves behind) state it cannot trust. Completed runs delete their
-// checkpoint files; only runs that died with an error keep theirs, for the
-// next restart to continue.
-func (s *Session) WarmCheckpointed(keys []Key, dir string, every memdef.Cycle) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("harness: checkpoint dir: %w", err)
-	}
-	var missing []Key
-	s.mu.Lock()
-	seen := map[Key]bool{}
-	for _, k := range keys {
-		if _, ok := s.cache[k]; !ok && !seen[k] {
-			missing = append(missing, k)
-			seen[k] = true
-		}
-	}
-	s.mu.Unlock()
-	sem := make(chan struct{}, s.cfg.Parallelism)
-	var wg sync.WaitGroup
-	for _, k := range missing {
-		k := k
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// RunResumable owns the whole lifecycle: resume-or-fresh with
-			// stale-checkpoint removal, periodic checkpoints, and cleanup on
-			// terminal outcomes. With a nil stop hook it never parks. Warm-up
-			// is best-effort: a failed run is not cached, keeps its
-			// checkpoint, and reports its error when the key is requested.
-			_, _ = s.RunResumable(k, CheckpointPath(dir, k), every, nil)
-		}()
-	}
-	wg.Wait()
-	return nil
 }

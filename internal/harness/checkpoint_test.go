@@ -115,47 +115,43 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	})
 }
 
-// TestWarmCheckpointedSweep models a killed-and-restarted sweep: the first
-// sweep leaves a checkpoint behind (simulated by keeping the file of a
-// completed checkpointed run), and the restarted sweep resumes from it —
-// falling back to a fresh run when the leftover is corrupt — with results
-// identical to an uncheckpointed sweep either way.
-func TestWarmCheckpointedSweep(t *testing.T) {
-	keys := []Key{ckptKey(), {Bench: "HSD", Setup: "cppe", OversubPct: 50}}
-	ref := NewSession(checkpointTestConfig())
-	ref.Warm(keys)
-	want := []Result{ref.Run(keys[0]), ref.Run(keys[1])}
-
-	dir := t.TempDir()
-	// Plant a mid-run checkpoint for keys[0], as a killed sweep would leave.
-	if r := NewSession(checkpointTestConfig()).RunCheckpointed(keys[0], CheckpointPath(dir, keys[0]), 150_000); r.Err != nil {
-		t.Fatalf("planting checkpoint: %v", r.Err)
+// TestRunCheckpointedContinuesLeftover plants a valid mid-run checkpoint of
+// the same key, as a killed checkpointed run leaves behind, and expects
+// RunCheckpointed to continue it to the plain Run's Result JSON. The cadence
+// is longer than the rest of the run, so the continued run writes no
+// checkpoint and leaves the planted one in place; a fresh run would have
+// replaced it with one at 3/4 of the run.
+func TestRunCheckpointedContinuesLeftover(t *testing.T) {
+	k := ckptKey()
+	want := NewSession(checkpointTestConfig()).Run(k)
+	if want.Err != nil || want.Cycles == 0 {
+		t.Fatalf("degenerate reference run: %+v", want)
 	}
 
 	s := NewSession(checkpointTestConfig())
-	if err := s.WarmCheckpointed(keys, dir, 150_000); err != nil {
-		t.Fatalf("sweep: %v", err)
+	b, err := s.build(k)
+	if err != nil {
+		t.Fatalf("build: %v", err)
 	}
-	for i, k := range keys {
-		if got := s.Run(k); !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("%v: sweep result differs:\n got %+v\nwant %+v", k, got, want[i])
-		}
-		if _, err := os.Stat(CheckpointPath(dir, k)); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("%v: completed run left its checkpoint behind (err=%v)", k, err)
-		}
+	if _, paused := b.machine.RunUntil(s.cfg.MaxEvents, want.Cycles/2); !paused {
+		t.Fatalf("run finished before cycle %d", want.Cycles/2)
 	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := s.writeCheckpoint(path, k, b); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	planted := b.machine.Eng.Now()
 
-	// Restart again with a corrupt leftover: the sweep must fall back to a
-	// fresh run and still land on the reference result.
-	if err := os.WriteFile(CheckpointPath(dir, keys[0]), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
+	got := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, want.Cycles*3/4)
+	if g, w := resultJSON(t, []Result{got}), resultJSON(t, []Result{want}); string(g) != string(w) {
+		t.Errorf("continued result differs:\n got %s\nwant %s", g, w)
 	}
-	s2 := NewSession(checkpointTestConfig())
-	if err := s2.WarmCheckpointed(keys[:1], dir, 150_000); err != nil {
-		t.Fatalf("sweep with corrupt leftover: %v", err)
+	env, err := readEnvelope(path)
+	if err != nil {
+		t.Fatalf("no checkpoint left on disk: %v", err)
 	}
-	if got := s2.Run(keys[0]); !reflect.DeepEqual(got, want[0]) {
-		t.Errorf("corrupt-fallback result differs:\n got %+v\nwant %+v", got, want[0])
+	if env.cycle != planted {
+		t.Errorf("checkpoint on disk is at cycle %d, want the planted one at %d: the run started over", env.cycle, planted)
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,7 +76,8 @@ func (panicPolicy) OnEvicted(memdef.ChunkID, int) {}
 
 // TestPanicIsolatedInParallelSweep injects a panicking policy into one run of
 // a parallel sweep and asserts the panic is contained: the broken run fails
-// with ErrPanic (and a stack), and every other run completes normally.
+// with ErrPanic (and a stack), and every other run completes normally. The
+// same key run through RunCheckpointed and RunResumable fails the same way.
 func TestPanicIsolatedInParallelSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -97,21 +99,35 @@ func TestPanicIsolatedInParallelSweep(t *testing.T) {
 		{Bench: "NW", Setup: "baseline", OversubPct: 50},
 		{Bench: "STN", Setup: "baseline", OversubPct: 50},
 	}
+	checkPanic := func(path string, r Result) {
+		t.Helper()
+		if !r.Crashed || !errors.Is(r.Err, ErrPanic) {
+			t.Fatalf("%s: panicking run not contained: crashed=%v err=%v", path, r.Crashed, r.Err)
+		}
+		if !strings.Contains(r.Err.Error(), "boom policy: injected panic") ||
+			!strings.Contains(r.Err.Error(), "goroutine") {
+			t.Errorf("%s: panic error lacks value or stack: %v", path, r.Err)
+		}
+	}
 	s.Warm(keys)
 	for _, k := range keys {
 		r := s.Run(k)
 		if k.Setup == "boom" {
-			if !r.Crashed || !errors.Is(r.Err, ErrPanic) {
-				t.Fatalf("panicking run not contained: crashed=%v err=%v", r.Crashed, r.Err)
-			}
-			if !strings.Contains(r.Err.Error(), "boom policy: injected panic") ||
-				!strings.Contains(r.Err.Error(), "goroutine") {
-				t.Errorf("panic error lacks value or stack: %v", r.Err)
-			}
+			checkPanic("Warm", r)
 			continue
 		}
 		if r.Err != nil || r.Crashed || r.Cycles == 0 {
 			t.Errorf("%v: sibling run affected by injected panic: %+v", k, r)
 		}
 	}
+
+	dir := t.TempDir()
+	fresh := NewSession(s.cfg)
+	fresh.Register(s.setups["boom"])
+	checkPanic("RunCheckpointed", fresh.RunCheckpointed(keys[0], filepath.Join(dir, "ckpt"), 1<<12))
+	r, err := fresh.RunResumable(keys[0], filepath.Join(dir, "job"), 1<<12, nil, nil)
+	if err != nil {
+		t.Fatalf("RunResumable: %v", err)
+	}
+	checkPanic("RunResumable", r)
 }

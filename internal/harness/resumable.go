@@ -80,12 +80,11 @@ func (s *Session) EnvelopeID(k Key) (uint64, error) {
 }
 
 // Progress describes one checkpoint boundary of a resumable run, delivered
-// to the progress hook of RunResumableProgress immediately after the
-// checkpoint bytes are durable. It is the service layer's window into a
-// running simulation: everything else about the run stays single-goroutine
-// and deterministic, and the hook is called at deterministic simulation
-// points (every `every` cycles), so observing progress cannot perturb the
-// result.
+// to the progress hook of RunResumable immediately after the checkpoint bytes
+// are durable. It is the service layer's window into a running simulation:
+// everything else about the run stays single-goroutine and deterministic, and
+// the hook is called at deterministic simulation points (every `every`
+// cycles), so observing progress cannot perturb the result.
 type Progress struct {
 	// Key identifies the simulation.
 	Key Key
@@ -101,34 +100,26 @@ type Progress struct {
 // exists at path, the run continues from it; a leftover checkpoint that is
 // corrupt, truncated, or belongs to a different simulation is removed and the
 // run starts fresh — never silently resumed, never left behind. The run then
-// checkpoints to path every `every` cycles; after each checkpoint write the
-// stop hook (nil = never) is consulted, and a true return parks the run: the
+// checkpoints to path every `every` cycles. After each durable checkpoint
+// write the progress hook (nil = none) receives a Progress snapshot, and then
+// the stop hook (nil = never) is consulted: a true return parks the run, the
 // checkpoint stays on disk and RunResumable returns ErrParked with a zero
-// Result.
+// Result. The progress hook must not mutate simulation state and should
+// return quickly, since the simulation is paused while it runs.
 //
 // Terminal outcomes delete the checkpoint when the run completed or thrash-
 // aborted cleanly (Err == nil); a run that died with an error keeps its last
 // checkpoint so a retry can continue instead of starting over. Only clean
 // outcomes are cached in the session, so retrying an errored run actually
 // reruns it.
-func (s *Session) RunResumable(k Key, path string, every memdef.Cycle, stop func() bool) (Result, error) {
-	return s.RunResumableProgress(k, path, every, stop, nil)
-}
-
-// RunResumableProgress is RunResumable with a progress hook: after every
-// durable checkpoint write — and before the stop hook is consulted — the
-// hook (nil = none) receives a Progress snapshot. The service layer drives
-// sweep streaming off this callback; the hook must not mutate simulation
-// state and should return quickly, since the simulation is paused while it
-// runs.
-func (s *Session) RunResumableProgress(k Key, path string, every memdef.Cycle, stop func() bool, progress func(Progress)) (Result, error) {
+func (s *Session) RunResumable(k Key, path string, every memdef.Cycle, stop func() bool, progress func(Progress)) (Result, error) {
 	s.mu.Lock()
 	if r, ok := s.cache[k]; ok {
 		s.mu.Unlock()
 		return r, nil
 	}
 	s.mu.Unlock()
-	out, parked := s.runResumable(k, path, every, stop, progress)
+	out, parked := s.runResumable(k, runOpts{path: path, every: every, stop: stop, progress: progress})
 	if parked {
 		return Result{}, ErrParked
 	}
@@ -146,43 +137,29 @@ func (s *Session) RunResumableProgress(k Key, path string, every memdef.Cycle, s
 	return out, nil
 }
 
-func (s *Session) runResumable(k Key, path string, every memdef.Cycle, stop func() bool, progress func(Progress)) (out Result, parked bool) {
-	defer recoverRun(k, &out)
-	b, err := s.resumeOrBuild(k, path)
+// runResumable acquires k's machine through resumeOrBuild at o.path and
+// drives it under o.
+func (s *Session) runResumable(k Key, o runOpts) (out Result, parked bool) {
+	defer recoverRunStack(k, &out)
+	b, err := s.resumeOrBuild(k, o.path)
 	if err != nil {
 		return Result{Key: k, Crashed: true, Err: err}, false
 	}
-	if every <= 0 || path == "" {
-		return s.collect(k, b, b.machine.Run(s.cfg.MaxEvents)), false
-	}
-	checkpoints := 0
-	for {
-		res, paused := b.machine.RunUntil(s.cfg.MaxEvents, b.machine.Eng.Now()+every)
-		if !paused {
-			return s.collect(k, b, res), false
-		}
-		if err := s.writeCheckpoint(path, k, b); err != nil {
-			// Fail-stop: a resumable run that cannot persist its checkpoint is
-			// reported, not silently degraded to a non-resumable one.
-			return Result{Key: k, Crashed: true, Err: err,
-				FootprintPages: b.footprint, CapacityPages: b.cfg.MemoryPages}, false
-		}
-		checkpoints++
-		if progress != nil {
-			progress(Progress{Key: k, Cycle: b.machine.Eng.Now(), Checkpoints: checkpoints})
-		}
-		if stop != nil && stop() {
-			return Result{}, true
-		}
-	}
+	return s.drive(k, b, o)
 }
 
 // resumeOrBuild restores the machine from a usable checkpoint of k at path,
 // or builds it fresh. An unusable leftover (corrupt, mismatched session, or
 // another simulation's checkpoint) is removed — not just ignored — so the
 // fresh run's own checkpoints replace it cleanly and no later resume can
-// trust it (see discardStaleCheckpoint).
+// trust it; a fresh run that finishes before its first checkpoint would
+// otherwise leave it for a later resume to continue. A half-written
+// temporary from a killed checkpoint write is always removed.
 func (s *Session) resumeOrBuild(k Key, path string) (*built, error) {
+	if path == "" {
+		return s.build(k)
+	}
+	_ = os.Remove(path + ".tmp") // best-effort cleanup; a leftover is re-discarded on the next run
 	env, err := readEnvelope(path)
 	if err == nil && env.key == k {
 		b, rerr := s.restoreEnvelope(path, env)
@@ -194,8 +171,7 @@ func (s *Session) resumeOrBuild(k Key, path string) (*built, error) {
 		err = fmt.Errorf("%w: checkpoint is for %v, not %v", ErrCheckpointMismatch, env.key, k)
 	}
 	if !errors.Is(err, os.ErrNotExist) {
-		_ = os.Remove(path)          // best-effort cleanup; a leftover is re-discarded on the next run
-		_ = os.Remove(path + ".tmp") // best-effort cleanup; a leftover is re-discarded on the next run
+		_ = os.Remove(path) // best-effort cleanup; a leftover is re-discarded on the next run
 	}
 	return s.build(k)
 }

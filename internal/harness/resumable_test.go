@@ -26,7 +26,7 @@ func TestRunResumableMatchesRun(t *testing.T) {
 	_, err := NewSession(checkpointTestConfig()).RunResumable(k, path, want.Cycles/7, func() bool {
 		parks++
 		return parks >= 2 // park at the second checkpoint boundary
-	})
+	}, nil)
 	if !errors.Is(err, ErrParked) {
 		t.Fatalf("err = %v, want ErrParked", err)
 	}
@@ -34,7 +34,7 @@ func TestRunResumableMatchesRun(t *testing.T) {
 		t.Fatalf("parked run left no checkpoint: %v", err)
 	}
 
-	got, err := NewSession(checkpointTestConfig()).RunResumable(k, path, want.Cycles/7, nil)
+	got, err := NewSession(checkpointTestConfig()).RunResumable(k, path, want.Cycles/7, nil, nil)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestRunResumableRemovesStaleCheckpoint(t *testing.T) {
 		plant(t)
 		// A huge `every` means the fresh run never writes a checkpoint, so
 		// only the explicit stale cleanup can remove the leftover.
-		r, err := NewSession(checkpointTestConfig()).RunResumable(k, path, 1<<40, nil)
+		r, err := NewSession(checkpointTestConfig()).RunResumable(k, path, 1<<40, nil, nil)
 		if err != nil || r.Err != nil {
 			t.Fatalf("fresh-run fallback failed: %v / %v", err, r.Err)
 		}
@@ -88,7 +88,7 @@ func TestRunResumableRemovesStaleCheckpoint(t *testing.T) {
 		plant(t)
 		cfg := checkpointTestConfig()
 		cfg.Seed = 77
-		r, err := NewSession(cfg).RunResumable(other, path, 1<<40, nil)
+		r, err := NewSession(cfg).RunResumable(other, path, 1<<40, nil, nil)
 		if err != nil || r.Err != nil {
 			t.Fatalf("fresh-run fallback failed: %v / %v", err, r.Err)
 		}
@@ -104,7 +104,7 @@ func TestRunResumableRemovesStaleCheckpoint(t *testing.T) {
 		if err := os.WriteFile(path+".tmp", []byte("torn write"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewSession(checkpointTestConfig()).RunResumable(k, path, 1<<40, nil)
+		r, err := NewSession(checkpointTestConfig()).RunResumable(k, path, 1<<40, nil, nil)
 		if err != nil || r.Err != nil {
 			t.Fatalf("fresh-run fallback failed: %v / %v", err, r.Err)
 		}
@@ -206,7 +206,7 @@ func TestRunResumableProgressHook(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "job.ckpt")
 	every := want.Cycles / 7
 	var seen []Progress
-	got, err := NewSession(checkpointTestConfig()).RunResumableProgress(k, path, every, nil, func(p Progress) {
+	got, err := NewSession(checkpointTestConfig()).RunResumable(k, path, every, nil, func(p Progress) {
 		seen = append(seen, p)
 	})
 	if err != nil {
@@ -235,7 +235,7 @@ func TestRunResumableProgressHook(t *testing.T) {
 	// cycle continues past the parked one.
 	parks := 0
 	var firstLife []Progress
-	_, err = NewSession(checkpointTestConfig()).RunResumableProgress(k, path, every, func() bool {
+	_, err = NewSession(checkpointTestConfig()).RunResumable(k, path, every, func() bool {
 		parks++
 		return parks >= 2
 	}, func(p Progress) { firstLife = append(firstLife, p) })
@@ -243,7 +243,7 @@ func TestRunResumableProgressHook(t *testing.T) {
 		t.Fatalf("err = %v, want ErrParked", err)
 	}
 	var secondLife []Progress
-	res, err := NewSession(checkpointTestConfig()).RunResumableProgress(k, path, every, nil, func(p Progress) {
+	res, err := NewSession(checkpointTestConfig()).RunResumable(k, path, every, nil, func(p Progress) {
 		secondLife = append(secondLife, p)
 	})
 	if err != nil {

@@ -41,21 +41,18 @@ type Config struct {
 	Seed int64
 	// Parallelism bounds concurrent simulations (default GOMAXPROCS).
 	Parallelism int
-	// MaxEvents bounds one simulation's event count (default 500M). In a
-	// lockstep sweep the budget applies per epoch segment, exactly as it
-	// applies per checkpoint segment under RunCheckpointed.
+	// MaxEvents bounds one simulation's event count (default 500M). A
+	// checkpointed run applies the budget per checkpoint segment only.
 	MaxEvents uint64
 	// WatchdogWindow arms the engine's no-progress watchdog per run: a
 	// same-cycle livelock that freezes the frontier for this much wall-clock
 	// time fails the run with engine.ErrNoProgress instead of burning the
 	// whole event budget. Zero selects 30s; negative disables the watchdog.
 	WatchdogWindow time.Duration
-	// SweepEpoch is the lockstep batch length in simulated cycles for Warm
-	// sweeps: machines of one workload group all reach the same epoch
-	// boundary before any moves past it, and per-worker stats deltas commit
-	// at those boundaries. Zero selects 4M cycles; negative disables
-	// batching (each machine of a group runs to completion in turn, still
-	// sharing the memoized trace).
+	// SweepEpoch is a stepping cadence in simulated cycles for callers that
+	// advance a machine in segments: benchmark/layers.go reads it to time its
+	// traced runs epoch by epoch. The harness itself no longer reads it.
+	// Zero selects 4M cycles.
 	SweepEpoch memdef.Cycle
 }
 
@@ -142,8 +139,7 @@ type Session struct {
 	// one fingerprint computation) per (bench, scale, warps, accesses/page,
 	// seed) per session, fanned out zero-copy to every machine instance.
 	traces *workload.Cache
-	// sweepAgg accumulates sweep progress from the per-worker delta shards
-	// (see stats.SweepShard); it is only touched at epoch commits.
+	// sweepAgg accumulates Warm's progress: one commit per clean run.
 	sweepAgg stats.SweepAgg
 	// ckptWriters is a free list of checkpoint buffers shared by every run of
 	// the session, one per concurrent simulation (Parallelism): a warmed
@@ -265,42 +261,33 @@ func (s *Session) Run(k Key) Result {
 	return r
 }
 
-// Warm runs all missing keys so later Run calls hit the cache. Missing keys
-// are grouped by workload and each group runs as a shared-trace lockstep
-// sweep (see sweep.go): the trace is generated once, fanned out to every
-// machine of the group, and the machines advance in cycle-epoch batches. The
-// groups themselves fan out over the session's bounded worker pool; each
-// worker commits its group's results to the shared cache in a single lock
-// acquisition, and its stats deltas at epoch boundaries.
+// Warm runs all missing keys so later Run calls hit the cache. The missing
+// keys fan out over the session's bounded worker pool, one runOne each, so a
+// worker holds one machine at a time; runs of the same workload share its
+// memoized trace. Each run caches its Result as it finishes, and each clean
+// run (Err == nil) commits its totals to the sweep aggregate once.
 func (s *Session) Warm(keys []Key) {
-	missing := s.missingKeys(keys)
-	if len(missing) == 0 {
-		return
-	}
-	// Group by benchmark in first-appearance order: one group = one shared
-	// trace = one lockstep driver.
-	var order []string
-	byBench := make(map[string][]Key)
-	for _, k := range missing {
-		if _, ok := byBench[k.Bench]; !ok {
-			order = append(order, k.Bench)
-		}
-		byBench[k.Bench] = append(byBench[k.Bench], k)
-	}
 	sem := make(chan struct{}, s.cfg.Parallelism)
 	var wg sync.WaitGroup
-	for _, bench := range order {
-		group := byBench[bench]
+	for _, k := range s.missingKeys(keys) {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results := s.runGroup(group)
-			s.mu.Lock()
-			for _, r := range results {
-				s.cache[r.Key] = r
+			r := s.runOne(k)
+			if r.Err == nil {
+				s.sweepAgg.Commit(stats.SweepDelta{
+					Runs:          1,
+					Cycles:        uint64(r.Cycles),
+					Accesses:      r.Accesses,
+					Faults:        r.UVM.FaultEvents,
+					MigratedPages: r.UVM.MigratedPages,
+					EvictedPages:  r.UVM.EvictedPages,
+				})
 			}
+			s.mu.Lock()
+			s.cache[k] = r
 			s.mu.Unlock()
 		}()
 	}
@@ -323,8 +310,8 @@ func (s *Session) missingKeys(keys []Key) []Key {
 	return missing
 }
 
-// SweepStats returns the committed sweep-progress totals: what the lockstep
-// workers have folded into the shared aggregate at epoch and run boundaries.
+// SweepStats returns the committed sweep-progress totals: one commit per
+// clean run that Warm finished.
 func (s *Session) SweepStats() stats.SweepTotals { return s.sweepAgg.Totals() }
 
 // CachedRuns returns the number of cached simulations.
@@ -444,8 +431,8 @@ func (s *Session) machine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefe
 }
 
 // collect assembles the harness Result from a finished machine, then hands
-// the machine back to the session's free list: collect is the one terminal
-// step of every run path, and b must not be run again. A run that panics or
+// the machine back to the session's free list: collect is drive's one
+// terminal step, and b must not be run again. A run that panics, parks, or
 // fails to restore or checkpoint never gets here, so its machine is dropped.
 func (s *Session) collect(k Key, b *built, res sm.Result) Result {
 	out := Result{
@@ -491,12 +478,56 @@ func (s *Session) runOne(k Key) (out Result) {
 	if err != nil {
 		return Result{Key: k, Crashed: true, Err: err}
 	}
-	res := b.machine.Run(s.cfg.MaxEvents)
-	return s.collect(k, b, res)
+	out, _ = s.drive(k, b, runOpts{})
+	return out
 }
 
-// recoverRunStack is recoverRun with the panicking goroutine's stack in the
-// error.
+// runOpts selects what drive does at pause boundaries. The zero value is a
+// plain run to completion.
+type runOpts struct {
+	// path is the checkpoint file; with every it enables checkpointing.
+	path string
+	// every is the checkpoint cadence in simulated cycles (0 = none).
+	every memdef.Cycle
+	// stop, consulted after each checkpoint, parks the run when it returns
+	// true (nil = never).
+	stop func() bool
+	// progress receives each durable checkpoint (nil = none).
+	progress func(Progress)
+}
+
+// drive is the one run loop: every run path hands its built (or restored)
+// machine to it. Without checkpointing the machine runs to completion.
+// Otherwise it pauses every o.every cycles (at the first event boundary past
+// each multiple) to write a checkpoint to o.path, report progress, and
+// consult the stop hook; parked reports a stop, with a zero Result and the
+// checkpoint left on disk. A checkpoint that cannot be written fails the
+// run: one the caller asked to checkpoint is never silently degraded.
+func (s *Session) drive(k Key, b *built, o runOpts) (out Result, parked bool) {
+	if o.path == "" || o.every == 0 {
+		return s.collect(k, b, b.machine.Run(s.cfg.MaxEvents)), false
+	}
+	for checkpoints := 1; ; checkpoints++ {
+		res, paused := b.machine.RunUntil(s.cfg.MaxEvents, b.machine.Eng.Now()+o.every)
+		if !paused {
+			return s.collect(k, b, res), false
+		}
+		if err := s.writeCheckpoint(o.path, k, b); err != nil {
+			return Result{Key: k, Crashed: true, Err: err,
+				FootprintPages: b.footprint, CapacityPages: b.cfg.MemoryPages}, false
+		}
+		if o.progress != nil {
+			o.progress(Progress{Key: k, Cycle: b.machine.Eng.Now(), Checkpoints: checkpoints})
+		}
+		if o.stop != nil && o.stop() {
+			return Result{}, true
+		}
+	}
+}
+
+// recoverRunStack converts a panic into a crashed Result carrying ErrPanic,
+// the panic value and the panicking goroutine's stack. Every run path defers
+// it around its build and drive.
 func recoverRunStack(k Key, out *Result) {
 	if r := recover(); r != nil {
 		*out = Result{
@@ -522,7 +553,8 @@ func (s *Session) RunTrace(tr *trace.Trace, setupName string, oversubPct int) (o
 	if err != nil {
 		return Result{Key: k, Crashed: true, Err: err}
 	}
-	return s.collect(k, b, b.machine.Run(s.cfg.MaxEvents))
+	out, _ = s.drive(k, b, runOpts{})
+	return out
 }
 
 // Speedup returns cycles(reference)/cycles(candidate): > 1 means the

@@ -19,7 +19,7 @@ func fig8Keys() []Key {
 }
 
 // BenchmarkFig8Sweep measures the cost of warming the full Fig. 8 key set
-// through the shared-trace lockstep path, allocations included. Each
+// through Session.Warm, allocations included. Each
 // iteration is a cold session: trace memoization amortizes within an
 // iteration (one generation per workload), not across them.
 func BenchmarkFig8Sweep(b *testing.B) {

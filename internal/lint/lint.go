@@ -88,7 +88,7 @@ type Check struct {
 var simCore = []string{
 	"engine", "uvm", "sm", "tlb", "ptw", "pagetable", "cache", "dram",
 	"xbus", "evict", "prefetch", "policy", "harness", "audit", "inject",
-	"workload", "stats", "snapshot", "sweep",
+	"workload", "stats", "snapshot",
 }
 
 // Checks returns the full analyzer suite.

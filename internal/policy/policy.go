@@ -76,7 +76,7 @@ const WindowSize = 32
 // The view is bound once, at machine construction, to any policy or
 // prefetcher that implements ViewBinder. All observations are deterministic
 // functions of the simulation state, so two machines running the same trace
-// in lockstep or solo present identical views.
+// present identical views, whether fresh, recycled, or restored.
 type MachineView interface {
 	// Cycle is the current simulated time in core cycles.
 	Cycle() memdef.Cycle

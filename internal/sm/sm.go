@@ -452,30 +452,6 @@ func (w *warp) step() {
 // ActiveWarps returns the number of warps that have not retired.
 func (m *Machine) ActiveWarps() int { return m.activeWarps }
 
-// Progress is a cheap cumulative reading of the machine's sweep-progress
-// counters: the current clock, completed accesses, and the driver-level
-// traffic counters. The lockstep sweep driver subtracts consecutive readings
-// to get per-epoch deltas for its sharded stats commits, so reading must stay
-// O(SMs), never O(events).
-type Progress struct {
-	Cycles   memdef.Cycle
-	Accesses uint64
-	Driver   uvm.Progress
-}
-
-// Progress returns the machine's current cumulative progress reading.
-func (m *Machine) Progress() Progress {
-	var accesses uint64
-	for _, s := range m.SMs {
-		accesses += s.accessesDone
-	}
-	return Progress{
-		Cycles:   m.Eng.Now(),
-		Accesses: accesses,
-		Driver:   m.MMU.Progress(),
-	}
-}
-
 // SMStats is per-SM accounting.
 type SMStats struct {
 	ID           memdef.SMID

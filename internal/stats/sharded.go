@@ -2,14 +2,10 @@ package stats
 
 import "sync"
 
-// Delta-committed sharded sweep counters (the VSA "commit information, not
-// traffic" idiom): each sweep worker owns a SweepShard and feeds it with O(1)
-// local adds on its own cacheline — one add per lockstep epoch per machine,
-// never one per simulated event. The shared SweepAgg is touched only when a
-// shard commits its collapsed delta, which the lockstep driver does at
-// deterministic cycle-epoch boundaries and at run/group completion. Because
-// every counter is a sum, the aggregate totals are independent of worker
-// interleaving: the same sweep produces the same totals at GOMAXPROCS 1 or 8.
+// Sweep-progress counters: a sweep commits one SweepDelta per finished run
+// to a shared SweepAgg, never one per simulated event. Because every counter
+// is a sum, the aggregate totals are independent of worker interleaving: the
+// same sweep produces the same totals at GOMAXPROCS 1 or 8.
 
 // SweepDelta is one batch of sweep-progress counters. The zero value is the
 // empty delta.
@@ -37,20 +33,7 @@ func (d *SweepDelta) Add(x SweepDelta) {
 	d.EvictedPages += x.EvictedPages
 }
 
-// Sub returns d - prev, the delta between two cumulative readings.
-func (d SweepDelta) Sub(prev SweepDelta) SweepDelta {
-	return SweepDelta{
-		Runs:          d.Runs - prev.Runs,
-		Cycles:        d.Cycles - prev.Cycles,
-		Accesses:      d.Accesses - prev.Accesses,
-		Faults:        d.Faults - prev.Faults,
-		MigratedPages: d.MigratedPages - prev.MigratedPages,
-		EvictedPages:  d.EvictedPages - prev.EvictedPages,
-	}
-}
-
-// SweepAgg is the shared sweep-progress table. All access goes through
-// shards; Totals reads the committed state.
+// SweepAgg is the shared sweep-progress table, safe for concurrent use.
 type SweepAgg struct {
 	mu      sync.Mutex
 	total   SweepDelta
@@ -60,48 +43,22 @@ type SweepAgg struct {
 // SweepTotals is a snapshot of the committed aggregate.
 type SweepTotals struct {
 	SweepDelta
-	// Commits counts shard commits — the number of times the shared table
-	// was actually touched. The ratio Accesses/Commits is the traffic the
-	// delta scheme eliminates: per-event updates collapsed per commit.
+	// Commits counts Commit calls — the number of times the shared table
+	// was touched.
 	Commits uint64
 }
 
-// Shard returns a new private accumulator committing into a.
-func (a *SweepAgg) Shard() *SweepShard { return &SweepShard{agg: a} }
+// Commit folds d into the aggregate under one lock acquisition.
+func (a *SweepAgg) Commit(d SweepDelta) {
+	a.mu.Lock()
+	a.total.Add(d)
+	a.commits++
+	a.mu.Unlock()
+}
 
-// Totals returns the committed aggregate. Pending (uncommitted) shard state
-// is not included.
+// Totals returns the committed aggregate.
 func (a *SweepAgg) Totals() SweepTotals {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return SweepTotals{SweepDelta: a.total, Commits: a.commits}
-}
-
-// SweepShard is one worker's private delta accumulator. Not safe for
-// concurrent use — each worker owns exactly one.
-type SweepShard struct {
-	agg     *SweepAgg
-	pending SweepDelta
-	dirty   bool
-}
-
-// Add accumulates x locally (no shared state touched).
-func (s *SweepShard) Add(x SweepDelta) {
-	s.pending.Add(x)
-	s.dirty = true
-}
-
-// Commit folds the pending delta into the shared aggregate under one lock
-// acquisition and resets the shard. A clean shard commits nothing.
-func (s *SweepShard) Commit() {
-	if !s.dirty {
-		return
-	}
-	p := s.pending
-	s.pending = SweepDelta{}
-	s.dirty = false
-	s.agg.mu.Lock()
-	s.agg.total.Add(p)
-	s.agg.commits++
-	s.agg.mu.Unlock()
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func TestSweepDeltaAddSub(t *testing.T) {
+func TestSweepDeltaAdd(t *testing.T) {
 	a := SweepDelta{Runs: 1, Cycles: 10, Accesses: 100, Faults: 3, MigratedPages: 7, EvictedPages: 2}
 	b := SweepDelta{Runs: 2, Cycles: 5, Accesses: 50, Faults: 1, MigratedPages: 4, EvictedPages: 9}
 
@@ -17,74 +17,37 @@ func TestSweepDeltaAddSub(t *testing.T) {
 	if sum != want {
 		t.Errorf("Add: got %+v, want %+v", sum, want)
 	}
-	if got := sum.Sub(a); got != b {
-		t.Errorf("Sub: got %+v, want %+v", got, b)
-	}
 
-	// Every counter participates in both Add and Sub: a fresh field added to
-	// SweepDelta without updating them would fail here.
+	// Every counter participates in Add: a fresh field added to SweepDelta
+	// without updating it would fail here.
 	if n := reflect.TypeOf(SweepDelta{}).NumField(); n != 6 {
-		t.Errorf("SweepDelta has %d fields; update Add/Sub and this test", n)
-	}
-}
-
-func TestSweepShardCommitBatches(t *testing.T) {
-	var agg SweepAgg
-	sh := agg.Shard()
-
-	sh.Add(SweepDelta{Accesses: 10})
-	sh.Add(SweepDelta{Accesses: 5, Runs: 1})
-	if got := agg.Totals(); got.Accesses != 0 || got.Commits != 0 {
-		t.Fatalf("uncommitted shard leaked into aggregate: %+v", got)
-	}
-
-	sh.Commit()
-	got := agg.Totals()
-	if got.Accesses != 15 || got.Runs != 1 || got.Commits != 1 {
-		t.Fatalf("after commit: %+v", got)
-	}
-
-	// A clean shard must not touch the aggregate (Commits counts actual
-	// table touches).
-	sh.Commit()
-	if got := agg.Totals(); got.Commits != 1 {
-		t.Errorf("empty commit touched the table: %+v", got)
-	}
-
-	sh.Add(SweepDelta{Cycles: 4})
-	sh.Commit()
-	if got := agg.Totals(); got.Cycles != 4 || got.Commits != 2 {
-		t.Errorf("second batch: %+v", got)
+		t.Errorf("SweepDelta has %d fields; update Add and this test", n)
 	}
 }
 
 // TestSweepAggConcurrentShards pins the interleaving independence the
-// delta-commit scheme claims: concurrent shards committing sums produce
-// totals independent of schedule.
+// aggregate claims: concurrent workers, each committing its own share of the
+// sums, produce totals independent of schedule, with one table touch per
+// Commit.
 func TestSweepAggConcurrentShards(t *testing.T) {
 	var agg SweepAgg
-	const workers, adds = 8, 1000
+	const workers, commits = 8, 100
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sh := agg.Shard()
-			for i := 0; i < adds; i++ {
-				sh.Add(SweepDelta{Accesses: 1})
-				if i%100 == 99 {
-					sh.Commit()
-				}
+			for i := 0; i < commits; i++ {
+				agg.Commit(SweepDelta{Runs: 1, Accesses: 10})
 			}
-			sh.Commit()
 		}()
 	}
 	wg.Wait()
 	got := agg.Totals()
-	if got.Accesses != workers*adds {
-		t.Errorf("lost updates: %d accesses, want %d", got.Accesses, workers*adds)
+	if got.Runs != workers*commits || got.Accesses != 10*workers*commits {
+		t.Errorf("lost updates: %+v, want %d runs and %d accesses", got, workers*commits, 10*workers*commits)
 	}
-	if want := uint64(workers * adds / 100); got.Commits != want {
-		t.Errorf("commits: %d, want %d", got.Commits, want)
+	if got.Commits != workers*commits {
+		t.Errorf("commits: %d, want %d", got.Commits, workers*commits)
 	}
 }

@@ -1437,9 +1437,8 @@ func (m *Manager) Corrupt(kind CorruptKind) (audit.Class, bool) {
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// Progress is an O(1) reading of the hot sweep counters — the subset of Stats
-// the lockstep sweep driver folds into its per-worker delta accumulators at
-// epoch boundaries. Readings are cumulative; subtract two to get a delta.
+// Progress is an O(1) reading of the hot traffic counters — a subset of
+// Stats. Readings are cumulative; subtract two to get a delta.
 type Progress struct {
 	Accesses      uint64
 	FaultEvents   uint64

@@ -15,9 +15,9 @@ import (
 // with park hooks, and canonical result rendering. The simulation core stays
 // untouched; these are thin, validated wrappers over the harness layer.
 
-// ErrParked reports that RunResumable stopped at a checkpoint boundary
-// because its stop hook asked it to; the checkpoint stays on disk for a later
-// RunResumable to continue from.
+// ErrParked reports that RunResumableProgress stopped at a checkpoint
+// boundary because its stop hook asked it to; the checkpoint stays on disk
+// for a later RunResumableProgress to continue from.
 var ErrParked = harness.ErrParked
 
 // JobID returns the stable content fingerprint of one simulation under this
@@ -40,22 +40,17 @@ func (s *Session) JobID(req Request) (string, error) {
 	return fmt.Sprintf("%016x", id), nil
 }
 
-// RunResumable executes one simulation like RunCheckpointed, with two service
-// hooks: a pre-existing valid checkpoint at path is resumed (a stale or
-// corrupt leftover is removed and the run starts fresh), and after every
-// checkpoint write the stop hook is consulted — returning true parks the run
-// at that boundary with ErrParked, leaving the checkpoint behind for the next
-// call to continue. Completed runs remove their checkpoint; runs that died
-// with a run error keep it so a retry resumes instead of starting over.
-func (s *Session) RunResumable(req Request, path string, everyCycles uint64, stop func() bool) (Result, error) {
-	return s.RunResumableProgress(req, path, everyCycles, stop, nil)
-}
-
-// RunResumableProgress is RunResumable with a streaming hook: after every
+// RunResumableProgress executes one simulation like RunCheckpointed, with
+// three service hooks. A pre-existing valid checkpoint at path is resumed (a
+// stale or corrupt leftover is removed and the run starts fresh). After every
 // durable checkpoint write the progress callback (nil = none) receives the
-// simulated cycle of the checkpoint just written. The hook is called at
-// deterministic simulation points, so observing progress cannot perturb the
-// result; cppe-serve drives its sweep SSE events off it.
+// simulated cycle of the checkpoint just written, and then the stop hook
+// (nil = never) is consulted: returning true parks the run at that boundary
+// with ErrParked, leaving the checkpoint behind for the next call to
+// continue. Completed runs remove their checkpoint; runs that died with a run
+// error keep it so a retry resumes instead of starting over. The hooks are
+// called at deterministic simulation points, so observing progress cannot
+// perturb the result; cppe-serve drives its sweep SSE events off them.
 func (s *Session) RunResumableProgress(req Request, path string, everyCycles uint64, stop func() bool, progress func(cycle uint64)) (Result, error) {
 	if err := s.validate(req); err != nil {
 		return Result{}, err
@@ -65,7 +60,7 @@ func (s *Session) RunResumableProgress(req Request, path string, everyCycles uin
 	if progress != nil {
 		hook = func(p harness.Progress) { progress(uint64(p.Cycle)) }
 	}
-	r, err := s.h.RunResumableProgress(k, path, memdef.Cycle(everyCycles), stop, hook)
+	r, err := s.h.RunResumable(k, path, memdef.Cycle(everyCycles), stop, hook)
 	if err != nil {
 		return Result{}, err
 	}
@@ -96,7 +91,7 @@ func ResultJSON(r Result) ([]byte, error) {
 }
 
 // validate rejects malformed requests, with one message per field (shared by
-// Run, RunCheckpointed, JobID, and RunResumable).
+// Run, RunCheckpointed, JobID, and RunResumableProgress).
 func (s *Session) validate(req Request) error {
 	if _, ok := workload.ByAbbr(req.Benchmark); !ok {
 		return fmt.Errorf("cppe: unknown benchmark %q (see Benchmarks())", req.Benchmark)
