@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -84,4 +85,55 @@ func TestGoldenFig8Learned(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	checkGolden(t, "fig8_learned_scale005", goldenSession().Fig8Learned().String())
+}
+
+// TestGoldenSweepT3 pins the Section VI-A forward-distance sweep, whose
+// cppe-t3-* setups each override MHPE's T3. The CI bench-sweep job diffs
+// cppe-bench's sweep-t3 output against the same file.
+func TestGoldenSweepT3(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	checkGolden(t, "sweep_t3_scale005", goldenSession().SweepT3().String())
+}
+
+// TestGoldenAblationMHPEDesign pins the interval, buffer and forward-distance
+// ablations. The CI bench-sweep job diffs cppe-bench's ablation-mhpe-design
+// output against the same file.
+func TestGoldenAblationMHPEDesign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	checkGolden(t, "ablation_mhpe_design_scale005", goldenSession().AblationMHPEDesign().String())
+}
+
+// variantSetups are the setups whose eviction half is MHPE with one option
+// overridden.
+var variantSetups = []string{
+	"mhpe-probe",
+	"cppe-t3-16", "cppe-t3-20", "cppe-t3-24", "cppe-t3-28", "cppe-t3-32", "cppe-t3-36", "cppe-t3-40",
+	"cppe-int-32", "cppe-int-128",
+	"cppe-buf-8", "cppe-buf-128",
+	"cppe-fwd-2", "cppe-fwd-8",
+}
+
+// TestGoldenDescribeVariants pins the full instrumentation report of one run
+// per MHPE variant setup. A two-decimal speedup table can hide a dropped
+// option; the policy trajectory and breakdown tables in Describe cannot.
+func TestGoldenDescribeVariants(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	s := goldenSession()
+	keys := make([]Key, len(variantSetups))
+	for i, name := range variantSetups {
+		keys[i] = Key{"HSD", name, 50}
+	}
+	s.Warm(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		b.WriteString(s.Describe(k))
+		b.WriteString("\n")
+	}
+	checkGolden(t, "describe_variants_hsd_scale005", b.String())
 }
