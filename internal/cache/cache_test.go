@@ -11,6 +11,7 @@ func TestGeometryPanics(t *testing.T) {
 	cases := []struct{ cap, ways, line int }{
 		{0, 4, 64}, {1024, 0, 64}, {1024, 4, 0},
 		{1024, 4, 100}, // non power-of-two line
+		{1024, 4, 2},   // line too small to leave the key's two state bits
 		{100, 16, 64},  // lines not divisible by ways
 	}
 	for _, c := range cases {

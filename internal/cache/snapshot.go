@@ -12,15 +12,15 @@ const lineBytes = 8 + 1 + 1 + 8
 // configuration on restore; Decode rejects a line-count mismatch.
 func (c *Cache) Encode(w *snapshot.Writer) {
 	w.Mark("CACH")
-	w.PutU64(uint64(len(c.tags)))
+	w.PutU64(uint64(len(c.lines)))
 	// The lines are most of a checkpoint: reserve their section once and
 	// write the records in one loop.
-	if sec := w.Reserve(lineBytes * len(c.tags)); sec != nil {
-		for i := range c.tags {
-			sec = sec.PutU64(c.tags[i]).
-				PutBool(c.flags[i]&lineValid != 0).
-				PutBool(c.flags[i]&lineDirty != 0).
-				PutU64(c.lru[i])
+	if sec := w.Reserve(lineBytes * len(c.lines)); sec != nil {
+		for _, l := range c.lines {
+			sec = sec.PutU64(l.key >> 2).
+				PutBool(l.key&lineValid != 0).
+				PutBool(l.key&lineDirty != 0).
+				PutU64(l.lru)
 		}
 	}
 	w.PutU64(c.tick)
@@ -38,21 +38,24 @@ func (c *Cache) Decode(r *snapshot.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	if n != len(c.tags) {
-		r.Failf("cache %s: %d lines in checkpoint, %d configured", c.name, n, len(c.tags))
+	if n != len(c.lines) {
+		r.Failf("cache %s: %d lines in checkpoint, %d configured", c.name, n, len(c.lines))
 		return
 	}
-	for i := range c.tags {
-		c.tags[i] = r.GetU64()
-		var f uint8
+	for i := range c.lines {
+		tag := r.GetU64()
+		if tag > ^uint64(0)>>2 {
+			r.Failf("cache %s: line %d tag %#x out of range", c.name, i, tag)
+			return
+		}
+		key := tag << 2
 		if r.GetBool() {
-			f |= lineValid
+			key |= lineValid
 		}
 		if r.GetBool() {
-			f |= lineDirty
+			key |= lineDirty
 		}
-		c.flags[i] = f
-		c.lru[i] = r.GetU64()
+		c.lines[i] = line{key: key, lru: r.GetU64()}
 	}
 	c.tick = r.GetU64()
 	c.hits = r.GetU64()

@@ -250,10 +250,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("memdef: MemoryPages must be non-negative, got %d", c.MemoryPages)
 	case c.MemoryPages > 0 && c.MemoryPages < ChunkPages:
 		return fmt.Errorf("memdef: MemoryPages (%d) smaller than one chunk (%d pages); the driver migrates at chunk granularity", c.MemoryPages, ChunkPages)
-	case c.L1CacheLineSz <= 0 || !powerOfTwo(c.L1CacheLineSz):
-		return fmt.Errorf("memdef: L1CacheLineSz must be a positive power of two, got %d", c.L1CacheLineSz)
-	case c.L2CacheLineSz <= 0 || !powerOfTwo(c.L2CacheLineSz):
-		return fmt.Errorf("memdef: L2CacheLineSz must be a positive power of two, got %d", c.L2CacheLineSz)
+	case c.L1CacheLineSz < 4 || !powerOfTwo(c.L1CacheLineSz):
+		return fmt.Errorf("memdef: L1CacheLineSz must be a power of two of at least 4, got %d", c.L1CacheLineSz)
+	case c.L2CacheLineSz < 4 || !powerOfTwo(c.L2CacheLineSz):
+		return fmt.Errorf("memdef: L2CacheLineSz must be a power of two of at least 4, got %d", c.L2CacheLineSz)
+	case c.PWCEntryBytes < 4 || !powerOfTwo(c.PWCEntryBytes):
+		return fmt.Errorf("memdef: PWCEntryBytes must be a power of two of at least 4, got %d", c.PWCEntryBytes)
 	}
 	return nil
 }

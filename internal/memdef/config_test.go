@@ -33,6 +33,8 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"L1CacheLineSz", func(c *Config) { c.L1CacheLineSz = 0 }},
 		{"L1CacheLineSzNonPow2", func(c *Config) { c.L1CacheLineSz = 96 }},
 		{"L2CacheLineSzNonPow2", func(c *Config) { c.L2CacheLineSz = 100 }},
+		{"L2CacheLineSzTooSmall", func(c *Config) { c.L2CacheLineSz = 2 }},
+		{"PWCEntryBytes", func(c *Config) { c.PWCEntryBytes = 0 }},
 	}
 	for _, m := range mutations {
 		cfg := DefaultConfig()
