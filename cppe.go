@@ -235,16 +235,11 @@ func DefaultSystemJSON() []byte {
 // Benchmarks returns the Table II benchmark abbreviations in paper order.
 func Benchmarks() []string { return workload.Abbrs() }
 
-// Setups returns the canonical setup names. Beyond these, any registered
+// Setups returns the named setups: the paper's systems first, then the
+// sweep and ablation variants. Beyond these, any registered
 // "<eviction>+<prefetcher>" pair (see RegisterPolicy, EvictionPolicies,
 // Prefetchers) is a valid Request.Setup, resolved dynamically.
-func Setups() []string {
-	return []string{
-		SetupBaseline, SetupCPPE, SetupCPPEScheme1, SetupRandom,
-		SetupReservedLRU10, SetupReservedLRU20, SetupDisableOnFull,
-		SetupHPE, SetupTree, SetupLearned,
-	}
-}
+func Setups() []string { return harness.SetupNames() }
 
 // Experiments returns the experiment identifiers in paper order.
 func Experiments() []string {

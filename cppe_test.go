@@ -21,9 +21,36 @@ func TestBenchmarksList(t *testing.T) {
 
 func TestSetupsResolvable(t *testing.T) {
 	for _, su := range Setups() {
-		if _, ok := apiSess.h.Setup(su); !ok {
-			t.Errorf("setup %q not registered", su)
+		if _, err := apiSess.h.ResolveSetup(su); err != nil {
+			t.Errorf("setup %q: %v", su, err)
 		}
+	}
+}
+
+// TestSetupsListsEveryNamedSetup: every named setup the experiments run, and
+// so Run accepts, is listed (cppe-sim -list prints Setups).
+func TestSetupsListsEveryNamedSetup(t *testing.T) {
+	listed := map[string]bool{}
+	for _, su := range Setups() {
+		listed[su] = true
+	}
+	named := []string{
+		"cppe-t3-16", "cppe-t3-20", "cppe-t3-24", "cppe-t3-28", "cppe-t3-32", "cppe-t3-36", "cppe-t3-40",
+		"cppe-int-32", "cppe-int-128", "cppe-buf-8", "cppe-buf-128", "cppe-fwd-2", "cppe-fwd-8",
+		"mhpe-probe", "true-lru",
+		SetupBaseline, SetupCPPE, SetupCPPEScheme1, SetupRandom, SetupReservedLRU10,
+		SetupReservedLRU20, SetupDisableOnFull, SetupHPE, SetupTree, SetupLearned,
+	}
+	for _, su := range named {
+		if _, err := apiSess.h.ResolveSetup(su); err != nil {
+			t.Errorf("setup %q: %v", su, err)
+		}
+		if !listed[su] {
+			t.Errorf("setup %q is accepted but not listed", su)
+		}
+	}
+	if len(Setups()) != len(named) {
+		t.Errorf("Setups() = %v, want the %d named setups", Setups(), len(named))
 	}
 }
 

@@ -51,7 +51,7 @@ func (s *Session) writeCheckpoint(path string, k Key, b *built) error {
 	w.PutInt(s.cfg.AccessesPerPage)
 	w.PutI64(s.cfg.Seed)
 	w.PutBytes(cfgJSON)
-	w.PutU64(b.traceHash)
+	w.PutU64(b.traceHash())
 	w.PutInt(b.footprint)
 	w.PutU64(uint64(b.machine.Eng.Now()))
 	blob := w.BeginBytes()

@@ -8,10 +8,9 @@ import (
 	"testing"
 
 	"github.com/reproductions/cppe/internal/audit"
-	"github.com/reproductions/cppe/internal/core"
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/memdef"
-	"github.com/reproductions/cppe/internal/prefetch"
+	"github.com/reproductions/cppe/internal/policy"
 )
 
 // auditedGoldenConfig is the golden-session configuration with the integrity
@@ -83,18 +82,12 @@ func TestPanicIsolatedInParallelSweep(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := NewSession(Config{Scale: 0.05, Warps: 8, Parallelism: 4})
-	s.Register(core.Setup{
-		Name:        "boom",
-		Description: "test-only panicking policy",
-		NewPolicy: func(memdef.Config, int64) (evict.Policy, error) {
-			return panicPolicy{}, nil
-		},
-		NewPrefetcher: func(memdef.Config) (prefetch.Prefetcher, error) {
-			return prefetch.NewLocality(), nil
-		},
+	registerTestPolicy(t, policy.Registration{
+		Name: "test-boom", Kind: policy.KindEviction,
+		NewEviction: func(policy.Env) (evict.Policy, error) { return panicPolicy{}, nil },
 	})
 	keys := []Key{
-		{Bench: "SRD", Setup: "boom", OversubPct: 50},
+		{Bench: "SRD", Setup: "test-boom+locality", OversubPct: 50},
 		{Bench: "SRD", Setup: "baseline", OversubPct: 50},
 		{Bench: "NW", Setup: "baseline", OversubPct: 50},
 		{Bench: "STN", Setup: "baseline", OversubPct: 50},
@@ -112,7 +105,7 @@ func TestPanicIsolatedInParallelSweep(t *testing.T) {
 	s.Warm(keys)
 	for _, k := range keys {
 		r := s.Run(k)
-		if k.Setup == "boom" {
+		if k == keys[0] {
 			checkPanic("Warm", r)
 			continue
 		}
@@ -123,7 +116,6 @@ func TestPanicIsolatedInParallelSweep(t *testing.T) {
 
 	dir := t.TempDir()
 	fresh := NewSession(s.cfg)
-	fresh.Register(s.setups["boom"])
 	checkPanic("RunCheckpointed", fresh.RunCheckpointed(keys[0], filepath.Join(dir, "ckpt"), 1<<12))
 	r, err := fresh.RunResumable(keys[0], filepath.Join(dir, "job"), 1<<12, nil, nil)
 	if err != nil {

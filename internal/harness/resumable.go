@@ -75,7 +75,7 @@ func (s *Session) EnvelopeID(k Key) (uint64, error) {
 	mixU64(uint64(int64(s.cfg.AccessesPerPage)))
 	mixU64(uint64(s.cfg.Seed))
 	mixStr(string(cfgJSON))
-	mixU64(g.Fingerprint)
+	mixU64(g.Fingerprint())
 	return h, nil
 }
 

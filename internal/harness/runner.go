@@ -10,11 +10,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
-	"github.com/reproductions/cppe/internal/core"
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/memdef"
 	"github.com/reproductions/cppe/internal/policy"
@@ -133,11 +131,11 @@ type Result struct {
 
 // Session caches simulation results across experiments.
 type Session struct {
-	cfg    Config
-	setups map[string]core.Setup
+	cfg Config
 	// traces memoizes each workload's generated trace: one generation (and
-	// one fingerprint computation) per (bench, scale, warps, accesses/page,
-	// seed) per session, fanned out zero-copy to every machine instance.
+	// at most one fingerprint computation) per (bench, scale, warps,
+	// accesses/page, seed) per session, fanned out zero-copy to every machine
+	// instance.
 	traces *workload.Cache
 	// sweepAgg accumulates Warm's progress: one commit per clean run.
 	sweepAgg stats.SweepAgg
@@ -157,77 +155,19 @@ type Session struct {
 	cache map[Key]Result
 }
 
-// NewSession returns a session with the standard setups registered.
+// NewSession returns a session.
 func NewSession(cfg Config) *Session {
 	cfg = cfg.withDefaults()
-	s := &Session{
+	return &Session{
 		cfg:         cfg,
-		setups:      make(map[string]core.Setup),
 		traces:      workload.NewCache(),
 		ckptWriters: make(chan *snapshot.Writer, max(cfg.Parallelism, 1)),
 		cache:       make(map[Key]Result),
 	}
-	for _, su := range []core.Setup{
-		core.SetupBaseline, core.SetupCPPE, core.SetupCPPES1,
-		core.SetupRandom, core.SetupDisableOnFull, core.SetupHPE,
-		core.SetupTree, core.SetupLearned,
-		core.SetupReservedLRU(0.10), core.SetupReservedLRU(0.20),
-		core.SetupMHPEProbe(),
-	} {
-		s.Register(su)
-	}
-	for t3 := 16; t3 <= 40; t3 += 4 {
-		s.Register(core.SetupCPPET3(t3))
-	}
-	s.Register(core.SetupTrueLRU)
-	for _, iv := range []int{32, 128} {
-		s.Register(core.SetupCPPEInterval(iv))
-	}
-	for _, bc := range []int{8, 128} {
-		s.Register(core.SetupCPPEBuffer(bc))
-	}
-	for _, fd := range []int{2, 8} {
-		s.Register(core.SetupCPPEFwd(fd))
-	}
-	return s
 }
 
 // Config returns the session configuration (with defaults applied).
 func (s *Session) Config() Config { return s.cfg }
-
-// Register adds (or replaces) a setup.
-func (s *Session) Register(su core.Setup) { s.setups[su.Name] = su }
-
-// Setup returns a registered or dynamically resolvable setup.
-func (s *Session) Setup(name string) (core.Setup, bool) {
-	su, err := s.ResolveSetup(name)
-	return su, err == nil
-}
-
-// ResolveSetup returns the setup for name. Registered names win; otherwise an
-// "evict+prefetch" pair of registry names ("mhpe+locality", "learned+tree",
-// ...) resolves dynamically, so every registered policy combination is
-// addressable from the front-ends without a bespoke Setup definition. An
-// unknown half returns policy.ErrUnknownPolicy; a name that is neither
-// registered nor a pair returns ErrUnknownKey. Both are typed, so callers
-// (and Result.Err consumers) can classify with errors.Is.
-func (s *Session) ResolveSetup(name string) (core.Setup, error) {
-	if su, ok := s.setups[name]; ok {
-		return su, nil
-	}
-	ev, pf, ok := strings.Cut(name, "+")
-	if !ok {
-		return core.Setup{}, fmt.Errorf("%w: setup %q", ErrUnknownKey, name)
-	}
-	if _, err := policy.Lookup(policy.KindEviction, ev); err != nil {
-		return core.Setup{}, fmt.Errorf("harness: setup %q: %w", name, err)
-	}
-	if _, err := policy.Lookup(policy.KindPrefetch, pf); err != nil {
-		return core.Setup{}, fmt.Errorf("harness: setup %q: %w", name, err)
-	}
-	return core.FromRegistry(name,
-		fmt.Sprintf("registry pair: %s eviction + %s prefetch", ev, pf), ev, pf), nil
-}
 
 // capacityFor derives the GPU memory capacity in pages for a footprint and
 // oversubscription percentage, chunk-aligned with a small floor.
@@ -330,7 +270,18 @@ type built struct {
 	pf        prefetch.Prefetcher
 	cfg       memdef.Config
 	footprint int
-	traceHash uint64
+	// trace is the run's memoized generated trace (nil for a recorded trace).
+	trace *workload.Generated
+}
+
+// traceHash is the fingerprint of the run's generated trace, or 0 for a
+// recorded trace. It is computed on first use: only checkpoint envelopes read
+// it.
+func (b *built) traceHash() uint64 {
+	if b.trace == nil {
+		return 0
+	}
+	return b.trace.Fingerprint()
 }
 
 // ErrTraceDrift reports that the session's memoized trace carries a
@@ -341,8 +292,8 @@ type built struct {
 var ErrTraceDrift = fmt.Errorf("%w: memoized trace fingerprint drift", ErrCheckpointMismatch)
 
 // generated returns the session's memoized trace for bench (generating it on
-// first use) — one generation and one fingerprint per workload per session,
-// shared zero-copy by every machine built for it.
+// first use) — one generation per workload per session, shared zero-copy by
+// every machine built for it.
 func (s *Session) generated(bench workload.Benchmark) *workload.Generated {
 	return s.traces.Get(bench, workload.Options{
 		Scale:           s.cfg.Scale,
@@ -370,18 +321,18 @@ func (s *Session) buildChecked(k Key, wantTraceHash uint64) (*built, error) {
 		return nil, err
 	}
 	generated := s.generated(bench)
-	if wantTraceHash != 0 && generated.Fingerprint != wantTraceHash {
+	if wantTraceHash != 0 && generated.Fingerprint() != wantTraceHash {
 		return nil, fmt.Errorf("%w: trace %#x, checkpoint envelope %#x for %v",
-			ErrTraceDrift, generated.Fingerprint, wantTraceHash, k)
+			ErrTraceDrift, generated.Fingerprint(), wantTraceHash, k)
 	}
 	seed := s.cfg.Seed ^ int64(len(k.Bench)) ^ 0x5eed
-	return s.assemble(setup, seed, k.OversubPct, generated.Warps, generated.FootprintPages, generated.Fingerprint)
+	return s.assemble(setup, seed, k.OversubPct, generated.Warps, generated.FootprintPages, generated)
 }
 
 // assemble instantiates the setup's policy (seeded with seed) and prefetcher
 // for a capacity of oversubPct of footprint, and binds them and the warps to
 // a machine from the session's free list (see machine).
-func (s *Session) assemble(setup core.Setup, seed int64, oversubPct int, warps [][]memdef.Access, footprint int, traceHash uint64) (*built, error) {
+func (s *Session) assemble(setup Setup, seed int64, oversubPct int, warps [][]memdef.Access, footprint int, trace *workload.Generated) (*built, error) {
 	cfg := s.cfg.Base
 	cfg.MemoryPages = capacityFor(footprint, oversubPct)
 	policy, err := setup.NewPolicy(cfg, seed)
@@ -404,7 +355,7 @@ func (s *Session) assemble(setup core.Setup, seed int64, oversubPct int, warps [
 		pf:        pf,
 		cfg:       cfg,
 		footprint: footprint,
-		traceHash: traceHash,
+		trace:     trace,
 	}, nil
 }
 
@@ -549,7 +500,7 @@ func (s *Session) RunTrace(tr *trace.Trace, setupName string, oversubPct int) (o
 	if err != nil {
 		return Result{Key: k, Crashed: true, Err: err}
 	}
-	b, err := s.assemble(setup, s.cfg.Seed, oversubPct, tr.Warps, tr.FootprintPages, 0)
+	b, err := s.assemble(setup, s.cfg.Seed, oversubPct, tr.Warps, tr.FootprintPages, nil)
 	if err != nil {
 		return Result{Key: k, Crashed: true, Err: err}
 	}

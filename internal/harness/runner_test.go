@@ -288,8 +288,35 @@ func TestExperimentSetupsRegistered(t *testing.T) {
 		"cppe-t3-16", "cppe-t3-40",
 	}
 	for _, n := range needed {
-		if _, ok := s.Setup(n); !ok {
-			t.Errorf("setup %q not registered", n)
+		if _, err := s.ResolveSetup(n); err != nil {
+			t.Errorf("setup %q: %v", n, err)
+		}
+	}
+}
+
+// TestSetupTablePairsRegistered: every named setup is a pair of registered
+// policy names whose factories build a fresh instance per run.
+func TestSetupTablePairsRegistered(t *testing.T) {
+	cfg := memdef.DefaultConfig()
+	seen := map[string]bool{}
+	for _, su := range setups {
+		if su.Name == "" || seen[su.Name] {
+			t.Fatalf("empty or duplicate setup name %q", su.Name)
+		}
+		seen[su.Name] = true
+		if _, err := policy.Lookup(policy.KindEviction, su.Eviction); err != nil {
+			t.Errorf("%s: %v", su.Name, err)
+		}
+		if _, err := policy.Lookup(policy.KindPrefetch, su.Prefetch); err != nil {
+			t.Errorf("%s: %v", su.Name, err)
+		}
+		p1, err1 := su.NewPolicy(cfg, 1)
+		p2, err2 := su.NewPolicy(cfg, 1)
+		if err1 != nil || err2 != nil || p1 == p2 {
+			t.Errorf("%s: policy factory: %v %v, shared instance %v", su.Name, err1, err2, p1 == p2)
+		}
+		if pf, err := su.NewPrefetcher(cfg); err != nil || pf == nil {
+			t.Errorf("%s: prefetcher factory: %v", su.Name, err)
 		}
 	}
 }

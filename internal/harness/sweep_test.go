@@ -172,10 +172,10 @@ func TestBuildCheckedRejectsForeignHash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unpinned build: %v", err)
 	}
-	if _, err := s.buildChecked(k, b.traceHash); err != nil {
+	if _, err := s.buildChecked(k, b.traceHash()); err != nil {
 		t.Fatalf("matching pin rejected: %v", err)
 	}
-	if _, err := s.buildChecked(k, b.traceHash^1); !errors.Is(err, ErrTraceDrift) {
+	if _, err := s.buildChecked(k, b.traceHash()^1); !errors.Is(err, ErrTraceDrift) {
 		t.Errorf("mismatched pin: err = %v, want ErrTraceDrift", err)
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"github.com/reproductions/cppe/internal/audit"
-	"github.com/reproductions/cppe/internal/core"
 	"github.com/reproductions/cppe/internal/inject"
 	"github.com/reproductions/cppe/internal/memdef"
+	"github.com/reproductions/cppe/internal/policy"
 	"github.com/reproductions/cppe/internal/sm"
 	"github.com/reproductions/cppe/internal/uvm"
 	"github.com/reproductions/cppe/internal/workload"
@@ -32,11 +32,11 @@ func buildMachine(t *testing.T, chaosSeed int64, auditEvery memdef.Cycle) *sm.Ma
 	cfg.MemoryPages = capacity
 	cfg.ChaosSeed = chaosSeed
 	cfg.AuditEveryCycles = auditEvery
-	pol, err := core.SetupCPPE.NewPolicy(cfg, 1)
+	pol, err := policy.NewEviction("mhpe", policy.Env{Config: cfg, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := core.SetupCPPE.NewPrefetcher(cfg)
+	pf, err := policy.NewPrefetch("pattern-s2", policy.Env{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

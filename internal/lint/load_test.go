@@ -56,12 +56,12 @@ func TestSimCoreScopeIsComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Packages outside the determinism contract, each for a stated reason:
-	// core (policy wiring, no simulated time), lint (this tool), memdef (pure
+	// lint (this tool), memdef (pure
 	// configuration/geometry), policytest (runtime conformance kit: drives
 	// simulations from tests), serve (network service layer around the
 	// harness), trace (pure trace I/O).
 	exempt := map[string]bool{
-		"core": true, "lint": true, "memdef": true,
+		"lint": true, "memdef": true,
 		"policytest": true, "serve": true, "trace": true,
 	}
 	inCore := make(map[string]bool)

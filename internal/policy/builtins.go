@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/prefetch"
 )
@@ -35,13 +37,10 @@ func init() {
 		{
 			Name: "mhpe", Version: APIVersion, Kind: KindEviction,
 			Description: "modified HPE, the paper's eviction half (Algorithm 1)",
-			NewEviction: func(env Env) (evict.Policy, error) {
-				return evict.NewMHPE(evict.MHPEOptions{
-					T1: env.Config.T1, T2: env.Config.T2, T3: env.Config.T3,
-					IntervalPages: env.Config.IntervalPages,
-				}), nil
-			},
+			NewEviction: mhpeWith(func(*evict.MHPEOptions) {}),
 		},
+		mhpeVariant("mhpe-probe", "MHPE frozen at MRU: the Table III/IV measurement mode",
+			func(o *evict.MHPEOptions) { o.DisableSwitch = true }),
 		{
 			Name: "lru-10%", Version: APIVersion, Kind: KindEviction,
 			Description: "reserved LRU, top 10% of the chain protected (Fig. 3/9)",
@@ -57,6 +56,26 @@ func init() {
 			Description: "seeded deterministic perceptron ranking evict candidates over pattern-window features",
 			NewEviction: func(env Env) (evict.Policy, error) { return NewLearned(env.Seed), nil },
 		},
+	}
+	for t3 := 16; t3 <= 40; t3 += 4 {
+		evictions = append(evictions, mhpeVariant(fmt.Sprintf("mhpe-t3-%d", t3),
+			fmt.Sprintf("MHPE with forward-distance limit T3=%d (Section VI-A sweep)", t3),
+			func(o *evict.MHPEOptions) { o.T3 = t3 }))
+	}
+	for _, pages := range []int{32, 128} {
+		evictions = append(evictions, mhpeVariant(fmt.Sprintf("mhpe-int-%d", pages),
+			fmt.Sprintf("MHPE with a %d-page interval (design ablation; paper: 64)", pages),
+			func(o *evict.MHPEOptions) { o.IntervalPages = pages }))
+	}
+	for _, capacity := range []int{8, 128} {
+		evictions = append(evictions, mhpeVariant(fmt.Sprintf("mhpe-buf-%d", capacity),
+			fmt.Sprintf("MHPE with a fixed %d-entry wrong-eviction buffer (design ablation)", capacity),
+			func(o *evict.MHPEOptions) { o.FixedBufferCap = capacity }))
+	}
+	for _, fwd := range []int{2, 8} {
+		evictions = append(evictions, mhpeVariant(fmt.Sprintf("mhpe-fwd-%d", fwd),
+			fmt.Sprintf("MHPE with initial forward distance %d (design ablation)", fwd),
+			func(o *evict.MHPEOptions) { o.InitialForwardDistance = fwd }))
 	}
 	prefetchers := []Registration{
 		{
@@ -99,5 +118,28 @@ func init() {
 	}
 	for _, reg := range prefetchers {
 		MustRegister(reg)
+	}
+}
+
+// mhpeWith returns a factory for MHPE with the configuration's Algorithm-1
+// parameters (T1, T2, T3, interval length), then override applied.
+func mhpeWith(override func(*evict.MHPEOptions)) EvictionFactory {
+	return func(env Env) (evict.Policy, error) {
+		o := evict.MHPEOptions{
+			T1: env.Config.T1, T2: env.Config.T2, T3: env.Config.T3,
+			IntervalPages: env.Config.IntervalPages,
+		}
+		override(&o)
+		return evict.NewMHPE(o), nil
+	}
+}
+
+// mhpeVariant registers MHPE with one option overridden: the fixed
+// parameter points the evaluation's sweeps and ablations name.
+func mhpeVariant(name, description string, override func(*evict.MHPEOptions)) Registration {
+	return Registration{
+		Name: name, Version: APIVersion, Kind: KindEviction,
+		Description: description,
+		NewEviction: mhpeWith(override),
 	}
 }

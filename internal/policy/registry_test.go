@@ -107,7 +107,9 @@ func TestLookupUnknown(t *testing.T) {
 // TestBuiltinsRegistered pins the built-in policy names: every policy the
 // evaluation uses must be addressable through the registry.
 func TestBuiltinsRegistered(t *testing.T) {
-	wantEv := []string{"hpe", "learned", "lru", "lru-10%", "lru-20%", "mhpe", "random", "true-lru"}
+	wantEv := []string{"hpe", "learned", "lru", "lru-10%", "lru-20%", "mhpe", "random", "true-lru",
+		"mhpe-probe", "mhpe-t3-16", "mhpe-t3-20", "mhpe-t3-24", "mhpe-t3-28", "mhpe-t3-32", "mhpe-t3-36", "mhpe-t3-40",
+		"mhpe-int-32", "mhpe-int-128", "mhpe-buf-8", "mhpe-buf-128", "mhpe-fwd-2", "mhpe-fwd-8"}
 	wantPf := []string{"disable-on-full", "locality", "none", "pattern-s1", "pattern-s2", "tree"}
 	gotEv := EvictionNames()
 	gotPf := PrefetchNames()
@@ -123,6 +125,42 @@ func TestBuiltinsRegistered(t *testing.T) {
 		if _, err := Lookup(KindPrefetch, name); err != nil {
 			t.Errorf("builtin prefetcher %q: %v", name, err)
 		}
+	}
+}
+
+// TestMHPEVariantOverrides drives the MHPE variants whose override shows in
+// an accessor: the probe never leaves MRU, and the fixed buffer and initial
+// forward distance replace their chain-length-scaled rules. The harness's
+// registry-equivalence test pins every variant against a direct build.
+func TestMHPEVariantOverrides(t *testing.T) {
+	build := func(name string, chunks int) *evict.MHPE {
+		t.Helper()
+		p, err := NewEviction(name, Env{Config: memdef.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := p.(*evict.MHPE)
+		for i := 0; i < chunks; i++ {
+			m.OnMigrate(memdef.ChunkID(i), memdef.FullBitmap)
+		}
+		m.SelectVictim(func(memdef.ChunkID) bool { return false })
+		return m
+	}
+	if got := build("mhpe-buf-128", 64).Stats().BufferCap; got != 128 {
+		t.Errorf("mhpe-buf-128: buffer cap = %d, want 128 (scaled rule: 8)", got)
+	}
+	if got := build("mhpe-fwd-8", 300).ForwardDistance(); got != 8 {
+		t.Errorf("mhpe-fwd-8: forward distance = %d, want 8 (chainLen/100 rule: 3)", got)
+	}
+	probe := build("mhpe-probe", 12)
+	for i := 0; i < 4; i++ {
+		probe.OnEvicted(memdef.ChunkID(100+i), 15)
+	}
+	for i := 0; i < 4; i++ {
+		probe.OnMigrate(memdef.ChunkID(200+i), memdef.FullBitmap)
+	}
+	if probe.Strategy() != evict.StrategyMRU {
+		t.Error("mhpe-probe switched to LRU")
 	}
 }
 

@@ -3,15 +3,41 @@ package sm
 import (
 	"testing"
 
-	"github.com/reproductions/cppe/internal/core"
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/memdef"
+	"github.com/reproductions/cppe/internal/policy"
 	"github.com/reproductions/cppe/internal/prefetch"
 	"github.com/reproductions/cppe/internal/workload"
 )
 
+// setup names an evaluation setup's registry eviction policy and prefetcher.
+type setup struct{ Name, evict, prefetch string }
+
+var (
+	baseline      = setup{"baseline", "lru", "locality"}
+	cppe          = setup{"cppe", "mhpe", "pattern-s2"}
+	disableOnFull = setup{"disable-on-full", "lru", "disable-on-full"}
+	learned       = setup{"learned", "learned", "pattern-s2"}
+	tree          = setup{"tree", "lru", "tree"}
+)
+
+// build constructs the setup's policy (seeded with seed) and prefetcher for
+// a machine with cfg.
+func (su setup) build(t *testing.T, cfg memdef.Config, seed int64) (evict.Policy, prefetch.Prefetcher) {
+	t.Helper()
+	pol, err := policy.NewEviction(su.evict, policy.Env{Config: cfg, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := policy.NewPrefetch(su.prefetch, policy.Env{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol, pf
+}
+
 // buildFor assembles a machine for one benchmark/setup/rate.
-func buildFor(t *testing.T, abbr string, setup core.Setup, pct int) (*Machine, workload.Trace) {
+func buildFor(t *testing.T, abbr string, su setup, pct int) (*Machine, workload.Trace) {
 	t.Helper()
 	b, ok := workload.ByAbbr(abbr)
 	if !ok {
@@ -24,14 +50,7 @@ func buildFor(t *testing.T, abbr string, setup core.Setup, pct int) (*Machine, w
 		cap -= cap % memdef.ChunkPages
 		cfg.MemoryPages = cap
 	}
-	pol, err := setup.NewPolicy(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := setup.NewPrefetcher(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pol, pf := su.build(t, cfg, 7)
 	m := NewMachine(cfg, pol, pf, tr.Warps)
 	m.SetFootprint(tr.FootprintPages)
 	return m, tr
@@ -41,7 +60,7 @@ func buildFor(t *testing.T, abbr string, setup core.Setup, pct int) (*Machine, w
 // every pattern archetype and the main setups.
 func TestConservationInvariants(t *testing.T) {
 	benches := []string{"2DC", "KMN", "NW", "SRD", "HIS", "B+T"} // one per type
-	setups := []core.Setup{core.SetupBaseline, core.SetupCPPE, core.SetupDisableOnFull}
+	setups := []setup{baseline, cppe, disableOnFull}
 	for _, abbr := range benches {
 		for _, su := range setups {
 			m, tr := buildFor(t, abbr, su, 50)
@@ -94,7 +113,7 @@ func TestConservationInvariants(t *testing.T) {
 // pages and nothing is ever evicted.
 func TestUnlimitedMemoryMatchesFootprint(t *testing.T) {
 	for _, abbr := range []string{"HOT", "MVT", "B+T"} {
-		m, _ := buildFor(t, abbr, core.SetupBaseline, 0)
+		m, _ := buildFor(t, abbr, baseline, 0)
 		res := m.Run(0)
 		s := m.MMU.Stats()
 		if s.EvictedPages != 0 {
@@ -115,7 +134,7 @@ func TestOversubscriptionMonotonicity(t *testing.T) {
 	var prevCycles memdef.Cycle
 	var prevFaults uint64
 	for i, pct := range []int{0, 75, 50} {
-		m, _ := buildFor(t, "SRD", core.SetupBaseline, pct)
+		m, _ := buildFor(t, "SRD", baseline, pct)
 		res := m.Run(0)
 		s := m.MMU.Stats()
 		if i > 0 {
@@ -202,16 +221,13 @@ func TestPatternPrefetchEndToEndFig6(t *testing.T) {
 	// Phase 3: off-pattern page of chunk 0.
 	tr = append(tr, memdef.Access{Addr: memdef.ChunkID(0).Page(1).Addr()})
 
-	inst, err := core.New(cfg, core.Options{Scheme: prefetch.Scheme2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachine(cfg, inst.Policy, inst.Prefetcher, [][]memdef.Access{tr})
+	pol, pf := cppe.build(t, cfg, 0)
+	m := NewMachine(cfg, pol, pf, [][]memdef.Access{tr})
 	res := m.Run(0)
 	if res.Crashed {
 		t.Fatal("crashed")
 	}
-	ps := inst.Prefetcher.Stats()
+	ps := pf.(*prefetch.Pattern).Stats()
 	if ps.Recorded == 0 {
 		t.Fatal("pattern never recorded")
 	}
@@ -232,14 +248,14 @@ func TestPatternPrefetchEndToEndFig6(t *testing.T) {
 // machine owns a private engine.
 func TestDeterminismAcrossParallelRuns(t *testing.T) {
 	run := func() memdef.Cycle {
-		m, _ := buildFor(t, "HIS", core.SetupCPPE, 50)
+		m, _ := buildFor(t, "HIS", cppe, 50)
 		return m.Run(0).Cycles
 	}
 	a := run()
 	done := make(chan memdef.Cycle, 4)
 	for i := 0; i < 4; i++ {
 		go func() {
-			m, _ := buildFor(t, "HIS", core.SetupCPPE, 50)
+			m, _ := buildFor(t, "HIS", cppe, 50)
 			done <- m.Run(0).Cycles
 		}()
 	}

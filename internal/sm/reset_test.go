@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/reproductions/cppe/internal/cache"
-	"github.com/reproductions/cppe/internal/core"
 	"github.com/reproductions/cppe/internal/dram"
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/memdef"
@@ -23,7 +22,7 @@ import (
 // scale 0.05 under a setup, at pct% of its footprint (0 = unlimited).
 type resetKey struct {
 	bench string
-	setup core.Setup
+	setup setup
 	pct   int
 }
 
@@ -35,11 +34,11 @@ func resetKeys() []resetKey {
 	var keys []resetKey
 	for _, pct := range []int{50, 75, 0} {
 		keys = append(keys,
-			resetKey{"SRD", core.SetupCPPE, pct},
-			resetKey{"HIS", core.SetupLearned, pct},
-			resetKey{"STN", core.SetupDisableOnFull, pct},
-			resetKey{"BFS", core.SetupTree, pct},
-			resetKey{"NW", core.SetupBaseline, pct},
+			resetKey{"SRD", cppe, pct},
+			resetKey{"HIS", learned, pct},
+			resetKey{"STN", disableOnFull, pct},
+			resetKey{"BFS", tree, pct},
+			resetKey{"NW", baseline, pct},
 		)
 	}
 	return keys
@@ -65,14 +64,7 @@ func (k resetKey) parts(t *testing.T, base memdef.Config) (memdef.Config, evict.
 		pages := tr.FootprintPages * k.pct / 100
 		cfg.MemoryPages = max(pages-pages%memdef.ChunkPages, 8*memdef.ChunkPages)
 	}
-	pol, err := k.setup.NewPolicy(cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := k.setup.NewPrefetcher(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pol, pf := k.setup.build(t, cfg, 7)
 	return cfg, pol, pf, tr.Warps, tr.FootprintPages
 }
 

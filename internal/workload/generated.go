@@ -10,13 +10,19 @@ import (
 // fans a single Generated out to every machine instance of the same workload:
 // the warp slices are shared zero-copy, so the consumers' contract is strictly
 // read-only (package sm only ever reads trace entries). The fingerprint is
-// computed exactly once, at generation time, and reused everywhere the trace's
-// identity matters — most importantly the checkpoint envelope, which
-// previously re-hashed the full trace on every build.
+// computed at most once, on first use: only checkpoint envelopes, job IDs and
+// the resume drift check read the trace's identity, so a plain run never
+// hashes its trace.
 type Generated struct {
 	Trace
-	// Fingerprint is Fingerprint(Trace.Warps), computed at generation time.
-	Fingerprint uint64
+	fpOnce sync.Once
+	fp     uint64
+}
+
+// Fingerprint returns Fingerprint(g.Warps), computing it on first use.
+func (g *Generated) Fingerprint() uint64 {
+	g.fpOnce.Do(func() { g.fp = Fingerprint(g.Warps) })
+	return g.fp
 }
 
 // GenKey identifies one deterministic generation: the benchmark plus every
@@ -63,8 +69,8 @@ func (b Benchmark) Key(opt Options) GenKey {
 	}
 }
 
-// Get returns the memoized generation of b under opt, generating (and
-// fingerprinting) it on first use.
+// Get returns the memoized generation of b under opt, generating it on first
+// use.
 func (c *Cache) Get(b Benchmark, opt Options) *Generated {
 	k := b.Key(opt)
 	c.mu.Lock()
@@ -75,8 +81,7 @@ func (c *Cache) Get(b Benchmark, opt Options) *Generated {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		tr := b.Generate(opt)
-		e.g = &Generated{Trace: tr, Fingerprint: Fingerprint(tr.Warps)}
+		e.g = &Generated{Trace: b.Generate(opt)}
 	})
 	return e.g
 }
@@ -92,10 +97,11 @@ func (c *Cache) Len() int {
 // the entry to disagree with any honestly computed trace hash. Test hook for
 // the harness's trace-drift detection; the trace itself is left intact.
 func (c *Cache) Poison(b Benchmark, opt Options, fp uint64) {
-	g := c.Get(b, opt)
+	poisoned := &Generated{Trace: c.Get(b, opt).Trace}
+	poisoned.fpOnce.Do(func() { poisoned.fp = fp })
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[b.Key(opt)].g = &Generated{Trace: g.Trace, Fingerprint: fp}
+	c.m[b.Key(opt)].g = poisoned
 }
 
 // Fingerprint hashes warp traces (FNV-1a over addresses, kinds, and warp

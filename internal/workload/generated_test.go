@@ -46,15 +46,15 @@ func TestCacheFingerprintMatchesDirectHash(t *testing.T) {
 	b, _ := ByAbbr("SRD")
 	opt := Options{Scale: 0.05, Warps: 8}
 	g := c.Get(b, opt)
-	if g.Fingerprint == 0 {
+	if g.Fingerprint() == 0 {
 		t.Fatal("zero fingerprint")
 	}
-	if got := Fingerprint(g.Warps); got != g.Fingerprint {
-		t.Errorf("memoized fingerprint %#x != direct hash %#x", g.Fingerprint, got)
+	if got := Fingerprint(g.Warps); got != g.Fingerprint() {
+		t.Errorf("memoized fingerprint %#x != direct hash %#x", g.Fingerprint(), got)
 	}
 	// Equal keys in a fresh cache regenerate the identical trace.
-	if g2 := NewCache().Get(b, opt); g2.Fingerprint != g.Fingerprint {
-		t.Errorf("regeneration drifted: %#x vs %#x", g2.Fingerprint, g.Fingerprint)
+	if g2 := NewCache().Get(b, opt); g2.Fingerprint() != g.Fingerprint() {
+		t.Errorf("regeneration drifted: %#x vs %#x", g2.Fingerprint(), g.Fingerprint())
 	}
 }
 
@@ -91,8 +91,8 @@ func TestCachePoisonReplacesFingerprintOnly(t *testing.T) {
 
 	c.Poison(b, opt, 0xDEAD)
 	g := c.Get(b, opt)
-	if g.Fingerprint != 0xDEAD {
-		t.Errorf("fingerprint = %#x, want the poison value", g.Fingerprint)
+	if g.Fingerprint() != 0xDEAD {
+		t.Errorf("fingerprint = %#x, want the poison value", g.Fingerprint())
 	}
 	if &g.Warps[0] != &orig.Warps[0] {
 		t.Error("poison replaced the trace, not just the fingerprint")

@@ -31,7 +31,7 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c := NewCache()
-			if g := c.Get(bench, opt); g.Fingerprint == 0 {
+			if g := c.Get(bench, opt); g.Fingerprint() == 0 {
 				b.Fatal("degenerate fingerprint")
 			}
 		}
