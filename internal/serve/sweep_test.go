@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -532,5 +535,51 @@ func TestHubDropAndCoalesce(t *testing.T) {
 	h.publish(Event{Type: evSweepDone})
 	if got := slow.dropped.Load(); got != 0 {
 		t.Errorf("unsubscribed mailbox still counted %d drops", got)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the sweep wire golden files")
+
+// TestSweepWireGolden pins the status and result documents of a finished
+// two-point sweep byte for byte: one point cached with its result bytes, one
+// failed with its attempts and error. Every per-point wire field appears.
+// Run with -update to rewrite the golden files.
+func TestSweepWireGolden(t *testing.T) {
+	stub := newStubRunner()
+	stub.failures["SRD-cppe-75"] = 100 // beyond any budget
+	srv, err := New(testConfig(t.TempDir(), stub))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown(0)
+
+	code, sr := postSweep(t, srv.Handler(), `{"benchmarks":["SRD"],"setups":["cppe"],"oversubscriptions":[50,75]}`)
+	if code != http.StatusAccepted || sr.Points != 2 {
+		t.Fatalf("POST sweep: %d %+v", code, sr)
+	}
+	waitSweepDone(t, srv.Handler(), sr.ID)
+	for _, tc := range []struct{ path, golden string }{
+		{"/v1/sweeps/" + sr.ID, "sweep_status.golden.json"},
+		{"/v1/sweeps/" + sr.ID + "/result", "sweep_result.golden.json"},
+	} {
+		code, got := get(t, srv.Handler(), tc.path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", tc.path, code, got)
+		}
+		path := filepath.Join("testdata", tc.golden)
+		if *updateGolden {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("GET %s differs from %s:\n got: %s\nwant: %s", tc.path, path, got, want)
+		}
 	}
 }
