@@ -7,14 +7,16 @@
 // Robustness is the design center:
 //
 //   - durability: every job-state transition is an atomic write into a
-//     journal under the state directory, replayed on startup — a kill -9
-//     loses no accepted job, and a job killed mid-run resumes from its
-//     periodic checkpoint (harness.RunResumable);
+//     journal under the state directory, replayed on startup. A job is
+//     journaled queued before its POST is answered, so a kill -9 loses no
+//     answered job, and a job killed mid-run resumes from its periodic
+//     checkpoint (harness.RunResumable);
 //   - dedup: job identity IS the content fingerprint, so identical in-flight
 //     requests collapse onto one job, and a single-flight guard around the
 //     executor keeps even pathological duplicates down to one simulation;
 //   - backpressure: a bounded admission queue turns overload into HTTP 429 +
-//     Retry-After instead of unbounded memory growth;
+//     Retry-After instead of unbounded memory growth. POSTed jobs and sweep
+//     points enter it through one admission path (Server.admitLocked);
 //   - bounded retry: runs that die with a retryable error (recovered panic,
 //     watchdog livelock) back off exponentially and resume from their last
 //     checkpoint, with a capped attempt budget and a terminal failed state
@@ -33,21 +35,21 @@ import (
 
 // State is one phase of the job lifecycle:
 //
-//	accepted -> queued -> running -> cached
-//	                        |  ^        (terminal, result on disk)
-//	                        v  |
-//	                      retrying -> failed (terminal, error attached)
+//	queued -> running -> cached
+//	           |  ^        (terminal, result on disk)
+//	           v  |
+//	         retrying -> failed (terminal, error attached)
 //
-// A graceful shutdown moves running jobs back to queued (checkpointed and
-// requeued); the journal is written at every transition, so the state
-// machine survives kill -9 at any point.
+// A job is born queued: admission journals it in that state before pushing
+// it to the run queue, and before its POST is answered. A graceful shutdown
+// moves running jobs back to queued (checkpointed and requeued); the journal
+// is written at every transition, so the state machine survives kill -9 at
+// any point.
 type State string
 
 const (
-	// StateAccepted: the job is journaled and owned by the service, but not
-	// yet in the run queue. The first durability point.
-	StateAccepted State = "accepted"
-	// StateQueued: waiting for a worker (or requeued by a drain/restart).
+	// StateQueued: journaled and waiting for a worker (or requeued by a
+	// drain/restart). The first durability point.
 	StateQueued State = "queued"
 	// StateRunning: a worker is advancing the simulation, checkpointing
 	// periodically.
@@ -105,9 +107,9 @@ type Job struct {
 	journalMu sync.Mutex
 }
 
-// NewJob returns an accepted job.
+// NewJob returns a queued job.
 func NewJob(id string, req Request) *Job {
-	return &Job{ID: id, Req: req, state: StateAccepted, done: make(chan struct{})}
+	return &Job{ID: id, Req: req, state: StateQueued, done: make(chan struct{})}
 }
 
 // State returns the job's current lifecycle state.
@@ -176,19 +178,19 @@ func (j *Job) finish(s State, errMsg string, persist func(*Job)) {
 	}
 }
 
-// rearm resets a terminal failed job for re-submission: state accepted,
-// attempt budget restored, a fresh done channel for the new waiters.
+// rearm resets a terminal job for re-submission: state queued, attempt
+// budget restored, a fresh done channel for the new waiters.
 func (j *Job) rearm() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = StateAccepted
+	j.state = StateQueued
 	j.attempts = 0
 	j.errMsg = ""
 	j.done = make(chan struct{})
 }
 
 // restore rolls the job back to a previously snapshotted record — the undo
-// for a speculative rearm that then lost the queue-capacity race. The done
+// for a rearm whose journal write or queue push then failed. The done
 // channel is re-closed when the restored state is terminal, so waiters from
 // before the rearm and after it both see the job finished.
 func (j *Job) restore(rec Record) {

@@ -15,8 +15,8 @@ import (
 )
 
 // slowQueuedJournalFS delays every journal write of a "queued" record before
-// it reaches the disk, so a submit handler's queued record is still in flight
-// while the worker runs the job to completion and journals it cached.
+// it reaches the disk, widening the window in which a late queued write could
+// land after the job's cached record.
 type slowQueuedJournalFS struct {
 	fsfault.FS
 	delay time.Duration
@@ -69,12 +69,12 @@ func (l *logRecorder) matching(substr string) []string {
 	return out
 }
 
-// TestJournalLateQueuedWriteCannotOverwriteCached: the submit handler
-// journals a new job as queued after pushing it to the run queue, so a fast
-// worker can run the job and journal it cached while that write is still in
-// flight. Journal writes are serialized per job and read the record under
-// that lock, so the late writer records the newest state: no journal write
-// fails, and a restart finds the job cached instead of queueing it again.
+// TestJournalLateQueuedWriteCannotOverwriteCached: a slow journal write of a
+// job's queued record must never land after the worker's cached one. The
+// queued record is written before the job is pushed to the run queue, and
+// journal writes are serialized per job and read the record under that lock,
+// so the last write carries the newest state: no journal write fails, and a
+// restart finds the job cached instead of queueing it again.
 func TestJournalLateQueuedWriteCannotOverwriteCached(t *testing.T) {
 	dir := t.TempDir()
 	stub := newStubRunner()

@@ -387,7 +387,9 @@ func TestDrainShutdown(t *testing.T) {
 // TestJournalReplayAfterCrash simulates a kill -9 by handing a fresh server a
 // journal written by a previous life that died mid-flight in every possible
 // state: running, queued, retrying, and cached-with-lost-result all rerun to
-// completion; terminal records are preserved as-is.
+// completion; terminal records are preserved as-is. An "accepted" record, a
+// state older servers journaled before queueing a POSTed job, replays as
+// queued and runs too.
 func TestJournalReplayAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -401,6 +403,7 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 		{ID: "was-retrying", Request: req, State: StateRetrying, Attempts: 2},
 		{ID: "lost-result", Request: req, State: StateCached}, // no result bytes on disk
 		{ID: "was-failed", Request: req, State: StateFailed, Error: "boom"},
+		{ID: "was-accepted", Request: req, State: "accepted"},
 	} {
 		if err := st.PutJob(rec); err != nil {
 			t.Fatal(err)
@@ -421,13 +424,16 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := srv.Counters().Snapshot(); c.Replayed != 6 {
-		t.Errorf("replayed = %d, want 6", c.Replayed)
+	if c := srv.Counters().Snapshot(); c.Replayed != 7 {
+		t.Errorf("replayed = %d, want 7", c.Replayed)
+	}
+	if j := srv.Job("was-accepted"); j.State() != StateQueued {
+		t.Errorf("legacy accepted record replayed as %s, want queued", j.State())
 	}
 	srv.Start()
 	defer srv.Shutdown(0)
 
-	for _, id := range []string{"was-running", "was-queued", "was-retrying", "lost-result"} {
+	for _, id := range []string{"was-running", "was-queued", "was-retrying", "lost-result", "was-accepted"} {
 		if j := waitDone(t, srv, id); j.State() != StateCached {
 			t.Errorf("replayed %s = %s (err=%q), want cached", id, j.State(), j.Err())
 		}
@@ -441,8 +447,8 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	if j := srv.Job("done-before"); j.State() != StateCached {
 		t.Errorf("terminal cached record not preserved: %s", j.State())
 	}
-	if got := stub.runs.Load(); got != 4 {
-		t.Errorf("underlying runs = %d, want 4 (terminal records must not rerun)", got)
+	if got := stub.runs.Load(); got != 5 {
+		t.Errorf("underlying runs = %d, want 5 (terminal records must not rerun)", got)
 	}
 }
 
@@ -459,8 +465,8 @@ func TestStatusAndStatsz(t *testing.T) {
 	if code, _ := get(t, srv.Handler(), "/v1/jobs/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown job status: %d, want 404", code)
 	}
-	if code, _ := get(t, srv.Handler(), "/v1/jobs/nope/result"); code != http.StatusNotFound {
-		t.Errorf("unknown job result: %d, want 404", code)
+	if code, body := get(t, srv.Handler(), "/v1/jobs/nope/result"); code != http.StatusNotFound || !strings.Contains(string(body), "unknown job") {
+		t.Errorf("unknown job result: %d %s, want 404 unknown job", code, body)
 	}
 	code, _, _ := post(t, srv.Handler(), `{"benchmark":"","setup":"x","oversubscription":50}`)
 	if code != http.StatusBadRequest {

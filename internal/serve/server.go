@@ -212,6 +212,8 @@ func New(cfg Config) (*Server, error) {
 			rec.Error = ""
 			fallthrough
 		case !rec.State.Terminal():
+			// Unfinished, including "accepted", which older servers journaled
+			// before queueing a POSTed job: requeue it.
 			rec.State = StateQueued
 			j := jobFromRecord(rec)
 			if err := j.journal(store.PutJob); err != nil {
@@ -485,6 +487,75 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(enc, '\n'))
 }
 
+// Admission refusals. errUnavailable sheds new work while the server drains
+// or is degraded; errQueueFull is the admission bound. A sweep point refused
+// either way stays pending and its window retries on the next transition.
+var (
+	errUnavailable = errors.New("serve: draining or degraded")
+	errQueueFull   = errors.New("serve: admission queue full")
+)
+
+// admitLocked is the one way a job enters the run queue, for a POSTed job and
+// a sweep point alike (s.mu held). A job with durable result bytes is a cache
+// hit, registered from the result file alone when no job is; an in-flight job
+// is joined. Otherwise, unless the server refuses new work, the job is
+// created or re-armed as queued, journaled once, and pushed; a push that
+// finds the queue full rolls everything back, including a re-armed job's
+// previous record. The answer is the POST body a submitter sees.
+func (s *Server) admitLocked(id string, req Request) (SubmitResponse, error) {
+	j := s.jobs[id]
+	var prev Record
+	if j != nil {
+		prev = j.Record()
+		switch {
+		case prev.State == StateCached && s.store.HasResult(id):
+			return SubmitResponse{ID: id, State: StateCached, Cached: true}, nil
+		case !prev.State.Terminal():
+			return SubmitResponse{ID: id, State: prev.State, Deduped: true}, nil
+		}
+	} else if s.store.HasResult(id) {
+		// Completed in a previous process life; startup compaction dropped
+		// the journal record, so the result file alone carries the job.
+		j = NewJob(id, req)
+		j.finish(StateCached, "", nil)
+		s.jobs[id] = j
+		return SubmitResponse{ID: id, State: StateCached, Cached: true}, nil
+	}
+	if s.isDraining() || s.degradedMode() {
+		return SubmitResponse{}, errUnavailable
+	}
+
+	fresh := j == nil
+	if fresh {
+		j = NewJob(id, req)
+	} else {
+		// Failed, or cached with its result bytes since evicted by GC.
+		j.rearm()
+	}
+	// Durability point: the job is journaled queued before a worker can see
+	// it and before its POST is answered.
+	if err := j.journal(s.store.PutJob); err != nil {
+		if !fresh {
+			j.restore(prev)
+		}
+		if s.degradeOnDiskPressure(err) {
+			return SubmitResponse{}, errUnavailable
+		}
+		return SubmitResponse{}, err
+	}
+	if !s.queue.TryPush(j) {
+		if fresh {
+			s.store.DeleteJob(id)
+		} else {
+			j.restore(prev)
+			s.persist(j)
+		}
+		return SubmitResponse{}, errQueueFull
+	}
+	s.jobs[id] = j
+	return SubmitResponse{ID: id, State: StateQueued}, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -498,88 +569,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	j := s.jobs[id]
-	if j != nil {
-		switch st := j.State(); {
-		case st == StateCached && s.store.HasResult(id):
-			s.mu.Unlock()
-			s.counters.CacheHits.Add(1)
-			writeJSON(w, http.StatusOK, SubmitResponse{ID: id, State: StateCached, Cached: true})
-			return
-		case st.Terminal():
-			// Failed, or cached with its result bytes since evicted by GC:
-			// re-arm with a fresh attempt budget and go back through
-			// admission control below like a new job.
-		default:
-			s.mu.Unlock()
-			s.counters.Deduped.Add(1)
-			writeJSON(w, http.StatusAccepted, SubmitResponse{ID: id, State: st, Deduped: true})
-			return
-		}
-	} else if s.store.HasResult(id) {
-		// Completed in a previous process life; startup compaction dropped
-		// the journal record, so the result file alone carries the job.
-		j = NewJob(id, req)
-		j.finish(StateCached, "", nil)
-		s.jobs[id] = j
-		s.mu.Unlock()
-		s.counters.CacheHits.Add(1)
-		writeJSON(w, http.StatusOK, SubmitResponse{ID: id, State: StateCached, Cached: true})
-		return
-	}
-
-	if s.isDraining() || s.degradedMode() {
-		s.mu.Unlock()
+	resp, err := s.admitLocked(id, req)
+	s.mu.Unlock()
+	switch {
+	case errors.Is(err, errUnavailable):
 		s.counters.Rejected.Add(1)
 		s.writeUnavailable(w, s.unavailableReason())
-		return
-	}
-
-	fresh := j == nil
-	if fresh {
-		j = NewJob(id, req)
-	} else {
-		j.rearm()
-	}
-	// Durability point: the job is journaled as accepted before we answer.
-	if err := j.journal(s.store.PutJob); err != nil {
-		if fresh {
-			delete(s.jobs, id)
-		}
-		s.mu.Unlock()
-		if s.degradeOnDiskPressure(err) {
-			s.counters.Rejected.Add(1)
-			s.writeUnavailable(w, s.unavailableReason())
-			return
-		}
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	s.jobs[id] = j
-
-	if !s.queue.TryPush(j) {
-		// Admission control: roll the accept back and shed with 429 so the
-		// client backs off instead of the server queueing without bound.
-		if fresh {
-			delete(s.jobs, id)
-			s.store.DeleteJob(id)
-		} else {
-			j.finish(StateFailed, "requeue rejected: admission queue full",
-				func(j *Job) { j.journal(s.store.PutJob) })
-			s.advanceAllLocked() // a watched point just went terminal
-		}
-		s.mu.Unlock()
+	case errors.Is(err, errQueueFull):
+		// Admission control: shed with 429 so the client backs off instead
+		// of the server queueing without bound.
 		s.counters.Rejected.Add(1)
 		s.retryAfterHeader(w)
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "admission queue full"})
-		return
+	case err != nil:
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+	case resp.Cached:
+		s.counters.CacheHits.Add(1)
+		writeJSON(w, http.StatusOK, resp)
+	case resp.Deduped:
+		s.counters.Deduped.Add(1)
+		writeJSON(w, http.StatusAccepted, resp)
+	default:
+		s.counters.Accepted.Add(1)
+		writeJSON(w, http.StatusAccepted, resp)
 	}
-	j.setState(StateQueued)
-	s.mu.Unlock()
-
-	s.persist(j)
-	s.counters.Accepted.Add(1)
-	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: id, State: StateQueued})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -602,40 +615,32 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	writeBytes := func(data []byte) {
-		// The stored bytes ARE the response: canonical ResultJSON, identical
-		// to `cppe-sim -json` for the same configuration.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
-	}
 	j := s.Job(id)
-	if j == nil {
-		// Compacted in a previous life (or never ours): the result file is
-		// the only trace, served pinned so GC cannot race the read.
-		s.store.Pin(id)
-		data, err := s.store.Result(id)
-		s.store.Unpin(id)
-		if err != nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
-			return
-		}
-		writeBytes(data)
-		return
+	st := StateCached // no job registered: compacted in a previous life, or never ours
+	if j != nil {
+		st = j.State()
 	}
-	switch st := j.State(); st {
+	switch st {
 	case StateCached:
+		// Served pinned so GC cannot race the read.
 		s.store.Pin(id)
 		data, err := s.store.Result(id)
 		s.store.Unpin(id)
-		if err != nil {
+		switch {
+		case err == nil:
+			// The stored bytes ARE the response: canonical ResultJSON,
+			// identical to `cppe-sim -json` for the same configuration.
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			w.Write(data)
+		case j == nil:
+			writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
+		default:
 			// The bytes were evicted by store GC after the job finished.
 			writeJSON(w, http.StatusNotFound, errorResponse{
 				Error: "result evicted by store GC; re-POST the job to recompute it",
 			})
-			return
 		}
-		writeBytes(data)
 	case StateFailed:
 		writeJSON(w, http.StatusInternalServerError, StatusResponse{
 			ID: id, State: st, Attempts: j.Attempts(), Error: j.Err(), Request: j.Req,

@@ -122,15 +122,13 @@ type SweepSubmitResponse struct {
 	Deduped bool `json:"deduped,omitempty"`
 }
 
-// SweepPointStatus is one grid cell in a status document.
+// SweepPointStatus is one grid cell in a status document: its manifest entry
+// plus its current state.
 type SweepPointStatus struct {
-	Benchmark        string `json:"benchmark"`
-	Setup            string `json:"setup"`
-	Oversubscription int    `json:"oversubscription"`
-	JobID            string `json:"job_id"`
-	State            State  `json:"state"`
-	Attempts         int    `json:"attempts,omitempty"`
-	Error            string `json:"error,omitempty"`
+	PointRecord
+	State    State  `json:"state"`
+	Attempts int    `json:"attempts,omitempty"`
+	Error    string `json:"error,omitempty"`
 }
 
 // SweepStatusResponse is the body of GET /v1/sweeps/{id}.
@@ -222,14 +220,19 @@ func (sw *Sweep) point(jobID string) *SweepPoint {
 	return nil
 }
 
+// record renders the point's manifest entry.
+func (p *SweepPoint) record() PointRecord {
+	return PointRecord{
+		Benchmark: p.Req.Benchmark, Setup: p.Req.Setup,
+		Oversubscription: p.Req.Oversubscription, JobID: p.JobID,
+	}
+}
+
 // record renders the sweep's durable manifest.
 func (sw *Sweep) record() SweepRecord {
 	rec := SweepRecord{ID: sw.ID, Request: sw.Req, Points: make([]PointRecord, len(sw.Points))}
 	for i, p := range sw.Points {
-		rec.Points[i] = PointRecord{
-			Benchmark: p.Req.Benchmark, Setup: p.Req.Setup,
-			Oversubscription: p.Req.Oversubscription, JobID: p.JobID,
-		}
+		rec.Points[i] = p.record()
 	}
 	return rec
 }
@@ -255,34 +258,34 @@ func sweepFromRecord(rec SweepRecord) *Sweep {
 	return sw
 }
 
-// pointViewLocked derives one point's state from the job registry and the
+// pointViewLocked derives one point's status from the job registry and the
 // result store (s.mu held). The job journal is authoritative while a job
 // object exists; a point with durable result bytes but no registry entry was
 // compacted in an earlier process life and is simply cached.
-func (s *Server) pointViewLocked(jobID string) (State, int, string) {
-	if j := s.jobs[jobID]; j != nil {
+func (s *Server) pointViewLocked(p *SweepPoint) SweepPointStatus {
+	ps := SweepPointStatus{PointRecord: p.record(), State: StatePending}
+	if j := s.jobs[p.JobID]; j != nil {
 		rec := j.Record()
-		if rec.State == StateCached && !s.store.HasResult(jobID) {
-			return StateEvicted, rec.Attempts, ""
+		ps.State, ps.Attempts, ps.Error = rec.State, rec.Attempts, rec.Error
+		if rec.State == StateCached && !s.store.HasResult(p.JobID) {
+			ps.State = StateEvicted
 		}
-		return rec.State, rec.Attempts, rec.Error
+	} else if s.store.HasResult(p.JobID) {
+		ps.State = StateCached
 	}
-	if s.store.HasResult(jobID) {
-		return StateCached, 0, ""
-	}
-	return StatePending, 0, ""
+	return ps
 }
 
 // sweepCountsLocked aggregates the grid's per-point states (s.mu held).
 func (s *Server) sweepCountsLocked(sw *Sweep) SweepCounts {
 	c := SweepCounts{Points: len(sw.Points)}
 	for _, p := range sw.Points {
-		st, attempts, _ := s.pointViewLocked(p.JobID)
-		c.Retries += attempts
-		switch st {
+		ps := s.pointViewLocked(p)
+		c.Retries += ps.Attempts
+		switch ps.State {
 		case StatePending:
 			c.Pending++
-		case StateAccepted, StateQueued:
+		case StateQueued:
 			c.Queued++
 		case StateRunning:
 			c.Running++
@@ -305,11 +308,7 @@ func (s *Server) sweepCountsLocked(sw *Sweep) SweepCounts {
 // so a sweep with pending re-admissions never reads as done.
 func (s *Server) sweepDoneLocked(sw *Sweep) bool {
 	for i, p := range sw.Points {
-		if !sw.admitted[i] {
-			return false
-		}
-		st, _, _ := s.pointViewLocked(p.JobID)
-		if !terminalPointState(st) {
+		if !sw.admitted[i] || !terminalPointState(s.pointViewLocked(p).State) {
 			return false
 		}
 	}
@@ -321,67 +320,19 @@ func (s *Server) sweepDoneLocked(sw *Sweep) bool {
 func (s *Server) sweepInflightLocked(sw *Sweep) int {
 	n := 0
 	for i, p := range sw.Points {
-		if !sw.admitted[i] {
-			continue
-		}
-		st, _, _ := s.pointViewLocked(p.JobID)
-		if !terminalPointState(st) {
+		if sw.admitted[i] && !terminalPointState(s.pointViewLocked(p).State) {
 			n++
 		}
 	}
 	return n
 }
 
-// errQueueFull defers fan-out: the point stays pending and the window
-// retries on the next job transition.
-var errQueueFull = fmt.Errorf("serve: admission queue full")
-
-// admitPointLocked hands one grid point to the job machinery (s.mu held).
-// An existing terminal job with durable bytes needs nothing; a failed or
-// evicted one is re-armed with a fresh attempt budget; an in-flight one is
-// joined; otherwise a fresh job is journaled and queued. The sweep is wired
-// as a watcher of the point's job either way.
+// admitPointLocked wires the sweep as a watcher of the point's job and
+// admits the point through admitLocked (s.mu held).
 func (s *Server) admitPointLocked(sw *Sweep, p *SweepPoint) error {
 	s.watchLocked(p.JobID, sw)
-	j := s.jobs[p.JobID]
-	if j != nil {
-		rec := j.Record()
-		switch {
-		case rec.State == StateCached && s.store.HasResult(p.JobID):
-			return nil // already done; result is durable
-		case !rec.State.Terminal():
-			return nil // in flight (possibly from a direct POST); just watch
-		}
-		// Failed, or cached with evicted bytes: re-arm and requeue.
-		j.rearm()
-		j.setState(StateQueued)
-		if err := j.journal(s.store.PutJob); err != nil {
-			j.restore(rec)
-			s.degradeOnDiskPressure(err)
-			return err
-		}
-		if !s.queue.TryPush(j) {
-			j.restore(rec)
-			j.journal(s.store.PutJob)
-			return errQueueFull
-		}
-		return nil
-	}
-	if s.store.HasResult(p.JobID) {
-		return nil // completed in a previous life; the result file carries it
-	}
-	j = NewJob(p.JobID, p.Req)
-	j.setState(StateQueued)
-	if err := j.journal(s.store.PutJob); err != nil {
-		s.degradeOnDiskPressure(err)
-		return err
-	}
-	if !s.queue.TryPush(j) {
-		s.store.DeleteJob(p.JobID)
-		return errQueueFull
-	}
-	s.jobs[p.JobID] = j
-	return nil
+	_, err := s.admitLocked(p.JobID, p.Req)
+	return err
 }
 
 // watchLocked registers sw as a watcher of jobID (s.mu held; idempotent).
@@ -412,7 +363,7 @@ func (s *Server) advanceSweepLocked(sw *Sweep) {
 				break // queue full or disk pressure: retry on the next transition
 			}
 			sw.admitted[i] = true
-			if st, _, _ := s.pointViewLocked(p.JobID); !terminalPointState(st) {
+			if !terminalPointState(s.pointViewLocked(p).State) {
 				inflight++
 			}
 		}
@@ -447,8 +398,7 @@ func (s *Server) advanceAllLocked() {
 func (s *Server) rearmSweepLocked(sw *Sweep) int {
 	n := 0
 	for i, p := range sw.Points {
-		st, _, _ := s.pointViewLocked(p.JobID)
-		if st == StateFailed || st == StateEvicted {
+		if st := s.pointViewLocked(p).State; st == StateFailed || st == StateEvicted {
 			sw.admitted[i] = false
 			sw.done = false
 			n++
@@ -543,12 +493,7 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	out.Counts = s.sweepCountsLocked(sw)
 	for _, p := range sw.Points {
-		st, attempts, errMsg := s.pointViewLocked(p.JobID)
-		out.Points = append(out.Points, SweepPointStatus{
-			Benchmark: p.Req.Benchmark, Setup: p.Req.Setup,
-			Oversubscription: p.Req.Oversubscription, JobID: p.JobID,
-			State: st, Attempts: attempts, Error: errMsg,
-		})
+		out.Points = append(out.Points, s.pointViewLocked(p))
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
@@ -576,13 +521,8 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	}
 	var reads []pending
 	for _, p := range sw.Points {
-		st, attempts, errMsg := s.pointViewLocked(p.JobID)
-		pr := SweepPointResult{SweepPointStatus: SweepPointStatus{
-			Benchmark: p.Req.Benchmark, Setup: p.Req.Setup,
-			Oversubscription: p.Req.Oversubscription, JobID: p.JobID,
-			State: st, Attempts: attempts, Error: errMsg,
-		}}
-		if st == StateCached {
+		pr := SweepPointResult{SweepPointStatus: s.pointViewLocked(p)}
+		if pr.State == StateCached {
 			// Pin now, under the registry lock, so GC cannot evict between
 			// the state snapshot and the read below.
 			s.store.Pin(p.JobID)
