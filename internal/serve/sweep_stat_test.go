@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io/fs"
 	"net/http"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,15 +12,83 @@ import (
 	"github.com/reproductions/cppe/internal/serve/fsfault"
 )
 
-// statCountingFS counts Stat calls (Store.HasResult is one Stat per call).
+// statCountingFS counts Stat calls, all of them and those on result files.
 type statCountingFS struct {
 	fsfault.FS
-	stats atomic.Int64
+	stats       atomic.Int64
+	resultStats atomic.Int64
 }
 
 func (f *statCountingFS) Stat(name string) (fs.FileInfo, error) {
 	f.stats.Add(1)
+	if filepath.Base(filepath.Dir(name)) == "results" {
+		f.resultStats.Add(1)
+	}
 	return f.FS.Stat(name)
+}
+
+// waitLatched waits for sweep id's done latch itself, not the status
+// endpoint, so the wait makes no store call of its own.
+func waitLatched(t *testing.T, srv *Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		srv.mu.Lock()
+		latched := srv.sweeps[id].done
+		srv.mu.Unlock()
+		if latched {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep %s never latched done", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// drainStarted empties the stub's started channel for the life of the test,
+// so runs never block on it however many points a sweep has.
+func drainStarted(t *testing.T, stub *stubRunner) {
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go func() {
+		for {
+			select {
+			case <-stub.started:
+			case <-stop:
+				return
+			}
+		}
+	}()
+}
+
+// TestSweepMakesNoResultStats pins that sweep bookkeeping reads the store's
+// in-memory result index, not the disk: a 256-point sweep over the stub
+// runner makes no Stat call on a result file between its POST and its done
+// latch.
+func TestSweepMakesNoResultStats(t *testing.T) {
+	stub := newStubRunner()
+	drainStarted(t, stub)
+	cfs := &statCountingFS{FS: fsfault.OS}
+	cfg := testConfig(t.TempDir(), stub)
+	cfg.FS = cfs
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown(0)
+
+	before := cfs.resultStats.Load()
+	code, sr := postSweep(t, srv.Handler(),
+		`{"benchmarks":["A","B","C","D"],"setups":["a","b","c","d"],"oversubscriptions":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]}`)
+	if code != http.StatusAccepted || sr.Points != 256 {
+		t.Fatalf("POST sweep: %d %+v, want 202 with 256 points", code, sr)
+	}
+	waitLatched(t, srv, sr.ID)
+	if n := cfs.resultStats.Load() - before; n != 0 {
+		t.Errorf("a 256-point sweep made %d result-file stats, want 0", n)
+	}
 }
 
 // TestFinishedSweepsNotRescanned pins that a job's terminal transition
@@ -46,22 +115,7 @@ func TestFinishedSweepsNotRescanned(t *testing.T) {
 		if code != http.StatusAccepted {
 			t.Fatalf("POST sweep %d: %d", i, code)
 		}
-		// Wait for the done latch itself, not the status endpoint: status
-		// reads "done" as soon as every point is terminal, before the last
-		// transition has latched it.
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			srv.mu.Lock()
-			latched := srv.sweeps[sr.ID].done
-			srv.mu.Unlock()
-			if latched {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("sweep %d never latched done", i)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitLatched(t, srv, sr.ID)
 	}
 
 	// Every Stat on the advance path happens under s.mu, so holding it makes
