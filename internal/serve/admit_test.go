@@ -109,10 +109,7 @@ func TestAdmissionParity(t *testing.T) {
 				cfg := testConfig(t.TempDir(), newStubRunner())
 				cfg.FS = jfs
 				cfg.QueueDepth = 1
-				srv, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				srv := newCheckedServer(t, cfg)
 				for _, step := range tc.setup {
 					step(t, srv, jfs)
 				}

@@ -20,17 +20,14 @@ import (
 // state directory with a healthy disk replays everything to completion.
 
 // chaosServer builds a server whose store writes go through a seeded
-// injector (created disarmed, so setup writes succeed).
+// injector (created disarmed, so setup writes succeed) and whose sweep
+// accounting is checked at every run boundary.
 func chaosServer(t *testing.T, dir string, stub *stubRunner, seed uint64) (*Server, *fsfault.Injector) {
 	t.Helper()
 	inj := fsfault.NewInjector(fsfault.OS, seed)
 	cfg := testConfig(dir, stub)
 	cfg.FS = inj
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, inj
+	return newCheckedServer(t, cfg), inj
 }
 
 func waitDegraded(t *testing.T, srv *Server) {
@@ -135,10 +132,7 @@ func TestChaosRenameFailureOnSweepCommit(t *testing.T) {
 
 	// Restart with a healthy disk: the same grid is accepted and completes.
 	stub2 := newStubRunner()
-	srv2, err := New(testConfig(dir, stub2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := newCheckedServer(t, testConfig(dir, stub2))
 	srv2.Start()
 	defer srv2.Shutdown(0)
 	code, sr := postSweep(t, srv2.Handler(), body)
@@ -196,10 +190,7 @@ func TestChaosShortWriteOnResultCommit(t *testing.T) {
 	noTornTemps(t, dir)
 
 	stub2 := newStubRunner()
-	srv2, err := New(testConfig(dir, stub2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := newCheckedServer(t, testConfig(dir, stub2))
 	srv2.Start()
 	defer srv2.Shutdown(0)
 	j := waitDone(t, srv2, sr.ID)

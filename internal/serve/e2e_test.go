@@ -226,10 +226,7 @@ func TestServeRealSessionSweepKillResume(t *testing.T) {
 		Runner:          SessionRunner(cppe.NewSession(opt)),
 		Logf:            discardLogf,
 	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCheckedServer(t, cfg)
 	srv.Start()
 	body := `{"benchmarks":["SRD"],"setups":["cppe"],"oversubscriptions":[75,50]}`
 	code, sr := postSweep(t, srv.Handler(), body)
@@ -242,10 +239,7 @@ func TestServeRealSessionSweepKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := newCheckedServer(t, cfg)
 	srv2.Start()
 	defer srv2.Shutdown(0)
 	st := waitSweepDone(t, srv2.Handler(), sr.ID)

@@ -114,10 +114,7 @@ func TestServerGCProtectsActiveSweep(t *testing.T) {
 	stub := newStubRunner()
 	cfg := testConfig(t.TempDir(), stub)
 	cfg.StoreMaxBytes = 1
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCheckedServer(t, cfg)
 	srv.Start()
 	defer srv.Shutdown(0)
 

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -33,14 +35,20 @@ import (
 // the chaos tests prove that ENOSPC, short writes, and rename failures leave
 // a replayable journal instead of corrupted state.
 //
-// The store also tracks the in-memory state GC needs: a last-served sequence
-// per result (the LRU order) and a pin count per result (a pinned result is
-// never evicted, which protects in-flight reads).
+// The store also keeps in memory an index of the result files (so asking
+// whether a result exists costs no syscall) and the state GC needs: a
+// last-served sequence per result (the LRU order) and a pin count per result
+// (a pinned result is never evicted, which protects in-flight reads).
 type Store struct {
 	dir string
 	fs  fsfault.FS
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// results indexes the result files by safeName(id): one Glob builds it
+	// at open, then the store's own renames and removals keep it (the store
+	// is the only writer of results/). A file deleted behind its back stays
+	// indexed until a read finds it gone.
+	results    map[string]bool
 	pins       map[string]int
 	lastServed map[string]uint64
 	seq        uint64
@@ -63,6 +71,7 @@ func OpenStoreFS(dir string, fsys fsfault.FS) (*Store, error) {
 	st := &Store{
 		dir:        dir,
 		fs:         fsys,
+		results:    make(map[string]bool),
 		pins:       make(map[string]int),
 		lastServed: make(map[string]uint64),
 	}
@@ -77,6 +86,13 @@ func OpenStoreFS(dir string, fsys fsfault.FS) (*Store, error) {
 		for _, t := range tmps {
 			_ = fsys.Remove(t) // best-effort sweep; a survivor is re-swept next open
 		}
+	}
+	paths, err := fsys.Glob(filepath.Join(st.resultsDir(), "*.json"))
+	if err != nil {
+		return nil, fmt.Errorf("serve: result index: %w", err)
+	}
+	for _, p := range paths {
+		st.results[resultIDFromPath(p)] = true
 	}
 	return st, nil
 }
@@ -181,36 +197,52 @@ func (st *Store) Jobs() ([]Record, error) {
 	return recs, nil
 }
 
-// PutResult stores the canonical result bytes for a completed job.
+// PutResult stores the canonical result bytes for a completed job, indexing
+// it once the rename has made it durable.
 func (st *Store) PutResult(id string, data []byte) error {
 	if err := st.atomicWrite(st.resultPath(id), data); err != nil {
 		return fmt.Errorf("serve: result %s: %w", id, err)
 	}
+	st.mu.Lock()
+	st.results[safeName(id)] = true
+	st.mu.Unlock()
 	return nil
 }
 
 // Result returns the stored result bytes for id, marking it most-recently
-// served for the GC's LRU order.
+// served for the GC's LRU order. A read that finds the file gone drops it
+// from the index, so the job reruns on its next admission.
 func (st *Store) Result(id string) ([]byte, error) {
 	data, err := st.fs.ReadFile(st.resultPath(id))
-	if err == nil {
-		st.mu.Lock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	switch {
+	case err == nil:
 		st.seq++
 		st.lastServed[id] = st.seq
-		st.mu.Unlock()
+	case errors.Is(err, fs.ErrNotExist):
+		delete(st.results, safeName(id))
 	}
 	return data, err
 }
 
-// HasResult reports whether a completed result is on disk for id.
+// HasResult reports whether a completed result for id is indexed. It makes
+// no syscall.
 func (st *Store) HasResult(id string) bool {
-	_, err := st.fs.Stat(st.resultPath(id))
-	return err == nil
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.results[safeName(id)]
 }
 
-// DeleteResult removes a stored result (used by GC).
+// DeleteResult removes a stored result, unindexing it once the file is gone.
 func (st *Store) DeleteResult(id string) error {
-	return st.fs.Remove(st.resultPath(id))
+	err := st.fs.Remove(st.resultPath(id))
+	if err == nil || errors.Is(err, fs.ErrNotExist) {
+		st.mu.Lock()
+		delete(st.results, safeName(id))
+		st.mu.Unlock()
+	}
+	return err
 }
 
 // Pin marks id's result in use: a pinned result is never evicted by GC.
@@ -334,13 +366,4 @@ func (st *Store) ResultUsage() (count int, bytes int64) {
 // the flattened form — consistent with every other store lookup.
 func resultIDFromPath(p string) string {
 	return strings.TrimSuffix(filepath.Base(p), ".json")
-}
-
-// statResult is os.Stat shaped for GC: size, mtime, existence.
-func (st *Store) statResult(path string) (int64, time.Time, bool) {
-	fi, err := st.fs.Stat(path)
-	if err != nil {
-		return 0, time.Time{}, false
-	}
-	return fi.Size(), fi.ModTime(), true
 }

@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
+
+	"github.com/reproductions/cppe/internal/serve/fsfault"
 )
 
 func TestStoreJournalRoundTrip(t *testing.T) {
@@ -103,6 +106,89 @@ func TestStoreCrashHygiene(t *testing.T) {
 	if _, err := os.Stat(corrupt); !os.IsNotExist(err) {
 		t.Error("replay did not remove the corrupt record")
 	}
+}
+
+// TestResultIndexCoherence steps the store through every way a result file
+// comes and goes, and after each step requires HasResult to agree with a
+// Glob of results/ for every ID involved.
+func TestResultIndexCoherence(t *testing.T) {
+	dir := t.TempDir()
+	res := filepath.Join(dir, "results")
+	if err := os.MkdirAll(res, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// Results of an earlier life, and a torn write it left behind.
+	for _, name := range []string{"a.json", "b.json", "c.json", "d.json.7.tmp"} {
+		if err := os.WriteFile(filepath.Join(res, name), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj := fsfault.NewInjector(fsfault.OS, 1)
+	st, err := OpenStoreFS(dir, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coherent := func(step string) {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(res, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk := make(map[string]bool)
+		for _, p := range paths {
+			onDisk[resultIDFromPath(p)] = true
+		}
+		for _, id := range []string{"a", "b", "c", "d", "e"} {
+			if got := st.HasResult(id); got != onDisk[id] {
+				t.Errorf("after %s: HasResult(%q) = %v, file on disk = %v", step, id, got, onDisk[id])
+			}
+		}
+	}
+	coherent("open")
+
+	inj.FailRenames(1)
+	inj.Arm()
+	if err := st.PutResult("e", []byte("{}\n")); err == nil {
+		t.Fatal("PutResult succeeded through a failing rename")
+	}
+	inj.Disarm()
+	coherent("a put whose rename failed")
+	if err := st.PutResult("e", []byte("{}\n")); err != nil {
+		t.Fatal(err)
+	}
+	coherent("a put")
+
+	inj.FailRenames(0)
+	inj.FailRemoves(1)
+	inj.Arm()
+	if err := st.DeleteResult("a"); err == nil {
+		t.Fatal("DeleteResult succeeded through a failing remove")
+	}
+	inj.Disarm()
+	coherent("a delete whose remove failed")
+	if err := st.DeleteResult("a"); err != nil {
+		t.Fatal(err)
+	}
+	coherent("a delete")
+
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(st.resultPath("b"), old, old); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.GC(GCConfig{MaxAge: time.Hour}, time.Now(), nil); got.EvictedResults != 1 {
+		t.Fatalf("GC evicted %d results, want the aged one", got.EvictedResults)
+	}
+	coherent("a GC eviction")
+
+	// A file removed behind the store's back stays indexed until a read
+	// finds it gone.
+	if err := os.Remove(st.resultPath("c")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Result("c"); err == nil {
+		t.Fatal("Result read a removed file")
+	}
+	coherent("a read of a file removed out of band")
 }
 
 func TestSafeName(t *testing.T) {

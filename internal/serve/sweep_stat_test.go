@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io/fs"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,7 +33,7 @@ func (f *statCountingFS) Stat(name string) (fs.FileInfo, error) {
 
 // waitLatched waits for sweep id's done latch itself, not the status
 // endpoint, so the wait makes no store call of its own.
-func waitLatched(t *testing.T, srv *Server, id string) {
+func waitLatched(t testing.TB, srv *Server, id string) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -48,7 +52,7 @@ func waitLatched(t *testing.T, srv *Server, id string) {
 
 // drainStarted empties the stub's started channel for the life of the test,
 // so runs never block on it however many points a sweep has.
-func drainStarted(t *testing.T, stub *stubRunner) {
+func drainStarted(t testing.TB, stub *stubRunner) {
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
 	go func() {
@@ -102,10 +106,7 @@ func TestFinishedSweepsNotRescanned(t *testing.T) {
 	cfg := testConfig(t.TempDir(), newStubRunner())
 	cfg.FS = cfs
 	cfg.SweepWorkers = 4
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCheckedServer(t, cfg)
 	srv.Start()
 	defer srv.Shutdown(0)
 
@@ -127,5 +128,141 @@ func TestFinishedSweepsNotRescanned(t *testing.T) {
 	srv.mu.Unlock()
 	if n != 0 {
 		t.Errorf("advancing %d finished sweeps (%d points) made %d stats, want 0", sweeps, 4*sweeps, n)
+	}
+}
+
+// memFS is an in-memory fsfault.FS, so a benchmark times the server rather
+// than the disk under it.
+type memFS struct {
+	mu    sync.Mutex
+	files map[string][]byte
+}
+
+// memInfo is the fs.FileInfo memFS reports.
+type memInfo struct {
+	name string
+	size int64
+}
+
+func (i memInfo) Name() string       { return i.name }
+func (i memInfo) Size() int64        { return i.size }
+func (i memInfo) Mode() fs.FileMode  { return 0o644 }
+func (i memInfo) ModTime() time.Time { return time.Time{} }
+func (i memInfo) IsDir() bool        { return false }
+func (i memInfo) Sys() any           { return nil }
+
+func (m *memFS) MkdirAll(string, fs.FileMode) error { return nil }
+
+func (m *memFS) WriteFile(name string, data []byte, _ fs.FileMode) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.files[name] = append([]byte(nil), data...)
+	return nil
+}
+
+func (m *memFS) Rename(oldpath, newpath string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	data, ok := m.files[oldpath]
+	if !ok {
+		return &fs.PathError{Op: "rename", Path: oldpath, Err: fs.ErrNotExist}
+	}
+	delete(m.files, oldpath)
+	m.files[newpath] = data
+	return nil
+}
+
+func (m *memFS) Remove(name string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.files[name]; !ok {
+		return &fs.PathError{Op: "remove", Path: name, Err: fs.ErrNotExist}
+	}
+	delete(m.files, name)
+	return nil
+}
+
+func (m *memFS) ReadFile(name string) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	data, ok := m.files[name]
+	if !ok {
+		return nil, &fs.PathError{Op: "read", Path: name, Err: fs.ErrNotExist}
+	}
+	return append([]byte(nil), data...), nil
+}
+
+func (m *memFS) Stat(name string) (fs.FileInfo, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	data, ok := m.files[name]
+	if !ok {
+		return nil, &fs.PathError{Op: "stat", Path: name, Err: fs.ErrNotExist}
+	}
+	return memInfo{name: filepath.Base(name), size: int64(len(data))}, nil
+}
+
+func (m *memFS) Glob(pattern string) ([]string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []string
+	for name := range m.files {
+		if ok, err := filepath.Match(pattern, name); err != nil {
+			return nil, err
+		} else if ok {
+			out = append(out, name)
+		}
+	}
+	return out, nil
+}
+
+// BenchmarkSweepPoints times whole sweeps of 64, 256 and 1,024 points over
+// the stub runner, from the POST to the done latch, and reports the cost per
+// point. The store sits on the real filesystem ("disk") or in memory
+// ("mem"); in memory, what remains is the server's own work per point, and
+// flat ns/point across sizes means sweep bookkeeping is O(1) per transition.
+func BenchmarkSweepPoints(b *testing.B) {
+	for _, store := range []string{"disk", "mem"} {
+		for _, n := range []int{64, 256, 1024} {
+			b.Run(fmt.Sprintf("%s/%d", store, n), func(b *testing.B) {
+				rates := make([]int, n/16)
+				for i := range rates {
+					rates[i] = i + 1
+				}
+				body, err := json.Marshal(SweepRequest{
+					Benchmarks:        []string{"A", "B", "C", "D"},
+					Setups:            []string{"a", "b", "c", "d"},
+					Oversubscriptions: rates,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				for i := 0; i < b.N; i++ {
+					stub := newStubRunner()
+					drainStarted(b, stub)
+					cfg := testConfig(b.TempDir(), stub)
+					if store == "mem" {
+						cfg.FS = &memFS{files: make(map[string][]byte)}
+					}
+					srv, err := New(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					srv.Start()
+					w := httptest.NewRecorder()
+					b.StartTimer()
+					srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/sweeps", strings.NewReader(string(body))))
+					var sr SweepSubmitResponse
+					if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil || sr.Points != n {
+						b.Fatalf("POST sweep: %d %s", w.Code, w.Body.Bytes())
+					}
+					waitLatched(b, srv, sr.ID)
+					b.StopTimer()
+					srv.Shutdown(0)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+			})
+		}
 	}
 }

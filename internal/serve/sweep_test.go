@@ -134,6 +134,7 @@ func TestSweepFanOutToGrid(t *testing.T) {
 	if st.Counts.Cached != 8 || st.Counts.Failed != 0 {
 		t.Fatalf("final counts = %+v, want 8 cached", st.Counts)
 	}
+	checkSweepAccounting(t, srv) // quiescent: every point is terminal
 	if c := srv.Counters().Snapshot(); c.SweepsAccepted != 1 || c.SweepPoints != 8 {
 		t.Errorf("counters = sweeps_accepted=%d sweep_points=%d, want 1/8", c.SweepsAccepted, c.SweepPoints)
 	}
@@ -172,6 +173,7 @@ func TestSweepFanOutToGrid(t *testing.T) {
 	if got := stub.runs.Load(); got != before {
 		t.Errorf("re-POST ran %d extra simulations", got-before)
 	}
+	checkSweepAccounting(t, srv)
 }
 
 // TestSweepPointFailureIsolation pins the fault-isolation contract: one point
@@ -183,10 +185,7 @@ func TestSweepPointFailureIsolation(t *testing.T) {
 	stub.failures["SRD-cppe-50"] = 100 // beyond any budget
 	cfg := testConfig(t.TempDir(), stub)
 	cfg.SweepWorkers = 4
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCheckedServer(t, cfg)
 	srv.Start()
 	defer srv.Shutdown(0)
 
@@ -241,10 +240,7 @@ func TestSweepWindowBoundsFanOut(t *testing.T) {
 	stub.block = true
 	cfg := testConfig(t.TempDir(), stub)
 	cfg.SweepWorkers = 1
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCheckedServer(t, cfg)
 	srv.Start()
 	defer srv.Shutdown(0)
 
@@ -276,10 +272,7 @@ func TestSweepKillResumeOnlyUnfinishedPoints(t *testing.T) {
 	stub.block = true
 	cfg := testConfig(dir, stub)
 	cfg.SweepWorkers = 4
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCheckedServer(t, cfg)
 	srv.Start()
 
 	code, sr := postSweep(t, srv.Handler(),
@@ -297,10 +290,7 @@ func TestSweepKillResumeOnlyUnfinishedPoints(t *testing.T) {
 	stub2 := newStubRunner()
 	cfg2 := testConfig(dir, stub2)
 	cfg2.SweepWorkers = 4
-	srv2, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := newCheckedServer(t, cfg2)
 	srv2.Start()
 	defer srv2.Shutdown(0)
 	st := waitSweepDone(t, srv2.Handler(), sr.ID)
@@ -314,10 +304,7 @@ func TestSweepKillResumeOnlyUnfinishedPoints(t *testing.T) {
 	// Third life: everything is durable; replay reruns nothing and the grid
 	// is served straight from disk.
 	stub3 := newStubRunner()
-	srv3, err := New(testConfig(dir, stub3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv3 := newCheckedServer(t, testConfig(dir, stub3))
 	rr := sweepResult(t, srv3.Handler(), sr.ID)
 	if !rr.Done || rr.Counts.Cached != 2 {
 		t.Fatalf("third-life grid = %+v", rr.Counts)
@@ -330,10 +317,7 @@ func TestSweepKillResumeOnlyUnfinishedPoints(t *testing.T) {
 // TestSweepValidation covers the request-shape rejections.
 func TestSweepValidation(t *testing.T) {
 	stub := newStubRunner()
-	srv, err := New(testConfig(t.TempDir(), stub))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCheckedServer(t, testConfig(t.TempDir(), stub))
 	// No workers: validation never reaches execution.
 
 	for name, body := range map[string]string{
@@ -414,10 +398,7 @@ func TestSweepEventsEndToEnd(t *testing.T) {
 	stub := newStubRunner()
 	stub.block = true
 	cfg := testConfig(t.TempDir(), stub)
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCheckedServer(t, cfg)
 	srv.Start()
 	defer srv.Shutdown(0)
 	hs := newHTTPServer(t, srv.Handler())
@@ -547,10 +528,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the sweep wire golden fil
 func TestSweepWireGolden(t *testing.T) {
 	stub := newStubRunner()
 	stub.failures["SRD-cppe-75"] = 100 // beyond any budget
-	srv, err := New(testConfig(t.TempDir(), stub))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newCheckedServer(t, testConfig(t.TempDir(), stub))
 	srv.Start()
 	defer srv.Shutdown(0)
 
