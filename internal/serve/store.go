@@ -35,10 +35,9 @@ import (
 // the chaos tests prove that ENOSPC, short writes, and rename failures leave
 // a replayable journal instead of corrupted state.
 //
-// The store also keeps in memory an index of the result files (so asking
-// whether a result exists costs no syscall) and the state GC needs: a
-// last-served sequence per result (the LRU order) and a pin count per result
-// (a pinned result is never evicted, which protects in-flight reads).
+// The store also keeps in memory an index of the result files and the state
+// GC needs: a last-served sequence per result (the LRU order) and a pin count
+// per result (a pinned result is never evicted, which protects reads).
 type Store struct {
 	dir string
 	fs  fsfault.FS
@@ -221,7 +220,9 @@ func (st *Store) Result(id string) ([]byte, error) {
 		st.seq++
 		st.lastServed[id] = st.seq
 	case errors.Is(err, fs.ErrNotExist):
-		delete(st.results, safeName(id))
+		if _, err := st.fs.Stat(st.resultPath(id)); err != nil { // no PutResult landed since the read
+			delete(st.results, safeName(id))
+		}
 	}
 	return data, err
 }
@@ -234,10 +235,10 @@ func (st *Store) HasResult(id string) bool {
 	return st.results[safeName(id)]
 }
 
-// DeleteResult removes a stored result, unindexing it once the file is gone.
+// DeleteResult removes a stored result; a successful removal unindexes it.
 func (st *Store) DeleteResult(id string) error {
 	err := st.fs.Remove(st.resultPath(id))
-	if err == nil || errors.Is(err, fs.ErrNotExist) {
+	if err == nil {
 		st.mu.Lock()
 		delete(st.results, safeName(id))
 		st.mu.Unlock()
