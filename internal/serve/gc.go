@@ -37,9 +37,6 @@ type GCStats struct {
 	// PinsHonored counts results the policy would have evicted but spared
 	// because they were pinned or kept — the test-enforced safety property.
 	PinsHonored int
-	// evicted lists the IDs removed, so the server can recount the sweep
-	// points whose results they were.
-	evicted []string
 }
 
 // gcCandidate is one stored result under consideration.
@@ -68,13 +65,13 @@ func (st *Store) GC(cfg GCConfig, now time.Time, keep func(id string) bool) GCSt
 	var total int64
 	st.mu.Lock()
 	for _, p := range paths {
-		fi, err := st.fs.Stat(p)
-		if err != nil {
+		size, mtime, ok := st.statResult(p)
+		if !ok {
 			continue
 		}
 		id := resultIDFromPath(p)
-		cands = append(cands, gcCandidate{id: id, path: p, size: fi.Size(), mtime: fi.ModTime(), seq: st.lastServed[id]})
-		total += fi.Size()
+		cands = append(cands, gcCandidate{id: id, path: p, size: size, mtime: mtime, seq: st.lastServed[id]})
+		total += size
 	}
 	st.mu.Unlock()
 
@@ -109,7 +106,6 @@ func (st *Store) GC(cfg GCConfig, now time.Time, keep func(id string) bool) GCSt
 		}
 		delete(st.results, c.id)
 		delete(st.lastServed, c.id)
-		out.evicted = append(out.evicted, c.id)
 		out.EvictedResults++
 		out.ReclaimedBytes += c.size
 		total -= c.size

@@ -111,12 +111,9 @@ type Server struct {
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	sweeps map[string]*Sweep
-	// order lists the registered sweeps sorted by ID, the order in which
-	// advanceAllLocked advances them.
-	order []*Sweep
-	// watch maps a job ID to every sweep point that is that job, for
-	// recounting and event fan-out on its transitions.
-	watch map[string][]*SweepPoint
+	// watch maps a job ID to the sweeps containing it as a point, for event
+	// fan-out and window advancement on its transitions.
+	watch map[string][]*Sweep
 
 	// degraded latches sticky disk-pressure degradation: new work is shed
 	// with 503 and running jobs park at their next checkpoint boundary. Only
@@ -181,7 +178,7 @@ func New(cfg Config) (*Server, error) {
 		store:    store,
 		jobs:     make(map[string]*Job),
 		sweeps:   make(map[string]*Sweep),
-		watch:    make(map[string][]*SweepPoint),
+		watch:    make(map[string][]*Sweep),
 		draining: make(chan struct{}),
 		stop:     make(chan struct{}),
 	}
@@ -260,11 +257,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	for _, rec := range srecs {
 		sw := sweepFromRecord(rec)
-		for _, p := range sw.Points {
-			p.streamed = s.jobs[p.JobID] != nil
-			p.admitted = p.streamed || store.HasResult(p.JobID)
+		s.sweeps[sw.ID] = sw
+		for i, p := range sw.Points {
+			if s.jobs[p.JobID] != nil {
+				sw.admitted[i] = true
+				s.watchLocked(p.JobID, sw)
+			} else if store.HasResult(p.JobID) {
+				sw.admitted[i] = true
+			}
 		}
-		s.addSweepLocked(sw)
 		sw.done = s.sweepDoneLocked(sw)
 		cfg.Logf("serve: replayed sweep %s (%d points, done=%v)", sw.ID, len(sw.Points), sw.done)
 	}
@@ -552,7 +553,6 @@ func (s *Server) admitLocked(id string, req Request) (SubmitResponse, error) {
 		return SubmitResponse{}, errQueueFull
 	}
 	s.jobs[id] = j
-	s.recountJobLocked(id)
 	return SubmitResponse{ID: id, State: StateQueued}, nil
 }
 
@@ -626,9 +626,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.store.Pin(id)
 		data, err := s.store.Result(id)
 		s.store.Unpin(id)
-		if err != nil {
-			s.recountJob(id) // the read may have found the file gone
-		}
 		switch {
 		case err == nil:
 			// The stored bytes ARE the response: canonical ResultJSON,
@@ -785,7 +782,6 @@ func (s *Server) park(j *Job) {
 	s.counters.Parked.Add(1)
 	j.setState(StateQueued)
 	s.persist(j)
-	s.recountJob(j.ID)
 }
 
 func (s *Server) fail(j *Job, msg string) {
@@ -795,25 +791,24 @@ func (s *Server) fail(j *Job, msg string) {
 	s.onJobEvent(j, evPointFailed, 0)
 }
 
-// onJobEvent recounts every sweep point that is j, publishes one lifecycle
-// event to each sweep streaming it and, on terminal transitions, advances
-// the fan-out windows so a finished point immediately admits the next
-// pending one.
+// onJobEvent publishes one lifecycle event to every sweep watching j and, on
+// terminal transitions, advances the fan-out windows so a finished point
+// immediately admits the next pending one.
 func (s *Server) onJobEvent(j *Job, typ string, cycle uint64) {
 	rec := j.Record()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range s.watch[j.ID] {
-		s.recountLocked(p, p.admitted)
-		if !p.streamed {
+	for _, sw := range s.watch[j.ID] {
+		p := sw.point(j.ID)
+		if p == nil {
 			continue
 		}
-		p.sw.hub.publish(Event{
-			Type: typ, Sweep: p.sw.ID, JobID: j.ID,
+		sw.hub.publish(Event{
+			Type: typ, Sweep: sw.ID, JobID: j.ID,
 			Benchmark: p.Req.Benchmark, Setup: p.Req.Setup,
 			Oversubscription: p.Req.Oversubscription,
 			Cycle:            cycle, Attempts: rec.Attempts, Error: rec.Error,
-			Counts: p.sw.counts,
+			Counts: s.sweepCountsLocked(sw),
 		})
 	}
 	if rec.State.Terminal() {
@@ -826,9 +821,8 @@ func (s *Server) onJobEvent(j *Job, typ string, cycle uint64) {
 // maybeGC runs one collection if any bound is configured: snapshot the
 // protected set (results of non-terminal jobs and of every point of an
 // active sweep) under the registry lock, expire manifests of long-done
-// sweeps, then let the store evict the LRU tail and recount the sweep points
-// whose results it took. Runs at startup and after each completed job — the
-// only times the store grows.
+// sweeps, then let the store evict the LRU tail. Runs at startup and after
+// each completed job — the only times the store grows.
 func (s *Server) maybeGC() {
 	cfg := GCConfig{MaxBytes: s.cfg.StoreMaxBytes, MaxAge: s.cfg.StoreMaxAge}
 	if !cfg.Enabled() {
@@ -853,19 +847,12 @@ func (s *Server) maybeGC() {
 			// The sweep finished long ago; its manifest has nothing left to
 			// resume. (Its results remain ordinary GC candidates.)
 			s.store.DeleteSweep(id)
-			s.dropSweepLocked(sw)
+			delete(s.sweeps, id)
 		}
 	}
 	s.mu.Unlock()
 
 	gst := s.store.GC(cfg, now, func(id string) bool { return keep[id] })
-	if len(gst.evicted) > 0 {
-		s.mu.Lock()
-		for _, id := range gst.evicted {
-			s.recountJobLocked(id)
-		}
-		s.mu.Unlock()
-	}
 	if gst.EvictedResults > 0 || gst.PinsHonored > 0 {
 		s.counters.GCEvicted.Add(uint64(gst.EvictedResults))
 		s.counters.GCReclaimedBytes.Add(uint64(gst.ReclaimedBytes))

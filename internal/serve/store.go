@@ -368,3 +368,12 @@ func (st *Store) ResultUsage() (count int, bytes int64) {
 func resultIDFromPath(p string) string {
 	return strings.TrimSuffix(filepath.Base(p), ".json")
 }
+
+// statResult is os.Stat shaped for GC: size, mtime, existence.
+func (st *Store) statResult(path string) (int64, time.Time, bool) {
+	fi, err := st.fs.Stat(path)
+	if err != nil {
+		return 0, time.Time{}, false
+	}
+	return fi.Size(), fi.ModTime(), true
+}

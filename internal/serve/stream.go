@@ -133,7 +133,7 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	// snapshot below and the subscription (at worst an event duplicates what
 	// the snapshot already said — counts are cumulative, so that is benign).
 	sub := sw.hub.subscribe()
-	first := Event{Type: evSnapshot, Sweep: id, Counts: sw.counts}
+	first := Event{Type: evSnapshot, Sweep: id, Counts: s.sweepCountsLocked(sw)}
 	done := sw.done
 	s.mu.Unlock()
 	defer sw.hub.unsubscribe(sub)

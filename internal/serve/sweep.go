@@ -4,8 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"slices"
-	"strings"
+	"sort"
 )
 
 // This file is the fault-isolated sweep job layer: one POST /v1/sweeps
@@ -60,17 +59,6 @@ type SweepRecord struct {
 type SweepPoint struct {
 	Req   Request
 	JobID string
-
-	// The rest is guarded by Server.mu. An admitted point was handed to the
-	// job machinery; unadmitted points are "pending" and enter through the
-	// fan-out window. A streamed point's job events are published to sw (set
-	// at its first admission this process life, or at replay when its job is
-	// registered). view and attempts are what sw's accounting last counted
-	// for the point; view is "" until it is first counted.
-	sw                 *Sweep
-	admitted, streamed bool
-	view               State
-	attempts           int
 }
 
 // Sweep is the in-memory state of one accepted grid. All mutable fields are
@@ -82,14 +70,10 @@ type Sweep struct {
 	Points []*SweepPoint
 	hub    *hub
 
-	// The accounting, kept one point at a time by recountLocked, so reading
-	// it scans no point: counts aggregates the points' counted views;
-	// inflight counts admitted points not terminal (the fan-out window's
-	// occupancy); next indexes the first unadmitted point, every point
-	// before it being admitted.
-	counts   SweepCounts
-	inflight int
-	next     int
+	// admitted marks points already handed to the job machinery (guarded by
+	// Server.mu); unadmitted points are "pending" and enter through the
+	// fan-out window as earlier points finish.
+	admitted []bool
 	// done latches the all-points-terminal edge so sweep_done publishes once.
 	done bool
 }
@@ -124,27 +108,6 @@ type SweepCounts struct {
 	Evicted  int `json:"evicted"`
 	// Retries sums failed attempts across all points.
 	Retries int `json:"retries"`
-}
-
-// add counts d points (+1 or -1) in state st with attempts failed attempts.
-func (c *SweepCounts) add(st State, attempts, d int) {
-	c.Retries += d * attempts
-	switch st {
-	case StatePending:
-		c.Pending += d
-	case StateQueued:
-		c.Queued += d
-	case StateRunning:
-		c.Running += d
-	case StateRetrying:
-		c.Retrying += d
-	case StateCached:
-		c.Cached += d
-	case StateFailed:
-		c.Failed += d
-	case StateEvicted:
-		c.Evicted += d
-	}
 }
 
 // SweepSubmitResponse is the body of POST /v1/sweeps.
@@ -247,6 +210,16 @@ func sweepID(points []*SweepPoint) string {
 	return fmt.Sprintf("%016x", h)
 }
 
+// point returns the sweep's point for jobID, or nil.
+func (sw *Sweep) point(jobID string) *SweepPoint {
+	for _, p := range sw.Points {
+		if p.JobID == jobID {
+			return p
+		}
+	}
+	return nil
+}
+
 // record renders the point's manifest entry.
 func (p *SweepPoint) record() PointRecord {
 	return PointRecord{
@@ -267,10 +240,11 @@ func (sw *Sweep) record() SweepRecord {
 // sweepFromRecord rebuilds a sweep from its manifest (used by replay).
 func sweepFromRecord(rec SweepRecord) *Sweep {
 	sw := &Sweep{
-		ID:     rec.ID,
-		Req:    rec.Request,
-		Points: make([]*SweepPoint, len(rec.Points)),
-		hub:    newHub(),
+		ID:       rec.ID,
+		Req:      rec.Request,
+		Points:   make([]*SweepPoint, len(rec.Points)),
+		admitted: make([]bool, len(rec.Points)),
+		hub:      newHub(),
 	}
 	for i, p := range rec.Points {
 		sw.Points[i] = &SweepPoint{
@@ -285,9 +259,9 @@ func sweepFromRecord(rec SweepRecord) *Sweep {
 }
 
 // pointViewLocked derives one point's status from the job registry and the
-// result store's index (s.mu held). The job journal is authoritative while a
-// job object exists; a point with durable result bytes but no registry entry
-// was compacted in an earlier process life and is simply cached.
+// result store's in-memory index (s.mu held), so it makes no syscall. The job journal is authoritative while a job
+// object exists; a point with durable result bytes but no registry entry was
+// compacted in an earlier process life and is simply cached.
 func (s *Server) pointViewLocked(p *SweepPoint) SweepPointStatus {
 	ps := SweepPointStatus{PointRecord: p.record(), State: StatePending}
 	if j := s.jobs[p.JobID]; j != nil {
@@ -302,122 +276,119 @@ func (s *Server) pointViewLocked(p *SweepPoint) SweepPointStatus {
 	return ps
 }
 
-// tally adds d (+1 or -1) times p's counted view to the sweep's accounting.
-func (sw *Sweep) tally(p *SweepPoint, d int) {
-	sw.counts.add(p.view, p.attempts, d)
-	if p.admitted && !terminalPointState(p.view) {
-		sw.inflight += d
-	}
-}
-
-// recountLocked sets p's admitted flag and moves p in its sweep's accounting
-// from its last counted view to its current one (s.mu held). It is the one
-// writer of the accounting, called for a single point whenever its admission,
-// its job or its result changes.
-func (s *Server) recountLocked(p *SweepPoint, admitted bool) {
-	if p.view != "" {
-		p.sw.tally(p, -1)
-	}
-	ps := s.pointViewLocked(p)
-	p.admitted, p.view, p.attempts = admitted, ps.State, ps.Attempts
-	p.sw.tally(p, 1)
-}
-
-// recountJobLocked recounts every sweep point that is job id (s.mu held).
-func (s *Server) recountJobLocked(id string) {
-	for _, p := range s.watch[id] {
-		s.recountLocked(p, p.admitted)
-	}
-}
-
-// recountJob is recountJobLocked for callers not holding s.mu.
-func (s *Server) recountJob(id string) {
-	s.mu.Lock()
-	s.recountJobLocked(id)
-	s.mu.Unlock()
-}
-
-// addSweepLocked registers sw, watches its points' jobs and counts every
-// point once (s.mu held). Points already flagged admitted (by replay) count
-// as such; the cursor starts at the first that is not.
-func (s *Server) addSweepLocked(sw *Sweep) {
-	sw.counts = SweepCounts{Points: len(sw.Points)}
+// sweepCountsLocked aggregates the grid's per-point states (s.mu held).
+func (s *Server) sweepCountsLocked(sw *Sweep) SweepCounts {
+	c := SweepCounts{Points: len(sw.Points)}
 	for _, p := range sw.Points {
-		p.sw = sw
-		s.watch[p.JobID] = append(s.watch[p.JobID], p)
-		s.recountLocked(p, p.admitted)
-	}
-	for sw.next < len(sw.Points) && sw.Points[sw.next].admitted {
-		sw.next++
-	}
-	s.sweeps[sw.ID] = sw
-	i, _ := slices.BinarySearchFunc(s.order, sw.ID, func(a *Sweep, id string) int { return strings.Compare(a.ID, id) })
-	s.order = slices.Insert(s.order, i, sw)
-}
-
-// dropSweepLocked unregisters sw and stops watching its points (s.mu held).
-func (s *Server) dropSweepLocked(sw *Sweep) {
-	delete(s.sweeps, sw.ID)
-	s.order = slices.DeleteFunc(s.order, func(o *Sweep) bool { return o == sw })
-	for _, p := range sw.Points {
-		w := slices.DeleteFunc(s.watch[p.JobID], func(q *SweepPoint) bool { return q == p })
-		if len(w) == 0 {
-			delete(s.watch, p.JobID)
-		} else {
-			s.watch[p.JobID] = w
+		ps := s.pointViewLocked(p)
+		c.Retries += ps.Attempts
+		switch ps.State {
+		case StatePending:
+			c.Pending++
+		case StateQueued:
+			c.Queued++
+		case StateRunning:
+			c.Running++
+		case StateRetrying:
+			c.Retrying++
+		case StateCached:
+			c.Cached++
+		case StateFailed:
+			c.Failed++
+		case StateEvicted:
+			c.Evicted++
 		}
 	}
+	return c
 }
 
-// sweepDoneLocked reports whether every point is admitted and terminal
-// (s.mu held). A point that was re-armed but not yet re-admitted through the
-// window still *looks* terminal (failed/evicted); the cursor sits at it, so
-// a sweep with pending re-admissions never reads as done.
+// sweepDoneLocked reports whether every point is terminal (s.mu held). A
+// point that was re-armed but not yet re-admitted through the window still
+// *looks* terminal (failed/evicted) — the admitted flag distinguishes it,
+// so a sweep with pending re-admissions never reads as done.
 func (s *Server) sweepDoneLocked(sw *Sweep) bool {
-	return sw.next == len(sw.Points) && sw.inflight == 0
+	for i, p := range sw.Points {
+		if !sw.admitted[i] || !terminalPointState(s.pointViewLocked(p).State) {
+			return false
+		}
+	}
+	return true
 }
 
-// admitPointLocked admits the point through admitLocked and counts it
-// admitted (s.mu held).
-func (s *Server) admitPointLocked(p *SweepPoint) error {
-	p.streamed = true
-	if _, err := s.admitLocked(p.JobID, p.Req); err != nil {
-		return err
+// sweepInflightLocked counts admitted, not-yet-terminal points — the fan-out
+// window's occupancy (s.mu held).
+func (s *Server) sweepInflightLocked(sw *Sweep) int {
+	n := 0
+	for i, p := range sw.Points {
+		if sw.admitted[i] && !terminalPointState(s.pointViewLocked(p).State) {
+			n++
+		}
 	}
-	s.recountLocked(p, true)
-	return nil
+	return n
+}
+
+// admitPointLocked wires the sweep as a watcher of the point's job and
+// admits the point through admitLocked (s.mu held).
+func (s *Server) admitPointLocked(sw *Sweep, p *SweepPoint) error {
+	s.watchLocked(p.JobID, sw)
+	_, err := s.admitLocked(p.JobID, p.Req)
+	return err
+}
+
+// watchLocked registers sw as a watcher of jobID (s.mu held; idempotent).
+func (s *Server) watchLocked(jobID string, sw *Sweep) {
+	for _, w := range s.watch[jobID] {
+		if w == sw {
+			return
+		}
+	}
+	s.watch[jobID] = append(s.watch[jobID], sw)
 }
 
 // advanceSweepLocked admits pending points up to the fan-out window and
-// latches the done edge (s.mu held). The cursor only moves past admitted
-// points, so a call costs the points it admits, not the grid. Fan-out
-// pauses while the server drains, stops, or is degraded — pending points
-// stay durable in the manifest and resume in the next process life.
+// latches the done edge (s.mu held). Fan-out pauses while the server drains,
+// stops, or is degraded — pending points stay durable in the manifest and
+// resume in the next process life.
 func (s *Server) advanceSweepLocked(sw *Sweep) {
 	if !s.stopping() && !s.isDraining() && !s.degradedMode() {
-		for ; sw.next < len(sw.Points); sw.next++ {
-			if p := sw.Points[sw.next]; !p.admitted {
-				if sw.inflight >= s.cfg.SweepWorkers || s.admitPointLocked(p) != nil {
-					break // window full, or queue full or disk pressure: retry on the next transition
-				}
+		inflight := s.sweepInflightLocked(sw)
+		for i, p := range sw.Points {
+			if inflight >= s.cfg.SweepWorkers {
+				break
+			}
+			if sw.admitted[i] {
+				continue
+			}
+			if err := s.admitPointLocked(sw, p); err != nil {
+				break // queue full or disk pressure: retry on the next transition
+			}
+			sw.admitted[i] = true
+			if !terminalPointState(s.pointViewLocked(p).State) {
+				inflight++
 			}
 		}
 	}
 	if !sw.done && s.sweepDoneLocked(sw) {
 		sw.done = true
-		sw.hub.publish(Event{Type: evSweepDone, Sweep: sw.ID, Counts: sw.counts})
+		sw.hub.publish(Event{Type: evSweepDone, Sweep: sw.ID, Counts: s.sweepCountsLocked(sw)})
 	}
 }
 
 // advanceAllLocked advances every live sweep's window (s.mu held); called on
-// each terminal job transition, in sweep ID order so fan-out is stable. A
-// done sweep is skipped: every point is admitted (rearmSweepLocked clears
-// done before un-admitting any), so advancing it is a no-op.
+// each terminal job transition, in sorted order so fan-out is stable. A done
+// sweep is skipped: every point is admitted (rearmSweepLocked clears done
+// before un-admitting any), so advancing it is a no-op that would still view
+// each of its points.
 func (s *Server) advanceAllLocked() {
-	for _, sw := range s.order {
+	ids := make([]string, 0, len(s.sweeps))
+	for id, sw := range s.sweeps {
 		if !sw.done {
-			s.advanceSweepLocked(sw)
+			ids = append(ids, id)
 		}
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		s.advanceSweepLocked(s.sweeps[id])
 	}
 }
 
@@ -428,8 +399,7 @@ func (s *Server) rearmSweepLocked(sw *Sweep) int {
 	n := 0
 	for i, p := range sw.Points {
 		if st := s.pointViewLocked(p).State; st == StateFailed || st == StateEvicted {
-			s.recountLocked(p, false)
-			sw.next = min(sw.next, i)
+			sw.admitted[i] = false
 			sw.done = false
 			n++
 		}
@@ -456,7 +426,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	if sw := s.sweeps[id]; sw != nil {
 		// Same grid again: re-arm any failed/evicted points (fresh budgets,
 		// like a job re-POST) and report the existing sweep. Advance even
-		// when nothing was re-armed: the queue may have refused a point.
+		// when nothing was re-armed — the last point may have gone terminal
+		// without the done edge latched yet.
 		rearmed := s.rearmSweepLocked(sw)
 		s.advanceSweepLocked(sw)
 		done := sw.done && rearmed == 0
@@ -476,7 +447,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sw := &Sweep{ID: id, Req: req, Points: points, hub: newHub()}
+	sw := &Sweep{ID: id, Req: req, Points: points, admitted: make([]bool, len(points)), hub: newHub()}
 	// Durability point: the manifest is journaled before the POST is
 	// answered; a kill -9 any time after this resumes the sweep.
 	if err := s.store.PutSweep(sw.record()); err != nil {
@@ -489,7 +460,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	s.addSweepLocked(sw)
+	s.sweeps[id] = sw
 	s.counters.SweepsAccepted.Add(1)
 	s.counters.SweepPoints.Add(uint64(len(points)))
 	s.advanceSweepLocked(sw)
@@ -513,11 +484,14 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown sweep"})
 		return
 	}
-	// Done and the counts both read the sweep's accounting, so they agree.
-	out := SweepStatusResponse{ID: id, State: "running", Counts: sw.counts}
+	// Done is decided before the counts: a job can go terminal without s.mu
+	// but leaves a terminal state only under it, so a sweep found done cannot
+	// then count a point as running.
+	out := SweepStatusResponse{ID: id, State: "running"}
 	if s.sweepDoneLocked(sw) {
 		out.State = "done"
 	}
+	out.Counts = s.sweepCountsLocked(sw)
 	for _, p := range sw.Points {
 		out.Points = append(out.Points, s.pointViewLocked(p))
 	}
@@ -540,7 +514,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown sweep"})
 		return
 	}
-	out := SweepResultResponse{ID: id, Done: s.sweepDoneLocked(sw), Counts: sw.counts}
+	out := SweepResultResponse{ID: id, Done: s.sweepDoneLocked(sw), Counts: s.sweepCountsLocked(sw)}
 	type pending struct {
 		idx   int
 		jobID string
@@ -563,10 +537,8 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 		s.store.Unpin(rd.jobID)
 		if err != nil {
 			// Evicted or lost between snapshot and read: report the state
-			// honestly rather than serving a hole, and recount the point in
-			// case the read found its file gone.
+			// honestly rather than serving a hole.
 			out.Points[rd.idx].State = StateEvicted
-			s.recountJob(rd.jobID)
 			continue
 		}
 		out.Points[rd.idx].Result = json.RawMessage(data)

@@ -220,7 +220,7 @@ func (m *memFS) Glob(pattern string) ([]string, error) {
 // the stub runner, from the POST to the done latch, and reports the cost per
 // point. The store sits on the real filesystem ("disk") or in memory
 // ("mem"); in memory, what remains is the server's own work per point, and
-// flat ns/point across sizes means sweep bookkeeping is O(1) per transition.
+// ns/point that grows with the size is sweep bookkeeping that grows with it.
 func BenchmarkSweepPoints(b *testing.B) {
 	for _, store := range []string{"disk", "mem"} {
 		for _, n := range []int{64, 256, 1024} {

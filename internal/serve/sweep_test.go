@@ -134,7 +134,8 @@ func TestSweepFanOutToGrid(t *testing.T) {
 	if st.Counts.Cached != 8 || st.Counts.Failed != 0 {
 		t.Fatalf("final counts = %+v, want 8 cached", st.Counts)
 	}
-	checkSweepAccounting(t, srv) // quiescent: every point is terminal
+	waitLatched(t, srv, sr.ID) // the last worker has advanced the sweep
+	checkSweepAccounting(t, srv)
 	if c := srv.Counters().Snapshot(); c.SweepsAccepted != 1 || c.SweepPoints != 8 {
 		t.Errorf("counters = sweeps_accepted=%d sweep_points=%d, want 1/8", c.SweepsAccepted, c.SweepPoints)
 	}
