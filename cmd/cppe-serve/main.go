@@ -104,7 +104,8 @@ func main() {
 	}
 
 	// Graceful shutdown: shed new work, park running jobs at their next
-	// checkpoint boundary (journaled as queued), then stop the HTTP listener.
+	// checkpoint boundary (their journal records replay as queued), then stop
+	// the HTTP listener.
 	// Exit 0 means the journal is complete and a restart continues the work.
 	srv.Drain()
 	if err := srv.Shutdown(*drainWait); err != nil {

@@ -676,30 +676,3 @@ func (s *Session) Robustness(seeds ...int64) *stats.Table {
 		cell(stats.Min(geos)), cell(stats.Max(geos)))
 	return t
 }
-
-// AllExperiments regenerates every table and figure in order.
-func (s *Session) AllExperiments() []*stats.Table {
-	return []*stats.Table{
-		TableI(s.cfg.Base),
-		s.TableII(),
-		s.Fig3(),
-		s.Fig4(),
-		s.TableIII(),
-		s.TableIV(),
-		s.SweepT3(),
-		s.Fig7(),
-		s.Fig8(),
-		s.Fig9(75),
-		s.Fig9(50),
-		s.Fig10(),
-		s.OverheadReport(),
-		s.AblationHPE(),
-		s.AblationTree(),
-		s.AblationMHPEDesign(),
-		s.AblationTrueLRU(),
-		s.SweepRate(),
-		s.Breakdown(),
-		s.Robustness(),
-		s.ClaimsTable(),
-	}
-}

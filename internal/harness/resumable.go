@@ -109,24 +109,15 @@ type Progress struct {
 //
 // Terminal outcomes delete the checkpoint when the run completed or thrash-
 // aborted cleanly (Err == nil); a run that died with an error keeps its last
-// checkpoint so a retry can continue instead of starting over. Only clean
-// outcomes are cached in the session, so retrying an errored run actually
-// reruns it.
+// checkpoint so a retry can continue instead of starting over.
+//
+// RunResumable neither reads nor fills the session's result cache: the
+// caller's own store is the cache of a resumable job, so every call runs the
+// simulation and a long-lived session does not grow with the jobs it serves.
 func (s *Session) RunResumable(k Key, path string, every memdef.Cycle, stop func() bool, progress func(Progress)) (Result, error) {
-	s.mu.Lock()
-	if r, ok := s.cache[k]; ok {
-		s.mu.Unlock()
-		return r, nil
-	}
-	s.mu.Unlock()
 	out, parked := s.runResumable(k, runOpts{path: path, every: every, stop: stop, progress: progress})
 	if parked {
 		return Result{}, ErrParked
-	}
-	if out.Err == nil {
-		s.mu.Lock()
-		s.cache[k] = out
-		s.mu.Unlock()
 	}
 	if !out.Crashed || out.Err == nil {
 		// Terminal simulation outcome (including modeled thrash aborts): the

@@ -14,16 +14,20 @@ import (
 // parks at a checkpoint boundary and is continued by a later RunResumable
 // (fresh session, as after a process restart) finishes with a Result
 // bit-for-bit identical to an uninterrupted run, and cleans its checkpoint up.
+// RunResumable never touches the session's result cache: the run that parks
+// is on the session that already ran k, and the resuming session caches
+// nothing.
 func TestRunResumableMatchesRun(t *testing.T) {
 	k := ckptKey()
-	want := NewSession(checkpointTestConfig()).Run(k)
+	ref := NewSession(checkpointTestConfig())
+	want := ref.Run(k)
 	if want.Err != nil {
 		t.Fatalf("reference run failed: %v", want.Err)
 	}
 
 	path := filepath.Join(t.TempDir(), "job.ckpt")
 	parks := 0
-	_, err := NewSession(checkpointTestConfig()).RunResumable(k, path, want.Cycles/7, func() bool {
+	_, err := ref.RunResumable(k, path, want.Cycles/7, func() bool {
 		parks++
 		return parks >= 2 // park at the second checkpoint boundary
 	}, nil)
@@ -34,9 +38,13 @@ func TestRunResumableMatchesRun(t *testing.T) {
 		t.Fatalf("parked run left no checkpoint: %v", err)
 	}
 
-	got, err := NewSession(checkpointTestConfig()).RunResumable(k, path, want.Cycles/7, nil, nil)
+	resumer := NewSession(checkpointTestConfig())
+	got, err := resumer.RunResumable(k, path, want.Cycles/7, nil, nil)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
+	}
+	if n := resumer.CachedRuns(); n != 0 {
+		t.Errorf("RunResumable cached %d results in the session, want none", n)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed result differs:\n got %+v\nwant %+v", got, want)

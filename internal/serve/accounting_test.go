@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -129,9 +131,53 @@ func TestChaosSweepAccountingUnderFaults(t *testing.T) {
 	}
 }
 
+// TestSweepPointAdmissionIOError fails a point's admission with an error that
+// is neither backpressure nor disk pressure. In a 2-point sweep with a window
+// of one, the first point's result write and the second point's queued write
+// hit EIO. The second point must not wait pending with nothing in flight for
+// a transition that never comes: it fails, the sweep finishes, and a re-POST
+// over a healthy disk re-arms both points and completes the grid.
+func TestSweepPointAdmissionIOError(t *testing.T) {
+	stub := newStubRunner()
+	stub.block = true
+	inj := fsfault.NewInjector(fsfault.OS, 1)
+	cfg := testConfig(t.TempDir(), stub)
+	cfg.FS = inj
+	cfg.SweepWorkers = 1
+	srv := newCheckedServer(t, cfg)
+	srv.Start()
+	defer srv.Shutdown(0)
+
+	body := `{"benchmarks":["SRD"],"setups":["cppe"],"oversubscriptions":[75,50]}`
+	code, sr := postSweep(t, srv.Handler(), body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST sweep: %d", code)
+	}
+	<-stub.started // the window's one point is running
+	inj.SetError(syscall.EIO)
+	inj.FailWrites(1) // every write fails
+	inj.Arm()
+	close(stub.release)
+	st := waitSweepDone(t, srv.Handler(), sr.ID)
+	inj.Disarm()
+	if srv.degradedMode() {
+		t.Fatal("EIO degraded the server")
+	}
+	if st.Counts.Failed != 2 {
+		t.Fatalf("counts under EIO = %+v, want both points failed", st.Counts)
+	}
+
+	if code, sr2 := postSweep(t, srv.Handler(), body); code != http.StatusAccepted || !sr2.Deduped {
+		t.Fatalf("re-POST: %d %+v, want 202 deduped", code, sr2)
+	}
+	if st := waitSweepDone(t, srv.Handler(), sr.ID); st.Counts.Cached != 2 {
+		t.Fatalf("counts after re-arm = %+v, want 2 cached", st.Counts)
+	}
+}
+
 // gcGateFS holds the first result-directory Glob made while armed, which is
-// the one a collection makes after snapshotting its keep set, until release
-// is closed.
+// the listing a collection makes before it takes its protected set and
+// evicts, until release is closed.
 type gcGateFS struct {
 	fsfault.FS
 	armed   atomic.Bool
@@ -147,16 +193,33 @@ func (f *gcGateFS) Glob(pattern string) ([]string, error) {
 	return f.FS.Glob(pattern)
 }
 
-// TestGCEvictionRacingNewSweep registers a sweep between a collection's keep
-// snapshot and its evictions. Every point of the new sweep must end terminal
-// with its accounting conserved, and a re-POST must rerun exactly the points
-// that lost their results and finish the grid cached. (Today the collection
-// takes the two aged results the new sweep found cached, which DESIGN §15
-// forbids for an active sweep; the test does not pin that count.)
+// holdRunner holds the run of job id at its start until release is closed,
+// signalling reached first.
+type holdRunner struct {
+	Runner
+	id      string
+	reached chan struct{}
+	release chan struct{}
+}
+
+func (r holdRunner) Run(req Request, ckpt string, every uint64, stop func() bool, progress func(uint64)) (cppe.Result, error) {
+	if id, _ := r.JobID(req); id == r.id {
+		close(r.reached)
+		<-r.release
+	}
+	return r.Runner.Run(req, ckpt, every, stop, progress)
+}
+
+// TestGCEvictionRacingNewSweep registers a sweep between a collection's
+// listing of the results and its evictions. The collection must not take the
+// aged results the new sweep found cached (DESIGN §15: never any point of an
+// active sweep): the sweep ends with every point cached and none evicted, its
+// accounting conserved, and a re-POST is a cache hit that runs nothing.
 func TestGCEvictionRacingNewSweep(t *testing.T) {
 	gfs := &gcGateFS{FS: fsfault.OS, reached: make(chan struct{}), release: make(chan struct{})}
 	stub := newStubRunner()
-	cfg := testConfig(t.TempDir(), stub)
+	hold := holdRunner{Runner: stub, id: "SRD-cppe-25", reached: make(chan struct{}), release: make(chan struct{})}
+	cfg := testConfig(t.TempDir(), hold)
 	cfg.FS = gfs
 	cfg.StoreMaxAge = time.Hour
 	srv := newCheckedServer(t, cfg)
@@ -164,6 +227,8 @@ func TestGCEvictionRacingNewSweep(t *testing.T) {
 	defer srv.Shutdown(0)
 	release := sync.OnceFunc(func() { close(gfs.release) })
 	defer release() // before Shutdown, which waits for the gated worker
+	releaseRun := sync.OnceFunc(func() { close(hold.release) })
+	defer releaseRun()
 
 	code, a := postSweep(t, srv.Handler(), `{"benchmarks":["SRD"],"setups":["cppe"],"oversubscriptions":[75,50]}`)
 	if code != http.StatusAccepted {
@@ -178,12 +243,14 @@ func TestGCEvictionRacingNewSweep(t *testing.T) {
 	gfs.armed.Store(true)
 	post(t, srv.Handler(), `{"benchmark":"NW","setup":"cppe","oversubscription":50}`)
 	<-gfs.reached
-	old := time.Now().Add(-2 * time.Hour)
-	for _, id := range []string{"SRD-cppe-75", "SRD-cppe-50"} {
-		if err := os.Chtimes(srv.store.resultPath(id), old, old); err != nil {
-			t.Fatal(err)
+	age := func(at time.Time) { // a result already evicted is left alone
+		for _, id := range []string{"SRD-cppe-75", "SRD-cppe-50"} {
+			if err := os.Chtimes(srv.store.resultPath(id), at, at); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				t.Fatal(err)
+			}
 		}
 	}
+	age(time.Now().Add(-2 * time.Hour))
 	b := `{"benchmarks":["SRD"],"setups":["cppe"],"oversubscriptions":[75,50,25]}`
 	code, sb := postSweep(t, srv.Handler(), b)
 	if code != http.StatusAccepted {
@@ -195,30 +262,28 @@ func TestGCEvictionRacingNewSweep(t *testing.T) {
 	checkSweepAccounting(t, srv)
 	release()
 
+	// Every collection before sweep B's last run has finished once that run
+	// starts (one worker). Un-age the results before it completes: the
+	// collection after it sees sweep B done, and aged results of a done
+	// sweep are ordinary candidates.
+	<-hold.reached
+	age(time.Now())
+	releaseRun()
 	st := waitSweepDone(t, srv.Handler(), sb.ID)
-	if st.Counts.Evicted+st.Counts.Cached != 3 {
-		t.Fatalf("sweep B = %+v, want every point cached or evicted", st.Counts)
+	if st.Counts.Cached != 3 || st.Counts.Evicted != 0 {
+		t.Fatalf("sweep B = %+v, want 3 cached and none evicted", st.Counts)
 	}
-	evicted := st.Counts.Evicted
 	waitLatched(t, srv, sb.ID) // the worker has advanced the sweep
 	checkSweepAccounting(t, srv)
-	// Sweep A's points are jobs of sweep B, so they share their views.
-	if st := sweepStatus(t, srv.Handler(), a.ID); st.Counts.Evicted != evicted {
-		t.Errorf("sweep A = %+v, want the %d evicted of sweep B", st.Counts, evicted)
+	if st := sweepStatus(t, srv.Handler(), a.ID); st.Counts.Cached != 2 {
+		t.Errorf("sweep A = %+v, want its 2 points cached", st.Counts)
 	}
 	before := stub.runs.Load()
-	want := http.StatusAccepted // re-armed points run again
-	if evicted == 0 {
-		want = http.StatusOK
+	if code, sr := postSweep(t, srv.Handler(), b); code != http.StatusOK || !sr.Cached {
+		t.Fatalf("re-POST sweep B: %d %+v, want 200 cached", code, sr)
 	}
-	if code, _ := postSweep(t, srv.Handler(), b); code != want {
-		t.Fatalf("re-POST sweep B: %d, want %d", code, want)
-	}
-	if st := waitSweepDone(t, srv.Handler(), sb.ID); st.Counts.Cached != 3 {
-		t.Fatalf("sweep B after re-arm = %+v, want 3 cached", st.Counts)
-	}
-	if ran := stub.runs.Load() - before; ran != int64(evicted) {
-		t.Errorf("re-arm ran %d points, want the %d evicted ones", ran, evicted)
+	if ran := stub.runs.Load() - before; ran != 0 {
+		t.Errorf("re-POST ran %d points, want none", ran)
 	}
 }
 

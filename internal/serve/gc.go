@@ -8,7 +8,7 @@ import (
 
 // This file is the result-store garbage collector: size- and age-bounded
 // eviction of cached result bytes, LRU by last-served. GC never touches the
-// journal (startup compaction owns that), never touches checkpoints (the
+// journal (job completion and replay own that), never touches checkpoints (the
 // retry path owns those), and never evicts a result that is pinned by an
 // in-flight read or protected by the keep callback (non-terminal jobs and
 // every point of an active sweep). Eviction order is deterministic for a
@@ -53,31 +53,29 @@ type gcCandidate struct {
 // the server passes a predicate covering non-terminal jobs and all points of
 // active sweeps. Pinned results always survive.
 func (st *Store) GC(cfg GCConfig, now time.Time, keep func(id string) bool) GCStats {
-	var out GCStats
-	if !cfg.Enabled() {
-		return out
-	}
+	return st.evict(cfg, now, st.gcCandidates(), keep)
+}
+
+// gcCandidates lists and stats the stored results, least-recently-served
+// first: results never served this process life (seq 0) go before any served
+// one, ordered by mtime so the oldest write leaves first; ID breaks exact
+// ties deterministically. No syscall happens under the store lock.
+func (st *Store) gcCandidates() []gcCandidate {
 	paths, err := st.fs.Glob(filepath.Join(st.resultsDir(), "*.json"))
 	if err != nil {
-		return out
+		return nil
 	}
 	var cands []gcCandidate
-	var total int64
-	st.mu.Lock()
 	for _, p := range paths {
-		size, mtime, ok := st.statResult(p)
-		if !ok {
-			continue
+		if fi, err := st.fs.Stat(p); err == nil {
+			cands = append(cands, gcCandidate{id: resultIDFromPath(p), path: p, size: fi.Size(), mtime: fi.ModTime()})
 		}
-		id := resultIDFromPath(p)
-		cands = append(cands, gcCandidate{id: id, path: p, size: size, mtime: mtime, seq: st.lastServed[id]})
-		total += size
+	}
+	st.mu.Lock()
+	for i := range cands {
+		cands[i].seq = st.lastServed[cands[i].id]
 	}
 	st.mu.Unlock()
-
-	// Least-recently-served first. Results never served this process life
-	// (seq 0) go before any served one, ordered by mtime so the oldest write
-	// leaves first; ID breaks exact ties deterministically.
 	sort.Slice(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
 		if a.seq != b.seq {
@@ -88,11 +86,23 @@ func (st *Store) GC(cfg GCConfig, now time.Time, keep func(id string) bool) GCSt
 		}
 		return a.id < b.id
 	})
+	return cands
+}
 
-	// evict removes c unless it is protected, reporting whether a pin or keep
-	// saved it. The pin check and the removal share st.mu, so a reader that
-	// pins between them cannot have the file taken from under its read.
-	evict := func(c gcCandidate) (protected bool) {
+// evict removes candidates in order until cfg holds at now, consulting keep
+// (nil = keep nothing extra). It makes no listing or stat call, so a caller
+// may hold its own lock across it to keep the protected set fixed.
+func (st *Store) evict(cfg GCConfig, now time.Time, cands []gcCandidate, keep func(id string) bool) GCStats {
+	var out GCStats
+	var total int64
+	for _, c := range cands {
+		total += c.size
+	}
+
+	// remove deletes c unless it is protected, reporting whether a pin or
+	// keep saved it. The pin check and the removal share st.mu, so a reader
+	// that pins between them cannot have the file taken from under its read.
+	remove := func(c gcCandidate) (protected bool) {
 		if keep != nil && keep(c.id) {
 			return true
 		}
@@ -121,7 +131,7 @@ func (st *Store) GC(cfg GCConfig, now time.Time, keep func(id string) bool) GCSt
 			}
 			continue
 		}
-		if evict(c) {
+		if remove(c) {
 			out.PinsHonored++
 		}
 	}

@@ -6,11 +6,11 @@
 //
 // Robustness is the design center:
 //
-//   - durability: every job-state transition is an atomic write into a
-//     journal under the state directory, replayed on startup. A job is
-//     journaled queued before its POST is answered, so a kill -9 loses no
-//     answered job, and a job killed mid-run resumes from its periodic
-//     checkpoint (harness.RunResumable);
+//   - durability: a journal under the state directory holds what replay
+//     reads of each unfinished or failed job; a finished job's only record
+//     is its result file. A job is journaled queued before its POST is
+//     answered, so a kill -9 loses no answered job, and a job killed mid-run
+//     resumes from its periodic checkpoint (harness.RunResumable);
 //   - dedup: job identity IS the content fingerprint, so identical in-flight
 //     requests collapse onto one job, and a single-flight guard around the
 //     executor keeps even pathological duplicates down to one simulation;
@@ -42,9 +42,9 @@ import (
 //
 // A job is born queued: admission journals it in that state before pushing
 // it to the run queue, and before its POST is answered. A graceful shutdown
-// moves running jobs back to queued (checkpointed and requeued); the journal
-// is written at every transition, so the state machine survives kill -9 at
-// any point.
+// moves running jobs back to queued. The journal holds only what replay
+// reads (retrying writes the attempts, failed the error; cached removes the
+// record), so the state machine survives kill -9 at any point.
 type State string
 
 const (
@@ -82,8 +82,8 @@ type Request struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// Record is the journaled form of a job: everything a restart needs to
-// continue. One record per job; each state transition atomically replaces it.
+// Record is the journaled form of an unfinished or failed job: everything a
+// restart needs to continue. It is removed once the job is cached.
 type Record struct {
 	ID       string  `json:"id"`
 	Request  Request `json:"request"`
@@ -157,7 +157,7 @@ func (j *Job) bumpAttempts() int {
 
 // finish moves the job to a terminal state, runs persist (when non-nil) to
 // make that state durable, and only then wakes the waiters, so a waiter never
-// sees the job finished before its terminal record is journaled. The channel
+// sees the job finished before its terminal state is journaled. The channel
 // woken is the one current at the transition: a rearm while persist runs
 // gives the job a fresh channel for new waiters, which stays open.
 func (j *Job) finish(s State, errMsg string, persist func(*Job)) {
@@ -215,9 +215,9 @@ func (j *Job) Record() Record {
 	return Record{ID: j.ID, Request: j.Req, State: j.state, Attempts: j.attempts, Error: j.errMsg}
 }
 
-// journal writes the job's current record through put. Writes are
-// serialized per job and the record is read under the same lock, so the last
-// write always carries the newest state: a writer that snapshotted an older
+// journal hands the job's current record to put, which writes or removes it.
+// Calls are serialized per job and read the record under the same lock, so
+// the last one acts on the newest state: a writer that snapshotted an older
 // state can no longer land after one that snapshotted a newer state.
 func (j *Job) journal(put func(Record) error) error {
 	j.journalMu.Lock()
@@ -228,11 +228,6 @@ func (j *Job) journal(put func(Record) error) error {
 // jobFromRecord rebuilds a job from its journal record (used by replay).
 func jobFromRecord(rec Record) *Job {
 	j := NewJob(rec.ID, rec.Request)
-	j.state = rec.State
-	j.attempts = rec.Attempts
-	j.errMsg = rec.Error
-	if rec.State.Terminal() {
-		close(j.done)
-	}
+	j.restore(rec)
 	return j
 }

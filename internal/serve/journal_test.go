@@ -16,7 +16,7 @@ import (
 
 // slowQueuedJournalFS delays every journal write of a "queued" record before
 // it reaches the disk, widening the window in which a late queued write could
-// land after the job's cached record.
+// land after the job's completion removed its record.
 type slowQueuedJournalFS struct {
 	fsfault.FS
 	delay time.Duration
@@ -29,7 +29,8 @@ func (f slowQueuedJournalFS) WriteFile(name string, data []byte, perm fs.FileMod
 	return f.FS.WriteFile(name, data, perm)
 }
 
-// slowTerminalJournalFS delays every journal write of a terminal record, which
+// slowTerminalJournalFS delays every journal write of a failed record and
+// every removal of a journal record (which is how a job becomes cached), so it
 // widens the window between a job's terminal transition and the moment that
 // state is durable.
 type slowTerminalJournalFS struct {
@@ -38,11 +39,17 @@ type slowTerminalJournalFS struct {
 }
 
 func (f slowTerminalJournalFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	if filepath.Base(filepath.Dir(name)) == "journal" &&
-		(bytes.Contains(data, []byte(`"state": "cached"`)) || bytes.Contains(data, []byte(`"state": "failed"`))) {
+	if filepath.Base(filepath.Dir(name)) == "journal" && bytes.Contains(data, []byte(`"state": "failed"`)) {
 		time.Sleep(f.delay)
 	}
 	return f.FS.WriteFile(name, data, perm)
+}
+
+func (f slowTerminalJournalFS) Remove(name string) error {
+	if filepath.Base(filepath.Dir(name)) == "journal" && strings.HasSuffix(name, ".json") {
+		time.Sleep(f.delay)
+	}
+	return f.FS.Remove(name)
 }
 
 // logRecorder collects the service's log lines.
@@ -70,11 +77,12 @@ func (l *logRecorder) matching(substr string) []string {
 }
 
 // TestJournalLateQueuedWriteCannotOverwriteCached: a slow journal write of a
-// job's queued record must never land after the worker's cached one. The
-// queued record is written before the job is pushed to the run queue, and
-// journal writes are serialized per job and read the record under that lock,
-// so the last write carries the newest state: no journal write fails, and a
-// restart finds the job cached instead of queueing it again.
+// job's queued record must never land after the worker removed the record on
+// completion. The queued record is written before the job is pushed to the
+// run queue, and journal writes and removals are serialized per job and read
+// the record under that lock, so the last one acts on the newest state: no
+// journal write fails, no record of the finished job is left, and a restart
+// answers it from its result file instead of running it again.
 func TestJournalLateQueuedWriteCannotOverwriteCached(t *testing.T) {
 	dir := t.TempDir()
 	stub := newStubRunner()
@@ -101,23 +109,27 @@ func TestJournalLateQueuedWriteCannotOverwriteCached(t *testing.T) {
 	}
 	noTornTemps(t, dir)
 
+	recs, err := srv.Store().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		t.Errorf("journal still holds %s as %s, want no record", rec.ID, rec.State)
+	}
+
 	stub2 := newStubRunner()
 	srv2, err := New(testConfig(dir, stub2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv2.Start()
-	defer srv2.Shutdown(0)
-	j := srv2.Job(sr.ID)
-	if j == nil {
-		t.Fatalf("restart lost job %s", sr.ID)
+	if c := srv2.Counters().Snapshot(); c.Replayed != 0 {
+		t.Errorf("restart replayed %d records, want none", c.Replayed)
 	}
-	if j.State() != StateCached {
-		t.Fatalf("restart replayed job %s as %s, want cached", sr.ID, j.State())
+	if code, body := get(t, srv2.Handler(), "/v1/jobs/"+sr.ID); code != http.StatusOK || !strings.Contains(string(body), `"cached"`) {
+		t.Errorf("restart answers job %s with %d %s, want 200 cached", sr.ID, code, body)
 	}
-	if c := srv2.Counters().Snapshot(); c.Compacted != 1 {
-		t.Errorf("compacted = %d, want 1 (the cached record)", c.Compacted)
-	}
+	srv2.Shutdown(0)
 	if n := stub2.runs.Load(); n != 0 {
 		t.Errorf("restart ran the finished job again (%d runs)", n)
 	}
@@ -158,17 +170,19 @@ func TestStoreConcurrentWritesOfOneRecord(t *testing.T) {
 }
 
 // TestTerminalRecordJournaledBeforeWake: a job's waiters wake only once its
-// terminal record is on disk, so a waiter that restarts the service right away
+// terminal state is durable in the journal (a failed record written, a cached
+// job's record removed), so a waiter that restarts the service right away
 // finds the job finished instead of replaying it as unfinished and running
 // it again. Holds for success and for failure.
 func TestTerminalRecordJournaledBeforeWake(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		failures int
-		want     State
+		name      string
+		failures  int
+		want      State
+		journaled State // "" = no record
 	}{
-		{"cached", 0, StateCached},
-		{"failed", 100, StateFailed},
+		{"cached", 0, StateCached, ""},
+		{"failed", 100, StateFailed, StateFailed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stub := newStubRunner()
@@ -193,15 +207,15 @@ func TestTerminalRecordJournaledBeforeWake(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var journaled State
 			for _, rec := range recs {
 				if rec.ID == sr.ID {
-					if rec.State != tc.want {
-						t.Errorf("waiter woke with the journal at %s, want %s", rec.State, tc.want)
-					}
-					return
+					journaled = rec.State
 				}
 			}
-			t.Errorf("no journal record for %s", sr.ID)
+			if journaled != tc.journaled {
+				t.Errorf("waiter woke with the journal at %q, want %q", journaled, tc.journaled)
+			}
 		})
 	}
 }

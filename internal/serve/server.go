@@ -131,12 +131,11 @@ type Server struct {
 }
 
 // New builds a Server over cfg, opening the state directory and replaying the
-// journal: terminal jobs with results become cache entries (their journal
-// records compacted away — the result file alone carries them), everything
-// else is requeued (a job that was running when the last process died resumes
-// from its checkpoint). Sweep manifests are replayed the same way: finished
-// points are recognized by their durable results, unfinished ones resume
-// through the fan-out window. Workers do not start until Start.
+// journal by one rule: a job with a durable result is cached (its record
+// removed, counted as compacted), a failed record is kept for its error, and
+// anything else is requeued in memory, record untouched. Sweep manifests
+// replay the same way: finished points are recognized by their durable
+// results, the rest resume through the fan-out window. Workers wait for Start.
 func New(cfg Config) (*Server, error) {
 	if cfg.Runner == nil {
 		return nil, errors.New("serve: Config.Runner is required")
@@ -187,64 +186,36 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Requeued replay jobs must all fit regardless of the configured depth:
-	// admission control sheds *new* work, never work already accepted.
-	pending := 0
-	for _, rec := range recs {
-		// Cached jobs whose result bytes are gone rerun, so they count.
-		if !rec.State.Terminal() || (rec.State == StateCached && !store.HasResult(rec.ID)) {
-			pending++
-		}
-	}
-	depth := cfg.QueueDepth
-	if pending > depth {
-		depth = pending
-	}
-	s.queue = newQueue(depth)
-
+	var requeued []*Job
 	for _, rec := range recs {
 		s.counters.Replayed.Add(1)
 		switch {
-		case rec.State == StateCached && !store.HasResult(rec.ID):
-			// Journal says done but the result bytes are gone (crash between
-			// the two writes, or GC under a pruned results dir): run it again.
-			rec.State = StateQueued
-			rec.Error = ""
-			fallthrough
-		case !rec.State.Terminal():
-			// Unfinished, including "accepted", which older servers journaled
-			// before queueing a POSTed job: requeue it.
-			rec.State = StateQueued
-			j := jobFromRecord(rec)
-			if err := j.journal(store.PutJob); err != nil {
-				return nil, err
-			}
-			s.jobs[j.ID] = j
-			s.queue.TryPush(j) // sized above; cannot fail
-			cfg.Logf("serve: replayed job %s -> queued (attempts=%d)", j.ID, j.Attempts())
-		case rec.State == StateCached:
-			// Compaction: the durable result bytes alone carry a finished job
-			// across restarts, so the journal record is redundant — register
-			// the job in memory and drop the record, keeping the journal
-			// proportional to unfinished + failed work instead of all-time
-			// throughput.
-			j := jobFromRecord(rec)
-			s.jobs[j.ID] = j
+		case store.HasResult(rec.ID):
+			rec.State, rec.Error = StateCached, ""
 			store.DeleteJob(rec.ID)
 			s.counters.Compacted.Add(1)
-		default: // failed: keep the record — it carries the error across restarts
-			j := jobFromRecord(rec)
-			s.jobs[j.ID] = j
+		case rec.State != StateFailed:
+			// Queued, running, retrying, "accepted" (older servers), or
+			// cached with its result lost: run again with its attempts.
+			rec.State, rec.Error = StateQueued, ""
 		}
+		j := jobFromRecord(rec)
+		s.jobs[j.ID] = j
+		if rec.State == StateQueued {
+			requeued = append(requeued, j)
+			cfg.Logf("serve: replayed job %s -> queued (attempts=%d)", j.ID, j.Attempts())
+		}
+	}
+	// Requeued jobs must all fit regardless of the configured depth:
+	// admission control sheds *new* work, never work already accepted.
+	s.queue = newQueue(max(cfg.QueueDepth, len(requeued)))
+	for _, j := range requeued {
+		s.queue.TryPush(j) // sized above; cannot fail
 	}
 
 	// Checkpoints whose job appears nowhere (its torn journal record was
 	// dropped by replay) would otherwise leak forever.
-	known := make(map[string]bool, len(s.jobs))
-	for id := range s.jobs {
-		known[id] = true
-	}
-	if n := store.SweepOrphanCheckpoints(known); n > 0 {
+	if n := store.SweepOrphanCheckpoints(func(id string) bool { return s.jobs[id] != nil }); n > 0 {
 		cfg.Logf("serve: removed %d orphan checkpoints", n)
 	}
 
@@ -514,8 +485,8 @@ func (s *Server) admitLocked(id string, req Request) (SubmitResponse, error) {
 			return SubmitResponse{ID: id, State: prev.State, Deduped: true}, nil
 		}
 	} else if s.store.HasResult(id) {
-		// Completed in a previous process life; startup compaction dropped
-		// the journal record, so the result file alone carries the job.
+		// Completed in a previous process life: the result file alone
+		// carries the job.
 		j = NewJob(id, req)
 		j.finish(StateCached, "", nil)
 		s.jobs[id] = j
@@ -600,7 +571,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j := s.Job(id)
 	if j == nil {
 		if s.store.HasResult(id) {
-			// Compacted away in a previous life: still a perfectly good job.
+			// Finished in a previous life: the result file is its record.
 			writeJSON(w, http.StatusOK, StatusResponse{ID: id, State: StateCached})
 			return
 		}
@@ -616,7 +587,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.Job(id)
-	st := StateCached // no job registered: compacted in a previous life, or never ours
+	st := StateCached // no job registered: finished in a previous life, or never ours
 	if j != nil {
 		st = j.State()
 	}
@@ -752,7 +723,7 @@ func (s *Server) worker() {
 			if s.stopping() || s.degradedMode() {
 				// Shutdown (or disk-pressure degradation) won the race for
 				// this dequeue: don't start a simulation we'd immediately
-				// park — journal it as queued for the next process life.
+				// park — its queued record carries it to the next life.
 				s.park(j)
 				continue
 			}
@@ -764,24 +735,31 @@ func (s *Server) worker() {
 	}
 }
 
-// persist journals j's current state; journal write failures degrade
-// durability, not availability, so they log (and, under disk pressure, flip
-// degraded mode) instead of failing the job.
+// persist journals j's current state: a cached job's record is removed (a
+// leftover next to the durable result replays as cached), any other state is
+// written. Write failures degrade durability, not availability, so they log
+// (and, under disk pressure, flip degraded mode) instead of failing the job.
 func (s *Server) persist(j *Job) {
-	if err := j.journal(s.store.PutJob); err != nil {
+	err := j.journal(func(rec Record) error {
+		if rec.State == StateCached {
+			s.store.DeleteJob(rec.ID)
+			return nil
+		}
+		return s.store.PutJob(rec)
+	})
+	if err != nil {
 		s.degradeOnDiskPressure(err)
 		s.cfg.Logf("serve: journal write failed for %s: %v", j.ID, err)
 	}
 }
 
-// park journals j back to queued. Parking happens on the shutdown and
-// degraded paths, where the journal — not the in-memory queue — is what
-// carries the job to the next process life, so there is deliberately no
-// re-enqueue here.
+// park moves j back to queued, writing nothing: its record (queued, or
+// retrying with its attempts) already replays as queued. It runs on the
+// shutdown and degraded paths, where the journal, not the in-memory queue,
+// carries the job to the next life, so there is deliberately no re-enqueue.
 func (s *Server) park(j *Job) {
 	s.counters.Parked.Add(1)
 	j.setState(StateQueued)
-	s.persist(j)
 }
 
 func (s *Server) fail(j *Job, msg string) {
@@ -798,37 +776,44 @@ func (s *Server) onJobEvent(j *Job, typ string, cycle uint64) {
 	rec := j.Record()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, sw := range s.watch[j.ID] {
-		p := sw.point(j.ID)
+	s.publishLocked(rec, typ, cycle)
+	if rec.State.Terminal() {
+		s.advanceAllLocked()
+	}
+}
+
+// publishLocked publishes one event of the job whose record is rec to every
+// sweep watching it (s.mu held).
+func (s *Server) publishLocked(rec Record, typ string, cycle uint64) {
+	for _, sw := range s.watch[rec.ID] {
+		p := sw.point(rec.ID)
 		if p == nil {
 			continue
 		}
 		sw.hub.publish(Event{
-			Type: typ, Sweep: sw.ID, JobID: j.ID,
+			Type: typ, Sweep: sw.ID, JobID: rec.ID,
 			Benchmark: p.Req.Benchmark, Setup: p.Req.Setup,
 			Oversubscription: p.Req.Oversubscription,
 			Cycle:            cycle, Attempts: rec.Attempts, Error: rec.Error,
 			Counts: s.sweepCountsLocked(sw),
 		})
 	}
-	if rec.State.Terminal() {
-		s.advanceAllLocked()
-	}
 }
 
 // ---- result-store GC ----
 
-// maybeGC runs one collection if any bound is configured: snapshot the
-// protected set (results of non-terminal jobs and of every point of an
-// active sweep) under the registry lock, expire manifests of long-done
-// sweeps, then let the store evict the LRU tail. Runs at startup and after
-// each completed job — the only times the store grows.
+// maybeGC runs one collection if any bound is configured: list the results,
+// then under the registry lock expire manifests of long-done sweeps, take the
+// protected set (non-terminal jobs, every point of an active sweep) and evict
+// the LRU tail, so a sweep registered after the listing is protected too.
+// Runs at startup and after each completed job, when the store grows.
 func (s *Server) maybeGC() {
 	cfg := GCConfig{MaxBytes: s.cfg.StoreMaxBytes, MaxAge: s.cfg.StoreMaxAge}
 	if !cfg.Enabled() {
 		return
 	}
 	now := time.Now()
+	cands := s.store.gcCandidates()
 	keep := make(map[string]bool)
 	s.mu.Lock()
 	for id, j := range s.jobs {
@@ -850,9 +835,9 @@ func (s *Server) maybeGC() {
 			delete(s.sweeps, id)
 		}
 	}
+	gst := s.store.evict(cfg, now, cands, func(id string) bool { return keep[id] })
 	s.mu.Unlock()
 
-	gst := s.store.GC(cfg, now, func(id string) bool { return keep[id] })
 	if gst.EvictedResults > 0 || gst.PinsHonored > 0 {
 		s.counters.GCEvicted.Add(uint64(gst.EvictedResults))
 		s.counters.GCReclaimedBytes.Add(uint64(gst.ReclaimedBytes))
@@ -879,8 +864,7 @@ func (s *Server) execute(j *Job) {
 			s.park(j)
 			return
 		}
-		j.setState(StateRunning)
-		s.persist(j)
+		j.setState(StateRunning) // not journaled: replay requeues either way
 		s.onJobEvent(j, evPointStarted, 0)
 
 		var deadlineAt time.Time
@@ -961,7 +945,7 @@ func (s *Server) execute(j *Job) {
 		delay := Backoff(s.cfg.RetryBase, s.cfg.RetryCap, attempt)
 		s.cfg.Logf("serve: job %s attempt %d failed (%v); retrying in %v", j.ID, attempt, res.Err, delay)
 		if !s.sleep(delay) {
-			s.park(j) // shutdown during backoff: requeue durably
+			s.park(j) // shutdown during backoff: the retrying record replays as queued
 			return
 		}
 	}

@@ -19,8 +19,8 @@ import (
 // journal, the completed-result cache, the per-job simulation checkpoints,
 // and the sweep manifests.
 //
-//	<dir>/journal/<id>.json   one record per job, atomically replaced on every
-//	                          state transition; replayed at startup
+//	<dir>/journal/<id>.json   what replay reads of an unfinished or failed job;
+//	                          removed once its result is durable
 //	<dir>/results/<id>.json   canonical ResultJSON bytes of completed jobs,
 //	                          served verbatim (byte-identical to cppe-sim -json)
 //	<dir>/ckpt/<id>.ckpt      periodic CRC-framed simulation checkpoints,
@@ -150,8 +150,7 @@ func (st *Store) atomicWrite(path string, data []byte) error {
 	return nil
 }
 
-// PutJob journals rec, atomically replacing the job's previous record. This
-// is the durability point of every state transition.
+// PutJob journals rec, atomically replacing the job's previous record.
 func (st *Store) PutJob(rec Record) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -163,9 +162,9 @@ func (st *Store) PutJob(rec Record) error {
 	return nil
 }
 
-// DeleteJob removes a job's journal record (used to roll back an admission
-// that lost the queue-capacity race, and by startup compaction). Missing
-// records are fine.
+// DeleteJob removes a job's journal record: when the job is cached, when an
+// admission that lost the queue-capacity race rolls back, and when replay
+// finds the job's result durable. Missing records are fine.
 func (st *Store) DeleteJob(id string) {
 	_ = st.fs.Remove(st.journalPath(id)) // best-effort; replay tolerates leftovers
 }
@@ -322,11 +321,11 @@ func (st *Store) SweepAge(id string, now time.Time) time.Duration {
 	return now.Sub(fi.ModTime())
 }
 
-// SweepOrphanCheckpoints removes checkpoint files whose job ID appears
-// nowhere in known — leftovers of journal records that were themselves torn
-// and dropped. Checkpoints of live jobs (including failed ones awaiting a
+// SweepOrphanCheckpoints removes checkpoint files whose job ID known does not
+// report — leftovers of journal records that were themselves torn and
+// dropped. Checkpoints of live jobs (including failed ones awaiting a
 // re-POST, which resume from them) are never touched.
-func (st *Store) SweepOrphanCheckpoints(known map[string]bool) int {
+func (st *Store) SweepOrphanCheckpoints(known func(id string) bool) int {
 	paths, err := st.fs.Glob(filepath.Join(st.ckptDir(), "*.ckpt"))
 	if err != nil {
 		return 0
@@ -334,7 +333,7 @@ func (st *Store) SweepOrphanCheckpoints(known map[string]bool) int {
 	removed := 0
 	for _, p := range paths {
 		id := strings.TrimSuffix(filepath.Base(p), ".ckpt")
-		if known[id] {
+		if known(id) {
 			continue
 		}
 		if st.fs.Remove(p) == nil {
@@ -367,13 +366,4 @@ func (st *Store) ResultUsage() (count int, bytes int64) {
 // the flattened form — consistent with every other store lookup.
 func resultIDFromPath(p string) string {
 	return strings.TrimSuffix(filepath.Base(p), ".json")
-}
-
-// statResult is os.Stat shaped for GC: size, mtime, existence.
-func (st *Store) statResult(path string) (int64, time.Time, bool) {
-	fi, err := st.fs.Stat(path)
-	if err != nil {
-		return 0, time.Time{}, false
-	}
-	return fi.Size(), fi.ModTime(), true
 }

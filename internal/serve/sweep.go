@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -259,9 +260,9 @@ func sweepFromRecord(rec SweepRecord) *Sweep {
 }
 
 // pointViewLocked derives one point's status from the job registry and the
-// result store's in-memory index (s.mu held), so it makes no syscall. The job journal is authoritative while a job
-// object exists; a point with durable result bytes but no registry entry was
-// compacted in an earlier process life and is simply cached.
+// result store's in-memory index (s.mu held), so it makes no syscall. A
+// registered job is authoritative; a point with only a durable result
+// finished in an earlier process life and is simply cached.
 func (s *Server) pointViewLocked(p *SweepPoint) SweepPointStatus {
 	ps := SweepPointStatus{PointRecord: p.record(), State: StatePending}
 	if j := s.jobs[p.JobID]; j != nil {
@@ -328,11 +329,25 @@ func (s *Server) sweepInflightLocked(sw *Sweep) int {
 }
 
 // admitPointLocked wires the sweep as a watcher of the point's job and
-// admits the point through admitLocked (s.mu held).
+// admits the point through admitLocked (s.mu held), returning only
+// backpressure. Any other refusal (an I/O error on the queued write) fails
+// the point, unjournaled, so the window moves past it instead of waiting for
+// a transition that may never come, and a re-POST re-arms it.
 func (s *Server) admitPointLocked(sw *Sweep, p *SweepPoint) error {
 	s.watchLocked(p.JobID, sw)
 	_, err := s.admitLocked(p.JobID, p.Req)
-	return err
+	if err == nil || errors.Is(err, errQueueFull) || errors.Is(err, errUnavailable) {
+		return err
+	}
+	j := s.jobs[p.JobID]
+	if j == nil {
+		j = NewJob(p.JobID, p.Req)
+		s.jobs[p.JobID] = j
+	}
+	j.finish(StateFailed, err.Error(), nil)
+	s.counters.Failed.Add(1)
+	s.publishLocked(j.Record(), evPointFailed, 0)
+	return nil
 }
 
 // watchLocked registers sw as a watcher of jobID (s.mu held; idempotent).

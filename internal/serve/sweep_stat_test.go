@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io/fs"
@@ -16,11 +17,17 @@ import (
 	"github.com/reproductions/cppe/internal/serve/fsfault"
 )
 
-// statCountingFS counts Stat calls, all of them and those on result files.
+// statCountingFS counts Stat calls (all of them and those on result files),
+// journal writes (all of them and those of queued records), result writes and
+// removals of journal records.
 type statCountingFS struct {
 	fsfault.FS
-	stats       atomic.Int64
-	resultStats atomic.Int64
+	stats          atomic.Int64
+	resultStats    atomic.Int64
+	journalWrites  atomic.Int64
+	queuedWrites   atomic.Int64
+	resultWrites   atomic.Int64
+	journalRemoves atomic.Int64
 }
 
 func (f *statCountingFS) Stat(name string) (fs.FileInfo, error) {
@@ -29,6 +36,26 @@ func (f *statCountingFS) Stat(name string) (fs.FileInfo, error) {
 		f.resultStats.Add(1)
 	}
 	return f.FS.Stat(name)
+}
+
+func (f *statCountingFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
+	switch filepath.Base(filepath.Dir(name)) {
+	case "journal":
+		f.journalWrites.Add(1)
+		if bytes.Contains(data, []byte(`"state": "queued"`)) {
+			f.queuedWrites.Add(1)
+		}
+	case "results":
+		f.resultWrites.Add(1)
+	}
+	return f.FS.WriteFile(name, data, perm)
+}
+
+func (f *statCountingFS) Remove(name string) error {
+	if filepath.Base(filepath.Dir(name)) == "journal" && strings.HasSuffix(name, ".json") {
+		f.journalRemoves.Add(1)
+	}
+	return f.FS.Remove(name)
 }
 
 // waitLatched waits for sweep id's done latch itself, not the status
@@ -92,6 +119,48 @@ func TestSweepMakesNoResultStats(t *testing.T) {
 	waitLatched(t, srv, sr.ID)
 	if n := cfs.resultStats.Load() - before; n != 0 {
 		t.Errorf("a 256-point sweep made %d result-file stats, want 0", n)
+	}
+}
+
+// TestSweepJournalsOnlyWhatReplayReads pins the durable writes of a clean
+// sweep: each point journals its queued record once, writes its result, and
+// removes its record on completion, and writes nothing for running or cached.
+// A retried job adds exactly one write per retry, of its retrying record.
+func TestSweepJournalsOnlyWhatReplayReads(t *testing.T) {
+	const n = 16
+	stub := newStubRunner()
+	drainStarted(t, stub)
+	cfs := &statCountingFS{FS: fsfault.OS}
+	cfg := testConfig(t.TempDir(), stub)
+	cfg.FS = cfs
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown(0)
+
+	code, sr := postSweep(t, srv.Handler(),
+		`{"benchmarks":["A","B"],"setups":["a","b"],"oversubscriptions":[1,2,3,4]}`)
+	if code != http.StatusAccepted || sr.Points != n {
+		t.Fatalf("POST sweep: %d %+v, want 202 with %d points", code, sr, n)
+	}
+	waitLatched(t, srv, sr.ID) // each point removed its record before the latch
+	got := [4]int64{cfs.journalWrites.Load(), cfs.queuedWrites.Load(), cfs.resultWrites.Load(), cfs.journalRemoves.Load()}
+	if want := [4]int64{n, n, n, n}; got != want {
+		t.Errorf("%d-point sweep made %d journal writes (%d queued), %d result writes and %d journal removals, want %d each",
+			n, got[0], got[1], got[2], got[3], n)
+	}
+
+	stub.mu.Lock()
+	stub.failures["R-r-1"] = 2
+	stub.mu.Unlock()
+	_, jr, _ := post(t, srv.Handler(), `{"benchmark":"R","setup":"r","oversubscription":1}`)
+	if j := waitDone(t, srv, jr.ID); j.State() != StateCached || j.Attempts() != 2 {
+		t.Fatalf("retried job = %s after %d attempts, want cached after 2", j.State(), j.Attempts())
+	}
+	if w, q, r := cfs.journalWrites.Load()-got[0], cfs.queuedWrites.Load()-got[1], cfs.journalRemoves.Load()-got[3]; w != 3 || q != 1 || r != 1 {
+		t.Errorf("job retried twice made %d journal writes (%d queued) and %d removals, want 3 (1 queued) and 1", w, q, r)
 	}
 }
 

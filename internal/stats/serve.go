@@ -40,9 +40,10 @@ type ServeCounters struct {
 	Parked atomic.Uint64
 	// Failed counts jobs that reached the terminal failed state.
 	Failed atomic.Uint64
-	// Compacted counts journal records dropped by startup compaction
-	// (terminal cached records whose result bytes are durable, so the result
-	// file alone carries them forward).
+	// Compacted counts journal records replay removed because the job's
+	// result bytes are durable, so the result file alone carries it forward
+	// (a crash between a job's result write and its record's removal leaves
+	// one).
 	Compacted atomic.Uint64
 	// SweepsAccepted counts sweep grids admitted via POST /v1/sweeps, and
 	// SweepPoints the grid points fanned out across all of them (points

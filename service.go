@@ -40,17 +40,17 @@ func (s *Session) JobID(req Request) (string, error) {
 	return fmt.Sprintf("%016x", id), nil
 }
 
-// RunResumableProgress executes one simulation like RunCheckpointed, with
-// three service hooks. A pre-existing valid checkpoint at path is resumed (a
-// stale or corrupt leftover is removed and the run starts fresh). After every
-// durable checkpoint write the progress callback (nil = none) receives the
-// simulated cycle of the checkpoint just written, and then the stop hook
-// (nil = never) is consulted: returning true parks the run at that boundary
-// with ErrParked, leaving the checkpoint behind for the next call to
-// continue. Completed runs remove their checkpoint; runs that died with a run
-// error keep it so a retry resumes instead of starting over. The hooks are
-// called at deterministic simulation points, so observing progress cannot
-// perturb the result; cppe-serve drives its sweep SSE events off them.
+// RunResumableProgress executes one simulation, checkpointing to path, with
+// three service hooks. It neither reads nor fills the session's result cache
+// (every call simulates; the caller's store is the cache). A valid checkpoint
+// at path is resumed; a stale or corrupt leftover is removed and the run
+// starts fresh. After every durable checkpoint write the progress callback
+// (nil = none) receives its simulated cycle, then the stop hook (nil = never)
+// is consulted: true parks the run there with ErrParked, leaving the
+// checkpoint for the next call to continue. Completed runs remove their
+// checkpoint; runs that died with a run error keep it so a retry resumes.
+// The hooks fire at deterministic simulation points, so observing progress
+// cannot perturb the result; cppe-serve drives its sweep SSE events off them.
 func (s *Session) RunResumableProgress(req Request, path string, everyCycles uint64, stop func() bool, progress func(cycle uint64)) (Result, error) {
 	if err := s.validate(req); err != nil {
 		return Result{}, err
