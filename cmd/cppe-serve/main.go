@@ -1,6 +1,6 @@
 // Command cppe-serve runs the crash-safe sweep service: an HTTP/JSON API that
 // schedules simulations on a bounded worker pool and caches completed results
-// content-addressed by their checkpoint-envelope fingerprint.
+// content-addressed by their job fingerprint.
 //
 //	cppe-serve -addr :8080 -state-dir /var/lib/cppe -workers 2
 //
@@ -16,12 +16,14 @@
 //	curl -sN localhost:8080/v1/sweeps/<id>/events  # SSE progress stream
 //	curl -s localhost:8080/statsz
 //
-// Durability: every accepted job is journaled under the state directory and
-// running jobs checkpoint periodically, so a kill -9 loses nothing — on
-// restart the journal replays and interrupted runs resume from their last
-// checkpoint. SIGTERM/SIGINT drain gracefully: new submissions are shed with
-// 503, running jobs park at their next checkpoint boundary, and the process
-// exits 0 with a journal the next start continues from.
+// Durability: every accepted job is journaled under the state directory
+// before its POST is answered, so a kill -9 loses no accepted job — on
+// restart the journal replays and interrupted runs rerun from cycle 0. Runs
+// write no checkpoints: rerunning the few interrupted runs costs less than
+// checkpointing every run would. SIGTERM/SIGINT drain gracefully: new
+// submissions are shed with 503, running jobs stop at their next epoch
+// boundary (every 2^21 simulated cycles), and the process exits 0 with a
+// journal the next start continues from.
 package main
 
 import (
@@ -41,14 +43,13 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		stateDir  = flag.String("state-dir", "cppe-serve-state", "durable state directory (journal, results, checkpoints)")
+		stateDir  = flag.String("state-dir", "cppe-serve-state", "durable state directory (journal, results, sweep manifests)")
 		workers   = flag.Int("workers", 2, "simulation worker pool size")
 		queueLen  = flag.Int("queue", 64, "admission queue depth; a full queue sheds submissions with 429")
-		ckptEvery = flag.Uint64("checkpoint-every", 1<<21, "checkpoint cadence in simulated cycles (also bounds drain latency)")
 		attempts  = flag.Int("max-attempts", 3, "run attempts per job before terminal failure")
 		retryBase = flag.Duration("retry-base", 500*time.Millisecond, "initial retry backoff (doubles per attempt)")
 		retryCap  = flag.Duration("retry-cap", 8*time.Second, "retry backoff ceiling")
-		deadline  = flag.Duration("deadline", 0, "per-attempt wall-clock budget, enforced at checkpoint boundaries (0 = none)")
+		deadline  = flag.Duration("deadline", 0, "per-attempt wall-clock budget, enforced at epoch boundaries (0 = none)")
 		drainWait = flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget for parking running jobs (0 = wait forever)")
 		sweepWork = flag.Int("sweep-workers", 0, "per-sweep fan-out window: points of one sweep in flight at a time (default: -workers)")
 		storeMax  = flag.Int64("store-max-bytes", 0, "result store size budget; LRU tail evicted past it (0 = unbounded)")
@@ -69,18 +70,17 @@ func main() {
 		Scale: *scale, Warps: *warps, Seed: *seed, Timeout: *timeout,
 	})
 	srv, err := serve.New(serve.Config{
-		StateDir:        *stateDir,
-		Workers:         *workers,
-		QueueDepth:      *queueLen,
-		CheckpointEvery: *ckptEvery,
-		MaxAttempts:     *attempts,
-		RetryBase:       *retryBase,
-		RetryCap:        *retryCap,
-		Deadline:        *deadline,
-		SweepWorkers:    *sweepWork,
-		StoreMaxBytes:   *storeMax,
-		StoreMaxAge:     *storeAge,
-		Runner:          serve.SessionRunner(session),
+		StateDir:      *stateDir,
+		Workers:       *workers,
+		QueueDepth:    *queueLen,
+		MaxAttempts:   *attempts,
+		RetryBase:     *retryBase,
+		RetryCap:      *retryCap,
+		Deadline:      *deadline,
+		SweepWorkers:  *sweepWork,
+		StoreMaxBytes: *storeMax,
+		StoreMaxAge:   *storeAge,
+		Runner:        serve.SessionRunner(session),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cppe-serve:", err)
@@ -104,8 +104,8 @@ func main() {
 	}
 
 	// Graceful shutdown: shed new work, park running jobs at their next
-	// checkpoint boundary (their journal records replay as queued), then stop
-	// the HTTP listener.
+	// epoch boundary (their journal records replay as queued and rerun from
+	// cycle 0), then stop the HTTP listener.
 	// Exit 0 means the journal is complete and a restart continues the work.
 	srv.Drain()
 	if err := srv.Shutdown(*drainWait); err != nil {

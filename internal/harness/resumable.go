@@ -10,19 +10,20 @@ import (
 	"github.com/reproductions/cppe/internal/workload"
 )
 
-// This file is the resumable-job surface the service layer (internal/serve)
-// drives: content-addressed run identity (EnvelopeID) and a single
-// resume-or-fresh entry point (RunResumable) that checkpoints periodically,
-// can park at any checkpoint boundary on request, and cleans up after itself.
-// The harness stays free of goroutines, clocks, and sockets — the service
-// layer owns those; this layer only guarantees that a run interrupted at any
-// point (kill -9 included) can be continued from its last checkpoint to a
+// This file is the job surface the service layer (internal/serve) drives:
+// content-addressed run identity (EnvelopeID) and one entry point
+// (RunResumable) that runs in epochs, can park at any epoch boundary on
+// request, and, given a checkpoint path, checkpoints at each boundary,
+// resumes from a valid checkpoint and cleans up after itself. The harness
+// stays free of goroutines, clocks, and sockets — the service layer owns
+// those; this layer only guarantees that a checkpointed run interrupted at
+// any point (kill -9 included) continues from its last checkpoint to a
 // bit-for-bit identical Result.
 
-// ErrParked reports that RunResumable stopped at a checkpoint boundary
-// because its stop hook asked it to. The checkpoint stays on disk; a later
-// RunResumable with the same key and path continues from it.
-var ErrParked = errors.New("harness: run parked at checkpoint boundary")
+// ErrParked reports that RunResumable stopped at an epoch boundary because
+// its stop hook asked it to. A checkpoint, if the run had a path, stays on
+// disk; a later RunResumable with the same key and path continues from it.
+var ErrParked = errors.New("harness: run parked at epoch boundary")
 
 // EnvelopeID returns a stable content fingerprint of one simulation under
 // this session: FNV-1a over exactly the identity a checkpoint envelope pins —
@@ -79,36 +80,40 @@ func (s *Session) EnvelopeID(k Key) (uint64, error) {
 	return h, nil
 }
 
-// Progress describes one checkpoint boundary of a resumable run, delivered
-// to the progress hook of RunResumable immediately after the checkpoint bytes
-// are durable. It is the service layer's window into a running simulation:
+// Progress describes one epoch boundary of a resumable run, delivered to the
+// progress hook of RunResumable (after the checkpoint bytes are durable, when
+// the run checkpoints). It is the service layer's window into a running
+// simulation:
 // everything else about the run stays single-goroutine and deterministic, and
 // the hook is called at deterministic simulation points (every `every`
 // cycles), so observing progress cannot perturb the result.
 type Progress struct {
 	// Key identifies the simulation.
 	Key Key
-	// Cycle is the simulated time of the checkpoint just written.
+	// Cycle is the simulated time of the boundary.
 	Cycle memdef.Cycle
-	// Checkpoints counts checkpoint writes in this attempt (resuming from an
-	// earlier attempt's checkpoint restarts the count at 1).
+	// Checkpoints counts the epoch boundaries of this attempt, each a
+	// checkpoint write when the run has a path (resuming from an earlier
+	// attempt's checkpoint restarts the count at 1).
 	Checkpoints int
 }
 
-// RunResumable executes one simulation with kill-resilience and service
-// hooks. If a valid checkpoint of k (taken under this session's parameters)
-// exists at path, the run continues from it; a leftover checkpoint that is
-// corrupt, truncated, or belongs to a different simulation is removed and the
-// run starts fresh — never silently resumed, never left behind. The run then
-// checkpoints to path every `every` cycles. After each durable checkpoint
-// write the progress hook (nil = none) receives a Progress snapshot, and then
-// the stop hook (nil = never) is consulted: a true return parks the run, the
-// checkpoint stays on disk and RunResumable returns ErrParked with a zero
-// Result. The progress hook must not mutate simulation state and should
-// return quickly, since the simulation is paused while it runs.
+// RunResumable executes one simulation in epochs of `every` cycles with
+// service hooks. At each epoch boundary the progress hook (nil = none)
+// receives a Progress snapshot, and then the stop hook (nil = never) is
+// consulted: a true return parks the run and RunResumable returns ErrParked
+// with a zero Result. The progress hook must not mutate simulation state and
+// should return quickly, since the simulation is paused while it runs.
 //
-// Terminal outcomes delete the checkpoint when the run completed or thrash-
-// aborted cleanly (Err == nil); a run that died with an error keeps its last
+// An empty path means no checkpoint: the run starts at cycle 0, and no file
+// is read, written or removed. With a path, a valid checkpoint of k (taken
+// under this session's parameters) there is continued; a leftover checkpoint
+// that is corrupt, truncated, or belongs to a different simulation is
+// removed and the run starts fresh — never silently resumed, never left
+// behind. The run then checkpoints to path at each boundary, before the
+// hooks run, and a parked run leaves its checkpoint on disk. Terminal
+// outcomes delete the checkpoint when the run completed or thrash-aborted
+// cleanly (Err == nil); a run that died with an error keeps its last
 // checkpoint so a retry can continue instead of starting over.
 //
 // RunResumable neither reads nor fills the session's result cache: the
@@ -119,7 +124,7 @@ func (s *Session) RunResumable(k Key, path string, every memdef.Cycle, stop func
 	if parked {
 		return Result{}, ErrParked
 	}
-	if !out.Crashed || out.Err == nil {
+	if path != "" && (!out.Crashed || out.Err == nil) {
 		// Terminal simulation outcome (including modeled thrash aborts): the
 		// checkpoint has served its purpose.
 		_ = os.Remove(path)          // best-effort cleanup; a leftover is re-discarded on the next run

@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"github.com/reproductions/cppe/internal/engine"
 	"github.com/reproductions/cppe/internal/memdef"
 )
 
@@ -269,5 +271,61 @@ func TestRunResumableProgressHook(t *testing.T) {
 	if len(secondLife) > 0 && secondLife[0].Cycle <= firstLife[1].Cycle {
 		t.Errorf("resumed attempt's first checkpoint (%d) not past the parked one (%d)",
 			secondLife[0].Cycle, firstLife[1].Cycle)
+	}
+}
+
+// TestEventBudgetCoversSegmentedRun pins MaxEvents as a budget per
+// simulation: under a budget that binds, a run paused at epoch boundaries —
+// without a checkpoint, with one, and parked then continued from it by a
+// fresh session — renders the same Result JSON as a single Run.
+func TestEventBudgetCoversSegmentedRun(t *testing.T) {
+	render := func(r Result) string {
+		msg := ""
+		if r.Err != nil {
+			msg = r.Err.Error()
+		}
+		data, err := json.Marshal(struct {
+			Result
+			Err string
+		}{r, msg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	k := ckptKey()
+	const every = 1 << 16
+	for _, budget := range []uint64{50_000, 100_000} {
+		cfg := checkpointTestConfig()
+		cfg.MaxEvents = budget
+		want := NewSession(cfg).Run(k)
+		if !errors.Is(want.Err, engine.ErrBudget) {
+			t.Fatalf("budget %d: reference run err = %v, want the budget to bind", budget, want.Err)
+		}
+		dir := t.TempDir()
+		segmented := map[string]func() (Result, error){
+			"no checkpoint": func() (Result, error) {
+				return NewSession(cfg).RunResumable(k, "", every, nil, nil)
+			},
+			"checkpointed": func() (Result, error) {
+				return NewSession(cfg).RunResumable(k, filepath.Join(dir, "ckpt"), every, nil, nil)
+			},
+			"parked and resumed": func() (Result, error) {
+				path := filepath.Join(dir, "parked")
+				if _, err := NewSession(cfg).RunResumable(k, path, every, func() bool { return true }, nil); !errors.Is(err, ErrParked) {
+					t.Fatalf("budget %d: first life err = %v, want ErrParked", budget, err)
+				}
+				return NewSession(cfg).RunResumable(k, path, every, nil, nil)
+			},
+		}
+		for name, run := range segmented {
+			got, err := run()
+			if err != nil {
+				t.Fatalf("budget %d, %s: %v", budget, name, err)
+			}
+			if g, w := render(got), render(want); g != w {
+				t.Errorf("budget %d, %s: segmented run differs from a single Run:\n got %s\nwant %s", budget, name, g, w)
+			}
+		}
 	}
 }

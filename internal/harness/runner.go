@@ -39,8 +39,9 @@ type Config struct {
 	Seed int64
 	// Parallelism bounds concurrent simulations (default GOMAXPROCS).
 	Parallelism int
-	// MaxEvents bounds one simulation's event count (default 500M). A
-	// checkpointed run applies the budget per checkpoint segment only.
+	// MaxEvents bounds one simulation's event count (default 500M). The
+	// budget covers the whole run: a run paused at epoch boundaries or
+	// resumed from a checkpoint stops where an uninterrupted run would.
 	MaxEvents uint64
 	// WatchdogWindow arms the engine's no-progress watchdog per run: a
 	// same-cycle livelock that freezes the frontier for this much wall-clock
@@ -436,39 +437,43 @@ func (s *Session) runOne(k Key) (out Result) {
 // runOpts selects what drive does at pause boundaries. The zero value is a
 // plain run to completion.
 type runOpts struct {
-	// path is the checkpoint file; with every it enables checkpointing.
-	path string
-	// every is the checkpoint cadence in simulated cycles (0 = none).
+	// every is the epoch length in simulated cycles (0 = run to completion
+	// in one go).
 	every memdef.Cycle
-	// stop, consulted after each checkpoint, parks the run when it returns
+	// path, when set, is the checkpoint file written at each epoch boundary.
+	path string
+	// stop, consulted at each epoch boundary, parks the run when it returns
 	// true (nil = never).
 	stop func() bool
-	// progress receives each durable checkpoint (nil = none).
+	// progress receives each epoch boundary (nil = none).
 	progress func(Progress)
 }
 
 // drive is the one run loop: every run path hands its built (or restored)
-// machine to it. Without checkpointing the machine runs to completion.
-// Otherwise it pauses every o.every cycles (at the first event boundary past
-// each multiple) to write a checkpoint to o.path, report progress, and
-// consult the stop hook; parked reports a stop, with a zero Result and the
-// checkpoint left on disk. A checkpoint that cannot be written fails the
-// run: one the caller asked to checkpoint is never silently degraded.
+// machine to it. Without an epoch the machine runs to completion. Otherwise
+// it pauses every o.every cycles (at the first event boundary past each
+// multiple) to write a checkpoint to o.path if one is set, report progress,
+// and consult the stop hook; parked reports a stop, with a zero Result and
+// the checkpoint, if any, left on disk. A checkpoint that cannot be written
+// fails the run: one the caller asked to checkpoint is never silently
+// degraded.
 func (s *Session) drive(k Key, b *built, o runOpts) (out Result, parked bool) {
-	if o.path == "" || o.every == 0 {
+	if o.every == 0 {
 		return s.collect(k, b, b.machine.Run(s.cfg.MaxEvents)), false
 	}
-	for checkpoints := 1; ; checkpoints++ {
+	for epochs := 1; ; epochs++ {
 		res, paused := b.machine.RunUntil(s.cfg.MaxEvents, b.machine.Eng.Now()+o.every)
 		if !paused {
 			return s.collect(k, b, res), false
 		}
-		if err := s.writeCheckpoint(o.path, k, b); err != nil {
-			return Result{Key: k, Crashed: true, Err: err,
-				FootprintPages: b.footprint, CapacityPages: b.cfg.MemoryPages}, false
+		if o.path != "" {
+			if err := s.writeCheckpoint(o.path, k, b); err != nil {
+				return Result{Key: k, Crashed: true, Err: err,
+					FootprintPages: b.footprint, CapacityPages: b.cfg.MemoryPages}, false
+			}
 		}
 		if o.progress != nil {
-			o.progress(Progress{Key: k, Cycle: b.machine.Eng.Now(), Checkpoints: checkpoints})
+			o.progress(Progress{Key: k, Cycle: b.machine.Eng.Now(), Checkpoints: epochs})
 		}
 		if o.stop != nil && o.stop() {
 			return Result{}, true

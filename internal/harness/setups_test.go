@@ -1,9 +1,9 @@
-// Package core holds the contract tests for the evaluation's named setups:
-// each name resolves, through the harness setup table, to the registry pair
-// and the MHPE options the paper's experiments expect. The package has no
-// program code; the setups themselves live in internal/harness and the
-// policies in internal/policy.
-package core
+// The contract tests for the evaluation's named setups: each name resolves,
+// through the setup table in setups.go, to the registry pair and the MHPE
+// options the paper's experiments expect. The policies themselves live in
+// internal/policy.
+
+package harness_test
 
 import (
 	"testing"

@@ -54,9 +54,9 @@ type checkedRunner struct {
 	srv *Server // set before the workers start
 }
 
-func (r *checkedRunner) Run(req Request, ckpt string, every uint64, stop func() bool, progress func(uint64)) (cppe.Result, error) {
+func (r *checkedRunner) Run(req Request, stop func() bool, progress func(uint64)) (cppe.Result, error) {
 	checkSweepAccounting(r.t, r.srv)
-	return r.Runner.Run(req, ckpt, every, stop, func(cycle uint64) {
+	return r.Runner.Run(req, stop, func(cycle uint64) {
 		progress(cycle)
 		checkSweepAccounting(r.t, r.srv)
 	})
@@ -202,12 +202,12 @@ type holdRunner struct {
 	release chan struct{}
 }
 
-func (r holdRunner) Run(req Request, ckpt string, every uint64, stop func() bool, progress func(uint64)) (cppe.Result, error) {
+func (r holdRunner) Run(req Request, stop func() bool, progress func(uint64)) (cppe.Result, error) {
 	if id, _ := r.JobID(req); id == r.id {
 		close(r.reached)
 		<-r.release
 	}
-	return r.Runner.Run(req, ckpt, every, stop, progress)
+	return r.Runner.Run(req, stop, progress)
 }
 
 // TestGCEvictionRacingNewSweep registers a sweep between a collection's

@@ -15,7 +15,7 @@ import (
 
 // Serve-layer chaos: every test here drives the real server through a seeded
 // fsfault.Injector and asserts the fail-stop contract — disk pressure flips
-// sticky degraded mode (503 + Retry-After, running work parked at checkpoint
+// sticky degraded mode (503 + Retry-After, running work parked at epoch
 // boundaries), torn artifacts never survive, and a restart over the same
 // state directory with a healthy disk replays everything to completion.
 

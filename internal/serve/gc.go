@@ -8,12 +8,11 @@ import (
 
 // This file is the result-store garbage collector: size- and age-bounded
 // eviction of cached result bytes, LRU by last-served. GC never touches the
-// journal (job completion and replay own that), never touches checkpoints (the
-// retry path owns those), and never evicts a result that is pinned by an
-// in-flight read or protected by the keep callback (non-terminal jobs and
-// every point of an active sweep). Eviction order is deterministic for a
-// given serve history: least-recently-served first, ties broken by mtime
-// then ID.
+// journal (job completion and replay own that), and never evicts a result
+// that is pinned by an in-flight read or protected by the keep callback
+// (non-terminal jobs and every point of an active sweep). Eviction order is
+// deterministic for a given serve history: least-recently-served first, ties
+// broken by mtime then ID.
 
 // GCConfig bounds the result store. Zero values disable the corresponding
 // bound.

@@ -1,7 +1,7 @@
 // Package serve is the crash-safe sweep service behind cmd/cppe-serve: an
 // HTTP/JSON API that accepts simulation requests, schedules them on a bounded
 // worker pool over one shared cppe.Session, and caches completed Results
-// content-addressed by the checkpoint-envelope fingerprint, so identical
+// content-addressed by the job fingerprint (cppe.Session.JobID), so identical
 // requests are served from cache without running anything.
 //
 // Robustness is the design center:
@@ -10,7 +10,9 @@
 //     reads of each unfinished or failed job; a finished job's only record
 //     is its result file. A job is journaled queued before its POST is
 //     answered, so a kill -9 loses no answered job, and a job killed mid-run
-//     resumes from its periodic checkpoint (harness.RunResumable);
+//     keeps its queued record and reruns from cycle 0 (no run writes a
+//     checkpoint: rerunning the few interrupted runs costs less than
+//     checkpointing every run);
 //   - dedup: job identity IS the content fingerprint, so identical in-flight
 //     requests collapse onto one job, and a single-flight guard around the
 //     executor keeps even pathological duplicates down to one simulation;
@@ -18,11 +20,12 @@
 //     Retry-After instead of unbounded memory growth. POSTed jobs and sweep
 //     points enter it through one admission path (Server.admitLocked);
 //   - bounded retry: runs that die with a retryable error (recovered panic,
-//     watchdog livelock) back off exponentially and resume from their last
-//     checkpoint, with a capped attempt budget and a terminal failed state
-//     carrying the failure (stack included) past the cap;
-//   - graceful shutdown: draining parks running jobs at their next checkpoint
-//     boundary, requeues them durably, and leaves a journal a restart replays.
+//     watchdog livelock) back off exponentially and rerun from cycle 0, with
+//     a capped attempt budget and a terminal failed state carrying the
+//     failure (stack included) past the cap;
+//   - graceful shutdown: draining stops running jobs at their next epoch
+//     boundary of the simulation; their queued records carry them to the
+//     next life, which reruns them.
 //
 // Everything concurrent or clock-bound lives here, in the service layer; the
 // simulation core underneath stays single-goroutine and deterministic, which
@@ -42,7 +45,7 @@ import (
 //
 // A job is born queued: admission journals it in that state before pushing
 // it to the run queue, and before its POST is answered. A graceful shutdown
-// moves running jobs back to queued. The journal holds only what replay
+// moves running jobs back to queued; they rerun from cycle 0. The journal holds only what replay
 // reads (retrying writes the attempts, failed the error; cached removes the
 // record), so the state machine survives kill -9 at any point.
 type State string
@@ -51,11 +54,11 @@ const (
 	// StateQueued: journaled and waiting for a worker (or requeued by a
 	// drain/restart). The first durability point.
 	StateQueued State = "queued"
-	// StateRunning: a worker is advancing the simulation, checkpointing
-	// periodically.
+	// StateRunning: a worker is advancing the simulation; nothing is written
+	// until it ends.
 	StateRunning State = "running"
 	// StateRetrying: the last attempt died with a retryable error; the job
-	// is backing off before resuming from its checkpoint.
+	// is backing off before rerunning from cycle 0.
 	StateRetrying State = "retrying"
 	// StateCached: terminal success — the canonical result bytes are in the
 	// result store, and every future identical request is a cache hit.
@@ -78,7 +81,7 @@ type Request struct {
 	Oversubscription int    `json:"oversubscription"`
 	// DeadlineMS optionally overrides the server's per-attempt deadline for
 	// this job, in milliseconds (0 = server default). Deadlines are enforced
-	// at checkpoint boundaries.
+	// at epoch boundaries of the simulation.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 

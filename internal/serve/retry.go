@@ -32,9 +32,10 @@ func Backoff(base, cap time.Duration, attempt int) time.Duration {
 }
 
 // Retryable classifies a run error: recovered panics (harness.ErrPanic) and
-// wall-clock watchdog trips (engine.ErrNoProgress) are worth another attempt
-// from the retained checkpoint — the first may be a latent bug a different
-// resume path avoids, the second is by definition environmental timing.
+// wall-clock watchdog trips (engine.ErrNoProgress) are worth another attempt,
+// which reruns from cycle 0 on a recycled machine — the first may be a latent
+// bug in state a fresh attempt does not reach, the second is by definition
+// environmental timing.
 // Everything else (driver fault-service failures, integrity violations,
 // malformed requests) is deterministic: retrying would reproduce it exactly,
 // so the job goes terminal instead.

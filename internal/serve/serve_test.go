@@ -19,7 +19,7 @@ import (
 // stubRunner is a deterministic Runner for exercising the service machinery
 // without spending simulation time. IDs are readable ("SRD-cppe-50"), runs
 // can block until released (polling stop like the real runner does at
-// checkpoint boundaries), and per-job failure budgets simulate retryable
+// epoch boundaries), and per-job failure budgets simulate retryable
 // crashes.
 type stubRunner struct {
 	block   bool
@@ -47,7 +47,7 @@ func (r *stubRunner) JobID(req Request) (string, error) {
 	return fmt.Sprintf("%s-%s-%d", req.Benchmark, req.Setup, req.Oversubscription), nil
 }
 
-func (r *stubRunner) Run(req Request, ckpt string, every uint64, stop func() bool, progress func(uint64)) (cppe.Result, error) {
+func (r *stubRunner) Run(req Request, stop func() bool, progress func(uint64)) (cppe.Result, error) {
 	id, _ := r.JobID(req)
 	r.runs.Add(1)
 	r.started <- id
@@ -58,10 +58,10 @@ func (r *stubRunner) Run(req Request, ckpt string, every uint64, stop func() boo
 			case <-r.release:
 				blocked = false
 			default:
-				// Emulate the real runner at a checkpoint boundary: the
-				// progress hook fires, then stop is consulted, and true
-				// parks the run.
-				cycle += every
+				// Emulate the real runner at an epoch boundary of 100
+				// cycles: the progress hook fires, then stop is consulted,
+				// and true parks the run.
+				cycle += 100
 				if progress != nil {
 					progress(cycle)
 				}
@@ -88,15 +88,14 @@ func discardLogf(string, ...any) {}
 
 func testConfig(dir string, r Runner) Config {
 	return Config{
-		StateDir:        dir,
-		Workers:         1,
-		QueueDepth:      8,
-		CheckpointEvery: 100,
-		MaxAttempts:     3,
-		RetryBase:       time.Millisecond,
-		RetryCap:        4 * time.Millisecond,
-		Runner:          r,
-		Logf:            discardLogf,
+		StateDir:    dir,
+		Workers:     1,
+		QueueDepth:  8,
+		MaxAttempts: 3,
+		RetryBase:   time.Millisecond,
+		RetryCap:    4 * time.Millisecond,
+		Runner:      r,
+		Logf:        discardLogf,
 	}
 }
 
@@ -295,7 +294,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 }
 
 // TestDeadline: a job whose per-request deadline expires is terminal failed,
-// enforced at the stop-hook (checkpoint) boundary.
+// enforced at the stop-hook (epoch) boundary.
 func TestDeadline(t *testing.T) {
 	stub := newStubRunner()
 	stub.block = true // never released: only the deadline can end the run

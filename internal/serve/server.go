@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -26,22 +25,30 @@ type Runner interface {
 	// JobID returns the stable content fingerprint of req, or an error for a
 	// malformed request (surfaced as HTTP 400).
 	JobID(req Request) (string, error)
-	// Run executes the simulation, checkpointing to ckptPath every
-	// everyCycles simulated cycles and consulting stop at each boundary;
-	// stop()==true parks the run with cppe.ErrParked, leaving the checkpoint
-	// for a later Run to resume. After each durable checkpoint write the
-	// progress hook (nil = none) receives the checkpoint's simulated cycle —
-	// the tap sweep streaming runs off.
-	Run(req Request, ckptPath string, everyCycles uint64, stop func() bool, progress func(cycle uint64)) (cppe.Result, error)
+	// Run executes the simulation from cycle 0, writing no file. At each
+	// epoch boundary the progress hook (nil = none) receives the simulated
+	// cycle — the tap sweep streaming runs off — and then stop is consulted:
+	// stop()==true abandons the run with cppe.ErrParked, and a later Run
+	// starts it over.
+	Run(req Request, stop func() bool, progress func(cycle uint64)) (cppe.Result, error)
 }
+
+// epochCycles is the production runner's epoch in simulated cycles: how
+// often a run reports progress and checks for a park, drain or deadline.
+const epochCycles = 1 << 21
 
 // sessionRunner is the production Runner: one shared *cppe.Session. The
 // session serializes runs internally per call; concurrency across workers is
 // safe because the facade locks the underlying harness per run.
-type sessionRunner struct{ s *cppe.Session }
+type sessionRunner struct {
+	s *cppe.Session
+	// epoch is the run's epoch in simulated cycles: epochCycles, or shorter
+	// in tests, so a small run crosses several boundaries.
+	epoch uint64
+}
 
 // SessionRunner wraps a cppe.Session as the service's Runner.
-func SessionRunner(s *cppe.Session) Runner { return sessionRunner{s: s} }
+func SessionRunner(s *cppe.Session) Runner { return sessionRunner{s: s, epoch: epochCycles} }
 
 func toCppe(r Request) cppe.Request {
 	return cppe.Request{Benchmark: r.Benchmark, Setup: r.Setup, Oversubscription: r.Oversubscription}
@@ -51,24 +58,20 @@ func (r sessionRunner) JobID(req Request) (string, error) {
 	return r.s.JobID(toCppe(req))
 }
 
-func (r sessionRunner) Run(req Request, ckptPath string, everyCycles uint64, stop func() bool, progress func(cycle uint64)) (cppe.Result, error) {
-	return r.s.RunResumableProgress(toCppe(req), ckptPath, everyCycles, stop, progress)
+func (r sessionRunner) Run(req Request, stop func() bool, progress func(cycle uint64)) (cppe.Result, error) {
+	return r.s.RunResumableProgress(toCppe(req), "", r.epoch, stop, progress)
 }
 
 // Config parameterizes a Server. Zero values get sensible defaults from New.
 type Config struct {
-	// StateDir is the durable state directory (journal, results, checkpoints,
-	// sweep manifests).
+	// StateDir is the durable state directory (journal, results, sweep
+	// manifests).
 	StateDir string
 	// Workers is the size of the simulation worker pool (default 2).
 	Workers int
 	// QueueDepth bounds the admission queue; a full queue sheds new
 	// submissions with 429 (default 64).
 	QueueDepth int
-	// CheckpointEvery is the checkpoint cadence in simulated cycles; it also
-	// bounds how long a graceful drain or deadline waits for a park point
-	// (default 1<<21).
-	CheckpointEvery uint64
 	// MaxAttempts caps run attempts per job before terminal failure
 	// (default 3).
 	MaxAttempts int
@@ -76,7 +79,7 @@ type Config struct {
 	// retryable failures (defaults 500ms base, 8s cap).
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// Deadline is the per-attempt wall-clock budget, enforced at checkpoint
+	// Deadline is the per-attempt wall-clock budget, enforced at epoch
 	// boundaries; 0 means no deadline. A request's deadline_ms overrides it.
 	Deadline time.Duration
 	// SweepWorkers caps how many points of one sweep are in flight at a time
@@ -116,7 +119,7 @@ type Server struct {
 	watch map[string][]*Sweep
 
 	// degraded latches sticky disk-pressure degradation: new work is shed
-	// with 503 and running jobs park at their next checkpoint boundary. Only
+	// with 503 and running jobs park at their next epoch boundary. Only
 	// a restart — presumably with the disk condition fixed — clears it.
 	degraded       atomic.Bool
 	degradedMu     sync.Mutex
@@ -148,9 +151,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 1 << 21
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
@@ -211,12 +211,6 @@ func New(cfg Config) (*Server, error) {
 	s.queue = newQueue(max(cfg.QueueDepth, len(requeued)))
 	for _, j := range requeued {
 		s.queue.TryPush(j) // sized above; cannot fail
-	}
-
-	// Checkpoints whose job appears nowhere (its torn journal record was
-	// dropped by replay) would otherwise leak forever.
-	if n := store.SweepOrphanCheckpoints(func(id string) bool { return s.jobs[id] != nil }); n > 0 {
-		cfg.Logf("serve: removed %d orphan checkpoints", n)
 	}
 
 	// Replay sweep manifests: a point with any trace of prior admission — a
@@ -294,7 +288,7 @@ func (s *Server) Drain() {
 }
 
 // Shutdown gracefully stops the worker pool: Drain, then ask running jobs to
-// park at their next checkpoint boundary (requeued durably in the journal),
+// park at their next epoch boundary (their queued records rerun them),
 // then wait for the workers — up to timeout, after which it returns an error
 // with the jobs still running. A zero timeout waits forever.
 func (s *Server) Shutdown(timeout time.Duration) error {
@@ -361,7 +355,7 @@ func diskPressure(err error) bool {
 // pressure, reporting whether it was. Degraded mode is fail-stop for
 // durability: rather than keep accepting jobs whose journal records and
 // results cannot be persisted, the service sheds new work with 503 +
-// Retry-After and parks running jobs at their next checkpoint boundary; the
+// Retry-After and parks running jobs at their next epoch boundary; the
 // journal replays everything once the operator restarts with space.
 func (s *Server) degradeOnDiskPressure(err error) bool {
 	if !diskPressure(err) {
@@ -848,13 +842,12 @@ func (s *Server) maybeGC() {
 }
 
 // execute drives one job to a terminal state (or parks it for shutdown or
-// disk pressure): run -> retry with bounded exponential backoff on retryable
-// errors, resuming from the retained checkpoint -> cached or failed.
+// disk pressure): run -> retry from cycle 0 with bounded exponential backoff
+// on retryable errors -> cached or failed.
 func (s *Server) execute(j *Job) {
 	if j.State().Terminal() {
 		return // replay raced a duplicate; nothing to do
 	}
-	ckpt := s.store.CheckpointPath(j.ID)
 	deadline := s.cfg.Deadline
 	if j.Req.DeadlineMS > 0 {
 		deadline = time.Duration(j.Req.DeadlineMS) * time.Millisecond
@@ -882,28 +875,25 @@ func (s *Server) execute(j *Job) {
 			}
 			return false
 		}
-		progressFn := func(cycle uint64) { s.onJobEvent(j, evPointCheckpoint, cycle) }
+		progressFn := func(cycle uint64) { s.onJobEvent(j, evPointProgress, cycle) }
 
 		s.counters.SimsStarted.Add(1)
-		if _, err := os.Stat(ckpt); err == nil {
-			s.counters.Resumed.Add(1)
-		}
-		res, err := s.cfg.Runner.Run(j.Req, ckpt, s.cfg.CheckpointEvery, stopFn, progressFn)
+		res, err := s.cfg.Runner.Run(j.Req, stopFn, progressFn)
 
 		if errors.Is(err, cppe.ErrParked) {
 			if deadlineHit && !s.stopping() && !s.degradedMode() {
-				// Deadline, not drain. Terminal: the checkpoint stays behind,
-				// so a re-POST continues from here instead of starting over.
+				// Deadline, not drain. Terminal, and nothing stays behind: a
+				// re-POST reruns the job from cycle 0.
 				s.fail(j, fmt.Sprintf("deadline exceeded after %v (attempt %d)", deadline, j.Attempts()+1))
 				return
 			}
-			s.cfg.Logf("serve: job %s parked at checkpoint for shutdown", j.ID)
+			s.cfg.Logf("serve: job %s parked for shutdown", j.ID)
 			s.park(j)
 			return
 		}
 		if err != nil {
-			// Pre-run failure (bad request slipped past JobID, unwritable
-			// checkpoint path): nothing to retry.
+			// Pre-run failure (a bad request slipped past JobID): nothing to
+			// retry.
 			s.fail(j, err.Error())
 			return
 		}

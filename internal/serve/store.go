@@ -16,15 +16,13 @@ import (
 )
 
 // Store is the durable side of the service: a state directory holding the job
-// journal, the completed-result cache, the per-job simulation checkpoints,
-// and the sweep manifests.
+// journal, the completed-result cache, and the sweep manifests. No simulation
+// state is stored: an interrupted run reruns from cycle 0.
 //
 //	<dir>/journal/<id>.json   what replay reads of an unfinished or failed job;
 //	                          removed once its result is durable
 //	<dir>/results/<id>.json   canonical ResultJSON bytes of completed jobs,
 //	                          served verbatim (byte-identical to cppe-sim -json)
-//	<dir>/ckpt/<id>.ckpt      periodic CRC-framed simulation checkpoints,
-//	                          owned by harness.RunResumable
 //	<dir>/sweeps/<id>.json    durable sweep manifests (grid request + ordered
 //	                          point job IDs), written once at accept
 //
@@ -74,7 +72,7 @@ func OpenStoreFS(dir string, fsys fsfault.FS) (*Store, error) {
 		pins:       make(map[string]int),
 		lastServed: make(map[string]uint64),
 	}
-	for _, sub := range []string{st.journalDir(), st.resultsDir(), st.ckptDir(), st.sweepsDir()} {
+	for _, sub := range []string{st.journalDir(), st.resultsDir(), st.sweepsDir()} {
 		if err := fsys.MkdirAll(sub, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: state dir: %w", err)
 		}
@@ -101,7 +99,6 @@ func (st *Store) Dir() string { return st.dir }
 
 func (st *Store) journalDir() string { return filepath.Join(st.dir, "journal") }
 func (st *Store) resultsDir() string { return filepath.Join(st.dir, "results") }
-func (st *Store) ckptDir() string    { return filepath.Join(st.dir, "ckpt") }
 func (st *Store) sweepsDir() string  { return filepath.Join(st.dir, "sweeps") }
 
 // safeName defends the filesystem against a hostile or buggy ID: job IDs are
@@ -126,12 +123,6 @@ func (st *Store) resultPath(id string) string {
 
 func (st *Store) sweepPath(id string) string {
 	return filepath.Join(st.sweepsDir(), safeName(id)+".json")
-}
-
-// CheckpointPath returns where job id's simulation checkpoint lives. The file
-// is created and consumed by harness.RunResumable; the store only names it.
-func (st *Store) CheckpointPath(id string) string {
-	return filepath.Join(st.ckptDir(), safeName(id)+".ckpt")
 }
 
 // atomicWrite replaces path with data via tmp+rename in the same directory.
@@ -319,28 +310,6 @@ func (st *Store) SweepAge(id string, now time.Time) time.Duration {
 		return 0
 	}
 	return now.Sub(fi.ModTime())
-}
-
-// SweepOrphanCheckpoints removes checkpoint files whose job ID known does not
-// report — leftovers of journal records that were themselves torn and
-// dropped. Checkpoints of live jobs (including failed ones awaiting a
-// re-POST, which resume from them) are never touched.
-func (st *Store) SweepOrphanCheckpoints(known func(id string) bool) int {
-	paths, err := st.fs.Glob(filepath.Join(st.ckptDir(), "*.ckpt"))
-	if err != nil {
-		return 0
-	}
-	removed := 0
-	for _, p := range paths {
-		id := strings.TrimSuffix(filepath.Base(p), ".ckpt")
-		if known(id) {
-			continue
-		}
-		if st.fs.Remove(p) == nil {
-			removed++
-		}
-	}
-	return removed
 }
 
 // ResultUsage reports how many results are on disk and their total size

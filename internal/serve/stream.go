@@ -9,10 +9,9 @@ import (
 )
 
 // This file is the sweep event stream: GET /v1/sweeps/{id}/events emits
-// server-sent events as the grid's points start, checkpoint, retry, and
-// finish. Events are driven off the checkpoint-boundary progress hook of the
-// resumable harness run, so streaming observes the simulation without
-// perturbing it. Publishing never blocks a worker: each subscriber has a
+// server-sent events as the grid's points start, progress, retry, and
+// finish. Progress events are driven off the epoch-boundary hook of the
+// harness run, so streaming observes the simulation without perturbing it. Publishing never blocks a worker: each subscriber has a
 // bounded channel, and a subscriber that cannot keep up has events dropped
 // and coalesced — every event carries the full aggregate counts, so any
 // single delivered event is a complete picture, and a `dropped` field tells
@@ -23,13 +22,13 @@ const (
 	// evSnapshot opens every subscription with the sweep's current aggregate
 	// counts, so a late subscriber needs no other source to catch up.
 	evSnapshot = "snapshot"
-	// evPointStarted: a worker began (or resumed) an attempt of the point.
+	// evPointStarted: a worker began an attempt of the point, from cycle 0.
 	evPointStarted = "point_started"
-	// evPointCheckpoint: the attempt wrote a durable checkpoint; Cycle is the
+	// evPointProgress: the attempt reached an epoch boundary; Cycle is the
 	// simulated time of the boundary.
-	evPointCheckpoint = "point_checkpoint"
+	evPointProgress = "point_progress"
 	// evPointRetried: the attempt died retryably; the point is backing off
-	// and will resume from its retained checkpoint.
+	// and will rerun from cycle 0.
 	evPointRetried = "point_retried"
 	// evPointDone: the point completed; its canonical result bytes are
 	// durable in the result store.

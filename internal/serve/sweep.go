@@ -12,9 +12,9 @@ import (
 // accepts a fig8-style grid (benchmarks × setups × oversubscription rates),
 // fans it out through the existing job machinery as per-point content-
 // addressed jobs, and journals a durable manifest so a kill -9 mid-sweep
-// resumes only the unfinished points. Each point keeps the single-job
-// guarantees — independent bounded retry from retained checkpoints, dedup
-// through the result cache — and a point that exhausts its budget is marked
+// resumes only the unfinished points, each from cycle 0. Each point keeps
+// the single-job guarantees — independent bounded retry, dedup through the
+// result cache — and a point that exhausts its budget is marked
 // failed in the sweep while every other point completes. Fan-out is windowed
 // (Config.SweepWorkers points of one sweep in flight at a time), so a huge
 // grid cannot flood the admission queue and starve direct jobs.

@@ -393,7 +393,7 @@ func TestRetryAfterDeterministic(t *testing.T) {
 }
 
 // TestSweepEventsEndToEnd drives the SSE stream over a live sweep: the first
-// frame is a snapshot, per-point lifecycle events (started, checkpoint, done)
+// frame is a snapshot, per-point lifecycle events (started, progress, done)
 // arrive as the grid runs, and the stream terminates itself with sweep_done.
 func TestSweepEventsEndToEnd(t *testing.T) {
 	stub := newStubRunner()
@@ -437,9 +437,9 @@ func TestSweepEventsEndToEnd(t *testing.T) {
 	if first.Type != evSnapshot || first.Sweep != sr.ID {
 		t.Fatalf("first event = %+v, want snapshot", first)
 	}
-	// The blocked run emits checkpoint progress; wait until one flows
-	// through, then release and read to the terminal event.
-	sawCheckpoint := false
+	// The blocked run emits progress; wait until one event flows through,
+	// then release and read to the terminal event.
+	sawProgress := false
 	var last Event
 	timeout := time.After(20 * time.Second)
 	released := false
@@ -450,11 +450,11 @@ func TestSweepEventsEndToEnd(t *testing.T) {
 				t.Fatalf("stream ended before sweep_done (last=%+v)", last)
 			}
 			last = ev
-			if ev.Type == evPointCheckpoint {
+			if ev.Type == evPointProgress {
 				if ev.Cycle == 0 || ev.Benchmark != "SRD" {
-					t.Fatalf("checkpoint event = %+v", ev)
+					t.Fatalf("progress event = %+v", ev)
 				}
-				sawCheckpoint = true
+				sawProgress = true
 				if !released {
 					released = true
 					close(stub.release)
@@ -464,8 +464,8 @@ func TestSweepEventsEndToEnd(t *testing.T) {
 			t.Fatalf("no sweep_done within timeout (last=%+v)", last)
 		}
 	}
-	if !sawCheckpoint {
-		t.Error("never saw a point_checkpoint event")
+	if !sawProgress {
+		t.Error("never saw a point_progress event")
 	}
 	if last.Counts.Cached != 1 {
 		t.Errorf("sweep_done counts = %+v, want 1 cached", last.Counts)
@@ -497,7 +497,7 @@ func TestHubDropAndCoalesce(t *testing.T) {
 	slow := h.subscribe()
 	total := cap(slow.ch) + 17
 	for i := 0; i < total; i++ {
-		h.publish(Event{Type: evPointCheckpoint, Cycle: uint64(i + 1)})
+		h.publish(Event{Type: evPointProgress, Cycle: uint64(i + 1)})
 	}
 	if got := len(slow.ch); got != cap(slow.ch) {
 		t.Fatalf("mailbox holds %d, want full at %d", got, cap(slow.ch))

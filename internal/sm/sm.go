@@ -388,11 +388,13 @@ func (m *Machine) RunUntil(maxEvents uint64, pauseAt memdef.Cycle) (res Result, 
 	return m.run(maxEvents)
 }
 
+// run charges maxEvents against the engine's fired count, which a checkpoint
+// carries, so one budget covers the whole simulation: a run paused by
+// RunUntil, or restored and continued, stops where a single Run would.
 func (m *Machine) run(maxEvents uint64) (Result, bool) {
 	if maxEvents == 0 {
 		maxEvents = 2_000_000_000
 	}
-	m.Eng.SetEventBudget(maxEvents)
 	if !m.started {
 		m.started = true
 		// SM-major order: each SM's warps are seeded back-to-back, preserving
@@ -404,7 +406,13 @@ func (m *Machine) run(maxEvents uint64) (Result, bool) {
 			}
 		}
 	}
-	_, err := m.Eng.Run(func() bool { return m.MMU.Aborted() })
+	var err error
+	if fired := m.Eng.Fired(); fired < maxEvents {
+		m.Eng.SetEventBudget(maxEvents - fired)
+		_, err = m.Eng.Run(func() bool { return m.MMU.Aborted() })
+	} else if m.Eng.Pending() > 0 {
+		err = engine.ErrBudget
+	}
 	if err == engine.ErrPaused {
 		return Result{Cycles: m.Eng.Now()}, true
 	}

@@ -30,13 +30,10 @@ type ServeCounters struct {
 	// exactly what the dedup smoke test asserts.
 	SimsStarted   atomic.Uint64
 	SimsCompleted atomic.Uint64
-	// Resumed counts simulation attempts that continued from an on-disk
-	// checkpoint instead of starting from cycle zero.
-	Resumed atomic.Uint64
 	// Retries counts attempts re-scheduled after a retryable run failure.
 	Retries atomic.Uint64
-	// Parked counts runs checkpointed and requeued by a graceful shutdown,
-	// disk-pressure degradation, or a replay race.
+	// Parked counts runs stopped and requeued by a graceful shutdown,
+	// disk-pressure degradation, or a replay race; each reruns from cycle 0.
 	Parked atomic.Uint64
 	// Failed counts jobs that reached the terminal failed state.
 	Failed atomic.Uint64
@@ -73,7 +70,6 @@ type ServeSnapshot struct {
 	Replayed      uint64 `json:"replayed"`
 	SimsStarted   uint64 `json:"sims_started"`
 	SimsCompleted uint64 `json:"sims_completed"`
-	Resumed       uint64 `json:"resumed"`
 	Retries       uint64 `json:"retries"`
 	Parked        uint64 `json:"parked"`
 	Failed        uint64 `json:"failed"`
@@ -101,7 +97,6 @@ func (c *ServeCounters) Snapshot() ServeSnapshot {
 		Replayed:      c.Replayed.Load(),
 		SimsStarted:   c.SimsStarted.Load(),
 		SimsCompleted: c.SimsCompleted.Load(),
-		Resumed:       c.Resumed.Load(),
 		Retries:       c.Retries.Load(),
 		Parked:        c.Parked.Load(),
 		Failed:        c.Failed.Load(),

@@ -11,13 +11,14 @@ import (
 
 // This file is the service-facing facade surface: everything cppe-serve (and
 // any other long-running embedder) needs to treat simulations as durable,
-// content-addressed jobs — stable job identity, resume-or-fresh execution
-// with park hooks, and canonical result rendering. The simulation core stays
-// untouched; these are thin, validated wrappers over the harness layer.
+// content-addressed jobs — stable job identity, execution in epochs with
+// stop and progress hooks, and canonical result rendering. The simulation
+// core stays untouched; these are thin, validated wrappers over the harness
+// layer.
 
-// ErrParked reports that RunResumableProgress stopped at a checkpoint
-// boundary because its stop hook asked it to; the checkpoint stays on disk
-// for a later RunResumableProgress to continue from.
+// ErrParked reports that RunResumableProgress stopped at an epoch boundary
+// because its stop hook asked it to; a checkpoint, if the run had a path,
+// stays on disk for a later RunResumableProgress to continue from.
 var ErrParked = harness.ErrParked
 
 // JobID returns the stable content fingerprint of one simulation under this
@@ -40,17 +41,22 @@ func (s *Session) JobID(req Request) (string, error) {
 	return fmt.Sprintf("%016x", id), nil
 }
 
-// RunResumableProgress executes one simulation, checkpointing to path, with
-// three service hooks. It neither reads nor fills the session's result cache
-// (every call simulates; the caller's store is the cache). A valid checkpoint
-// at path is resumed; a stale or corrupt leftover is removed and the run
-// starts fresh. After every durable checkpoint write the progress callback
-// (nil = none) receives its simulated cycle, then the stop hook (nil = never)
-// is consulted: true parks the run there with ErrParked, leaving the
-// checkpoint for the next call to continue. Completed runs remove their
-// checkpoint; runs that died with a run error keep it so a retry resumes.
-// The hooks fire at deterministic simulation points, so observing progress
-// cannot perturb the result; cppe-serve drives its sweep SSE events off them.
+// RunResumableProgress executes one simulation in epochs of everyCycles
+// simulated cycles, with two service hooks. It neither reads nor fills the
+// session's result cache (every call simulates; the caller's store is the
+// cache). At each epoch boundary the progress callback (nil = none) receives
+// the simulated cycle, then the stop hook (nil = never) is consulted: true
+// parks the run there with ErrParked.
+//
+// An empty path means no checkpoint: stop and progress at epoch boundaries,
+// and a parked run starts again from cycle 0 on the next call. With a path,
+// the run checkpoints there at each boundary: a valid checkpoint at path is
+// resumed, a stale or corrupt leftover is removed and the run starts fresh,
+// a parked run leaves its checkpoint for the next call to continue,
+// completed runs remove it, and runs that died with a run error keep it so a
+// retry resumes. The hooks fire at deterministic simulation points, so
+// observing progress cannot perturb the result; cppe-serve drives its sweep
+// SSE events off them.
 func (s *Session) RunResumableProgress(req Request, path string, everyCycles uint64, stop func() bool, progress func(cycle uint64)) (Result, error) {
 	if err := s.validate(req); err != nil {
 		return Result{}, err
