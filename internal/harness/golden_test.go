@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/reproductions/cppe/internal/stats"
 )
 
 // The golden tests pin exact experiment outputs at a small scale. Every
@@ -30,7 +32,7 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Skipf("golden file missing (run with -update): %v", err)
+		t.Fatalf("golden file missing (run with -update): %v", err)
 	}
 	if string(want) != got {
 		t.Errorf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s\n(run `go test ./internal/harness -run TestGolden -update` if the model change is intentional)",
@@ -42,29 +44,52 @@ func goldenSession() *Session {
 	return NewSession(Config{Scale: 0.05, Warps: 32, Parallelism: 4})
 }
 
-func TestGoldenFig3(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	checkGolden(t, "fig3_scale005", goldenSession().Fig3().String())
+// goldenExperiments renders every paper artifact by its experiment id, in
+// paper order.
+var goldenExperiments = []struct {
+	id     string
+	render func(*Session) *stats.Table
+}{
+	{"table1", func(s *Session) *stats.Table { return TableI(s.cfg.Base) }},
+	{"table2", (*Session).TableII},
+	{"fig3", (*Session).Fig3},
+	{"fig4", (*Session).Fig4},
+	{"table3", (*Session).TableIII},
+	{"table4", (*Session).TableIV},
+	{"sweep-t3", (*Session).SweepT3},
+	{"fig7", (*Session).Fig7},
+	{"fig8", (*Session).Fig8},
+	{"fig9-75", func(s *Session) *stats.Table { return s.Fig9(75) }},
+	{"fig9-50", func(s *Session) *stats.Table { return s.Fig9(50) }},
+	{"fig10", (*Session).Fig10},
+	{"overhead", (*Session).OverheadReport},
+	{"ablation-hpe", (*Session).AblationHPE},
+	{"ablation-tree", (*Session).AblationTree},
+	{"ablation-mhpe-design", (*Session).AblationMHPEDesign},
+	{"ablation-true-lru", (*Session).AblationTrueLRU},
+	{"sweep-rate", (*Session).SweepRate},
+	{"breakdown", (*Session).Breakdown},
+	{"robustness", func(s *Session) *stats.Table { return s.Robustness() }},
+	{"claims", (*Session).ClaimsTable},
+	{"fig8-learned", (*Session).Fig8Learned},
 }
 
-// TestGoldenFig8 pins the headline Fig. 8 sweep byte-for-byte at the smoke
-// scale. Fig8 warms its keys through the shared-trace lockstep path, so this
-// golden doubles as the drift gate for the sweep execution layer; the CI
-// bench-sweep job diffs cppe-bench's output against the same file.
-func TestGoldenFig8(t *testing.T) {
+// TestGoldenExperiments pins every experiment's table byte-for-byte at the
+// smoke scale, one golden file per id (<id with - as _>_scale005.golden).
+// The fig8 golden doubles as the drift gate for the sweep execution layer,
+// and fig8-learned as the determinism gate for the learned policy stack
+// (seeded exploration, fixed-point weights); the CI bench-sweep job diffs
+// cppe-bench's full output against the same files.
+func TestGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	checkGolden(t, "fig8_scale005", goldenSession().Fig8().String())
-}
-
-func TestGoldenTableIII(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
+	s := goldenSession()
+	for _, e := range goldenExperiments {
+		t.Run(e.id, func(t *testing.T) {
+			checkGolden(t, strings.ReplaceAll(e.id, "-", "_")+"_scale005", e.render(s).String())
+		})
 	}
-	checkGolden(t, "table3_scale005", goldenSession().TableIII().String())
 }
 
 func TestGoldenSingleRun(t *testing.T) {
@@ -72,39 +97,6 @@ func TestGoldenSingleRun(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	checkGolden(t, "describe_nw_scale005", goldenSession().Describe(Key{"NW", "cppe", 50}))
-}
-
-// TestGoldenFig8Learned pins the learned-policy comparison sweep. The learned
-// perceptron's decisions depend on seeded exploration and online weight
-// updates, so this golden is the byte-level determinism gate for the whole
-// learned stack: features read through the MachineView, splitmix64 draws, and
-// fixed-point weight arithmetic. The CI policy-conformance job byte-diffs
-// cppe-bench's fig8-learned output against the same file.
-func TestGoldenFig8Learned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	checkGolden(t, "fig8_learned_scale005", goldenSession().Fig8Learned().String())
-}
-
-// TestGoldenSweepT3 pins the Section VI-A forward-distance sweep, whose
-// cppe-t3-* setups each override MHPE's T3. The CI bench-sweep job diffs
-// cppe-bench's sweep-t3 output against the same file.
-func TestGoldenSweepT3(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	checkGolden(t, "sweep_t3_scale005", goldenSession().SweepT3().String())
-}
-
-// TestGoldenAblationMHPEDesign pins the interval, buffer and forward-distance
-// ablations. The CI bench-sweep job diffs cppe-bench's ablation-mhpe-design
-// output against the same file.
-func TestGoldenAblationMHPEDesign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	checkGolden(t, "ablation_mhpe_design_scale005", goldenSession().AblationMHPEDesign().String())
 }
 
 // variantSetups are the setups whose eviction half is MHPE with one option
