@@ -131,6 +131,24 @@ func TestNewSessionWithSystem(t *testing.T) {
 	}
 }
 
+// TestTableIShowsSessionSystem: Table I describes the system the session
+// simulates, not the paper's default one.
+func TestTableIShowsSessionSystem(t *testing.T) {
+	s, err := NewSessionWithSystem(Options{}, []byte(`{"NumSMs": 16, "L1TLBEntries": 64}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.Experiment(ExpTable1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"16 SMs, 1.4GHz", "64-entry per SM"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Table I missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestDefaultSystemJSON(t *testing.T) {
 	data := DefaultSystemJSON()
 	if !strings.Contains(string(data), "\"NumSMs\": 28") {

@@ -243,13 +243,11 @@ func Setups() []string { return harness.SetupNames() }
 
 // Experiments returns the experiment identifiers in paper order.
 func Experiments() []string {
-	return []string{
-		ExpTable1, ExpTable2, ExpFig3, ExpFig4, ExpTable3, ExpTable4,
-		ExpSweepT3, ExpFig7, ExpFig8, ExpFig9a, ExpFig9b, ExpFig10,
-		ExpOverhead, ExpAblHPE, ExpAblTree, ExpAblMHPE, ExpAblTrueLRU,
-		ExpSweepRate, ExpBreakdown, ExpRobustness, ExpClaims,
-		ExpFig8Learned,
+	ids := make([]string, len(harness.Experiments))
+	for i, e := range harness.Experiments {
+		ids[i] = e.ID
 	}
+	return ids
 }
 
 // Run executes (or fetches from cache) one simulation.
@@ -324,77 +322,44 @@ func Speedup(reference, candidate Result) float64 {
 	return float64(reference.Cycles) / float64(candidate.Cycles)
 }
 
-// tableFor dispatches an experiment id to its table constructor.
-func (s *Session) tableFor(id string) (*stats.Table, error) {
-	switch id {
-	case ExpTable1:
-		return harness.TableI(memdef.DefaultConfig()), nil
-	case ExpTable2:
-		return s.h.TableII(), nil
-	case ExpFig3:
-		return s.h.Fig3(), nil
-	case ExpFig4:
-		return s.h.Fig4(), nil
-	case ExpTable3:
-		return s.h.TableIII(), nil
-	case ExpTable4:
-		return s.h.TableIV(), nil
-	case ExpSweepT3:
-		return s.h.SweepT3(), nil
-	case ExpFig7:
-		return s.h.Fig7(), nil
-	case ExpFig8:
-		return s.h.Fig8(), nil
-	case ExpFig9a:
-		return s.h.Fig9(75), nil
-	case ExpFig9b:
-		return s.h.Fig9(50), nil
-	case ExpFig10:
-		return s.h.Fig10(), nil
-	case ExpOverhead:
-		return s.h.OverheadReport(), nil
-	case ExpAblHPE:
-		return s.h.AblationHPE(), nil
-	case ExpAblTree:
-		return s.h.AblationTree(), nil
-	case ExpAblMHPE:
-		return s.h.AblationMHPEDesign(), nil
-	case ExpAblTrueLRU:
-		return s.h.AblationTrueLRU(), nil
-	case ExpSweepRate:
-		return s.h.SweepRate(), nil
-	case ExpBreakdown:
-		return s.h.Breakdown(), nil
-	case ExpRobustness:
-		return s.h.Robustness(), nil
-	case ExpClaims:
-		return s.h.ClaimsTable(), nil
-	case ExpFig8Learned:
-		return s.h.Fig8Learned(), nil
-	default:
+// table warms the simulations e reads in one worker pool, then renders e
+// from the session's cached results.
+func (s *Session) table(e harness.Experiment) *stats.Table {
+	cfg := s.h.Config()
+	if e.Keys != nil {
+		s.h.Warm(e.Keys(cfg))
+	}
+	return e.Render(s.h.Run, cfg)
+}
+
+// lookup returns the experiment named id, or an error listing the known ids.
+func lookup(id string) (harness.Experiment, error) {
+	e, ok := harness.LookupExperiment(id)
+	if !ok {
 		known := Experiments()
 		sort.Strings(known)
-		return nil, fmt.Errorf("cppe: unknown experiment %q (known: %v)", id, known)
+		return e, fmt.Errorf("cppe: unknown experiment %q (known: %v)", id, known)
 	}
+	return e, nil
 }
 
 // Experiment regenerates one paper artifact as an aligned text table.
 func (s *Session) Experiment(id string) (string, error) {
-	t, err := s.tableFor(id)
+	e, err := lookup(id)
 	if err != nil {
 		return "", err
 	}
-	return t.String(), nil
+	return s.table(e).String(), nil
 }
 
 // ExperimentCSV writes one paper artifact as CSV (header + data rows), for
 // downstream plotting.
 func (s *Session) ExperimentCSV(id string, w io.Writer) error {
-	t, err := s.tableFor(id)
+	e, err := lookup(id)
 	if err != nil {
 		return err
 	}
-	return t.WriteCSV(w)
+	return s.table(e).WriteCSV(w)
 }
 
 // Describe runs (or fetches) one simulation and renders its complete
@@ -431,28 +396,13 @@ func (s *Session) RunTraceFrom(r io.Reader, setup string, oversubscription int) 
 // charts, one chart per data series — the textual analogue of the paper's bar
 // figures. Table-type experiments return an error; use Experiment instead.
 func (s *Session) ExperimentBars(id string) (string, error) {
-	var t *stats.Table
-	var cols []int
-	switch id {
-	case ExpFig3:
-		t, cols = s.h.Fig3(), []int{1, 2, 3}
-	case ExpFig7:
-		t, cols = s.h.Fig7(), []int{1, 2}
-	case ExpFig8:
-		t, cols = s.h.Fig8(), []int{2, 3}
-	case ExpFig9a:
-		t, cols = s.h.Fig9(75), []int{2, 3, 4, 5}
-	case ExpFig9b:
-		t, cols = s.h.Fig9(50), []int{2, 3, 4, 5}
-	case ExpFig10:
-		t, cols = s.h.Fig10(), []int{1, 2, 3, 4}
-	case ExpSweepRate:
-		t, cols = s.h.SweepRate(), []int{1, 2, 3, 4, 5}
-	default:
+	e, ok := harness.LookupExperiment(id)
+	if !ok || e.Bars == nil {
 		return "", fmt.Errorf("cppe: %q is not a figure experiment (bars available for fig3/fig7/fig8/fig9-*/fig10/sweep-rate)", id)
 	}
+	t := s.table(e)
 	var b strings.Builder
-	for _, c := range cols {
+	for _, c := range e.Bars {
 		bars, err := stats.BarsFromTable(t, 0, c, 40)
 		if err != nil {
 			return "", err

@@ -168,9 +168,8 @@ func TestExperimentFig3EndToEnd(t *testing.T) {
 }
 
 func TestExperimentsListMatchesDispatch(t *testing.T) {
-	// Every listed experiment id must dispatch (static ones fully; the
-	// dynamic ones are exercised elsewhere, here we only check the ids are
-	// known by probing the error path with a prefix check).
+	// Every Exp* constant names a row of the experiment table, and the table
+	// has no other rows.
 	known := map[string]bool{}
 	for _, id := range Experiments() {
 		known[id] = true
@@ -178,7 +177,12 @@ func TestExperimentsListMatchesDispatch(t *testing.T) {
 	if len(known) != 22 {
 		t.Fatalf("experiments = %d", len(known))
 	}
-	for _, id := range []string{ExpFig8, ExpOverhead, ExpAblHPE} {
+	for _, id := range []string{
+		ExpTable1, ExpTable2, ExpFig3, ExpFig4, ExpTable3, ExpTable4,
+		ExpSweepT3, ExpFig7, ExpFig8, ExpFig9a, ExpFig9b, ExpFig10,
+		ExpOverhead, ExpAblHPE, ExpAblTree, ExpAblMHPE, ExpAblTrueLRU,
+		ExpSweepRate, ExpBreakdown, ExpClaims, ExpRobustness, ExpFig8Learned,
+	} {
 		if !known[id] {
 			t.Errorf("missing id %q", id)
 		}

@@ -17,10 +17,17 @@ type Claim struct {
 	Detail string
 }
 
-// CheckClaims evaluates the paper's key findings against this session's
-// simulations and returns one verdict per claim. It is the machine-checkable
+// claimKeys are every simulation CheckClaims reads.
+func claimKeys(Config) []Key {
+	keys := keysFor(workload.Abbrs(), Rates, "baseline", "cppe", "disable-on-full")
+	keys = append(keys, keysFor(workload.Abbrs(), []int{50}, "lru-10%", "lru-20%", "random")...)
+	return append(keys, Key{"NW", "cppe-s1", 50})
+}
+
+// CheckClaims evaluates the paper's key findings against the simulations get
+// returns and returns one verdict per claim. It is the machine-checkable
 // companion to EXPERIMENTS.md.
-func (s *Session) CheckClaims() []Claim {
+func CheckClaims(get func(Key) Result) []Claim {
 	var claims []Claim
 	add := func(id, text string, pass bool, detail string, args ...interface{}) {
 		claims = append(claims, Claim{
@@ -29,20 +36,8 @@ func (s *Session) CheckClaims() []Claim {
 		})
 	}
 
-	// Warm everything the claims touch.
-	var keys []Key
-	for _, b := range workload.Abbrs() {
-		for _, pct := range Rates {
-			keys = append(keys,
-				Key{b, "baseline", pct}, Key{b, "cppe", pct},
-				Key{b, "disable-on-full", pct})
-		}
-		keys = append(keys, Key{b, "lru-10%", 50}, Key{b, "lru-20%", 50}, Key{b, "random", 50})
-	}
-	s.Warm(keys)
-
 	speedup := func(bench, setup string, pct int) float64 {
-		return Speedup(s.Run(Key{bench, "baseline", pct}), s.Run(Key{bench, setup, pct}))
+		return Speedup(get(Key{bench, "baseline", pct}), get(Key{bench, setup, pct}))
 	}
 
 	// --- Fig. 3 / Fig. 9: reserved LRU ---
@@ -68,8 +63,8 @@ func (s *Session) CheckClaims() []Claim {
 	// --- Fig. 4: eviction blow-up from naive prefetching ---
 	{
 		ratio := func(b string) float64 {
-			on := s.Run(Key{b, "baseline", 50})
-			off := s.Run(Key{b, "disable-on-full", 50})
+			on := get(Key{b, "baseline", 50})
+			off := get(Key{b, "disable-on-full", 50})
 			if off.UVM.EvictedPages == 0 {
 				return 0
 			}
@@ -136,8 +131,8 @@ func (s *Session) CheckClaims() []Claim {
 		cppeBeats := true
 		for _, b := range fig10Benches {
 			for _, pct := range Rates {
-				ref := s.Run(Key{b, "disable-on-full", pct})
-				if v := Speedup(ref, s.Run(Key{b, "cppe", pct})); v > 0 && v < 0.95 {
+				ref := get(Key{b, "disable-on-full", pct})
+				if v := Speedup(ref, get(Key{b, "cppe", pct})); v > 0 && v < 0.95 {
 					cppeBeats = false
 				}
 			}
@@ -149,7 +144,7 @@ func (s *Session) CheckClaims() []Claim {
 
 	// --- Fig. 7: deletion schemes ---
 	{
-		nw := Speedup(s.Run(Key{"NW", "cppe-s1", 50}), s.Run(Key{"NW", "cppe", 50}))
+		nw := Speedup(get(Key{"NW", "cppe-s1", 50}), get(Key{"NW", "cppe", 50}))
 		add("scheme2-wins-strided",
 			"Scheme-2 outperforms Scheme-1 for fixed-stride applications (NW)",
 			nw > 1.02, "NW Scheme-2/Scheme-1 at 50%%: %.2fx", nw)
@@ -158,12 +153,12 @@ func (s *Session) CheckClaims() []Claim {
 	return claims
 }
 
-// ClaimsTable renders the verdicts.
-func (s *Session) ClaimsTable() *stats.Table {
+// claimsTable renders the verdicts.
+func claimsTable(get func(Key) Result, _ Config) *stats.Table {
 	t := stats.NewTable("Reproduction self-check: the paper's ordinal claims",
 		"Verdict", "Claim", "Measured")
 	pass := 0
-	claims := s.CheckClaims()
+	claims := CheckClaims(get)
 	for _, c := range claims {
 		v := "FAIL"
 		if c.Pass {

@@ -10,7 +10,8 @@ func TestClaimsStructure(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := small()
-	claims := s.CheckClaims()
+	tb := experiment(t, s, "claims")
+	claims := CheckClaims(s.Run)
 	if len(claims) != 11 {
 		t.Fatalf("claims = %d, want 11", len(claims))
 	}
@@ -24,7 +25,6 @@ func TestClaimsStructure(t *testing.T) {
 		}
 		ids[c.ID] = true
 	}
-	tb := s.ClaimsTable()
 	if len(tb.Rows) != len(claims) {
 		t.Fatalf("table rows = %d", len(tb.Rows))
 	}
@@ -41,7 +41,8 @@ func TestClaimsAllPassAtDefaultScale(t *testing.T) {
 		t.Skip("runs the full evaluation suite (~30s)")
 	}
 	s := NewSession(Config{})
-	for _, c := range s.CheckClaims() {
+	s.Warm(claimKeys(s.cfg))
+	for _, c := range CheckClaims(s.Run) {
 		if !c.Pass {
 			t.Errorf("claim %q FAILED: %s (%s)", c.ID, c.Text, c.Detail)
 		}

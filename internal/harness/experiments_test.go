@@ -16,7 +16,7 @@ func TestFig4ContentAndRatios(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := small()
-	tb := s.Fig4()
+	tb := experiment(t, s, "fig4")
 	if len(tb.Rows) != 23 {
 		t.Fatalf("Fig 4 rows = %d", len(tb.Rows))
 	}
@@ -42,7 +42,7 @@ func TestFig8ShapeHolds(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := small()
-	tb := s.Fig8()
+	tb := experiment(t, s, "fig8")
 	get := func(app string, col int) string {
 		for _, r := range tb.Rows {
 			if r[0] == app {
@@ -73,7 +73,7 @@ func TestBreakdownContent(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := small()
-	tb := s.Breakdown()
+	tb := experiment(t, s, "breakdown")
 	if len(tb.Rows) != 12 { // 6 apps x 2 setups
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -98,7 +98,7 @@ func TestSweepRateContent(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := small()
-	tb := s.SweepRate()
+	tb := experiment(t, s, "sweep-rate")
 	if len(tb.Rows) != 7 { // 6 apps + geomean
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -112,18 +112,60 @@ func TestAblationTablesContent(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := small()
-	if tb := s.AblationMHPEDesign(); len(tb.Rows) != 6 {
+	if tb := experiment(t, s, "ablation-mhpe-design"); len(tb.Rows) != 6 {
 		t.Fatalf("mhpe-design rows = %d", len(tb.Rows))
 	}
-	tb := s.AblationTrueLRU()
+	tb := experiment(t, s, "ablation-true-lru")
 	if len(tb.Rows) != 7 {
 		t.Fatalf("true-lru rows = %d", len(tb.Rows))
 	}
-	hpe := s.AblationHPE()
+	hpe := experiment(t, s, "ablation-hpe")
 	// The HPE ablation must report a classification for every app.
 	for _, r := range hpe.Rows {
 		if r[3] == "" {
 			t.Errorf("missing HPE class for %s", r[0])
 		}
+	}
+}
+
+// TestExperimentsReadOnlyDeclaredKeys renders every experiment with a get
+// that reports any simulation its Keys did not declare: an undeclared key
+// would run alone, outside the session's worker pool, after the pool drained.
+func TestExperimentsReadOnlyDeclaredKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	s := NewSession(Config{Scale: 0.02, Warps: 16})
+	for _, e := range Experiments {
+		t.Run(e.ID, func(t *testing.T) {
+			declared := map[Key]bool{}
+			if e.Keys != nil {
+				keys := e.Keys(s.cfg)
+				for _, k := range keys {
+					declared[k] = true
+				}
+				s.Warm(keys)
+			}
+			get := func(k Key) Result {
+				if !declared[k] {
+					t.Errorf("%s reads undeclared key %v", e.ID, k)
+				}
+				return s.Run(k)
+			}
+			if tb := e.Render(get, s.cfg); len(tb.Rows) == 0 {
+				t.Errorf("%s rendered no rows", e.ID)
+			}
+		})
+	}
+}
+
+// TestSeedSessionKeepsConfig: robustness's per-seed sessions differ from the
+// rendering session in the seed alone, so a disabled watchdog stays disabled.
+func TestSeedSessionKeepsConfig(t *testing.T) {
+	cfg := NewSession(Config{Scale: 0.05, Warps: 32, WatchdogWindow: -1, MaxEvents: 1 << 20}).Config()
+	want := cfg
+	want.Seed = 3
+	if got := seedSession(cfg, 3).Config(); got != want {
+		t.Fatalf("seed session config = %+v, want %+v", got, want)
 	}
 }

@@ -44,34 +44,23 @@ func goldenSession() *Session {
 	return NewSession(Config{Scale: 0.05, Warps: 32, Parallelism: 4})
 }
 
-// goldenExperiments renders every paper artifact by its experiment id, in
-// paper order.
-var goldenExperiments = []struct {
-	id     string
-	render func(*Session) *stats.Table
-}{
-	{"table1", func(s *Session) *stats.Table { return TableI(s.cfg.Base) }},
-	{"table2", (*Session).TableII},
-	{"fig3", (*Session).Fig3},
-	{"fig4", (*Session).Fig4},
-	{"table3", (*Session).TableIII},
-	{"table4", (*Session).TableIV},
-	{"sweep-t3", (*Session).SweepT3},
-	{"fig7", (*Session).Fig7},
-	{"fig8", (*Session).Fig8},
-	{"fig9-75", func(s *Session) *stats.Table { return s.Fig9(75) }},
-	{"fig9-50", func(s *Session) *stats.Table { return s.Fig9(50) }},
-	{"fig10", (*Session).Fig10},
-	{"overhead", (*Session).OverheadReport},
-	{"ablation-hpe", (*Session).AblationHPE},
-	{"ablation-tree", (*Session).AblationTree},
-	{"ablation-mhpe-design", (*Session).AblationMHPEDesign},
-	{"ablation-true-lru", (*Session).AblationTrueLRU},
-	{"sweep-rate", (*Session).SweepRate},
-	{"breakdown", (*Session).Breakdown},
-	{"robustness", func(s *Session) *stats.Table { return s.Robustness() }},
-	{"claims", (*Session).ClaimsTable},
-	{"fig8-learned", (*Session).Fig8Learned},
+// render warms the simulations e reads on s in one pool, then renders e
+// from s's results, as the facade does.
+func render(s *Session, e Experiment) *stats.Table {
+	if e.Keys != nil {
+		s.Warm(e.Keys(s.cfg))
+	}
+	return e.Render(s.Run, s.cfg)
+}
+
+// experiment renders the experiment with the given id on s.
+func experiment(t *testing.T, s *Session, id string) *stats.Table {
+	t.Helper()
+	e, ok := LookupExperiment(id)
+	if !ok {
+		t.Fatalf("unknown experiment %q", id)
+	}
+	return render(s, e)
 }
 
 // TestGoldenExperiments pins every experiment's table byte-for-byte at the
@@ -85,9 +74,9 @@ func TestGoldenExperiments(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := goldenSession()
-	for _, e := range goldenExperiments {
-		t.Run(e.id, func(t *testing.T) {
-			checkGolden(t, strings.ReplaceAll(e.id, "-", "_")+"_scale005", e.render(s).String())
+	for _, e := range Experiments {
+		t.Run(e.ID, func(t *testing.T) {
+			checkGolden(t, strings.ReplaceAll(e.ID, "-", "_")+"_scale005", render(s, e).String())
 		})
 	}
 }

@@ -262,7 +262,7 @@ func TestCellRendersCrashAsX(t *testing.T) {
 }
 
 func TestTableIStatic(t *testing.T) {
-	out := TableI(memdef.DefaultConfig()).String()
+	out := tableI(nil, Config{Base: memdef.DefaultConfig()}).String()
 	for _, want := range []string{"28 SMs, 1.4GHz", "512-entry", "64 concurrent walks", "528GB/s", "16GB/s"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table I missing %q:\n%s", want, out)
@@ -272,7 +272,7 @@ func TestTableIStatic(t *testing.T) {
 
 func TestTableIIStatic(t *testing.T) {
 	s := NewSession(Config{Scale: 0.05})
-	out := s.TableII().String()
+	out := experiment(t, s, "table2").String()
 	for _, b := range workload.Abbrs() {
 		if !strings.Contains(out, b) {
 			t.Errorf("Table II missing %s", b)
@@ -326,7 +326,7 @@ func TestFig3EndToEndSmallScale(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := NewSession(Config{Scale: 0.05, Warps: 32})
-	out := s.Fig3().String()
+	out := experiment(t, s, "fig3").String()
 	for _, b := range fig3Benches {
 		if !strings.Contains(out, b) {
 			t.Errorf("Fig 3 missing %s:\n%s", b, out)
@@ -342,7 +342,7 @@ func TestTableIIIEndToEndSmallScale(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := NewSession(Config{Scale: 0.05, Warps: 32})
-	out := s.TableIII().String()
+	out := experiment(t, s, "table3").String()
 	// Thrashing (dense) apps have untouch 0 and must be omitted; sparse
 	// ones (B+T) must be present.
 	if strings.Contains(out, "MRQ") {
