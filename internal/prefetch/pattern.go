@@ -54,7 +54,7 @@ type PatternStats struct {
 type Pattern struct {
 	scheme     DeletionScheme
 	minUntouch int
-	buf        map[memdef.ChunkID]*patternEntry
+	buf        map[memdef.ChunkID]patternEntry
 	stats      PatternStats
 }
 
@@ -72,7 +72,7 @@ func NewPattern(scheme DeletionScheme, minUntouch int) (*Pattern, error) {
 	return &Pattern{
 		scheme:     scheme,
 		minUntouch: minUntouch,
-		buf:        make(map[memdef.ChunkID]*patternEntry),
+		buf:        make(map[memdef.ChunkID]patternEntry),
 	}, nil
 }
 
@@ -104,7 +104,10 @@ func (pf *Pattern) Plan(dst []memdef.PageNum, p memdef.PageNum, ctx Context) []m
 	if e.touched.Has(p.Index()) {
 		// Pattern match: migrate only the touched pages of the pattern.
 		pf.stats.Matches++
-		e.matchedOnce = true
+		if !e.matchedOnce {
+			e.matchedOnce = true
+			pf.buf[c] = e
+		}
 		for i := 0; i < memdef.ChunkPages; i++ {
 			if !e.touched.Has(i) {
 				continue
@@ -134,7 +137,7 @@ func (pf *Pattern) OnEvict(c memdef.ChunkID, touched memdef.PageBitmap, untouch 
 	if untouch < pf.minUntouch || touched == 0 {
 		return
 	}
-	pf.buf[c] = &patternEntry{touched: touched}
+	pf.buf[c] = patternEntry{touched: touched}
 	pf.stats.Recorded++
 	if len(pf.buf) > pf.stats.PeakLen {
 		pf.stats.PeakLen = len(pf.buf)

@@ -100,7 +100,7 @@ func (pf *Pattern) DecodeState(r *snapshot.Reader) {
 	n := r.GetCount(11)
 	for i := 0; i < n; i++ {
 		c := memdef.ChunkID(r.GetU64())
-		e := &patternEntry{touched: memdef.PageBitmap(r.GetU16()), matchedOnce: r.GetBool()}
+		e := patternEntry{touched: memdef.PageBitmap(r.GetU16()), matchedOnce: r.GetBool()}
 		if r.Err() != nil {
 			return
 		}
