@@ -1,7 +1,7 @@
 // Command cppe-lint runs the repository's determinism and simulation-safety
 // static analyzers (package internal/lint) over the module: the five
 // file-local determinism passes (mapiter, wallclock, globalrand, panicfree,
-// gofreeze) plus the semantic whole-program suite (statecov, viewleak,
+// gofreeze) plus the semantic whole-program suite (viewleak,
 // detreach, errdrop) and the unused-waiver audit.
 //
 // Usage:

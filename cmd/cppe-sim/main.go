@@ -49,10 +49,6 @@ func main() {
 
 	checkpointing := *ckptEvery > 0 || *ckptFile != "" || *resume != ""
 	if checkpointing {
-		if *chaosSeed != 0 {
-			fmt.Fprintln(os.Stderr, "cppe-sim: fault injection (-chaos-seed) cannot be checkpointed")
-			os.Exit(1)
-		}
 		if *trc != "" {
 			fmt.Fprintln(os.Stderr, "cppe-sim: trace runs (-trace) cannot be checkpointed")
 			os.Exit(1)

@@ -264,9 +264,10 @@ func (s *Session) Run(req Request) (Result, error) {
 // time. A process killed mid-run can continue from the last checkpoint with
 // ResumeCheckpoint, or by calling RunCheckpointed again: a valid checkpoint
 // of the same simulation already at path is continued, with the same result,
-// and any other file there is removed. Fault injection (ChaosSeed) cannot be checkpointed: the
-// run fails with a structured error instead of writing a snapshot that could
-// not reproduce the injected schedule.
+// and any other file there is removed. A checkpoint records the run, not the
+// machine state: resuming replays the simulation to the checkpointed cycle,
+// so fault injection (ChaosSeed) and registered custom policies checkpoint
+// like any other run.
 func (s *Session) RunCheckpointed(req Request, path string, everyCycles uint64) (Result, error) {
 	if err := s.validate(req); err != nil {
 		return Result{}, err
@@ -278,8 +279,8 @@ func (s *Session) RunCheckpointed(req Request, path string, everyCycles uint64) 
 // ResumeCheckpoint continues a simulation from a checkpoint file written by
 // RunCheckpointed (the file names its own benchmark, setup, and rate) and runs
 // it to completion, still checkpointing to the same path every everyCycles
-// cycles. Corrupt, truncated, or mismatched checkpoints return an error
-// without running anything; they are never silently resumed.
+// cycles. Corrupt, truncated, other-version or mismatched checkpoints return
+// an error; they are never silently resumed.
 func (s *Session) ResumeCheckpoint(path string, everyCycles uint64) (Result, error) {
 	r, err := s.h.Resume(path, memdef.Cycle(everyCycles))
 	if err != nil {

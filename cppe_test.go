@@ -2,6 +2,9 @@ package cppe
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -197,5 +200,84 @@ func TestCachedRunsGrows(t *testing.T) {
 	s.MustRun(Request{Benchmark: "STN", Setup: SetupBaseline, Oversubscription: 50})
 	if s.CachedRuns() != 1 {
 		t.Fatalf("cached = %d", s.CachedRuns())
+	}
+}
+
+// fifoPolicy is an eviction policy written the way a plugin outside this
+// module writes one: only the exported aliases, no access to the simulator's
+// internals. It evicts resident chunks in migration order.
+type fifoPolicy struct {
+	order    []ChunkID
+	resident map[ChunkID]bool
+}
+
+func (p *fifoPolicy) Name() string               { return "fifo-plugin" }
+func (p *fifoPolicy) OnFault(ChunkID)            {}
+func (p *fifoPolicy) OnTouch(ChunkID, int)       {}
+func (p *fifoPolicy) OnEvicted(c ChunkID, _ int) { delete(p.resident, c) }
+func (p *fifoPolicy) OnMigrate(c ChunkID, _ PageBitmap) {
+	if !p.resident[c] {
+		p.resident[c] = true
+		p.order = append(p.order, c)
+	}
+}
+
+func (p *fifoPolicy) SelectVictim(excluded func(ChunkID) bool) (ChunkID, bool) {
+	kept := p.order[:0]
+	for _, c := range p.order {
+		if p.resident[c] {
+			kept = append(kept, c)
+		}
+	}
+	p.order = kept
+	for _, c := range p.order {
+		if !excluded(c) {
+			return c, true
+		}
+	}
+	return 0, false
+}
+
+// TestRegisteredPolicyCheckpoints runs a policy registered through
+// RegisterPolicy plainly, checkpointed, and resumed from the checkpoint the
+// checkpointed run left: all three Results must be equal. A checkpoint is a
+// replay record, so it asks nothing of a policy beyond a deterministic
+// factory.
+func TestRegisteredPolicyCheckpoints(t *testing.T) {
+	err := RegisterPolicy(PolicyRegistration{
+		Name: "fifo-plugin", Version: PolicyAPIVersion, Kind: KindEviction,
+		Description: "test plugin: evict in migration order",
+		NewEviction: func(PolicyEnv) (EvictionPolicy, error) {
+			return &fifoPolicy{resident: map[ChunkID]bool{}}, nil
+		},
+	})
+	if err != nil && !errors.Is(err, ErrPolicyExists) {
+		t.Fatal(err)
+	}
+	opts := Options{Scale: 0.05, Warps: 32}
+	req := Request{Benchmark: "SRD", Setup: "fifo-plugin+locality", Oversubscription: 50}
+	want, err := NewSession(opts).Run(req)
+	if err != nil || want.Err != nil || want.EvictedPages == 0 {
+		t.Fatalf("plain run: %v / %+v (the policy must evict)", err, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "plugin.ckpt")
+	every := want.Cycles / 4
+	got, err := NewSession(opts).RunCheckpointed(req, path, every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("checkpointed run differs:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("checkpointed run left no checkpoint: %v", err)
+	}
+	resumed, err := NewSession(opts).ResumeCheckpoint(path, every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed, want) {
+		t.Errorf("resumed run differs:\n got %+v\nwant %+v", resumed, want)
 	}
 }

@@ -53,9 +53,8 @@ type Cache struct {
 	// check it before scanning: temporal locality makes repeat hits on the
 	// same line common, and a correct hint resolves them with one compare.
 	// The hint is purely an accelerator — a stale hint only fails the
-	// one-compare check and falls through to the scan, so it is not
-	// checkpointed and never affects results.
-	//cppelint:statecov pure accelerator: a stale hint fails its one-compare check and falls through to the scan with identical results
+	// one-compare check and falls through to the scan, so it never affects
+	// results.
 	hint []uint16
 	tick uint64
 

@@ -45,7 +45,6 @@ type channel struct {
 
 // DRAM is the multi-channel memory system.
 type DRAM struct {
-	//cppelint:statecov wiring reference to the engine, rewired at construction
 	eng      *engine.Engine
 	cfg      memdef.Config
 	channels []*channel
@@ -113,8 +112,8 @@ func (d *DRAM) Access(a memdef.VirtAddr, kind memdef.AccessKind, done func()) me
 	return d.AccessT(a, kind, engine.Tag{}, done)
 }
 
-// AccessT is Access with a snapshot tag describing done, so the completion
-// event stays serializable across a checkpoint (see engine.ScheduleTagged).
+// AccessT is Access with a tag describing done, carried by the completion
+// event (see engine.Tag).
 // Accesses without a completion callback schedule nothing and need no tag.
 func (d *DRAM) AccessT(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag, done func()) memdef.Cycle {
 	ch, bk, row := d.route(a)

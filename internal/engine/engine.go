@@ -44,18 +44,16 @@ type eventNode struct {
 	fn    func()
 	argFn func(uint64)
 	arg   uint64
-	// tag is the serializable description of the callback for checkpointing
-	// (zero Kind = untagged; see snapshot.go). Production scheduling paths
-	// use the *Tagged variants so every in-flight event can be re-created
-	// from its tag on restore.
+	// tag names the callback and its operands (zero Kind = untagged).
+	// Production scheduling paths use the *Tagged variants.
 	tag  Tag
 	next *eventNode
 }
 
-// Tag is a serializable event descriptor: Kind names the callback (component
+// Tag is a deterministic event descriptor: Kind names the callback (component
 // kinds live in per-package constant ranges; 0 is reserved for untagged) and
-// A/B carry its operands (a warp gid, a walk ID, a page number...). On
-// restore, a machine-level resolver maps each Tag back to a closure.
+// A/B carry its operands (a warp gid, a walk ID, a page number...). Tags
+// label the event stream for observation; they never affect dispatch.
 type Tag struct {
 	Kind uint16
 	A, B uint64
@@ -68,23 +66,18 @@ type bucket struct {
 
 // Engine is a deterministic discrete-event scheduler.
 type Engine struct {
-	now   memdef.Cycle
-	seq   uint64
-	fired uint64
-	//cppelint:statecov harness run configuration reapplied on restore, not simulated state
-	budget uint64 // optional hard cap on events per Run; 0 = unlimited
-	//cppelint:statecov derived queue population; rebuilt as components re-schedule their events in two-phase restore (§10.2)
+	now     memdef.Cycle
+	seq     uint64
+	fired   uint64
+	budget  uint64 // optional hard cap on events per Run; 0 = unlimited
 	pending int
 
 	// ring holds events with at in [now, now+ringWindow), bucketed by
 	// at&ringMask. Because ring events always satisfy that half-open bound
 	// (scheduling only ever sees a non-decreasing now), a slot holds events
 	// of exactly one cycle at a time.
-	//cppelint:statecov event queue is rebuilt by two-phase restore: components re-schedule in-flight events (§10.2)
-	ring [ringWindow]bucket
-	//cppelint:statecov occupancy bitmap over ring slots, rebuilt with the ring in two-phase restore (§10.2)
-	ringBits [ringWindow / 64]uint64
-	//cppelint:statecov rebuilt with the ring in two-phase restore (§10.2)
+	ring      [ringWindow]bucket
+	ringBits  [ringWindow / 64]uint64
 	ringCount int
 
 	// overflow holds events at or beyond now+ringWindow, ordered by
@@ -92,10 +85,8 @@ type Engine struct {
 	// every ring event, because entering the ring requires a strictly later
 	// scheduling time; popping the heap before the bucket therefore
 	// preserves global FIFO tie-breaking.
-	//cppelint:statecov rebuilt with the ring in two-phase restore (§10.2)
 	overflow []*eventNode
 
-	//cppelint:statecov node pool is allocation recycling, not simulated state
 	free *eventNode
 
 	// Periodic hook (integrity auditing): fn runs between events whenever at
@@ -103,34 +94,26 @@ type Engine struct {
 	// invocation. Running outside the event queue keeps the hook invisible to
 	// the simulation — no extra events, no seq perturbation, and the run still
 	// ends at the cycle of its last real event.
-	//cppelint:statecov audit-hook wiring re-armed when the machine is rebuilt for restore
 	periodicEvery memdef.Cycle
 	periodicLast  memdef.Cycle
-	//cppelint:statecov audit-hook wiring re-armed when the machine is rebuilt for restore
-	periodicFn func()
+	periodicFn    func()
 
 	// No-progress watchdog: if wdEvery consecutive events fire without the
 	// frontier cycle advancing and more than wdWindow of wall-clock time
 	// passes, Run returns ErrNoProgress (a same-cycle livelock that the event
 	// budget would only catch millions of events later).
-	//cppelint:statecov watchdog configuration re-armed when the machine is rebuilt for restore
-	wdEvery uint64
-	//cppelint:statecov watchdog configuration re-armed when the machine is rebuilt for restore
-	wdWindow time.Duration
-	//cppelint:statecov watchdog scratch compares wall time against wall time; never simulated state
-	wdCount uint64
-	//cppelint:statecov watchdog scratch compares wall time against wall time; never simulated state
-	wdCycle memdef.Cycle
-	//cppelint:statecov watchdog scratch compares wall time against wall time; never simulated state
+	wdEvery    uint64
+	wdWindow   time.Duration
+	wdCount    uint64
+	wdCycle    memdef.Cycle
 	wdDeadline time.Time
 
 	// Pause boundary: when armed, Run returns ErrPaused between events as
 	// soon as the next pending event lies beyond pauseAt. Every event at or
 	// before pauseAt has then fired, so the machine state is exactly the
-	// state "at the end of cycle pauseAt" — a checkpointable boundary.
-	//cppelint:statecov pause boundary re-armed per RunUntil call; checkpoints are taken exactly at this boundary
-	pauseAt memdef.Cycle
-	//cppelint:statecov pause boundary re-armed per RunUntil call; checkpoints are taken exactly at this boundary
+	// state "at the end of cycle pauseAt" — the boundary a checkpoint
+	// records and a replay reproduces.
+	pauseAt  memdef.Cycle
 	pauseSet bool
 }
 
@@ -291,11 +274,9 @@ func (e *Engine) ScheduleAt(at memdef.Cycle, fn func()) {
 	e.insert(n, at)
 }
 
-// ScheduleTagged is Schedule with a snapshot tag: tag must describe fn well
-// enough for the machine's resolver to re-create it on restore. Production
-// scheduling paths use the tagged variants; untagged events make the engine
-// state unserializable (EncodeQueue refuses) but are fine for tests and
-// ad-hoc tooling.
+// ScheduleTagged is Schedule with a tag describing fn (see Tag). Production
+// scheduling paths use the tagged variants; untagged events are fine for
+// tests and ad-hoc tooling.
 func (e *Engine) ScheduleTagged(delay memdef.Cycle, tag Tag, fn func()) {
 	if fn == nil {
 		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
@@ -307,7 +288,7 @@ func (e *Engine) ScheduleTagged(delay memdef.Cycle, tag Tag, fn func()) {
 	e.insert(n, e.now+delay)
 }
 
-// ScheduleAtTagged is ScheduleAt with a snapshot tag (see ScheduleTagged).
+// ScheduleAtTagged is ScheduleAt with a tag (see ScheduleTagged).
 func (e *Engine) ScheduleAtTagged(at memdef.Cycle, tag Tag, fn func()) {
 	if at < e.now {
 		//cppelint:panicfree scheduling in the past is a component bug that would silently corrupt event order; fail loudly, recovered by the harness
@@ -323,7 +304,7 @@ func (e *Engine) ScheduleAtTagged(at memdef.Cycle, tag Tag, fn func()) {
 	e.insert(n, at)
 }
 
-// ScheduleArgTagged is ScheduleArg with a snapshot tag (see ScheduleTagged).
+// ScheduleArgTagged is ScheduleArg with a tag (see ScheduleTagged).
 func (e *Engine) ScheduleArgTagged(delay memdef.Cycle, tag Tag, fn func(uint64), arg uint64) {
 	if fn == nil {
 		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
@@ -352,8 +333,7 @@ func (e *Engine) ScheduleArgAt(at memdef.Cycle, fn func(uint64), arg uint64) {
 	e.insert(n, at)
 }
 
-// ScheduleArgAtTagged is ScheduleArgAt with a snapshot tag (see
-// ScheduleTagged).
+// ScheduleArgAtTagged is ScheduleArgAt with a tag (see ScheduleTagged).
 func (e *Engine) ScheduleArgAtTagged(at memdef.Cycle, tag Tag, fn func(uint64), arg uint64) {
 	if at < e.now {
 		//cppelint:panicfree scheduling in the past is a component bug that would silently corrupt event order; fail loudly, recovered by the harness
@@ -624,7 +604,6 @@ func eventLess(a, b *eventNode) bool {
 // time. Acquire returns the cycle at which a job of the given duration,
 // requested now, will finish, advancing the resource's horizon.
 type Resource struct {
-	//cppelint:statecov wiring reference to the engine, rewired at construction
 	eng  *Engine
 	free memdef.Cycle // next cycle at which the resource is idle
 	busy memdef.Cycle // total busy cycles, for utilization stats

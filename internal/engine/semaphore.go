@@ -2,9 +2,9 @@ package engine
 
 import "github.com/reproductions/cppe/internal/memdef"
 
-// waiter is one queued Acquire: the callback plus the snapshot tag that can
-// re-create it on restore (zero tag for legacy untagged acquires). Exactly
-// one of fn / argFn is set, as in eventNode.
+// waiter is one queued Acquire: the callback plus the tag describing it
+// (zero tag for untagged acquires). Exactly one of fn / argFn is set, as in
+// eventNode.
 type waiter struct {
 	tag   Tag
 	fn    func()
@@ -48,12 +48,11 @@ func (s *Semaphore) Reset(capacity int) {
 
 // Acquire grants a slot to fn as soon as one is available (immediately, via a
 // zero-delay event, if the semaphore is not full). Untagged acquires are for
-// tests and tooling; production paths use AcquireTagged so in-flight grants
-// and queued waiters stay checkpointable.
+// tests and tooling; production paths use AcquireTagged.
 func (s *Semaphore) Acquire(fn func()) { s.AcquireTagged(Tag{}, fn) }
 
-// AcquireTagged is Acquire with a snapshot tag describing fn, so that both
-// the zero-delay grant event and a queued waiter can be serialized.
+// AcquireTagged is Acquire with a tag describing fn, carried by the
+// zero-delay grant event.
 func (s *Semaphore) AcquireTagged(tag Tag, fn func()) {
 	s.acquire(waiter{tag: tag, fn: fn})
 }

@@ -36,15 +36,12 @@ type Entry struct {
 // Chain is the doubly linked chunk chain. Head is the LRU end, tail the MRU
 // end. It supports O(1) insertion/removal and lookup by chunk.
 type Chain struct {
-	//cppelint:statecov tail is rebuilt by PushTail while Decode replays the encoded head-to-tail order
 	head, tail *Entry
-	//cppelint:statecov lookup index repopulated entry by entry as Decode replays PushTail
-	index map[memdef.ChunkID]*Entry
-	n     int
+	index      map[memdef.ChunkID]*Entry
+	n          int
 	// free chains unused entries (through next) for reuse by newEntry, so
 	// insert/remove churn allocates nothing once the chain has reached its
 	// peak length. No policy holds an *Entry past Remove.
-	//cppelint:statecov entry recycling pool, not simulated state; Decode rebuilds the chain with fresh entries
 	free *Entry
 }
 

@@ -4,11 +4,10 @@ import (
 	"github.com/reproductions/cppe/internal/memdef"
 )
 
-// rng64 is a splitmix64 generator: a single uint64 of state, so the policy's
-// randomness serializes into a checkpoint exactly (math/rand's generator
-// state is not exportable). Splitmix64 passes BigCrush and is the standard
-// seeding primitive of the xoshiro family; uniform victim sampling needs
-// nothing stronger.
+// rng64 is a splitmix64 generator: a single uint64 of state, seeded from the
+// policy's Env, so a rebuilt policy replays the same stream. Splitmix64
+// passes BigCrush and is the standard seeding primitive of the xoshiro
+// family; uniform victim sampling needs nothing stronger.
 type rng64 struct {
 	s uint64
 }
@@ -33,9 +32,8 @@ func (r *rng64) Intn(n int) int {
 // it as a thrash-resistant alternative to LRU; the paper uses it in Fig. 3
 // and Fig. 9 coupled with the locality prefetcher.
 type Random struct {
-	rng rng64
-	ids []memdef.ChunkID
-	//cppelint:statecov position index rebuilt from the encoded ids in DecodeState
+	rng   rng64
+	ids   []memdef.ChunkID
 	where map[memdef.ChunkID]int
 }
 

@@ -9,18 +9,22 @@ import (
 	"github.com/reproductions/cppe/internal/snapshot"
 )
 
-// A checkpoint file is one snapshot frame (magic, version, length, CRC32)
-// whose payload is a "CKPT" metadata envelope followed by the machine's own
-// framed state. The metadata pins everything the resuming process must
-// reproduce before a restore can even be attempted: the simulation key, the
-// session knobs that shape workload generation, the complete derived system
-// configuration, and a fingerprint of the generated traces. A mismatch on any
-// of them is a structured ErrCheckpointMismatch — the resume falls back to a
-// fresh run instead of continuing a simulation it cannot reproduce.
+// A checkpoint file is a replay record: one snapshot frame (magic, version,
+// length, CRC32) whose payload is a "CKPT" envelope and nothing else. The
+// envelope pins everything the resuming process must reproduce: the
+// simulation key, the session knobs that shape workload generation, the
+// complete derived system configuration (fault injection's ChaosSeed
+// included), a fingerprint of the generated traces, the footprint, and the
+// cycle the run had reached. A mismatch on any of them is a structured
+// ErrCheckpointMismatch — the resume falls back to a fresh run instead of
+// continuing a simulation it cannot reproduce. A matching envelope is
+// restored by rebuilding the machine and replaying it to the recorded cycle:
+// the simulation is deterministic, so the replayed machine is the one the
+// checkpointed run paused with.
 
 // ErrCheckpointMismatch reports a checkpoint that is well-formed but was taken
 // by a session with different parameters (key, seed, scale, system
-// configuration, or workload), so its machine state cannot be restored here.
+// configuration, or workload), so this session cannot replay it.
 var ErrCheckpointMismatch = errors.New("harness: checkpoint does not match this session")
 
 // The trace fingerprint in the envelope is workload.Fingerprint of the
@@ -28,19 +32,16 @@ var ErrCheckpointMismatch = errors.New("harness: checkpoint does not match this 
 // reused here), so a resume detects workload drift even when every scalar
 // session knob matches.
 
-// writeCheckpoint atomically replaces path with the machine's current state.
-// The whole file is encoded once into one pooled buffer: the outer frame and
-// the envelope are written around the machine's own frame in place, behind a
-// length prefix patched when the machine frame closes. The temporary file
-// lives in the same directory so the rename is atomic on POSIX filesystems; a
-// process killed mid-write leaves the previous checkpoint intact.
+// writeCheckpoint atomically replaces path with the envelope of k's paused
+// run. The temporary file lives in the same directory so the rename is atomic
+// on POSIX filesystems; a process killed mid-write leaves the previous
+// checkpoint intact.
 func (s *Session) writeCheckpoint(path string, k Key, b *built) error {
 	cfgJSON, err := memdef.ConfigJSON(b.cfg)
 	if err != nil {
 		return fmt.Errorf("harness: checkpoint %v: %w", k, err)
 	}
-	w := s.checkpointWriter()
-	defer s.releaseCheckpointWriter(w)
+	var w snapshot.Writer
 	outer := w.BeginFrame()
 	w.Mark("CKPT")
 	w.PutString(k.Bench)
@@ -54,9 +55,6 @@ func (s *Session) writeCheckpoint(path string, k Key, b *built) error {
 	w.PutU64(b.traceHash())
 	w.PutInt(b.footprint)
 	w.PutU64(uint64(b.machine.Eng.Now()))
-	blob := w.BeginBytes()
-	b.machine.SnapshotTo(w)
-	w.EndBytes(blob)
 	w.EndFrame(outer)
 	data, err := w.Bytes()
 	if err != nil {
@@ -73,35 +71,13 @@ func (s *Session) writeCheckpoint(path string, k Key, b *built) error {
 	return nil
 }
 
-// checkpointWriter takes a buffer from the session's free list, or a new one
-// when every retained buffer is in use.
-func (s *Session) checkpointWriter() *snapshot.Writer {
-	select {
-	case w := <-s.ckptWriters:
-		return w
-	default:
-		return snapshot.NewWriter(0)
-	}
-}
-
-// releaseCheckpointWriter empties w and returns it to the free list, dropping
-// it when the list already holds one buffer per concurrent simulation.
-func (s *Session) releaseCheckpointWriter(w *snapshot.Writer) {
-	w.Reset()
-	select {
-	case s.ckptWriters <- w:
-	default:
-	}
-}
-
 // RunCheckpointed executes one simulation like Run, additionally writing a
 // resumable checkpoint to path roughly every `every` cycles of simulated time
 // (at the first event boundary past each multiple). It acquires its machine
 // like RunResumable: a valid leftover checkpoint of k at path is continued,
 // which yields the same Result by resume equivalence, and any other leftover
 // is removed. The last checkpoint stays on disk, and the result is cached
-// like any other run. Checkpointing requires a checkpointable configuration:
-// fault injection (ChaosSeed) cannot be checkpointed and fails the run.
+// like any other run.
 func (s *Session) RunCheckpointed(k Key, path string, every memdef.Cycle) Result {
 	s.mu.Lock()
 	if r, ok := s.cache[k]; ok {
@@ -116,8 +92,8 @@ func (s *Session) RunCheckpointed(k Key, path string, every memdef.Cycle) Result
 	return r
 }
 
-// envelope is the parsed metadata of one checkpoint file, plus the machine
-// blob it frames. It pins everything a resuming session must reproduce.
+// envelope is the parsed contents of one checkpoint file. It pins everything
+// a resuming session must reproduce.
 type envelope struct {
 	key       Key
 	scale     float64
@@ -128,13 +104,12 @@ type envelope struct {
 	traceHash uint64
 	footprint int
 	cycle     memdef.Cycle
-	blob      []byte
 }
 
 // readEnvelope reads and parses a checkpoint file without building anything.
 // Errors cover unreadable files (os.ErrNotExist passes through for callers
-// that treat a missing checkpoint as "start fresh") and corrupt or truncated
-// frames.
+// that treat a missing checkpoint as "start fresh") and corrupt, truncated or
+// other-version frames.
 func readEnvelope(path string) (*envelope, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -155,10 +130,6 @@ func readEnvelope(path string) (*envelope, error) {
 	env.traceHash = r.GetU64()
 	env.footprint = r.GetInt()
 	env.cycle = memdef.Cycle(r.GetU64())
-	env.blob = r.GetBytes()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("harness: resume %s: %w", path, err)
-	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("harness: resume %s: %w", path, err)
 	}
@@ -166,7 +137,11 @@ func readEnvelope(path string) (*envelope, error) {
 }
 
 // restoreEnvelope validates env against this session, rebuilds the machine
-// from the session's own recipe, and restores the serialized state into it.
+// from the session's own recipe, and replays it to the envelope's cycle.
+// RunUntil fires exactly the events at cycles up to that cycle, and the
+// checkpointed run paused with no event between its last fired one and its
+// boundary, so the replayed machine — clock, queue, fired-event count and
+// every component — is the one the checkpointed run paused with.
 // Mismatched sessions are structured ErrCheckpointMismatch.
 func (s *Session) restoreEnvelope(path string, env *envelope) (*built, error) {
 	if env.scale != s.cfg.Scale || env.warps != s.cfg.Warps || env.app != s.cfg.AccessesPerPage || env.seed != s.cfg.Seed {
@@ -192,22 +167,20 @@ func (s *Session) restoreEnvelope(path string, env *envelope) (*built, error) {
 	if env.footprint != b.footprint {
 		return nil, fmt.Errorf("%w: workload differs for %v", ErrCheckpointMismatch, env.key)
 	}
-	if err := b.machine.Restore(env.blob); err != nil {
-		return nil, fmt.Errorf("harness: resume %s: %w", path, err)
-	}
-	if got := b.machine.Eng.Now(); got != env.cycle {
-		return nil, fmt.Errorf("%w: restored clock %d, envelope says %d", snapshot.ErrCorrupt, got, env.cycle)
+	_, paused := b.machine.RunUntil(s.cfg.MaxEvents, env.cycle)
+	if got := b.machine.Eng.Now(); !paused || got != env.cycle {
+		return nil, fmt.Errorf("%w: replayed clock %d (paused %v), envelope says %d", snapshot.ErrCorrupt, got, paused, env.cycle)
 	}
 	return b, nil
 }
 
 // Resume continues a simulation from a checkpoint file: it validates the
-// envelope against this session's configuration, rebuilds the machine from
-// scratch, restores the serialized state into it, and runs to completion
-// (still checkpointing to the same path every `every` cycles). The error
-// return covers unreadable, corrupt, or mismatched checkpoints — the caller
-// decides whether to fall back to a fresh run. The completed result is cached
-// under the checkpoint's key.
+// envelope against this session's configuration, rebuilds the machine,
+// replays it to the checkpointed cycle, and runs to completion (still
+// checkpointing to the same path every `every` cycles). The error return
+// covers unreadable, corrupt, other-version or mismatched checkpoints — the
+// caller decides whether to fall back to a fresh run. The completed result is
+// cached under the checkpoint's key.
 func (s *Session) Resume(path string, every memdef.Cycle) (Result, error) {
 	env, err := readEnvelope(path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/reproductions/cppe/internal/memdef"
+	"github.com/reproductions/cppe/internal/snapshot"
 )
 
 func checkpointTestConfig() Config {
@@ -37,7 +39,7 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 	}
 }
 
-// TestResumeContinuesToSameResult restores the last on-disk checkpoint of a
+// TestResumeContinuesToSameResult resumes the last on-disk checkpoint of a
 // completed run in a brand-new session and expects the same final Result.
 func TestResumeContinuesToSameResult(t *testing.T) {
 	k := ckptKey()
@@ -160,7 +162,7 @@ func TestRunCheckpointedContinuesLeftover(t *testing.T) {
 // checkpointed at three distinct mid-run cycles and resumed in a brand-new
 // session must finish with a Result bit-for-bit identical to the
 // uninterrupted run. The checkpoint cycle is controlled exactly by pausing
-// the built machine at the chosen boundary before serializing.
+// the built machine at the chosen boundary before writing the checkpoint.
 func TestResumeEquivalenceGoldenConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -206,5 +208,60 @@ func TestResumeEquivalenceGoldenConfigs(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestChaosRunCheckpointsAndResumes checkpoints a run under fault injection
+// (ChaosSeed 11) and resumes it in a fresh session: both must render the
+// plain run's Result. A checkpoint records the configuration, seed included,
+// and replay reproduces the injected schedule.
+func TestChaosRunCheckpointsAndResumes(t *testing.T) {
+	cfg := checkpointTestConfig()
+	cfg.Base = memdef.DefaultConfig()
+	cfg.Base.ChaosSeed = 11
+	k := ckptKey()
+	want := NewSession(cfg).Run(k)
+	if want.Err != nil || want.Cycles == 0 {
+		t.Fatalf("degenerate reference run: %+v", want)
+	}
+
+	path := filepath.Join(t.TempDir(), "chaos.ckpt")
+	got := NewSession(cfg).RunCheckpointed(k, path, want.Cycles/4)
+	if g, w := resultJSON(t, []Result{got}), resultJSON(t, []Result{want}); string(g) != string(w) {
+		t.Errorf("checkpointed run differs:\n got %s\nwant %s", g, w)
+	}
+	resumed, err := NewSession(cfg).Resume(path, 0)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if g, w := resultJSON(t, []Result{resumed}), resultJSON(t, []Result{want}); string(g) != string(w) {
+		t.Errorf("resumed run differs:\n got %s\nwant %s", g, w)
+	}
+}
+
+// TestOldVersionCheckpointStartsFresh: a checkpoint of another format version
+// (version 2 files held encoded machine state) is a typed ErrVersion for
+// Resume, and RunCheckpointed removes it and runs from cycle 0.
+func TestOldVersionCheckpointStartsFresh(t *testing.T) {
+	k := ckptKey()
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	want := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, 150_000)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(data[4:], 2)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSession(checkpointTestConfig()).Resume(path, 0); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("resume of a version-2 file: err = %v, want ErrVersion", err)
+	}
+	got := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, 1<<40)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fresh run differs:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("version-2 leftover survived (err=%v)", err)
 	}
 }

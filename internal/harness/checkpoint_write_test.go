@@ -2,26 +2,28 @@ package harness
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
-	"github.com/reproductions/cppe/internal/memdef"
+	"github.com/reproductions/cppe/internal/policy"
+	"github.com/reproductions/cppe/internal/snapshot"
 )
 
 // TestSmokeCheckpointBytesPinned pins the checkpoint format end to end: the
 // file the CI checkpoint smoke leaves behind (SRD/cppe@50, scale 0.05, a
 // checkpoint every 500,000 cycles — `cppe-sim -bench SRD -setup cppe -rate 50
 // -scale 0.05 -checkpoint-every 500000`) must keep exactly this length and
-// SHA-256. A change to any encoder, to the envelope, or to the framing shows
-// up here; an intended format change bumps snapshot.Version and these values
-// together.
+// SHA-256. A change to the envelope or to the framing shows up here; an
+// intended format change bumps snapshot.Version and these values together.
 func TestSmokeCheckpointBytesPinned(t *testing.T) {
 	const (
-		wantLen    = 772804
-		wantSHA256 = "e489cea9ac776b0fa3df496fdf9c36ffbbe457d49282aa9c942618d0ec99311b"
+		wantLen    = 1058
+		wantSHA256 = "98d0b05a34b567ca26c720b80a107370a8cbecddcb0925df876e37f1c355698d"
 	)
 	path := filepath.Join(t.TempDir(), "smoke.ckpt")
 	if r := NewSession(Config{Scale: 0.05}).RunCheckpointed(ckptKey(), path, 500_000); r.Err != nil {
@@ -38,64 +40,64 @@ func TestSmokeCheckpointBytesPinned(t *testing.T) {
 	}
 }
 
-// pausedMachine builds k in a fresh session and runs it to the first event
-// boundary past cycle, ready to checkpoint.
-func pausedMachine(tb testing.TB, cfg Config, k Key, cycle memdef.Cycle) (*Session, *built) {
-	tb.Helper()
+// reframe wraps payload in a checkpoint frame with a valid header and CRC, so
+// fuzz mutations reach the envelope parser and the replay checks instead of
+// stopping at the checksum gate.
+func reframe(payload []byte) []byte {
+	out := append([]byte("CPPE"), 0, 0)
+	binary.LittleEndian.PutUint16(out[4:], snapshot.Version)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// typedResumeError reports whether err is one of the structured failures a
+// checkpoint file can cause: a damaged or other-version frame, a corrupt
+// envelope or replay, an envelope of another session, or one naming an
+// unknown benchmark or policy.
+func typedResumeError(err error) bool {
+	for _, e := range []error{
+		snapshot.ErrBadMagic, snapshot.ErrVersion, snapshot.ErrTruncated, snapshot.ErrChecksum,
+		snapshot.ErrCorrupt, ErrCheckpointMismatch, ErrUnknownKey, policy.ErrUnknownPolicy,
+	} {
+		if errors.Is(err, e) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzRestore feeds arbitrary bytes to Session.Resume as a checkpoint file,
+// both raw (exercising the frame, version and checksum gates) and re-framed
+// under a valid CRC (exercising the envelope parser, its checks against the
+// session, and the replay). Resume must finish the run or return a typed
+// error; it must never panic.
+func FuzzRestore(f *testing.F) {
+	cfg := checkpointTestConfig()
+	dir := f.TempDir()
+	seed := filepath.Join(dir, "seed.ckpt")
+	if r := NewSession(cfg).RunCheckpointed(ckptKey(), seed, 150_000); r.Err == nil {
+		if data, err := os.ReadFile(seed); err == nil {
+			f.Add(data)
+			f.Add(data[:len(data)/2])
+			// The bare payload, so mutations of a real envelope get
+			// re-framed into the validation path.
+			f.Add(data[14 : len(data)-4])
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte("CPPE"))
+	f.Add([]byte("CPPE\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 	s := NewSession(cfg)
-	b, err := s.build(k)
-	if err != nil {
-		tb.Fatalf("build: %v", err)
-	}
-	if _, paused := b.machine.RunUntil(s.cfg.MaxEvents, cycle); !paused {
-		tb.Fatalf("run finished before cycle %d", cycle)
-	}
-	return s, b
-}
-
-// TestWarmCheckpointAllocations gates the copy-free write path: once one
-// checkpoint has warmed the pooled buffer, another checkpoint of the same
-// machine allocates only for the file system calls, not for its ~0.8 MB
-// payload.
-func TestWarmCheckpointAllocations(t *testing.T) {
-	const (
-		writes  = 5
-		ceiling = 64 << 10 // bytes per checkpoint
-	)
-	k := ckptKey()
-	s, b := pausedMachine(t, Config{Scale: 0.25}, k, 400_000)
-	path := filepath.Join(t.TempDir(), "warm.ckpt")
-	if err := s.writeCheckpoint(path, k, b); err != nil {
-		t.Fatalf("warm-up checkpoint: %v", err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < writes; i++ {
-		if err := s.writeCheckpoint(path, k, b); err != nil {
-			t.Fatalf("checkpoint: %v", err)
+	path := filepath.Join(dir, "fuzz.ckpt")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, file := range [][]byte{data, reframe(data)} {
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Resume(path, 0); err != nil && !typedResumeError(err) {
+				t.Fatalf("untyped resume error: %v", err)
+			}
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / writes; per >= ceiling {
-		t.Errorf("warmed checkpoint allocates %d B, ceiling %d B", per, ceiling)
-	}
-}
-
-// BenchmarkWriteCheckpoint measures one warmed checkpoint of SRD/cppe@50 at
-// the default scale: encode, write to a temporary file, rename. B/op shows
-// whether the write path still reuses its buffer.
-func BenchmarkWriteCheckpoint(b *testing.B) {
-	k := ckptKey()
-	s, bt := pausedMachine(b, Config{Scale: 0.25}, k, 400_000)
-	path := filepath.Join(b.TempDir(), "bench.ckpt")
-	if err := s.writeCheckpoint(path, k, bt); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.writeCheckpoint(path, k, bt); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }

@@ -44,7 +44,7 @@ var Experiments = []Experiment{
 	{ID: "ablation-true-lru", Keys: ablationTrueLRU.keys, Render: ablationTrueLRU.render},
 	{ID: "sweep-rate", Keys: sweepRate.keys, Render: sweepRate.render, Bars: []int{1, 2, 3, 4, 5}},
 	{ID: "breakdown", Keys: headlineKeys, Render: breakdown},
-	{ID: "robustness", Render: robustness},
+	{ID: "robustness", Keys: headlineKeys, Render: robustness},
 	{ID: "claims", Keys: claimKeys, Render: claimsTable},
 	{ID: "fig8-learned", Keys: fig8Learned.keys, Render: fig8Learned.render},
 }
@@ -553,21 +553,26 @@ func seedSession(cfg Config, seed int64) *Session {
 	return NewSession(cfg)
 }
 
-// robustness re-runs the headline comparison under several workload seeds
-// and reports the spread of the Fig. 8 geomean — evidence that the
-// reproduction's conclusions are not artifacts of one random trace. It runs
-// nothing on the rendering session: each seed gets a session of its own.
-func robustness(_ func(Key) Result, cfg Config) *stats.Table {
+// robustness re-runs the headline comparison under the session's seed and the
+// four after it and reports the spread of the Fig. 8 geomean — evidence that
+// the reproduction's conclusions are not artifacts of one random trace. The
+// session's own seed reads the rendering session's runs; each other seed gets
+// a session of its own.
+func robustness(get func(Key) Result, cfg Config) *stats.Table {
 	t := stats.NewTable("Extension: seed robustness of the headline result",
 		"Seed", "GeoMean speedup @50%", "Min", "Max")
 	t.Caption = "CPPE vs baseline over one representative app per pattern type, re-generated workloads per seed"
 	var geos []float64
-	for seed := int64(0); seed < 5; seed++ {
-		sub := seedSession(cfg, seed)
-		sub.Warm(headlineKeys(cfg))
+	for seed := cfg.Seed; seed < cfg.Seed+5; seed++ {
+		run := get
+		if seed != cfg.Seed {
+			sub := seedSession(cfg, seed)
+			sub.Warm(headlineKeys(cfg))
+			run = sub.Run
+		}
 		var sp []float64
 		for _, b := range representatives {
-			if v := Speedup(sub.Run(Key{b, "baseline", 50}), sub.Run(Key{b, "cppe", 50})); v > 0 {
+			if v := Speedup(run(Key{b, "baseline", 50}), run(Key{b, "cppe", 50})); v > 0 {
 				sp = append(sp, v)
 			}
 		}

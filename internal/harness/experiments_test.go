@@ -169,3 +169,24 @@ func TestSeedSessionKeepsConfig(t *testing.T) {
 		t.Fatalf("seed session config = %+v, want %+v", got, want)
 	}
 }
+
+// TestRobustnessSpansSessionSeeds: robustness reports the session's seed and
+// the four after it, and reads the session's own seed through get instead of
+// re-running those simulations.
+func TestRobustnessSpansSessionSeeds(t *testing.T) {
+	s := NewSession(Config{Scale: 0.05, Warps: 32, Seed: 3})
+	e, _ := LookupExperiment("robustness")
+	s.Warm(e.Keys(s.cfg))
+	reads := 0
+	tb := e.Render(func(k Key) Result { reads++; return s.Run(k) }, s.cfg)
+	var seeds []string
+	for _, row := range tb.Rows[:len(tb.Rows)-1] {
+		seeds = append(seeds, row[0])
+	}
+	if got, want := strings.Join(seeds, ","), "3,4,5,6,7"; got != want {
+		t.Errorf("robustness seeds = %s, want %s", got, want)
+	}
+	if want := len(e.Keys(s.cfg)); reads != want {
+		t.Errorf("robustness read %d results through get, want the session seed's %d", reads, want)
+	}
+}

@@ -85,11 +85,11 @@ func TestDeterminismUnderRuntimePerturbation(t *testing.T) {
 
 // TestCheckpointDeterminismUnderRuntimePerturbation extends the runtime
 // perturbation contract across the checkpoint boundary: a run that is
-// checkpointed under one scheduler width and heap layout, then restored and
+// checkpointed under one scheduler width and heap layout, then resumed and
 // finished in a fresh session under a different width and a churned heap, must
 // produce the same bit-identical Result as an uninterrupted single-threaded
-// run. This is the strongest statement of the serialization's completeness —
-// any machine state left out of the snapshot (or rebuilt in an
+// run. Resuming replays the run to the checkpointed cycle, so any machine
+// state that depends on the runtime (or is rebuilt in an
 // allocation-order-dependent way) diverges here.
 func TestCheckpointDeterminismUnderRuntimePerturbation(t *testing.T) {
 	if testing.Short() {

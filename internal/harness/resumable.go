@@ -92,15 +92,11 @@ type Progress struct {
 	Key Key
 	// Cycle is the simulated time of the boundary.
 	Cycle memdef.Cycle
-	// Checkpoints counts the epoch boundaries of this attempt, each a
-	// checkpoint write when the run has a path (resuming from an earlier
-	// attempt's checkpoint restarts the count at 1).
-	Checkpoints int
 }
 
 // RunResumable executes one simulation in epochs of `every` cycles with
 // service hooks. At each epoch boundary the progress hook (nil = none)
-// receives a Progress snapshot, and then the stop hook (nil = never) is
+// receives the boundary's Progress, and then the stop hook (nil = never) is
 // consulted: a true return parks the run and RunResumable returns ErrParked
 // with a zero Result. The progress hook must not mutate simulation state and
 // should return quickly, since the simulation is paused while it runs.
@@ -144,7 +140,7 @@ func (s *Session) runResumable(k Key, o runOpts) (out Result, parked bool) {
 	return s.drive(k, b, o)
 }
 
-// resumeOrBuild restores the machine from a usable checkpoint of k at path,
+// resumeOrBuild replays k's machine to a usable checkpoint of k at path,
 // or builds it fresh. An unusable leftover (corrupt, mismatched session, or
 // another simulation's checkpoint) is removed — not just ignored — so the
 // fresh run's own checkpoints replace it cleanly and no later resume can

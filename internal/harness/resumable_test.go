@@ -202,10 +202,29 @@ func TestEnvelopeIDStability(t *testing.T) {
 	}
 }
 
+// boundaryCycles runs k on a fresh machine in epochs of every cycles and
+// returns the clock at each pause: the cycles a resumable run reports.
+func boundaryCycles(t *testing.T, k Key, every memdef.Cycle) []memdef.Cycle {
+	t.Helper()
+	s := NewSession(checkpointTestConfig())
+	b, err := s.build(k)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	var cycles []memdef.Cycle
+	for {
+		if _, paused := b.machine.RunUntil(s.cfg.MaxEvents, b.machine.Eng.Now()+every); !paused {
+			return cycles
+		}
+		cycles = append(cycles, b.machine.Eng.Now())
+	}
+}
+
 // TestRunResumableProgressHook pins the streaming contract: the progress hook
-// fires once per durable checkpoint write with strictly increasing cycles and
-// a 1..n checkpoint count, observing the run does not change its Result, and
-// a resumed attempt restarts the per-attempt count at 1.
+// fires once per epoch boundary, at exactly the cycles a machine paused every
+// `every` cycles reaches, and observing the run does not change its Result.
+// A run parked at the second boundary and resumed in a fresh session reports
+// the remaining boundaries, the same cycles as the uninterrupted run.
 func TestRunResumableProgressHook(t *testing.T) {
 	k := ckptKey()
 	want := NewSession(checkpointTestConfig()).Run(k)
@@ -215,6 +234,20 @@ func TestRunResumableProgressHook(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "job.ckpt")
 	every := want.Cycles / 7
+	boundaries := boundaryCycles(t, k, every)
+	if len(boundaries) < 3 {
+		t.Fatalf("only %d epoch boundaries; the test needs at least 3", len(boundaries))
+	}
+	cyclesOf := func(ps []Progress) []memdef.Cycle {
+		var out []memdef.Cycle
+		for _, p := range ps {
+			if p.Key != k {
+				t.Errorf("progress key = %+v, want %+v", p.Key, k)
+			}
+			out = append(out, p.Cycle)
+		}
+		return out
+	}
 	var seen []Progress
 	got, err := NewSession(checkpointTestConfig()).RunResumable(k, path, every, nil, func(p Progress) {
 		seen = append(seen, p)
@@ -225,24 +258,10 @@ func TestRunResumableProgressHook(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("observed run differs from reference:\n got %+v\nwant %+v", got, want)
 	}
-	if len(seen) == 0 {
-		t.Fatal("progress hook never fired despite multiple checkpoint boundaries")
-	}
-	for i, p := range seen {
-		if p.Key != k {
-			t.Errorf("progress[%d].Key = %+v, want %+v", i, p.Key, k)
-		}
-		if p.Checkpoints != i+1 {
-			t.Errorf("progress[%d].Checkpoints = %d, want %d", i, p.Checkpoints, i+1)
-		}
-		if i > 0 && p.Cycle <= seen[i-1].Cycle {
-			t.Errorf("progress[%d].Cycle = %d, not after %d", i, p.Cycle, seen[i-1].Cycle)
-		}
+	if c := cyclesOf(seen); !reflect.DeepEqual(c, boundaries) {
+		t.Errorf("progress cycles %v, want the epoch boundaries %v", c, boundaries)
 	}
 
-	// Park at the second boundary, then resume in a fresh session: the
-	// resumed attempt's checkpoint count restarts at 1 and its first reported
-	// cycle continues past the parked one.
 	parks := 0
 	var firstLife []Progress
 	_, err = NewSession(checkpointTestConfig()).RunResumable(k, path, every, func() bool {
@@ -262,15 +281,11 @@ func TestRunResumableProgressHook(t *testing.T) {
 	if !reflect.DeepEqual(res, want) {
 		t.Errorf("parked-and-resumed result differs from reference")
 	}
-	if len(firstLife) != 2 {
-		t.Fatalf("first life fired %d progress events, want 2", len(firstLife))
+	if c := cyclesOf(firstLife); !reflect.DeepEqual(c, boundaries[:2]) {
+		t.Errorf("first life reported %v, want %v", c, boundaries[:2])
 	}
-	if len(secondLife) == 0 || secondLife[0].Checkpoints != 1 {
-		t.Errorf("resumed attempt did not restart its checkpoint count: %+v", secondLife)
-	}
-	if len(secondLife) > 0 && secondLife[0].Cycle <= firstLife[1].Cycle {
-		t.Errorf("resumed attempt's first checkpoint (%d) not past the parked one (%d)",
-			secondLife[0].Cycle, firstLife[1].Cycle)
+	if c := cyclesOf(secondLife); !reflect.DeepEqual(c, boundaries[2:]) {
+		t.Errorf("resumed attempt reported %v, want the remaining boundaries %v", c, boundaries[2:])
 	}
 }
 

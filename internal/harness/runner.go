@@ -18,7 +18,6 @@ import (
 	"github.com/reproductions/cppe/internal/policy"
 	"github.com/reproductions/cppe/internal/prefetch"
 	"github.com/reproductions/cppe/internal/sm"
-	"github.com/reproductions/cppe/internal/snapshot"
 	"github.com/reproductions/cppe/internal/stats"
 	"github.com/reproductions/cppe/internal/trace"
 	"github.com/reproductions/cppe/internal/uvm"
@@ -140,10 +139,6 @@ type Session struct {
 	traces *workload.Cache
 	// sweepAgg accumulates Warm's progress: one commit per clean run.
 	sweepAgg stats.SweepAgg
-	// ckptWriters is a free list of checkpoint buffers shared by every run of
-	// the session, one per concurrent simulation (Parallelism): a warmed
-	// checkpoint reuses a buffer instead of allocating its payload.
-	ckptWriters chan *snapshot.Writer
 
 	// machines is the free list of finished machines: collect hands each
 	// run's machine back, and the next build resets one in place instead of
@@ -160,10 +155,9 @@ type Session struct {
 func NewSession(cfg Config) *Session {
 	cfg = cfg.withDefaults()
 	return &Session{
-		cfg:         cfg,
-		traces:      workload.NewCache(),
-		ckptWriters: make(chan *snapshot.Writer, max(cfg.Parallelism, 1)),
-		cache:       make(map[Key]Result),
+		cfg:    cfg,
+		traces: workload.NewCache(),
+		cache:  make(map[Key]Result),
 	}
 }
 
@@ -262,8 +256,8 @@ func (s *Session) CachedRuns() int {
 	return len(s.cache)
 }
 
-// built is one fully constructed simulation, ready to run (or to restore a
-// checkpoint into: the same build recipe from the same session configuration
+// built is one fully constructed simulation, ready to run (or to replay a
+// checkpoint on: the same build recipe from the same session configuration
 // produces an identical machine).
 type built struct {
 	machine   *sm.Machine
@@ -287,8 +281,8 @@ func (b *built) traceHash() uint64 {
 
 // ErrTraceDrift reports that the session's memoized trace carries a
 // fingerprint different from the one a checkpoint envelope pinned: the
-// workload generator (or the memoized entry) drifted, so the checkpointed
-// machine state cannot be restored over this trace. It is a kind of
+// workload generator (or the memoized entry) drifted, so replaying the
+// checkpointed run over this trace would not reproduce it. It is a kind of
 // ErrCheckpointMismatch (errors.Is matches both).
 var ErrTraceDrift = fmt.Errorf("%w: memoized trace fingerprint drift", ErrCheckpointMismatch)
 
@@ -385,7 +379,7 @@ func (s *Session) machine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefe
 // collect assembles the harness Result from a finished machine, then hands
 // the machine back to the session's free list: collect is drive's one
 // terminal step, and b must not be run again. A run that panics, parks, or
-// fails to restore or checkpoint never gets here, so its machine is dropped.
+// fails to replay or checkpoint never gets here, so its machine is dropped.
 func (s *Session) collect(k Key, b *built, res sm.Result) Result {
 	out := Result{
 		Key:            k,
@@ -449,7 +443,7 @@ type runOpts struct {
 	progress func(Progress)
 }
 
-// drive is the one run loop: every run path hands its built (or restored)
+// drive is the one run loop: every run path hands its built (or replayed)
 // machine to it. Without an epoch the machine runs to completion. Otherwise
 // it pauses every o.every cycles (at the first event boundary past each
 // multiple) to write a checkpoint to o.path if one is set, report progress,
@@ -461,7 +455,7 @@ func (s *Session) drive(k Key, b *built, o runOpts) (out Result, parked bool) {
 	if o.every == 0 {
 		return s.collect(k, b, b.machine.Run(s.cfg.MaxEvents)), false
 	}
-	for epochs := 1; ; epochs++ {
+	for {
 		res, paused := b.machine.RunUntil(s.cfg.MaxEvents, b.machine.Eng.Now()+o.every)
 		if !paused {
 			return s.collect(k, b, res), false
@@ -473,7 +467,7 @@ func (s *Session) drive(k Key, b *built, o runOpts) (out Result, parked bool) {
 			}
 		}
 		if o.progress != nil {
-			o.progress(Progress{Key: k, Cycle: b.machine.Eng.Now(), Checkpoints: epochs})
+			o.progress(Progress{Key: k, Cycle: b.machine.Eng.Now()})
 		}
 		if o.stop != nil && o.stop() {
 			return Result{}, true

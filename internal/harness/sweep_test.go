@@ -127,7 +127,7 @@ func TestSweepStatsAccounting(t *testing.T) {
 // TestTraceDriftFailsResume is the cache-correctness satellite: when the
 // session's memoized trace carries a fingerprint different from the one the
 // checkpoint envelope pinned, the resume must fail with ErrTraceDrift (a kind
-// of ErrCheckpointMismatch) instead of silently restoring machine state over
+// of ErrCheckpointMismatch) instead of silently replaying the run over
 // a trace the checkpoint was not taken against.
 func TestTraceDriftFailsResume(t *testing.T) {
 	k := ckptKey()

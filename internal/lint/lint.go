@@ -17,12 +17,9 @@
 //     inside one simulation would break (cycle, seq) replay; only the harness
 //     fan-out over independent simulations may spawn goroutines.
 //
-// On top of the file-local passes, four semantic analyzers reason over the
+// On top of the file-local passes, three semantic analyzers reason over the
 // type-checked whole-program graph (see program.go):
 //
-//   - statecov: snapshot completeness — every post-construction-mutated field
-//     of an Encode/Decode-owning struct must reach the encoder, or resumes
-//     silently drift (checks the DESIGN §10 contract statically).
 //   - viewleak: the policy.MachineView read-only contract (DESIGN §13) —
 //     views bind once in BindView, and the RecentEvictions window is never
 //     retained or written through.
@@ -128,13 +125,6 @@ func Checks() []*Check {
 			Doc:       "no go statements in the event-driven core; only the harness fan-out is concurrent",
 			Packages:  simCore,
 			run:       checkGoFreeze,
-		},
-		{
-			Name:      "statecov",
-			Directive: "statecov",
-			Doc:       "every post-construction-mutated field of a snapshot-owning struct must reach its encoder (checkpoint completeness)",
-			Packages:  simCore,
-			run:       checkStateCov,
 		},
 		{
 			Name:      "viewleak",

@@ -1,5 +1,5 @@
 // Whole-program view for the semantic analyzers. The per-check passes of
-// checks.go are file-local; statecov, viewleak, and detreach reason about
+// checks.go are file-local; viewleak and detreach reason about
 // declarations, call graphs, and data flow that cross file and package
 // boundaries, so they work against a Program: every module-local package the
 // loader has type-checked (lint targets plus transitive imports), indexed by

@@ -1,66 +1,10 @@
 package lint
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // The semantic-analyzer fixtures pin exact diagnostics, the same contract the
 // file-local fixtures have held since v1: a change to an analyzer that shifts
 // a message, position, or count is visible in review as a test diff.
-
-func TestFixtureStateCov(t *testing.T) {
-	assertDiags(t, lintFixture(t, "statecov"), []string{
-		"internal/lint/testdata/src/statecov/statecov.go:9: [statecov] field Counter.cursor is mutated after construction but never reaches Encode: checkpoint/resume will silently drift (encode it, or waive with //cppelint:statecov naming what rebuilds it)",
-	})
-}
-
-// TestFixtureStateCovClean pins the canary baseline: the fully encoded struct
-// produces nothing, so TestStateCovMutationCanary below measures exactly the
-// effect of deleting one encoder line.
-func TestFixtureStateCovClean(t *testing.T) {
-	assertDiags(t, lintFixture(t, "statecovclean"), nil)
-}
-
-// TestStateCovMutationCanary is the acceptance-gate mutation test: copy the
-// clean fixture, delete the marked encoder line (the serialization of the
-// cursor field), and assert statecov fires. If statecov ever regresses into
-// counting decoder references as coverage — the design trap this check
-// deliberately avoids — this test catches it, because the decoder still reads
-// the field.
-func TestStateCovMutationCanary(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "src", "statecovclean", "statecovclean.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kept []string
-	removed := false
-	for _, line := range strings.Split(string(src), "\n") {
-		if strings.Contains(line, "// canary:") {
-			removed = true
-			continue
-		}
-		kept = append(kept, line)
-	}
-	if !removed {
-		t.Fatal("statecovclean fixture has no '// canary:' marker line to delete")
-	}
-	// The mutant must live under the module root so the loader can derive its
-	// import path; t.TempDir is outside the module.
-	dir := filepath.Join("testdata", "src", "statecovmut")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	if err := os.WriteFile(filepath.Join(dir, "statecovclean.go"), []byte(strings.Join(kept, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	assertDiags(t, lintFixture(t, "statecovmut"), []string{
-		"internal/lint/testdata/src/statecovmut/statecovclean.go:10: [statecov] field Gauge.cursor is mutated after construction but never reaches Encode: checkpoint/resume will silently drift (encode it, or waive with //cppelint:statecov naming what rebuilds it)",
-	})
-}
 
 func TestFixtureViewLeak(t *testing.T) {
 	assertDiags(t, lintFixture(t, "viewleak"), []string{

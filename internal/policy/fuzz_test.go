@@ -5,7 +5,6 @@ import (
 
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/memdef"
-	"github.com/reproductions/cppe/internal/snapshot"
 )
 
 // fuzzEnv is the construction environment for fuzz-driven policies.
@@ -85,68 +84,4 @@ func driveFuzz(t *testing.T, name string, pol evict.Policy, data []byte) {
 			t.Fatalf("%s: tracks %d chunks, %d resident", name, got, want)
 		}
 	}
-}
-
-// reframe wraps arbitrary bytes in a syntactically valid checkpoint frame
-// (magic, version, length, correct CRC) so fuzz mutations reach the policy
-// decoders instead of dying at the checksum gate.
-func reframe(payload []byte) []byte {
-	w := snapshot.NewWriter(len(payload) + 18)
-	off := w.BeginFrame()
-	copy(w.Reserve(len(payload)), payload)
-	w.EndFrame(off)
-	out, _ := w.Bytes() // a fresh writer cannot fail
-	return out
-}
-
-// FuzzPolicySnapshot feeds re-framed arbitrary bytes to every registered
-// eviction policy's DecodeState. Decoding must either succeed or fail with a
-// structured reader error — never panic, hang, or over-allocate. Run with
-// `go test -fuzz FuzzPolicySnapshot ./internal/policy`.
-func FuzzPolicySnapshot(f *testing.F) {
-	// Seed with each policy's real encoding of a small history, so mutations
-	// start from structurally plausible payloads.
-	for _, name := range EvictionNames() {
-		pol, err := NewEviction(name, fuzzEnv())
-		if err != nil {
-			continue
-		}
-		ps, ok := pol.(evict.Snapshotter)
-		if !ok {
-			continue
-		}
-		for c := memdef.ChunkID(0); c < 8; c++ {
-			pol.OnFault(c)
-			pol.OnMigrate(c, memdef.FullBitmap)
-			pol.OnTouch(c, int(c)%memdef.ChunkPages)
-		}
-		if v, ok := pol.SelectVictim(func(memdef.ChunkID) bool { return false }); ok {
-			pol.OnEvicted(v, 7)
-		}
-		w := snapshot.NewWriter(1 << 10)
-		ps.EncodeState(w)
-		if payload, err := w.Bytes(); err == nil {
-			f.Add(payload) // bare payload; the fuzz body reframes
-		}
-	}
-	f.Add([]byte{})
-	f.Add([]byte("PLRN garbage"))
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		for _, name := range EvictionNames() {
-			pol, err := NewEviction(name, fuzzEnv())
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			ps, ok := pol.(evict.Snapshotter)
-			if !ok {
-				continue
-			}
-			r, err := snapshot.Open(reframe(payload))
-			if err != nil {
-				continue
-			}
-			ps.DecodeState(r)
-			_ = r.Close() // structured error or success; the fuzz catches panics/hangs
-		}
-	})
 }

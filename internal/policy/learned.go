@@ -3,14 +3,13 @@ package policy
 import (
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/memdef"
-	"github.com/reproductions/cppe/internal/snapshot"
 )
 
 // The learned eviction policy: an online margin perceptron that ranks evict
 // candidates. It is the in-tree proof of the registry + MachineView API — a
 // policy that consults only the narrow view (residency bit vectors, the
 // pattern window, capacity pressure) plus its own driver-visible events, yet
-// plugs into the simulator, the checkpoint codec, and the conformance kit
+// plugs into the simulator, checkpoint replay, and the conformance kit
 // exactly like the hand-tuned heuristics.
 //
 // Decision rule. Candidates are the first scanDepth non-excluded chunks from
@@ -48,7 +47,7 @@ const (
 	featRecycled         // chunk reappears in the machine's pattern window
 )
 
-// lrng is a splitmix64 generator (single-word state, exactly serializable).
+// lrng is a splitmix64 generator (single-word state).
 type lrng struct{ s uint64 }
 
 func (r *lrng) next() uint64 {
@@ -80,14 +79,13 @@ type LearnedStats struct {
 }
 
 // Learned is the perceptron eviction policy. See the package comment block
-// above for the model. It implements evict.Policy, evict.Tracked,
-// evict.Snapshotter, and ViewBinder.
+// above for the model. It implements evict.Policy, evict.Tracked and
+// ViewBinder.
 type Learned struct {
 	chain *evict.Chain
-	//cppelint:statecov view binding, re-bound by the machine at construction (DESIGN §13), never serialized
-	view MachineView // nil until bound; features degrade to zero
-	rng  lrng
-	w    [nFeatures]int64
+	view  MachineView // nil until bound; features degrade to zero
+	rng   lrng
+	w     [nFeatures]int64
 
 	ring     [ringCap]ringEntry
 	ringNext int
@@ -284,72 +282,4 @@ func (l *Learned) Stats() LearnedStats {
 	st := l.stats
 	st.Weights = l.w
 	return st
-}
-
-// EncodeState implements evict.Snapshotter.
-func (l *Learned) EncodeState(w *snapshot.Writer) {
-	w.Mark("PLRN")
-	l.chain.Encode(w)
-	w.PutU64(l.rng.s)
-	for _, wi := range l.w {
-		w.PutI64(wi)
-	}
-	w.PutInt(l.ringNext)
-	for _, r := range l.ring {
-		w.PutU64(uint64(r.chunk))
-		for _, fi := range r.feats {
-			w.PutI64(fi)
-		}
-		w.PutI64(r.score)
-		w.PutBool(r.valid)
-	}
-	w.PutU64(uint64(l.lastChunk))
-	for _, fi := range l.lastFeats {
-		w.PutI64(fi)
-	}
-	w.PutI64(l.lastScore)
-	w.PutBool(l.lastValid)
-	w.PutU64(l.stats.Evictions)
-	w.PutU64(l.stats.WrongEvictions)
-	w.PutU64(l.stats.Promotions)
-	w.PutU64(l.stats.Demotions)
-	w.PutU64(l.stats.Explorations)
-}
-
-// DecodeState implements evict.Snapshotter.
-func (l *Learned) DecodeState(r *snapshot.Reader) {
-	r.ExpectMark("PLRN")
-	l.chain.Decode(r)
-	l.rng.s = r.GetU64()
-	for i := range l.w {
-		l.w[i] = r.GetI64()
-	}
-	next := r.GetInt()
-	if r.Err() != nil {
-		return
-	}
-	if next < 0 || next >= ringCap {
-		r.Failf("policy: learned ring cursor %d out of range", next)
-		return
-	}
-	l.ringNext = next
-	for i := range l.ring {
-		l.ring[i].chunk = memdef.ChunkID(r.GetU64())
-		for j := range l.ring[i].feats {
-			l.ring[i].feats[j] = r.GetI64()
-		}
-		l.ring[i].score = r.GetI64()
-		l.ring[i].valid = r.GetBool()
-	}
-	l.lastChunk = memdef.ChunkID(r.GetU64())
-	for i := range l.lastFeats {
-		l.lastFeats[i] = r.GetI64()
-	}
-	l.lastScore = r.GetI64()
-	l.lastValid = r.GetBool()
-	l.stats.Evictions = r.GetU64()
-	l.stats.WrongEvictions = r.GetU64()
-	l.stats.Promotions = r.GetU64()
-	l.stats.Demotions = r.GetU64()
-	l.stats.Explorations = r.GetU64()
 }

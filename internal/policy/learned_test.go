@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/reproductions/cppe/internal/memdef"
-	"github.com/reproductions/cppe/internal/snapshot"
 )
 
 // driveResident makes chunks 0..n-1 resident in the learned policy (fault +
@@ -70,78 +69,6 @@ func TestLearnedWrongEvictionDemotes(t *testing.T) {
 	l.OnFault(v)
 	if got := l.Stats().WrongEvictions; got != 1 {
 		t.Fatalf("WrongEvictions after second fault = %d", got)
-	}
-}
-
-// TestLearnedSnapshotRoundTrip: encode → decode must reproduce weights, ring,
-// rng position, and stats exactly.
-func TestLearnedSnapshotRoundTrip(t *testing.T) {
-	a := NewLearned(42)
-	driveResident(a, 12)
-	for i := 0; i < 6; i++ {
-		if v, ok := a.SelectVictim(noneExcluded); ok {
-			a.OnEvicted(v, i%3)
-		}
-		a.OnFault(memdef.ChunkID(i))
-		a.OnTouch(memdef.ChunkID(i), i)
-	}
-	w := snapshot.NewWriter(1 << 10)
-	off := w.BeginFrame()
-	a.EncodeState(w)
-	w.EndFrame(off)
-	frame, err := w.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewLearned(0) // different seed: every field must come from the frame
-	r, err := snapshot.Open(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.DecodeState(r)
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if a.rng != b.rng || a.w != b.w || a.ring != b.ring || a.ringNext != b.ringNext {
-		t.Fatal("model state not reproduced")
-	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("stats differ: %+v vs %+v", a.Stats(), b.Stats())
-	}
-	// And the next decision matches.
-	va, oka := a.SelectVictim(noneExcluded)
-	vb, okb := b.SelectVictim(noneExcluded)
-	if va != vb || oka != okb {
-		t.Fatalf("post-restore decisions differ: %v/%v vs %v/%v", va, oka, vb, okb)
-	}
-}
-
-// TestLearnedDecodeRejectsBadCursor: a corrupt ring cursor is a structured
-// decode failure, not a panic or silent acceptance.
-func TestLearnedDecodeRejectsBadCursor(t *testing.T) {
-	a := NewLearned(7)
-	w := snapshot.NewWriter(1 << 10)
-	off := w.BeginFrame()
-	w.Mark("PLRN")
-	a.chain.Encode(w)
-	w.PutU64(a.rng.s)
-	for _, wi := range a.w {
-		w.PutI64(wi)
-	}
-	w.PutInt(ringCap + 3) // out of range
-	w.EndFrame(off)
-	frame, err := w.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := snapshot.Open(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewLearned(7)
-	b.DecodeState(r)
-	if r.Err() == nil {
-		t.Fatal("decode accepted an out-of-range ring cursor")
 	}
 }
 

@@ -62,8 +62,7 @@ type EvictionRecord struct {
 }
 
 // WindowSize is the capacity of the machine's recent-eviction window. Old
-// records fall off FIFO; the window is part of checkpointed machine state so
-// view-driven policies restore bit-identically.
+// records fall off FIFO.
 const WindowSize = 32
 
 // MachineView is the narrow, read-only view of the simulated machine a
@@ -76,7 +75,8 @@ const WindowSize = 32
 // The view is bound once, at machine construction, to any policy or
 // prefetcher that implements ViewBinder. All observations are deterministic
 // functions of the simulation state, so two machines running the same trace
-// present identical views, whether fresh, recycled, or restored.
+// present identical views, whether fresh, recycled, or replayed from a
+// checkpoint.
 type MachineView interface {
 	// Cycle is the current simulated time in core cycles.
 	Cycle() memdef.Cycle

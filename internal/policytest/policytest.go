@@ -22,12 +22,14 @@
 //     excluded (rather than returning something anyway);
 //   - Tracked bookkeeping matches machine residency as a set after every
 //     eviction (the invariant the integrity auditor enforces in real runs);
-//   - snapshot → restore → bit-identical decisions: a policy restored from
-//     its encoded state replays the remainder of the run exactly, and
-//     re-encodes to identical bytes;
 //   - determinism under GOMAXPROCS changes and heap churn: two instances fed
 //     the identical script make identical decisions while the allocator and
-//     scheduler are perturbed around them.
+//     scheduler are perturbed around them;
+//   - snapshot replay: a checkpoint restores a policy by rebuilding it from
+//     its factory and replaying the run up to the checkpointed cycle, so an
+//     instance built while the original is halfway through, fed the same
+//     prefix, must reach the same state and then continue in lockstep with
+//     the original decision for decision.
 package policytest
 
 import (
@@ -39,7 +41,6 @@ import (
 	"github.com/reproductions/cppe/internal/memdef"
 	"github.com/reproductions/cppe/internal/policy"
 	"github.com/reproductions/cppe/internal/prefetch"
-	"github.com/reproductions/cppe/internal/snapshot"
 )
 
 // Script parameters: small enough to run every registered policy with -race
@@ -92,27 +93,6 @@ func (m *machine) next() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// clone deep-copies the machine around a new policy instance (the
-// snapshot-equivalence check continues a cloned machine with a restored
-// policy). The decision log starts empty so the two continuations compare
-// only post-restore behavior.
-func (m *machine) clone(t *testing.T, pol evict.Policy) *machine {
-	c := &machine{
-		t:         t,
-		pol:       pol,
-		rng:       m.rng,
-		resident:  append([]memdef.PageBitmap(nil), m.resident...),
-		touched:   append([]memdef.PageBitmap(nil), m.touched...),
-		nResident: m.nResident,
-		cycle:     m.cycle,
-		evictions: append([]policy.EvictionRecord(nil), m.evictions...),
-	}
-	if vb, ok := pol.(policy.ViewBinder); ok {
-		vb.BindView(machineView{c})
-	}
-	return c
 }
 
 // machineView implements policy.MachineView over the scripted machine.
@@ -251,24 +231,6 @@ func build(t *testing.T, factory policy.EvictionFactory) evict.Policy {
 	return pol
 }
 
-// encode snapshots the policy's state, failing the test on any codec error.
-func encode(t *testing.T, pol evict.Policy) []byte {
-	t.Helper()
-	ps, ok := pol.(evict.Snapshotter)
-	if !ok {
-		return nil
-	}
-	w := snapshot.NewWriter(1 << 12)
-	off := w.BeginFrame()
-	ps.EncodeState(w)
-	w.EndFrame(off)
-	frame, err := w.Bytes()
-	if err != nil {
-		t.Fatalf("EncodeState: %v", err)
-	}
-	return frame
-}
-
 // Run drives one eviction policy through the full conformance suite. The
 // factory must return a fresh instance per call (the suite constructs
 // several and compares their behavior).
@@ -342,53 +304,52 @@ func Run(t *testing.T, factory policy.EvictionFactory) {
 	})
 
 	t.Run("snapshot", func(t *testing.T) {
-		pol := build(t, factory)
-		if _, ok := pol.(evict.Snapshotter); !ok {
-			t.Skipf("%s does not implement evict.Snapshotter", pol.Name())
-		}
-		a := newMachine(t, pol, scriptSeed)
+		a := newMachine(t, build(t, factory), scriptSeed)
 		for i := 0; i < scriptSteps/2; i++ {
 			a.step()
 		}
-		frame := encode(t, pol)
-
-		restored := build(t, factory)
-		r, err := snapshot.Open(frame)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
+		// Resume: a fresh instance, built while the original is live, is
+		// replayed over the same prefix.
+		b := newMachine(t, build(t, factory), scriptSeed)
+		for i := 0; i < scriptSteps/2; i++ {
+			b.step()
 		}
-		restored.(evict.Snapshotter).DecodeState(r)
-		if err := r.Close(); err != nil {
-			t.Fatalf("DecodeState: %v", err)
-		}
-
-		b := a.clone(t, restored)
-		a.decisions = nil
+		compareDecisions(t, "replayed prefix", a.decisions, b.decisions)
+		b.checkTracked()
+		// Both continue in lockstep, so state the two instances share (a
+		// package-level table, a buffer captured by the factory) shows up
+		// as a divergence.
+		a.decisions, b.decisions = nil, nil
 		for i := 0; i < scriptSteps/2; i++ {
 			a.step()
 			b.step()
 		}
-		if len(a.decisions) != len(b.decisions) {
-			t.Fatalf("post-restore decision logs differ in length: %d vs %d", len(a.decisions), len(b.decisions))
+		if len(a.decisions) == 0 {
+			t.Fatal("no evictions after the replay cut")
 		}
-		for i := range a.decisions {
-			if a.decisions[i] != b.decisions[i] {
-				t.Fatalf("post-restore decision %d differs: original %v, restored %v", i, a.decisions[i], b.decisions[i])
-			}
-		}
-		// The continued original and the continued restore must also encode
-		// to identical bytes — state equivalence, not just decision luck.
-		fa, fb := encode(t, a.pol), encode(t, b.pol)
-		if string(fa) != string(fb) {
-			t.Fatalf("post-restore encodings differ: %d vs %d bytes", len(fa), len(fb))
-		}
+		compareDecisions(t, "post-replay", a.decisions, b.decisions)
+		a.checkTracked()
+		b.checkTracked()
 	})
+}
+
+// compareDecisions fails the test unless two victim logs are identical.
+func compareDecisions(t *testing.T, what string, a, b []memdef.ChunkID) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s decision logs differ in length: %d vs %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s decision %d differs: original %v, replayed %v", what, i, a[i], b[i])
+		}
+	}
 }
 
 // RunPrefetch drives one prefetcher through the conformance suite: the Plan
 // append contract (a non-empty dst prefix comes back untouched; the appended
 // pages contain the faulted page, no resident pages, and ascend),
-// determinism, and snapshot equivalence.
+// determinism, and snapshot replay.
 func RunPrefetch(t *testing.T, factory policy.PrefetchFactory) {
 	t.Helper()
 
@@ -432,46 +393,30 @@ func RunPrefetch(t *testing.T, factory policy.PrefetchFactory) {
 
 	t.Run("snapshot", func(t *testing.T) {
 		a := buildPF(t)
-		ps, ok := a.pf.(prefetch.Snapshotter)
-		if !ok {
-			t.Skipf("%s has no snapshot support", a.pf.Name())
-		}
 		for i := 0; i < scriptSteps/2; i++ {
 			a.step()
 		}
-		w := snapshot.NewWriter(1 << 12)
-		off := w.BeginFrame()
-		ps.EncodeState(w)
-		w.EndFrame(off)
-		frame, err := w.Bytes()
-		if err != nil {
-			t.Fatalf("EncodeState: %v", err)
-		}
+		// Resume: a fresh instance replayed over the same prefix, then both
+		// continued in lockstep.
 		b := buildPF(t)
-		bs, ok := b.pf.(prefetch.Snapshotter)
-		if !ok {
-			t.Fatalf("fresh %s instance has no snapshot support", b.pf.Name())
+		for i := 0; i < scriptSteps/2; i++ {
+			b.step()
 		}
-		rd, err := snapshot.Open(frame)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
+		if a.planHash != b.planHash || a.planPages != b.planPages {
+			t.Fatalf("replayed prefix plan streams diverge: %#x/%d vs %#x/%d pages",
+				a.planHash, a.planPages, b.planHash, b.planPages)
 		}
-		bs.DecodeState(rd)
-		if err := rd.Close(); err != nil {
-			t.Fatalf("DecodeState: %v", err)
-		}
-		// Clone the driver state into b and continue both in lockstep.
-		b.rng = a.rng
-		b.resident = append(b.resident[:0], a.resident...)
-		b.full = a.full
 		a.planHash, a.planPages = 0, 0
 		b.planHash, b.planPages = 0, 0
 		for i := 0; i < scriptSteps/2; i++ {
 			a.step()
 			b.step()
 		}
+		if a.planPages == 0 {
+			t.Fatal("no prefetch plans after the replay cut")
+		}
 		if a.planHash != b.planHash || a.planPages != b.planPages {
-			t.Fatalf("post-restore plan streams diverge: %#x/%d vs %#x/%d pages",
+			t.Fatalf("post-replay plan streams diverge: %#x/%d vs %#x/%d pages",
 				a.planHash, a.planPages, b.planHash, b.planPages)
 		}
 	})

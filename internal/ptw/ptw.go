@@ -10,9 +10,8 @@
 //
 // Walk contexts are pooled: each context owns its stage callbacks (built once
 // when the context is first created) and a reusable step buffer, so a walk
-// performs no per-level allocation. Contexts carry a stable registry ID so
-// every in-flight walk — and every event it has scheduled — can be
-// serialized by ID and re-linked on checkpoint restore (see snapshot.go).
+// performs no per-level allocation. Contexts carry a stable registry ID, the
+// operand of every event the walk schedules.
 package ptw
 
 import (
@@ -24,13 +23,13 @@ import (
 
 // MemAccessor is the walker's view of the GPU memory hierarchy: an
 // asynchronous access that invokes done when the data returns. The tag
-// describes done for checkpointing (see engine.ScheduleTagged); accessors
-// must propagate it to whatever completion event they schedule.
+// describes done (see engine.Tag); accessors propagate it to whatever
+// completion event they schedule.
 type MemAccessor interface {
 	Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag, done func())
 }
 
-// Snapshot tag kinds for walker-scheduled events (engine.Tag.A is the walk
+// Tag kinds for walker-scheduled events (engine.Tag.A is the walk
 // registry ID).
 const (
 	// TagWalkGrant is the semaphore grant that starts walk A.
@@ -43,19 +42,14 @@ const (
 
 // walkState is one pooled in-flight walk.
 type walkState struct {
-	w      *Walker
-	id     uint64 // registry ID, stable for the walker's lifetime
-	active bool
-	p      memdef.PageNum
-	steps  []pagetable.WalkStep
-	i      int
-	start  memdef.Cycle
-	done   func(Result)
-	// doneTag is the caller-supplied serializable description of done; the
-	// machine re-links done from it on restore. Zero for legacy callers,
-	// which makes an in-flight walk unserializable (checkpoint refused).
-	doneTag engine.Tag
-	next    *walkState
+	w     *Walker
+	id    uint64 // registry ID, stable for the walker's lifetime
+	p     memdef.PageNum
+	steps []pagetable.WalkStep
+	i     int
+	start memdef.Cycle
+	done  func(Result)
+	next  *walkState
 
 	granted func() // a walker slot was acquired: start the walk
 	stage   func() // PWC probe of level steps[i]
@@ -177,25 +171,15 @@ func (w *Walker) get() *walkState {
 		w.free = x.next
 		x.next = nil
 	}
-	x.active = true
 	return x
 }
 
 // Walk starts a page-table walk for page p. done is invoked when the walk
 // finishes, with the outcome. Walks beyond the concurrency limit queue FIFO.
-// Legacy untagged entry point (tests/tooling): an in-flight untagged walk
-// makes the machine unserializable.
 func (w *Walker) Walk(p memdef.PageNum, done func(Result)) {
-	w.WalkT(p, engine.Tag{}, done)
-}
-
-// WalkT is Walk with a snapshot tag describing done, so the walk's pending
-// completion can be re-linked on restore.
-func (w *Walker) WalkT(p memdef.PageNum, doneTag engine.Tag, done func(Result)) {
 	x := w.get()
 	x.p = p
 	x.done = done
-	x.doneTag = doneTag
 	x.start = w.eng.Now()
 	w.slots.AcquireTagged(engine.Tag{Kind: TagWalkGrant, A: x.id}, x.granted)
 }
@@ -210,8 +194,6 @@ func (w *Walker) finish(x *walkState) {
 	w.slots.Release()
 	done := x.done
 	x.done = nil
-	x.doneTag = engine.Tag{}
-	x.active = false
 	x.next = w.free
 	w.free = x
 	done(res)

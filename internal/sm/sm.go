@@ -31,7 +31,7 @@ import (
 	"github.com/reproductions/cppe/internal/xbus"
 )
 
-// Snapshot tag kinds for SM-scheduled events (engine.Tag.A carries the
+// Tag kinds for SM-scheduled events (engine.Tag.A carries the
 // operand: a warp's global index or a memory-request registry ID).
 const (
 	// TagWarpStep issues warp A's next access after the compute gap.
@@ -41,10 +41,6 @@ const (
 	// TagWarpFin is warp A's data-access completion (the done callback its
 	// L2/DRAM request carries).
 	TagWarpFin uint16 = 0x0103
-	// TagWarpXlat is the link tag naming warp A's translated callback; it
-	// never appears in the event queue (the MMU invokes the callback
-	// directly) but re-links in-flight translations on restore.
-	TagWarpXlat uint16 = 0x0104
 	// TagMemL2 is request A's L2 probe on the shared data path.
 	TagMemL2 uint16 = 0x0105
 )
@@ -52,18 +48,16 @@ const (
 // memReq is one pooled request context for the shared L2/DRAM path: the
 // callback closure is created once per node and reads its operands from the
 // node, so a request costs no allocation after the pool warms up. Contexts
-// carry a stable registry ID so in-flight requests can be serialized by ID
-// and re-linked on checkpoint restore (see snapshot.go).
+// carry a stable registry ID, the operand of their L2-probe event's tag.
 type memReq struct {
-	mp     *memPath
-	id     uint64
-	active bool
-	a      memdef.VirtAddr
-	kind   memdef.AccessKind
-	tag    engine.Tag // the caller's serializable description of done
-	done   func()
-	run    func()
-	next   *memReq
+	mp   *memPath
+	id   uint64
+	a    memdef.VirtAddr
+	kind memdef.AccessKind
+	tag  engine.Tag // the caller's description of done
+	done func()
+	run  func()
+	next *memReq
 }
 
 // memPath is the shared L2-cache + DRAM data path, used by SM data accesses
@@ -107,7 +101,6 @@ func (mp *memPath) Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.
 		mp.free = rq.next
 		rq.next = nil
 	}
-	rq.active = true
 	rq.a, rq.kind, rq.tag, rq.done = a, kind, tag, done
 	mp.eng.ScheduleTagged(mp.cfg.L2HitLatency, engine.Tag{Kind: TagMemL2, A: rq.id}, rq.run)
 }
@@ -119,7 +112,6 @@ func (rq *memReq) l2Stage() {
 	mp, a, kind, tag, done := rq.mp, rq.a, rq.kind, rq.tag, rq.done
 	rq.done = nil
 	rq.tag = engine.Tag{}
-	rq.active = false
 	rq.next = mp.free
 	mp.free = rq
 	res := mp.l2.Access(a, kind)
@@ -178,7 +170,7 @@ type Machine struct {
 	allWarps    []*warp
 	stepWarp    func(uint64) // shared ScheduleArg trampoline: allWarps[g].step()
 	activeWarps int
-	started     bool // warps seeded: a restored machine must not reseed
+	started     bool // warps seeded: a paused machine must not reseed
 	finished    memdef.Cycle
 
 	aud *audit.Auditor
@@ -198,7 +190,7 @@ func NewMachine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, tra
 
 // Reset rebuilds the machine in place for a new run: afterwards it is
 // indistinguishable from NewMachine(cfg, pol, pf, traces) — same state, same
-// registry IDs, same snapshot bytes — but it reuses the components, tag
+// registry IDs, same results — but it reuses the components, tag
 // stores, context registries and event nodes of its previous run instead of
 // allocating them. A zero Machine is built from scratch. A built machine
 // accepts only a cfg of the shape it was built with: every field except
@@ -380,7 +372,7 @@ func (m *Machine) Run(maxEvents uint64) Result {
 
 // RunUntil executes until the machine finishes or every event at cycles <=
 // pauseAt has fired, whichever comes first. paused reports that the machine
-// stopped at the pause boundary — a consistent checkpointable state — and the
+// stopped at the pause boundary — the state a checkpoint records — and the
 // accompanying Result is an intermediate reading, not a final one.
 func (m *Machine) RunUntil(maxEvents uint64, pauseAt memdef.Cycle) (res Result, paused bool) {
 	m.Eng.PauseAt(pauseAt)
@@ -388,9 +380,9 @@ func (m *Machine) RunUntil(maxEvents uint64, pauseAt memdef.Cycle) (res Result, 
 	return m.run(maxEvents)
 }
 
-// run charges maxEvents against the engine's fired count, which a checkpoint
-// carries, so one budget covers the whole simulation: a run paused by
-// RunUntil, or restored and continued, stops where a single Run would.
+// run charges maxEvents against the engine's fired count, so one budget
+// covers the whole simulation: a run paused by RunUntil and continued, or
+// replayed from a checkpoint, stops where a single Run would.
 func (m *Machine) run(maxEvents uint64) (Result, bool) {
 	if maxEvents == 0 {
 		maxEvents = 2_000_000_000
@@ -454,7 +446,7 @@ func (w *warp) step() {
 	w.acc = w.trace[w.pos]
 	w.pos++
 	w.issue = w.sm.machine.Eng.Now()
-	w.sm.machine.MMU.TranslateT(w.sm.id, w.acc, engine.Tag{Kind: TagWarpXlat, A: w.gid}, w.translated)
+	w.sm.machine.MMU.Translate(w.sm.id, w.acc, w.translated)
 }
 
 // ActiveWarps returns the number of warps that have not retired.

@@ -1,16 +1,16 @@
-// Package snapshot implements the deterministic binary checkpoint format for
-// the simulator: a versioned, CRC-checksummed frame around a sequence of
-// fixed-width little-endian fields written by per-subsystem encoders
-// (DESIGN.md §10).
+// Package snapshot implements the binary frame of checkpoint files: a
+// versioned, CRC-checksummed frame around a sequence of fixed-width
+// little-endian fields (DESIGN.md §10). A checkpoint is a replay record, so
+// the only payload is the harness's "CKPT" envelope.
 //
 // The format is deliberately primitive: no reflection, no varints, no
-// self-describing schema. Every encoder writes its fields in a fixed order and
-// the matching decoder reads them back in the same order; section marks
-// (Mark/ExpectMark) catch encoder/decoder drift early with a structured error
-// instead of silently misinterpreting downstream bytes. Both Writer and
-// Reader are sticky-error: after the first failure every subsequent call is a
-// no-op, so encoders and decoders can run straight-line without per-field
-// error checks and inspect Err once at the end.
+// self-describing schema. The writer puts its fields in a fixed order and the
+// reader gets them back in the same order; a section mark (Mark/ExpectMark)
+// catches writer/reader drift early with a structured error instead of
+// silently misinterpreting downstream bytes. Both Writer and Reader are
+// sticky-error: after the first failure every subsequent call is a no-op, so
+// callers can run straight-line without per-field error checks and inspect
+// the error once at the end.
 //
 // Frame layout:
 //
@@ -21,11 +21,10 @@
 //	[n:n+4) CRC-32 (IEEE) of bytes [0:n)
 //
 // Writer.BeginFrame writes the header with a length placeholder and
-// Writer.EndFrame patches the length and appends the CRC, so frames nest
-// inside one buffer.
+// Writer.EndFrame patches the length and appends the CRC.
 //
 // Decoding never panics on malformed input: truncations, bit flips, bad
-// counts and version skew all surface as wrapped ErrTruncated / ErrChecksum /
+// lengths and version skew all surface as wrapped ErrTruncated / ErrChecksum /
 // ErrVersion / ErrBadMagic / ErrCorrupt values.
 package snapshot
 
@@ -35,12 +34,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 )
 
-// Version is the current checkpoint format version. Any change to any
-// subsystem encoder must bump it; decoders reject every other version.
-const Version uint16 = 2
+// Version is the current checkpoint format version. Any change to the frame
+// or the envelope must bump it; readers reject every other version. Version 3
+// is the replay record; version 2 files carried encoded machine state.
+const Version uint16 = 3
 
 var magic = [4]byte{'C', 'P', 'P', 'E'}
 
@@ -60,14 +59,13 @@ var (
 	// ErrChecksum means the CRC-32 over the frame did not match.
 	ErrChecksum = errors.New("snapshot: checksum mismatch")
 	// ErrCorrupt means the payload was framed correctly but its contents are
-	// structurally invalid (bad section mark, implausible count, trailing
-	// bytes, or a field value a decoder rejected).
+	// structurally invalid (bad section mark, trailing bytes, or a field
+	// value the reader's caller rejected).
 	ErrCorrupt = errors.New("snapshot: corrupt payload")
 )
 
-// Writer accumulates checkpoint bytes in one buffer: frames are opened and
-// closed in place (BeginFrame/EndFrame) around the fields encoders Put, so a
-// nested checkpoint is written once, without copying a payload into its frame.
+// Writer accumulates checkpoint bytes in one buffer: a frame is opened and
+// closed in place (BeginFrame/EndFrame) around the fields Put between them.
 // The zero value is ready to use. All Put methods are sticky-error no-ops
 // after the first failure.
 type Writer struct {
@@ -75,28 +73,13 @@ type Writer struct {
 	err error
 }
 
-// NewWriter returns a Writer with capacity preallocated for sizeHint bytes.
-func NewWriter(sizeHint int) *Writer {
-	if sizeHint < 0 {
-		sizeHint = 0
-	}
-	return &Writer{buf: make([]byte, 0, sizeHint)}
-}
-
-// Err returns the first error recorded by any Put or Fail call.
-func (w *Writer) Err() error { return w.err }
-
-// Fail records err (if the writer has not already failed) and makes all
-// subsequent Put calls no-ops. Encoders use it to refuse unserializable
-// states (for example, an in-flight event with no tag).
-func (w *Writer) Fail(err error) {
+// fail records err (if the writer has not already failed) and makes all
+// subsequent Put calls no-ops.
+func (w *Writer) fail(err error) {
 	if w.err == nil && err != nil {
 		w.err = err
 	}
 }
-
-// Len returns the current payload length in bytes.
-func (w *Writer) Len() int { return len(w.buf) }
 
 // PutU64 appends v as 8 little-endian bytes.
 func (w *Writer) PutU64(v uint64) {
@@ -112,31 +95,6 @@ func (w *Writer) PutU32(v uint32) {
 		return
 	}
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
-
-// PutU16 appends v as 2 little-endian bytes.
-func (w *Writer) PutU16(v uint16) {
-	if w.err != nil {
-		return
-	}
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
-}
-
-// PutU8 appends one byte.
-func (w *Writer) PutU8(v uint8) {
-	if w.err != nil {
-		return
-	}
-	w.buf = append(w.buf, v)
-}
-
-// PutBool appends one byte, 1 for true.
-func (w *Writer) PutBool(v bool) {
-	if v {
-		w.PutU8(1)
-	} else {
-		w.PutU8(0)
-	}
 }
 
 // PutInt appends v as a u64 two's-complement value.
@@ -167,7 +125,7 @@ func (w *Writer) PutString(s string) {
 }
 
 // Mark appends a 4-byte section marker. The matching ExpectMark in the
-// decoder verifies encoder and decoder are aligned at section boundaries.
+// reader verifies writer and reader are aligned at section boundaries.
 func (w *Writer) Mark(tag string) {
 	if w.err != nil {
 		return
@@ -179,8 +137,7 @@ func (w *Writer) Mark(tag string) {
 
 // BeginFrame opens a frame in place at the end of the buffer: it writes the
 // magic, the version and a length placeholder, and returns the frame's offset
-// for the matching EndFrame. Frames nest: a frame opened inside another is
-// part of the outer frame's payload.
+// for the matching EndFrame.
 func (w *Writer) BeginFrame() int {
 	off := len(w.buf)
 	if w.err != nil {
@@ -200,88 +157,15 @@ func (w *Writer) EndFrame(off int) {
 		return
 	}
 	if off < 0 || off+frameHeader > len(w.buf) {
-		w.Fail(fmt.Errorf("snapshot: EndFrame at offset %d of a %d-byte buffer", off, len(w.buf)))
+		w.fail(fmt.Errorf("snapshot: EndFrame at offset %d of a %d-byte buffer", off, len(w.buf)))
 		return
 	}
 	binary.LittleEndian.PutUint64(w.buf[off+6:off+frameHeader], uint64(len(w.buf)-off-frameHeader))
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf[off:]))
 }
 
-// BeginBytes reserves the u32 length prefix of a byte field whose contents
-// are written in place by later Put calls, and returns its offset for the
-// matching EndBytes. The result reads back with GetBytes like PutBytes.
-func (w *Writer) BeginBytes() int {
-	off := len(w.buf)
-	w.PutU32(0)
-	return off
-}
-
-// EndBytes patches the length prefix BeginBytes reserved at off with the
-// number of bytes written since.
-func (w *Writer) EndBytes(off int) {
-	if w.err != nil {
-		return
-	}
-	if off < 0 || off+4 > len(w.buf) {
-		w.Fail(fmt.Errorf("snapshot: EndBytes at offset %d of a %d-byte buffer", off, len(w.buf)))
-		return
-	}
-	n := len(w.buf) - off - 4
-	if n > math.MaxUint32 {
-		w.Fail(fmt.Errorf("snapshot: %d-byte field overflows its u32 length", n))
-		return
-	}
-	binary.LittleEndian.PutUint32(w.buf[off:off+4], uint32(n))
-}
-
-// Reserve appends n bytes and returns them as a Section for the caller to
-// fill, so a bulk encoder can write a run of fixed-width records in one loop
-// instead of one sticky-error Put per field. It returns nil after a failure.
-func (w *Writer) Reserve(n int) Section {
-	if w.err != nil {
-		return nil
-	}
-	if n < 0 {
-		w.Fail(fmt.Errorf("snapshot: reserve of %d bytes", n))
-		return nil
-	}
-	w.buf = slices.Grow(w.buf, n)
-	off := len(w.buf)
-	w.buf = w.buf[:off+n]
-	return w.buf[off:]
-}
-
-// Section is a run of bytes reserved in a Writer. Its Put methods write the
-// encoding of the Writer method of the same name at the start of the section
-// and return the rest, so records chain: s = s.PutU64(a).PutBool(b). Writing
-// past the reserved length panics.
-type Section []byte
-
-// PutU64 writes v as 8 little-endian bytes.
-func (s Section) PutU64(v uint64) Section {
-	binary.LittleEndian.PutUint64(s, v)
-	return s[8:]
-}
-
-// PutBool writes one byte, 1 for true.
-func (s Section) PutBool(v bool) Section {
-	s[0] = 0
-	if v {
-		s[0] = 1
-	}
-	return s[1:]
-}
-
-// Reset empties the writer and clears its error, keeping the buffer's
-// capacity, so one Writer can encode checkpoint after checkpoint without
-// reallocating.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.err = nil
-}
-
 // Bytes returns everything written so far, or the first error. The slice
-// aliases the writer's buffer: it is valid until the next Put or Reset.
+// aliases the writer's buffer: it is valid until the next Put.
 func (w *Writer) Bytes() ([]byte, error) {
 	if w.err != nil {
 		return nil, w.err
@@ -290,8 +174,8 @@ func (w *Writer) Bytes() ([]byte, error) {
 }
 
 // Reader consumes a checkpoint payload. All Get methods are sticky-error:
-// after the first failure they return zero values. Check Err (or use the
-// per-section ExpectMark guards) to detect failure.
+// after the first failure they return zero values, and Close reports the
+// failure.
 type Reader struct {
 	buf []byte
 	off int
@@ -324,29 +208,23 @@ func Open(data []byte) (*Reader, error) {
 	return &Reader{buf: data[frameHeader : frameHeader+plen]}, nil
 }
 
-// Err returns the first decode error.
-func (r *Reader) Err() error { return r.err }
-
-// Fail records err (if the reader has not already failed).
-func (r *Reader) Fail(err error) {
+// fail records err (if the reader has not already failed).
+func (r *Reader) fail(err error) {
 	if r.err == nil && err != nil {
 		r.err = err
 	}
 }
 
-// Failf records a formatted ErrCorrupt-wrapped error.
-func (r *Reader) Failf(format string, args ...any) {
-	r.Fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
+// failf records a formatted ErrCorrupt-wrapped error.
+func (r *Reader) failf(format string, args ...any) {
+	r.fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
 }
-
-// Remaining returns the number of unread payload bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
 // Close verifies the payload was consumed exactly and returns the first
 // error, if any.
 func (r *Reader) Close() error {
 	if r.err == nil && r.off != len(r.buf) {
-		r.Failf("%d trailing payload bytes", len(r.buf)-r.off)
+		r.failf("%d trailing payload bytes", len(r.buf)-r.off)
 	}
 	return r.err
 }
@@ -355,8 +233,8 @@ func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.Remaining() < n {
-		r.Fail(fmt.Errorf("%w: need %d bytes, %d remain", ErrTruncated, n, r.Remaining()))
+	if remaining := len(r.buf) - r.off; remaining < n {
+		r.fail(fmt.Errorf("%w: need %d bytes, %d remain", ErrTruncated, n, remaining))
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -382,34 +260,6 @@ func (r *Reader) GetU32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// GetU16 reads 2 little-endian bytes.
-func (r *Reader) GetU16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-// GetU8 reads one byte.
-func (r *Reader) GetU8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// GetBool reads one byte and rejects values other than 0 and 1.
-func (r *Reader) GetBool() bool {
-	v := r.GetU8()
-	if v > 1 {
-		r.Failf("bool byte %d", v)
-		return false
-	}
-	return v == 1
-}
-
 // GetInt reads a u64 and returns it as an int.
 func (r *Reader) GetInt() int { return int(int64(r.GetU64())) }
 
@@ -424,10 +274,6 @@ func (r *Reader) GetF64() float64 { return math.Float64frombits(r.GetU64()) }
 func (r *Reader) GetBytes() []byte {
 	n := int(r.GetU32())
 	if r.err != nil {
-		return nil
-	}
-	if n > r.Remaining() {
-		r.Fail(fmt.Errorf("%w: byte field of %d bytes, %d remain", ErrTruncated, n, r.Remaining()))
 		return nil
 	}
 	return r.take(n)
@@ -446,24 +292,6 @@ func (r *Reader) ExpectMark(tag string) {
 		return
 	}
 	if [4]byte(b) != want {
-		r.Failf("section mark %q, want %q", b, want[:])
+		r.failf("section mark %q, want %q", b, want[:])
 	}
-}
-
-// GetCount reads a u64 element count and rejects counts that cannot possibly
-// fit in the remaining payload given a minimum encoded size per element. This
-// bounds allocations when decoding corrupted or adversarial input.
-func (r *Reader) GetCount(minBytesPerElem int) int {
-	n := r.GetU64()
-	if r.err != nil {
-		return 0
-	}
-	if minBytesPerElem < 1 {
-		minBytesPerElem = 1
-	}
-	if n > uint64(r.Remaining()/minBytesPerElem) {
-		r.Failf("count %d exceeds remaining payload (%d bytes, ≥%d per element)", n, r.Remaining(), minBytesPerElem)
-		return 0
-	}
-	return int(n)
 }

@@ -1,17 +1,19 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 )
 
 func frame(t *testing.T, build func(w *Writer)) []byte {
 	t.Helper()
-	w := NewWriter(64)
+	var w Writer
 	off := w.BeginFrame()
-	build(w)
+	build(&w)
 	w.EndFrame(off)
 	data, err := w.Bytes()
 	if err != nil {
@@ -25,10 +27,6 @@ func TestRoundTripAllFieldTypes(t *testing.T) {
 		w.Mark("TEST")
 		w.PutU64(0xdeadbeefcafef00d)
 		w.PutU32(0x12345678)
-		w.PutU16(0xabcd)
-		w.PutU8(0x42)
-		w.PutBool(true)
-		w.PutBool(false)
 		w.PutInt(-12345)
 		w.PutI64(math.MinInt64)
 		w.PutF64(3.14159)
@@ -47,15 +45,6 @@ func TestRoundTripAllFieldTypes(t *testing.T) {
 	}
 	if v := r.GetU32(); v != 0x12345678 {
 		t.Errorf("u32 = %#x", v)
-	}
-	if v := r.GetU16(); v != 0xabcd {
-		t.Errorf("u16 = %#x", v)
-	}
-	if v := r.GetU8(); v != 0x42 {
-		t.Errorf("u8 = %#x", v)
-	}
-	if !r.GetBool() || r.GetBool() {
-		t.Error("bools did not round-trip")
 	}
 	if v := r.GetInt(); v != -12345 {
 		t.Errorf("int = %d", v)
@@ -116,22 +105,60 @@ func TestOpenRejectsFrameDamage(t *testing.T) {
 	}
 }
 
+// TestInPlaceMatchesCopyingFrame pins the format: a frame written in place
+// is the bytes of framing the finished payload, header, payload and CRC.
+func TestInPlaceMatchesCopyingFrame(t *testing.T) {
+	var payload Writer
+	payload.Mark("BODY")
+	payload.PutString("meta")
+	payload.PutU64(0x0102030405060708)
+	body, _ := payload.Bytes()
+	want := append([]byte(nil), "CPPE"...)
+	want = binary.LittleEndian.AppendUint16(want, Version)
+	want = binary.LittleEndian.AppendUint64(want, uint64(len(body)))
+	want = append(want, body...)
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
+
+	got := frame(t, func(w *Writer) {
+		w.Mark("BODY")
+		w.PutString("meta")
+		w.PutU64(0x0102030405060708)
+	})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("in-place frame differs from the copying frame:\n got %x\nwant %x", got, want)
+	}
+}
+
 func TestWriterStickyError(t *testing.T) {
-	w := NewWriter(0)
+	var w Writer
 	w.PutU64(1)
-	boom := errors.New("boom")
-	w.Fail(boom)
+	w.EndFrame(2) // no frame header fits after offset 2
+	first := w.err
+	if first == nil {
+		t.Fatal("EndFrame past the buffer did not fail")
+	}
 	w.PutU64(2)
 	w.Mark("MORE")
-	w.Fail(errors.New("second error must not displace the first"))
-	if w.Err() != boom {
-		t.Errorf("err = %v", w.Err())
+	w.EndFrame(-1)
+	if w.err != first {
+		t.Errorf("later failure displaced the first: %v", w.err)
 	}
-	if _, err := w.Bytes(); err != boom {
+	if _, err := w.Bytes(); err != first {
 		t.Errorf("bytes err = %v", err)
 	}
-	if w.Len() != 8 {
-		t.Errorf("writes after failure extended the payload to %d bytes", w.Len())
+	if len(w.buf) != 8 {
+		t.Errorf("writes after failure extended the payload to %d bytes", len(w.buf))
+	}
+}
+
+func TestEndFrameBadOffsetFails(t *testing.T) {
+	for _, off := range []int{-1, 2} {
+		var w Writer
+		w.PutU32(1)
+		w.EndFrame(off)
+		if _, err := w.Bytes(); err == nil {
+			t.Errorf("EndFrame at offset %d of a 4-byte buffer did not fail", off)
+		}
 	}
 }
 
@@ -144,14 +171,14 @@ func TestReaderStickyAfterTruncation(t *testing.T) {
 	if v := r.GetU64(); v != 0 { // needs 8, payload has 4
 		t.Errorf("truncated read returned %d", v)
 	}
-	first := r.Err()
+	first := r.err
 	if !errors.Is(first, ErrTruncated) {
 		t.Fatalf("err = %v", first)
 	}
 	r.GetU64()
 	r.ExpectMark("XXXX")
-	if r.Err() != first {
-		t.Errorf("later failure displaced the first: %v", r.Err())
+	if err := r.Close(); err != first {
+		t.Errorf("later failure displaced the first: %v", err)
 	}
 }
 
@@ -167,18 +194,6 @@ func TestCloseRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-func TestGetBoolRejectsJunk(t *testing.T) {
-	data := frame(t, func(w *Writer) { w.PutU8(2) })
-	r, err := Open(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.GetBool()
-	if !errors.Is(r.Err(), ErrCorrupt) {
-		t.Errorf("bool byte 2: %v", r.Err())
-	}
-}
-
 func TestExpectMarkMismatch(t *testing.T) {
 	data := frame(t, func(w *Writer) { w.Mark("AAAA") })
 	r, err := Open(data)
@@ -186,45 +201,15 @@ func TestExpectMarkMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.ExpectMark("BBBB")
-	if !errors.Is(r.Err(), ErrCorrupt) {
-		t.Errorf("mark mismatch: %v", r.Err())
-	}
-}
-
-func TestGetCountBoundsAllocations(t *testing.T) {
-	data := frame(t, func(w *Writer) {
-		w.PutU64(1 << 60) // implausible count
-	})
-	r, err := Open(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := r.GetCount(8); n != 0 {
-		t.Errorf("count = %d", n)
-	}
-	if !errors.Is(r.Err(), ErrCorrupt) {
-		t.Errorf("err = %v", r.Err())
-	}
-
-	// A plausible count passes.
-	data = frame(t, func(w *Writer) {
-		w.PutU64(2)
-		w.PutU64(10)
-		w.PutU64(20)
-	})
-	r, err = Open(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := r.GetCount(8); n != 2 {
-		t.Errorf("count = %d (err %v)", n, r.Err())
+	if err := r.Close(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("mark mismatch: %v", err)
 	}
 }
 
 func TestGetBytesTruncation(t *testing.T) {
 	data := frame(t, func(w *Writer) {
 		w.PutU32(1000) // length prefix far beyond the payload
-		w.PutU8(1)
+		w.PutU32(1)
 	})
 	r, err := Open(data)
 	if err != nil {
@@ -233,8 +218,8 @@ func TestGetBytesTruncation(t *testing.T) {
 	if b := r.GetBytes(); b != nil {
 		t.Errorf("bytes = %v", b)
 	}
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Errorf("err = %v", r.Err())
+	if err := r.Close(); !errors.Is(err, ErrTruncated) {
+		t.Errorf("err = %v", err)
 	}
 }
 

@@ -56,21 +56,16 @@ type TLB struct {
 	// Open-addressed page index (all geometries).
 	idxKeys  []memdef.PageNum
 	idxSlots []int32
-	//cppelint:statecov derived index rebuilt from the decoded entries by idxRebuild
 	idxState []uint8
 	idxMask  uint64
 	idxShift uint
-	//cppelint:statecov derived tombstone count, reset by idxRebuild in Decode
-	idxDead int
+	idxDead  int
 
 	// Recency + free lists (fully associative only; next doubles as the
 	// free-list link for invalid slots).
-	//cppelint:statecov derived recency links rebuilt in Decode from the unique lru stamps
 	prev, next []int32
-	//cppelint:statecov derived recency list ends rebuilt in Decode from the unique lru stamps
 	head, tail int32
-	//cppelint:statecov derived free list rebuilt in Decode from the invalid slots
-	free int32
+	free       int32
 
 	// Stats
 	hits       uint64

@@ -36,7 +36,7 @@ import (
 	"github.com/reproductions/cppe/internal/xbus"
 )
 
-// Snapshot tag kinds for driver-scheduled events (engine.Tag.A carries the
+// Tag kinds for driver-scheduled events (engine.Tag.A carries the
 // operand: a translation registry ID, a page number, or a migration ID).
 const (
 	// TagXlatL1 is translation A's post-L1-latency TLB probe.
@@ -48,10 +48,6 @@ const (
 	// TagXlatFault is translation A's far-fault completion (also the tag
 	// under which it waits on a chunk page).
 	TagXlatFault uint16 = 0x0304
-	// TagXlatWalkDone is the link tag naming translation A's walkDone
-	// callback; it never appears in the event queue (the walker invokes the
-	// callback directly) but re-links in-flight walks on restore.
-	TagXlatWalkDone uint16 = 0x0305
 	// TagProcessFault is the driver-slot grant that starts servicing the
 	// claimed fault on page A.
 	TagProcessFault uint16 = 0x0306
@@ -89,8 +85,7 @@ type chunkState struct {
 }
 
 // addWaiter queues translation x until page index idx becomes resident.
-// Clearing x's link keeps every list acyclic even if a corrupt restore links
-// a context twice.
+// Clearing x's link keeps every list acyclic.
 func (st *chunkState) addWaiter(idx int, x *xlat) {
 	x.waitNext = nil
 	if st.waitTail[idx] == nil {
@@ -99,16 +94,6 @@ func (st *chunkState) addWaiter(idx int, x *xlat) {
 		st.waitTail[idx].waitNext = x
 	}
 	st.waitTail[idx] = x
-}
-
-// hasWaiters reports whether any page of the chunk has queued waiters.
-func (st *chunkState) hasWaiters() bool {
-	for _, x := range st.waitHead {
-		if x != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats aggregates the driver-level counters the evaluation reports.
@@ -202,24 +187,16 @@ func (b Breakdown) AvgLatency(p PathKind) float64 {
 }
 
 // xlat is one pooled in-flight translation. Contexts carry a stable registry
-// ID, which is also the argument of their stage events (the manager's
-// xlat*Fn callbacks), so a translation allocates nothing after the pool warms
-// up, and every in-flight translation — and every event it has scheduled —
-// can be serialized by ID and re-linked on checkpoint restore (see
-// snapshot.go).
+// ID, which is also the argument of their stage events (the manager's xlat*Fn
+// callbacks), so a translation allocates nothing after the pool warms up.
 type xlat struct {
-	id     uint64 // registry ID, stable for the manager's lifetime
-	active bool
-	sm     memdef.SMID
-	page   memdef.PageNum
-	write  bool
-	start  memdef.Cycle
-	done   func()
-	// doneTag is the caller-supplied serializable description of done; the
-	// machine re-links done from it on restore. Zero for legacy callers,
-	// which makes an in-flight translation unserializable.
-	doneTag engine.Tag
-	next    *xlat
+	id    uint64 // registry ID, stable for the manager's lifetime
+	sm    memdef.SMID
+	page  memdef.PageNum
+	write bool
+	start memdef.Cycle
+	done  func()
+	next  *xlat
 	// waitNext links the translation into its faulted page's waiter FIFO
 	// (see chunkState.addWaiter).
 	waitNext *xlat
@@ -232,8 +209,7 @@ type xlat struct {
 // addressed by a stable migration ID carried in the service-latency and
 // transfer-completion event tags.
 type migEntry struct {
-	plan   []memdef.PageNum
-	active bool
+	plan []memdef.PageNum
 }
 
 // chunkMask pairs a chunk with the page mask migrated into it, for the
@@ -309,8 +285,7 @@ type Manager struct {
 	// Event callbacks, built once in New. Each takes its operand (a
 	// translation ID, a faulted page or a migration ID) as the engine's
 	// uint64 event argument, so neither translations nor the fault → migrate
-	// → commit cycle schedule closures; restored events dispatch through the
-	// same callbacks (ResolveEvent).
+	// → commit cycle schedule closures.
 	xlatL1Fn      func(uint64) // TagXlatL1: probe translation arg's L1 TLB
 	xlatL2GrantFn func(uint64) // TagXlatL2Grant: translation arg got an L2 TLB port
 	xlatL2StageFn func(uint64) // TagXlatL2Stage: probe the L2 TLB, walk on miss
@@ -357,8 +332,8 @@ type Manager struct {
 
 	// evictLog is the pattern window exposed through policy.MachineView: a
 	// FIFO ring of the last WindowSize evictions (chunk, touch pattern,
-	// untouch level, cycle). It is checkpointed machine state: view-driven
-	// policies read it, so restores must reproduce it exactly.
+	// untouch level, cycle). View-driven policies read it, so it is machine
+	// state a recycled machine must clear exactly.
 	evictLog     [policy.WindowSize]policy.EvictionRecord
 	evictLogNext int
 	evictLogLen  int
@@ -564,7 +539,7 @@ func (m *Manager) xlatL2Stage(id uint64) {
 		return
 	}
 	m.stats.Walks++
-	m.walker.WalkT(x.page, engine.Tag{Kind: TagXlatWalkDone, A: id}, x.walkDone)
+	m.walker.Walk(x.page, x.walkDone)
 }
 
 // walkDone completes x's page-table walk: a mapped page finishes the
@@ -596,22 +571,13 @@ func (m *Manager) getXlat() *xlat {
 		m.xlatFree = x.next
 		x.next = nil
 	}
-	x.active = true
 	return x
 }
 
 // Translate resolves the virtual address of acc for SM sm and invokes done
 // when a valid translation exists (after fault handling if necessary). The
-// GPU-side touch bookkeeping happens at completion. Legacy untagged entry
-// point (tests/tooling): an in-flight untagged translation makes the machine
-// unserializable.
+// GPU-side touch bookkeeping happens at completion.
 func (m *Manager) Translate(sm memdef.SMID, acc memdef.Access, done func()) {
-	m.TranslateT(sm, acc, engine.Tag{}, done)
-}
-
-// TranslateT is Translate with a snapshot tag describing done, so the
-// translation's pending completion can be re-linked on restore.
-func (m *Manager) TranslateT(sm memdef.SMID, acc memdef.Access, doneTag engine.Tag, done func()) {
 	m.stats.Accesses++
 	x := m.getXlat()
 	x.sm = sm
@@ -619,7 +585,6 @@ func (m *Manager) TranslateT(sm memdef.SMID, acc memdef.Access, doneTag engine.T
 	x.write = acc.Kind == memdef.Write
 	x.start = m.eng.Now()
 	x.done = done
-	x.doneTag = doneTag
 	m.eng.ScheduleArgTagged(m.cfg.L1TLBLatency, engine.Tag{Kind: TagXlatL1, A: x.id}, m.xlatL1Fn, x.id)
 }
 
@@ -634,8 +599,6 @@ func (m *Manager) finish(x *xlat, path PathKind) {
 	}
 	done := x.done
 	x.done = nil
-	x.doneTag = engine.Tag{}
-	x.active = false
 	x.next = m.xlatFree
 	m.xlatFree = x
 	done()
@@ -812,7 +775,7 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 	// Far-fault timing: fixed service latency (independent fault-handling
 	// threads overlap), then the migration transfer serializes on the link.
 	// The plan lives in the migration registry so both pending events carry
-	// only the serializable migration ID.
+	// only the migration ID.
 	id := m.allocMig(plan)
 	m.eng.ScheduleArgTagged(m.cfg.FaultServiceCycles(), engine.Tag{Kind: TagMigSvc, A: id}, m.migSvcFn, id)
 }
@@ -829,7 +792,6 @@ func (m *Manager) allocMig(plan []memdef.PageNum) uint64 {
 		mg = m.newMig()
 	}
 	mg.plan = append(mg.plan[:0], plan...)
-	mg.active = true
 	return id
 }
 
@@ -874,7 +836,6 @@ func (m *Manager) migArrived(id uint64) {
 func (m *Manager) commitMig(id uint64) {
 	mg := m.migs[id]
 	m.commitMigration(mg.plan)
-	mg.active = false
 	m.migFree = append(m.migFree, id)
 	m.migSlots.Release()
 }

@@ -339,3 +339,36 @@ func TestIntegrityFailStopIsAuditClass(t *testing.T) {
 		t.Fatalf("integrity error = %+v", ierr)
 	}
 }
+
+// TestResetTruncatesRegistries: a reset manager's translation, migration and
+// chunk registries restart empty, so a recycled machine fills them to the
+// lengths a new one reaches — same IDs, and no growth from run to run.
+// Results alone cannot show this: a registry that is not truncated only hands
+// out higher IDs.
+func TestResetTruncatesRegistries(t *testing.T) {
+	capacity := 4 * memdef.ChunkPages
+	drive := func(r *rig) {
+		t.Helper()
+		r.eng.Schedule(0, func() {
+			for c := 0; c < 12; c++ {
+				r.m.Translate(0, memdef.Access{Addr: memdef.ChunkID(c * 7).FirstPage().Addr()}, func() {})
+			}
+		})
+		if _, err := r.eng.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := newRig(t, capacity, evict.NewLRU(), prefetch.NewLocality())
+	drive(fresh)
+	recycled := newRig(t, capacity, evict.NewLRU(), prefetch.NewLocality())
+	drive(recycled)
+	recycled.eng.Reset()
+	recycled.m.link.Reset()
+	recycled.m.Reset(recycled.cfg, evict.NewLRU(), prefetch.NewLocality())
+	drive(recycled)
+	got := [3]int{len(recycled.m.xlats), len(recycled.m.migs), len(recycled.m.chunkTab)}
+	want := [3]int{len(fresh.m.xlats), len(fresh.m.migs), len(fresh.m.chunkTab)}
+	if got != want {
+		t.Errorf("recycled registries (xlats, migs, chunks) = %v, a new manager's = %v", got, want)
+	}
+}

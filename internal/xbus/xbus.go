@@ -39,7 +39,6 @@ type transferRec struct {
 
 // Link is the modeled interconnect.
 type Link struct {
-	//cppelint:statecov wiring reference to the engine, rewired at construction
 	eng *engine.Engine
 	cfg memdef.Config
 	dir [2]*engine.Resource
@@ -49,7 +48,6 @@ type Link struct {
 
 	// track enables outstanding-transfer bookkeeping for the integrity
 	// auditor. Off by default so clean runs stay allocation-free.
-	//cppelint:statecov audit wiring re-enabled when the machine is rebuilt for restore
 	track       bool
 	outstanding [2][]transferRec
 }
@@ -89,10 +87,9 @@ func (l *Link) Transfer(d Direction, n int, done func()) memdef.Cycle {
 	return l.TransferT(d, n, engine.Tag{}, done)
 }
 
-// TransferT is Transfer with a snapshot tag describing done, so the
-// completion event stays serializable across a checkpoint (see
-// engine.ScheduleTagged). Transfers without a completion callback schedule
-// nothing and need no tag.
+// TransferT is Transfer with a tag describing done, carried by the
+// completion event (see engine.Tag). Transfers without a completion callback
+// schedule nothing and need no tag.
 func (l *Link) TransferT(d Direction, n int, tag engine.Tag, done func()) memdef.Cycle {
 	dur := l.cfg.TransferCycles(n, l.cfg.PCIeGBs)
 	finish := l.dir[d].Acquire(dur)

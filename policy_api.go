@@ -87,9 +87,11 @@ const (
 // registrations ErrBadRegistration; RegisterPolicy never panics, so a broken
 // plugin degrades into one structured error.
 //
-// Factories must be deterministic: same PolicyEnv, same decisions. A policy
-// that also implements the snapshot contract (EncodeState/DecodeState; see
-// DESIGN.md §13) participates in checkpoint/restore like the built-ins.
+// Factories must be deterministic: same PolicyEnv, same decisions. That is
+// all checkpointing asks of a policy: a checkpoint records the run, not its
+// state, and resuming rebuilds the policy from its factory and replays the
+// run to the checkpointed cycle (DESIGN.md §10), so every registered policy
+// checkpoints and resumes like the built-ins.
 func RegisterPolicy(reg PolicyRegistration) error { return policy.Register(reg) }
 
 // EvictionPolicies returns the registered eviction-policy names, sorted.
