@@ -28,7 +28,9 @@ import (
 
 	cppe "github.com/reproductions/cppe"
 	"github.com/reproductions/cppe/internal/engine"
+	"github.com/reproductions/cppe/internal/harness"
 	"github.com/reproductions/cppe/internal/memdef"
+	"github.com/reproductions/cppe/internal/stats"
 )
 
 // benchResult is one microbenchmark's measurement in the -json report.
@@ -149,7 +151,7 @@ func engineBenches() map[string]benchResult {
 }
 
 // writeCSV stores one experiment's table as <dir>/<id>.csv.
-func writeCSV(s *cppe.Session, dir, id string) error {
+func writeCSV(t *stats.Table, dir, id string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -157,7 +159,7 @@ func writeCSV(s *cppe.Session, dir, id string) error {
 	if err != nil {
 		return err
 	}
-	err = s.ExperimentCSV(id, f)
+	err = t.WriteCSV(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -250,25 +252,29 @@ func main() {
 		var memBefore runtime.MemStats
 		runtime.ReadMemStats(&memBefore)
 		t0 := time.Now()
-		var out string
-		var err error
-		if *bars {
-			out, err = s.ExperimentBars(id)
-			if err != nil && *exp == "" {
-				// In all-experiments mode, fall back to tables for
-				// non-figure artifacts.
-				out, err = s.Experiment(id)
-			}
-		} else {
-			out, err = s.Experiment(id)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cppe-bench:", err)
+		e, ok := harness.LookupExperiment(id)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "cppe-bench: unknown experiment %q (see -list)\n", id)
 			os.Exit(1)
+		}
+		if *bars && e.Bars == nil && *exp != "" {
+			fmt.Fprintf(os.Stderr, "cppe-bench: %q is not a figure experiment (bars available for fig3/fig7/fig8/fig9-*/fig10/sweep-rate)\n", id)
+			os.Exit(1)
+		}
+		// One render per experiment: text, bars and CSV all come from t. In
+		// all-experiments mode, non-figure artifacts print as tables.
+		t := s.Harness().Table(e)
+		out := t.String()
+		if *bars && e.Bars != nil {
+			var err error
+			if out, err = e.BarCharts(t); err != nil {
+				fmt.Fprintln(os.Stderr, "cppe-bench:", err)
+				os.Exit(1)
+			}
 		}
 		fmt.Println(out)
 		if *csvDir != "" {
-			if err := writeCSV(s, *csvDir, id); err != nil {
+			if err := writeCSV(t, *csvDir, id); err != nil {
 				fmt.Fprintln(os.Stderr, "cppe-bench:", err)
 				os.Exit(1)
 			}

@@ -6,8 +6,6 @@
 //
 //	cppe-sim -bench SRD -setup cppe -rate 50
 //	cppe-sim -bench NW -setup baseline -rate 75 -scale 0.1
-//	cppe-sim -bench SRD -setup cppe -rate 50 -checkpoint-every 100000 -checkpoint-file srd.ckpt
-//	cppe-sim -resume srd.ckpt -checkpoint-every 100000
 //	cppe-sim -bench SRD -setup cppe -rate 50 -json
 //	cppe-sim -list
 //
@@ -39,25 +37,10 @@ func main() {
 		auditOn   = flag.Bool("audit", false, "enable the simulation integrity auditor (read-only; results unchanged)")
 		chaosSeed = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off)")
 		system    = flag.String("system", "", "JSON file overriding Table-I system parameters (validated before running)")
-		ckptEvery = flag.Uint64("checkpoint-every", 0, "write a resumable checkpoint every N simulated cycles (0 = off)")
-		ckptFile  = flag.String("checkpoint-file", "", "checkpoint file path (default <bench>_<setup>_<rate>.ckpt)")
-		resume    = flag.String("resume", "", "resume from a checkpoint file (its benchmark/setup/rate override the flags)")
 		jsonOut   = flag.Bool("json", false, "print the result as JSON (run errors rendered as strings)")
 		timeout   = flag.Duration("timeout", 0, "no-progress watchdog: a run whose frontier cycle freezes for this long fails with a structured livelock error and exits 1 (0 = 30s default, negative = off)")
 	)
 	flag.Parse()
-
-	checkpointing := *ckptEvery > 0 || *ckptFile != "" || *resume != ""
-	if checkpointing {
-		if *trc != "" {
-			fmt.Fprintln(os.Stderr, "cppe-sim: trace runs (-trace) cannot be checkpointed")
-			os.Exit(1)
-		}
-		if *resume == "" && *ckptEvery == 0 {
-			fmt.Fprintln(os.Stderr, "cppe-sim: -checkpoint-file needs -checkpoint-every")
-			os.Exit(1)
-		}
-	}
 
 	if *list {
 		fmt.Println("benchmarks:")
@@ -103,29 +86,14 @@ func main() {
 	var r cppe.Result
 	var err error
 	name := *bench
-	switch {
-	case *resume != "":
-		r, err = s.ResumeCheckpoint(*resume, *ckptEvery)
-		if err == nil {
-			// The checkpoint names the simulation; reflect it in the report
-			// (and in the baseline-speedup lookup below).
-			*bench, *setup, *rate = r.Request.Benchmark, r.Request.Setup, r.Request.Oversubscription
-			name = *bench
-		}
-	case *ckptEvery > 0:
-		path := *ckptFile
-		if path == "" {
-			path = fmt.Sprintf("%s_%s_%d.ckpt", *bench, *setup, *rate)
-		}
-		r, err = s.RunCheckpointed(cppe.Request{Benchmark: *bench, Setup: *setup, Oversubscription: *rate}, path, *ckptEvery)
-	case *trc != "":
+	if *trc != "" {
 		var f *os.File
 		if f, err = os.Open(*trc); err == nil {
 			r, err = s.RunTraceFrom(f, *setup, *rate)
 			f.Close()
 		}
 		name = *trc
-	default:
+	} else {
 		r, err = s.Run(cppe.Request{Benchmark: *bench, Setup: *setup, Oversubscription: *rate})
 	}
 	if err != nil {

@@ -28,13 +28,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/reproductions/cppe/internal/audit"
 	"github.com/reproductions/cppe/internal/harness"
 	"github.com/reproductions/cppe/internal/memdef"
-	"github.com/reproductions/cppe/internal/stats"
 	"github.com/reproductions/cppe/internal/trace"
 	"github.com/reproductions/cppe/internal/workload"
 )
@@ -259,37 +257,6 @@ func (s *Session) Run(req Request) (Result, error) {
 	return fromHarness(req, r), nil
 }
 
-// RunCheckpointed executes one simulation like Run, additionally writing a
-// resumable checkpoint to path roughly every everyCycles cycles of simulated
-// time. A process killed mid-run can continue from the last checkpoint with
-// ResumeCheckpoint, or by calling RunCheckpointed again: a valid checkpoint
-// of the same simulation already at path is continued, with the same result,
-// and any other file there is removed. A checkpoint records the run, not the
-// machine state: resuming replays the simulation to the checkpointed cycle,
-// so fault injection (ChaosSeed) and registered custom policies checkpoint
-// like any other run.
-func (s *Session) RunCheckpointed(req Request, path string, everyCycles uint64) (Result, error) {
-	if err := s.validate(req); err != nil {
-		return Result{}, err
-	}
-	k := harness.Key{Bench: req.Benchmark, Setup: req.Setup, OversubPct: req.Oversubscription}
-	return fromHarness(req, s.h.RunCheckpointed(k, path, memdef.Cycle(everyCycles))), nil
-}
-
-// ResumeCheckpoint continues a simulation from a checkpoint file written by
-// RunCheckpointed (the file names its own benchmark, setup, and rate) and runs
-// it to completion, still checkpointing to the same path every everyCycles
-// cycles. Corrupt, truncated, other-version or mismatched checkpoints return
-// an error; they are never silently resumed.
-func (s *Session) ResumeCheckpoint(path string, everyCycles uint64) (Result, error) {
-	r, err := s.h.Resume(path, memdef.Cycle(everyCycles))
-	if err != nil {
-		return Result{}, err
-	}
-	req := Request{Benchmark: r.Key.Bench, Setup: r.Key.Setup, Oversubscription: r.Key.OversubPct}
-	return fromHarness(req, r), nil
-}
-
 // MustRun is Run for known-good requests; it panics on a bad request.
 func (s *Session) MustRun(req Request) Result {
 	r, err := s.Run(req)
@@ -323,16 +290,6 @@ func Speedup(reference, candidate Result) float64 {
 	return float64(reference.Cycles) / float64(candidate.Cycles)
 }
 
-// table warms the simulations e reads in one worker pool, then renders e
-// from the session's cached results.
-func (s *Session) table(e harness.Experiment) *stats.Table {
-	cfg := s.h.Config()
-	if e.Keys != nil {
-		s.h.Warm(e.Keys(cfg))
-	}
-	return e.Render(s.h.Run, cfg)
-}
-
 // lookup returns the experiment named id, or an error listing the known ids.
 func lookup(id string) (harness.Experiment, error) {
 	e, ok := harness.LookupExperiment(id)
@@ -350,7 +307,7 @@ func (s *Session) Experiment(id string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return s.table(e).String(), nil
+	return s.h.Table(e).String(), nil
 }
 
 // ExperimentCSV writes one paper artifact as CSV (header + data rows), for
@@ -360,7 +317,7 @@ func (s *Session) ExperimentCSV(id string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return s.table(e).WriteCSV(w)
+	return s.h.Table(e).WriteCSV(w)
 }
 
 // Describe runs (or fetches) one simulation and renders its complete
@@ -401,17 +358,7 @@ func (s *Session) ExperimentBars(id string) (string, error) {
 	if !ok || e.Bars == nil {
 		return "", fmt.Errorf("cppe: %q is not a figure experiment (bars available for fig3/fig7/fig8/fig9-*/fig10/sweep-rate)", id)
 	}
-	t := s.table(e)
-	var b strings.Builder
-	for _, c := range e.Bars {
-		bars, err := stats.BarsFromTable(t, 0, c, 40)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(bars)
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
+	return e.BarCharts(s.h.Table(e))
 }
 
 // CachedRuns reports how many simulations the session has executed.

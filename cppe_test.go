@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -239,10 +238,11 @@ func (p *fifoPolicy) SelectVictim(excluded func(ChunkID) bool) (ChunkID, bool) {
 }
 
 // TestRegisteredPolicyCheckpoints runs a policy registered through
-// RegisterPolicy plainly, checkpointed, and resumed from the checkpoint the
-// checkpointed run left: all three Results must be equal. A checkpoint is a
-// replay record, so it asks nothing of a policy beyond a deterministic
-// factory.
+// RegisterPolicy through RunResumableProgress with a run record path, parks
+// it at a mid-run epoch boundary, and calls it again: the second call runs
+// from cycle 0 with a fresh instance from the factory and must render the
+// plain Run's Result JSON. Being parked and continued asks nothing of a
+// policy beyond a deterministic factory.
 func TestRegisteredPolicyCheckpoints(t *testing.T) {
 	err := RegisterPolicy(PolicyRegistration{
 		Name: "fifo-plugin", Version: PolicyAPIVersion, Kind: KindEviction,
@@ -263,21 +263,27 @@ func TestRegisteredPolicyCheckpoints(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "plugin.ckpt")
 	every := want.Cycles / 4
-	got, err := NewSession(opts).RunCheckpointed(req, path, every)
+	parks := 0
+	_, err = NewSession(opts).RunResumableProgress(req, path, every, func() bool {
+		parks++
+		return parks >= 2
+	}, nil)
+	if !errors.Is(err, ErrParked) {
+		t.Fatalf("first call: err = %v, want ErrParked", err)
+	}
+	got, err := NewSession(opts).RunResumableProgress(req, path, every, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("checkpointed run differs:\n got %+v\nwant %+v", got, want)
+	g, gerr := ResultJSON(got)
+	w, werr := ResultJSON(want)
+	if gerr != nil || werr != nil {
+		t.Fatal(gerr, werr)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("checkpointed run left no checkpoint: %v", err)
+	if string(g) != string(w) {
+		t.Errorf("parked and continued run differs:\n got %s\nwant %s", g, w)
 	}
-	resumed, err := NewSession(opts).ResumeCheckpoint(path, every)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resumed, want) {
-		t.Errorf("resumed run differs:\n got %+v\nwant %+v", resumed, want)
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("run record left behind (err=%v)", err)
 	}
 }

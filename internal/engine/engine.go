@@ -111,8 +111,8 @@ type Engine struct {
 	// Pause boundary: when armed, Run returns ErrPaused between events as
 	// soon as the next pending event lies beyond pauseAt. Every event at or
 	// before pauseAt has then fired, so the machine state is exactly the
-	// state "at the end of cycle pauseAt" — the boundary a checkpoint
-	// records and a replay reproduces.
+	// state "at the end of cycle pauseAt" — the epoch boundary where a
+	// resumable run reports progress and may park.
 	pauseAt  memdef.Cycle
 	pauseSet bool
 }

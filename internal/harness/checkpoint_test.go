@@ -1,7 +1,8 @@
 package harness
 
 import (
-	"encoding/binary"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -10,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/reproductions/cppe/internal/memdef"
-	"github.com/reproductions/cppe/internal/snapshot"
 )
 
 func checkpointTestConfig() Config {
@@ -19,150 +19,11 @@ func checkpointTestConfig() Config {
 
 func ckptKey() Key { return Key{Bench: "SRD", Setup: "cppe", OversubPct: 50} }
 
-// TestRunCheckpointedMatchesRun pins the headline property at the harness
-// layer: a run interrupted by periodic checkpoints produces a bit-for-bit
-// identical Result to an uninterrupted run.
-func TestRunCheckpointedMatchesRun(t *testing.T) {
-	k := ckptKey()
-	want := NewSession(checkpointTestConfig()).Run(k)
-	if want.Err != nil {
-		t.Fatalf("reference run failed: %v", want.Err)
-	}
-
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	got := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, want.Cycles/7)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("checkpointed result differs:\n got %+v\nwant %+v", got, want)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("no checkpoint left on disk: %v", err)
-	}
-}
-
-// TestResumeContinuesToSameResult resumes the last on-disk checkpoint of a
-// completed run in a brand-new session and expects the same final Result.
-func TestResumeContinuesToSameResult(t *testing.T) {
-	k := ckptKey()
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	want := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, 150_000)
-	if want.Err != nil {
-		t.Fatalf("checkpointed run failed: %v", want.Err)
-	}
-
-	got, err := NewSession(checkpointTestConfig()).Resume(path, 150_000)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("resumed result differs:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-func TestResumeRejectsMismatchedSession(t *testing.T) {
-	k := ckptKey()
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if r := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, 150_000); r.Err != nil {
-		t.Fatalf("checkpointed run failed: %v", r.Err)
-	}
-
-	other := checkpointTestConfig()
-	other.Seed = 99
-	if _, err := NewSession(other).Resume(path, 0); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Errorf("seed mismatch: err = %v, want ErrCheckpointMismatch", err)
-	}
-
-	scaled := checkpointTestConfig()
-	scaled.Scale = 0.1
-	if _, err := NewSession(scaled).Resume(path, 0); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Errorf("scale mismatch: err = %v, want ErrCheckpointMismatch", err)
-	}
-}
-
-func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
-	k := ckptKey()
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if r := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, 150_000); r.Err != nil {
-		t.Fatalf("checkpointed run failed: %v", r.Err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	flip := func(t *testing.T, mut []byte) {
-		t.Helper()
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := NewSession(checkpointTestConfig()).Resume(path, 0); err == nil {
-			t.Error("corrupt checkpoint resumed")
-		}
-	}
-	t.Run("bitflip", func(t *testing.T) {
-		mut := append([]byte(nil), data...)
-		mut[len(mut)/2] ^= 0xff
-		flip(t, mut)
-	})
-	t.Run("truncated", func(t *testing.T) {
-		flip(t, data[:len(data)/3])
-	})
-	t.Run("empty", func(t *testing.T) {
-		flip(t, nil)
-	})
-	t.Run("missing", func(t *testing.T) {
-		os.Remove(path)
-		if _, err := NewSession(checkpointTestConfig()).Resume(path, 0); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("missing file: err = %v, want fs not-exist", err)
-		}
-	})
-}
-
-// TestRunCheckpointedContinuesLeftover plants a valid mid-run checkpoint of
-// the same key, as a killed checkpointed run leaves behind, and expects
-// RunCheckpointed to continue it to the plain Run's Result JSON. The cadence
-// is longer than the rest of the run, so the continued run writes no
-// checkpoint and leaves the planted one in place; a fresh run would have
-// replaced it with one at 3/4 of the run.
-func TestRunCheckpointedContinuesLeftover(t *testing.T) {
-	k := ckptKey()
-	want := NewSession(checkpointTestConfig()).Run(k)
-	if want.Err != nil || want.Cycles == 0 {
-		t.Fatalf("degenerate reference run: %+v", want)
-	}
-
-	s := NewSession(checkpointTestConfig())
-	b, err := s.build(k)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	if _, paused := b.machine.RunUntil(s.cfg.MaxEvents, want.Cycles/2); !paused {
-		t.Fatalf("run finished before cycle %d", want.Cycles/2)
-	}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := s.writeCheckpoint(path, k, b); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	planted := b.machine.Eng.Now()
-
-	got := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, want.Cycles*3/4)
-	if g, w := resultJSON(t, []Result{got}), resultJSON(t, []Result{want}); string(g) != string(w) {
-		t.Errorf("continued result differs:\n got %s\nwant %s", g, w)
-	}
-	env, err := readEnvelope(path)
-	if err != nil {
-		t.Fatalf("no checkpoint left on disk: %v", err)
-	}
-	if env.cycle != planted {
-		t.Errorf("checkpoint on disk is at cycle %d, want the planted one at %d: the run started over", env.cycle, planted)
-	}
-}
-
-// TestResumeEquivalenceGoldenConfigs pins the headline resume-equivalence
-// property across the golden setup families: for each configuration, a run
-// checkpointed at three distinct mid-run cycles and resumed in a brand-new
-// session must finish with a Result bit-for-bit identical to the
-// uninterrupted run. The checkpoint cycle is controlled exactly by pausing
-// the built machine at the chosen boundary before writing the checkpoint.
+// TestResumeEquivalenceGoldenConfigs pins pause-and-continue equivalence
+// across the golden setup families: for each configuration, a machine paused
+// at three distinct mid-run cycles and then driven to the end must finish
+// with a Result bit-for-bit identical to the uninterrupted run. The pause
+// cycle is controlled exactly by RunUntil on the built machine.
 func TestResumeEquivalenceGoldenConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -192,18 +53,10 @@ func TestResumeEquivalenceGoldenConfigs(t *testing.T) {
 						t.Fatalf("build: %v", err)
 					}
 					if _, paused := b.machine.RunUntil(s.cfg.MaxEvents, c); !paused {
-						t.Fatalf("run finished before checkpoint cycle %d", c)
+						t.Fatalf("run finished before pause cycle %d", c)
 					}
-					path := filepath.Join(t.TempDir(), "golden.ckpt")
-					if err := s.writeCheckpoint(path, k, b); err != nil {
-						t.Fatalf("checkpoint: %v", err)
-					}
-					got, err := NewSession(checkpointTestConfig()).Resume(path, 0)
-					if err != nil {
-						t.Fatalf("resume: %v", err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("resumed result differs at cycle %d:\n got %+v\nwant %+v", c, got, want)
+					if got, _ := s.drive(k, b, runOpts{}); !reflect.DeepEqual(got, want) {
+						t.Errorf("continued result differs at cycle %d:\n got %+v\nwant %+v", c, got, want)
 					}
 				})
 			}
@@ -211,10 +64,11 @@ func TestResumeEquivalenceGoldenConfigs(t *testing.T) {
 	}
 }
 
-// TestChaosRunCheckpointsAndResumes checkpoints a run under fault injection
-// (ChaosSeed 11) and resumes it in a fresh session: both must render the
-// plain run's Result. A checkpoint records the configuration, seed included,
-// and replay reproduces the injected schedule.
+// TestChaosRunCheckpointsAndResumes runs fault injection (ChaosSeed 11)
+// through RunResumable with a run record path, parks it at a mid-run
+// boundary, and calls it again: the second call reruns from cycle 0 and must
+// render the plain run's Result JSON, because the injected schedule is a
+// function of the seed alone.
 func TestChaosRunCheckpointsAndResumes(t *testing.T) {
 	cfg := checkpointTestConfig()
 	cfg.Base = memdef.DefaultConfig()
@@ -226,42 +80,47 @@ func TestChaosRunCheckpointsAndResumes(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "chaos.ckpt")
-	got := NewSession(cfg).RunCheckpointed(k, path, want.Cycles/4)
-	if g, w := resultJSON(t, []Result{got}), resultJSON(t, []Result{want}); string(g) != string(w) {
-		t.Errorf("checkpointed run differs:\n got %s\nwant %s", g, w)
+	every := want.Cycles / 4
+	parks := 0
+	_, err := NewSession(cfg).RunResumable(k, path, every, func() bool {
+		parks++
+		return parks >= 2
+	}, nil)
+	if !errors.Is(err, ErrParked) {
+		t.Fatalf("first call: err = %v, want ErrParked", err)
 	}
-	resumed, err := NewSession(cfg).Resume(path, 0)
+	got, err := NewSession(cfg).RunResumable(k, path, every, nil, nil)
 	if err != nil {
-		t.Fatalf("resume: %v", err)
+		t.Fatal(err)
 	}
-	if g, w := resultJSON(t, []Result{resumed}), resultJSON(t, []Result{want}); string(g) != string(w) {
-		t.Errorf("resumed run differs:\n got %s\nwant %s", g, w)
+	if g, w := resultJSON(t, []Result{got}), resultJSON(t, []Result{want}); string(g) != string(w) {
+		t.Errorf("parked and continued run differs:\n got %s\nwant %s", g, w)
 	}
 }
 
-// TestOldVersionCheckpointStartsFresh: a checkpoint of another format version
-// (version 2 files held encoded machine state) is a typed ErrVersion for
-// Resume, and RunCheckpointed removes it and runs from cycle 0.
-func TestOldVersionCheckpointStartsFresh(t *testing.T) {
-	k := ckptKey()
-	path := filepath.Join(t.TempDir(), "old.ckpt")
-	want := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, 150_000)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+// TestSmokeCheckpointBytesPinned pins the run record end to end: the last
+// record a run of SRD/cppe@50 at scale 0.05 writes with a 500,000-cycle epoch
+// must keep exactly this length and SHA-256. The progress hook reads the
+// record at each boundary, since the run removes it on return. A change to
+// the envelope or to the framing shows up here; an intended format change
+// bumps recordVersion and these values together.
+func TestSmokeCheckpointBytesPinned(t *testing.T) {
+	const (
+		wantLen    = 1058
+		wantSHA256 = "98d0b05a34b567ca26c720b80a107370a8cbecddcb0925df876e37f1c355698d"
+	)
+	path := filepath.Join(t.TempDir(), "smoke.ckpt")
+	var data []byte
+	var readErr error
+	r, err := NewSession(Config{Scale: 0.05}).RunResumable(ckptKey(), path, 500_000, nil, func(Progress) {
+		data, readErr = os.ReadFile(path)
+	})
+	if err != nil || r.Err != nil || readErr != nil {
+		t.Fatalf("recorded run: %v / %v / %v", err, r.Err, readErr)
 	}
-	binary.LittleEndian.PutUint16(data[4:], 2)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSession(checkpointTestConfig()).Resume(path, 0); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("resume of a version-2 file: err = %v, want ErrVersion", err)
-	}
-	got := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, 1<<40)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("fresh run differs:\n got %+v\nwant %+v", got, want)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("version-2 leftover survived (err=%v)", err)
+	sum := sha256.Sum256(data)
+	if len(data) != wantLen || hex.EncodeToString(sum[:]) != wantSHA256 {
+		t.Errorf("last run record is %d bytes, sha256 %x; want %d bytes, sha256 %s",
+			len(data), sum, wantLen, wantSHA256)
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/reproductions/cppe/internal/stats"
 	"github.com/reproductions/cppe/internal/uvm"
@@ -57,6 +58,31 @@ func LookupExperiment(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// Table warms the simulations e reads in one worker pool, then renders e
+// from the session's cached results. Every output form of an experiment —
+// text, bar charts, CSV — is written from the one table this returns.
+func (s *Session) Table(e Experiment) *stats.Table {
+	if e.Keys != nil {
+		s.Warm(e.Keys(s.cfg))
+	}
+	return e.Render(s.Run, s.cfg)
+}
+
+// BarCharts renders t, e's table, as one horizontal ASCII bar chart per
+// column in e.Bars, each followed by a blank line.
+func (e Experiment) BarCharts(t *stats.Table) (string, error) {
+	var b strings.Builder
+	for _, c := range e.Bars {
+		bars, err := stats.BarsFromTable(t, 0, c, 40)
+		if err != nil {
+			return "", err
+		}
+		b.WriteString(bars)
+		b.WriteByte('\n')
+	}
+	return b.String(), nil
 }
 
 // Rates are the paper's two oversubscription settings.

@@ -76,7 +76,7 @@ func (panicPolicy) OnEvicted(memdef.ChunkID, int) {}
 // TestPanicIsolatedInParallelSweep injects a panicking policy into one run of
 // a parallel sweep and asserts the panic is contained: the broken run fails
 // with ErrPanic (and a stack), and every other run completes normally. The
-// same key run through RunCheckpointed and RunResumable fails the same way.
+// same key run through RunResumable fails the same way.
 func TestPanicIsolatedInParallelSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -114,10 +114,7 @@ func TestPanicIsolatedInParallelSweep(t *testing.T) {
 		}
 	}
 
-	dir := t.TempDir()
-	fresh := NewSession(s.cfg)
-	checkPanic("RunCheckpointed", fresh.RunCheckpointed(keys[0], filepath.Join(dir, "ckpt"), 1<<12))
-	r, err := fresh.RunResumable(keys[0], filepath.Join(dir, "job"), 1<<12, nil, nil)
+	r, err := NewSession(s.cfg).RunResumable(keys[0], filepath.Join(t.TempDir(), "job"), 1<<12, nil, nil)
 	if err != nil {
 		t.Fatalf("RunResumable: %v", err)
 	}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -80,56 +79,5 @@ func TestDeterminismUnderRuntimePerturbation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stripKey(first), stripKey(third)) {
 		t.Errorf("second churn pattern diverged:\n run1: %+v\n run3: %+v", first, third)
-	}
-}
-
-// TestCheckpointDeterminismUnderRuntimePerturbation extends the runtime
-// perturbation contract across the checkpoint boundary: a run that is
-// checkpointed under one scheduler width and heap layout, then resumed and
-// finished in a fresh session under a different width and a churned heap, must
-// produce the same bit-identical Result as an uninterrupted single-threaded
-// run. Resuming replays the run to the checkpointed cycle, so any machine
-// state that depends on the runtime (or is rebuilt in an
-// allocation-order-dependent way) diverges here.
-func TestCheckpointDeterminismUnderRuntimePerturbation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	key := Key{Bench: "NW", Setup: "cppe", OversubPct: 50}
-	cfg := Config{Scale: 0.05, Warps: 32, Parallelism: 4}
-	path := filepath.Join(t.TempDir(), "meta.ckpt")
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	// Reference: uninterrupted run on a single-threaded runtime.
-	runtime.GOMAXPROCS(1)
-	want := NewSession(cfg).Run(key)
-	if want.Err != nil || want.Cycles == 0 {
-		t.Fatalf("degenerate reference run: %+v", want)
-	}
-
-	// Checkpointed run: wide runtime, churned heap.
-	runtime.GOMAXPROCS(max(4, prev))
-	if perturbHeap(7) == 0 {
-		t.Fatal("heap perturbation degenerate")
-	}
-	ck := NewSession(cfg).RunCheckpointed(key, path, want.Cycles/3)
-	if !reflect.DeepEqual(stripKey(want), stripKey(ck)) {
-		t.Errorf("checkpointed run under wide runtime diverged:\n ref: %+v\n ck:  %+v", want, ck)
-	}
-
-	// Resume the leftover mid-run checkpoint in a fresh session under yet
-	// another width and churn pattern.
-	runtime.GOMAXPROCS(prev)
-	if perturbHeap(0xBEEF) == 0 {
-		t.Fatal("heap perturbation degenerate")
-	}
-	res, err := NewSession(cfg).Resume(path, 0)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if !reflect.DeepEqual(stripKey(want), stripKey(res)) {
-		t.Errorf("restored run diverged:\n ref: %+v\n res: %+v", want, res)
 	}
 }

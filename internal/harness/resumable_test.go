@@ -13,9 +13,10 @@ import (
 )
 
 // TestRunResumableMatchesRun pins the service-layer contract: a run that
-// parks at a checkpoint boundary and is continued by a later RunResumable
-// (fresh session, as after a process restart) finishes with a Result
-// bit-for-bit identical to an uninterrupted run, and cleans its checkpoint up.
+// parks at an epoch boundary and is continued by a later RunResumable (fresh
+// session, as after a process restart) finishes with a Result bit-for-bit
+// identical to an uninterrupted run, and neither call leaves its run record
+// behind.
 // RunResumable never touches the session's result cache: the run that parks
 // is on the session that already ran k, and the resuming session caches
 // nothing.
@@ -31,13 +32,13 @@ func TestRunResumableMatchesRun(t *testing.T) {
 	parks := 0
 	_, err := ref.RunResumable(k, path, want.Cycles/7, func() bool {
 		parks++
-		return parks >= 2 // park at the second checkpoint boundary
+		return parks >= 2 // park at the second epoch boundary
 	}, nil)
 	if !errors.Is(err, ErrParked) {
 		t.Fatalf("err = %v, want ErrParked", err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("parked run left no checkpoint: %v", err)
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("parked run left its run record behind (err=%v)", err)
 	}
 
 	resumer := NewSession(checkpointTestConfig())
@@ -52,14 +53,15 @@ func TestRunResumableMatchesRun(t *testing.T) {
 		t.Errorf("resumed result differs:\n got %+v\nwant %+v", got, want)
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("completed run left its checkpoint behind (err=%v)", err)
+		t.Errorf("completed run left its run record behind (err=%v)", err)
 	}
 }
 
-// TestRunResumableRemovesStaleCheckpoint asserts the stale-cleanup contract:
-// a leftover .ckpt whose envelope does not match the requested simulation is
-// removed after the fresh-run fallback, not just ignored — even when the
-// fresh run completes without ever writing a checkpoint of its own.
+// TestRunResumableRemovesStaleCheckpoint asserts the cleanup contract: a
+// leftover file at the run record path — another simulation's record, one of
+// another session, or garbage, plus a torn temporary — is gone when the run
+// returns, even when the run completes without ever writing a record of its
+// own. Nothing reads the leftover; the run starts at cycle 0 regardless.
 func TestRunResumableRemovesStaleCheckpoint(t *testing.T) {
 	k := ckptKey()
 	other := Key{Bench: "HSD", Setup: "cppe", OversubPct: 50}
@@ -74,17 +76,17 @@ func TestRunResumableRemovesStaleCheckpoint(t *testing.T) {
 			t.Fatalf("build: %v", err)
 		}
 		if _, paused := b.machine.RunUntil(s.cfg.MaxEvents, 150_000); !paused {
-			t.Fatal("planted run finished before its checkpoint cycle")
+			t.Fatal("planted run finished before its record cycle")
 		}
-		if err := s.writeCheckpoint(path, other, b); err != nil {
-			t.Fatalf("planting checkpoint: %v", err)
+		if err := s.writeRecord(path, other, b); err != nil {
+			t.Fatalf("planting run record: %v", err)
 		}
 	}
 
 	t.Run("mismatched-key", func(t *testing.T) {
 		plant(t)
-		// A huge `every` means the fresh run never writes a checkpoint, so
-		// only the explicit stale cleanup can remove the leftover.
+		// A huge `every` means the run never writes a record, so only the
+		// cleanup on return can remove the leftover.
 		r, err := NewSession(checkpointTestConfig()).RunResumable(k, path, 1<<40, nil, nil)
 		if err != nil || r.Err != nil {
 			t.Fatalf("fresh-run fallback failed: %v / %v", err, r.Err)
@@ -125,24 +127,6 @@ func TestRunResumableRemovesStaleCheckpoint(t *testing.T) {
 			t.Errorf("torn temporary survived the fallback (err=%v)", err)
 		}
 	})
-}
-
-// TestRunCheckpointedRemovesStaleCheckpoint covers the same contract on the
-// RunCheckpointed path: a quick run that finishes before its first pause
-// boundary must still remove a mismatched leftover at its checkpoint path.
-func TestRunCheckpointedRemovesStaleCheckpoint(t *testing.T) {
-	k := ckptKey()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "job.ckpt")
-	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if r := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, 1<<40); r.Err != nil {
-		t.Fatalf("run failed: %v", r.Err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("stale leftover survived RunCheckpointed (err=%v)", err)
-	}
 }
 
 // TestEnvelopeIDStability pins the content-address semantics: equal sessions
@@ -223,8 +207,9 @@ func boundaryCycles(t *testing.T, k Key, every memdef.Cycle) []memdef.Cycle {
 // TestRunResumableProgressHook pins the streaming contract: the progress hook
 // fires once per epoch boundary, at exactly the cycles a machine paused every
 // `every` cycles reaches, and observing the run does not change its Result.
-// A run parked at the second boundary and resumed in a fresh session reports
-// the remaining boundaries, the same cycles as the uninterrupted run.
+// A run parked at the second boundary and continued in a fresh session
+// reruns from cycle 0, so it reports every boundary again, the same cycles as
+// the uninterrupted run.
 func TestRunResumableProgressHook(t *testing.T) {
 	k := ckptKey()
 	want := NewSession(checkpointTestConfig()).Run(k)
@@ -279,20 +264,20 @@ func TestRunResumableProgressHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, want) {
-		t.Errorf("parked-and-resumed result differs from reference")
+		t.Errorf("parked-and-continued result differs from reference")
 	}
 	if c := cyclesOf(firstLife); !reflect.DeepEqual(c, boundaries[:2]) {
 		t.Errorf("first life reported %v, want %v", c, boundaries[:2])
 	}
-	if c := cyclesOf(secondLife); !reflect.DeepEqual(c, boundaries[2:]) {
-		t.Errorf("resumed attempt reported %v, want the remaining boundaries %v", c, boundaries[2:])
+	if c := cyclesOf(secondLife); !reflect.DeepEqual(c, boundaries) {
+		t.Errorf("continued attempt reported %v, want every boundary %v", c, boundaries)
 	}
 }
 
 // TestEventBudgetCoversSegmentedRun pins MaxEvents as a budget per
 // simulation: under a budget that binds, a run paused at epoch boundaries —
-// without a checkpoint, with one, and parked then continued from it by a
-// fresh session — renders the same Result JSON as a single Run.
+// without a run record, with one, and parked then continued by a fresh
+// session — renders the same Result JSON as a single Run.
 func TestEventBudgetCoversSegmentedRun(t *testing.T) {
 	render := func(r Result) string {
 		msg := ""

@@ -39,8 +39,8 @@ type Config struct {
 	// Parallelism bounds concurrent simulations (default GOMAXPROCS).
 	Parallelism int
 	// MaxEvents bounds one simulation's event count (default 500M). The
-	// budget covers the whole run: a run paused at epoch boundaries or
-	// resumed from a checkpoint stops where an uninterrupted run would.
+	// budget covers the whole run: a run paused at epoch boundaries stops
+	// where an uninterrupted run would.
 	MaxEvents uint64
 	// WatchdogWindow arms the engine's no-progress watchdog per run: a
 	// same-cycle livelock that freezes the frontier for this much wall-clock
@@ -256,9 +256,8 @@ func (s *Session) CachedRuns() int {
 	return len(s.cache)
 }
 
-// built is one fully constructed simulation, ready to run (or to replay a
-// checkpoint on: the same build recipe from the same session configuration
-// produces an identical machine).
+// built is one fully constructed simulation, ready to run (the same build
+// recipe from the same session configuration produces an identical machine).
 type built struct {
 	machine   *sm.Machine
 	policy    evict.Policy
@@ -270,21 +269,13 @@ type built struct {
 }
 
 // traceHash is the fingerprint of the run's generated trace, or 0 for a
-// recorded trace. It is computed on first use: only checkpoint envelopes read
-// it.
+// recorded trace. It is computed on first use: only run records read it.
 func (b *built) traceHash() uint64 {
 	if b.trace == nil {
 		return 0
 	}
 	return b.trace.Fingerprint()
 }
-
-// ErrTraceDrift reports that the session's memoized trace carries a
-// fingerprint different from the one a checkpoint envelope pinned: the
-// workload generator (or the memoized entry) drifted, so replaying the
-// checkpointed run over this trace would not reproduce it. It is a kind of
-// ErrCheckpointMismatch (errors.Is matches both).
-var ErrTraceDrift = fmt.Errorf("%w: memoized trace fingerprint drift", ErrCheckpointMismatch)
 
 // generated returns the session's memoized trace for bench (generating it on
 // first use) — one generation per workload per session, shared zero-copy by
@@ -300,13 +291,7 @@ func (s *Session) generated(bench workload.Benchmark) *workload.Generated {
 
 // build constructs the simulation for one key: memoized workload lookup,
 // policy and prefetcher instantiation, and machine assembly.
-func (s *Session) build(k Key) (*built, error) { return s.buildChecked(k, 0) }
-
-// buildChecked is build with an optional trace-identity pin: a non-zero
-// wantTraceHash (from a checkpoint envelope) must equal the memoized trace's
-// fingerprint, or the build fails with ErrTraceDrift instead of silently
-// assembling a machine over a trace the checkpoint was not taken against.
-func (s *Session) buildChecked(k Key, wantTraceHash uint64) (*built, error) {
+func (s *Session) build(k Key) (*built, error) {
 	bench, ok := workload.ByAbbr(k.Bench)
 	if !ok {
 		return nil, fmt.Errorf("%w: benchmark %q", ErrUnknownKey, k.Bench)
@@ -316,10 +301,6 @@ func (s *Session) buildChecked(k Key, wantTraceHash uint64) (*built, error) {
 		return nil, err
 	}
 	generated := s.generated(bench)
-	if wantTraceHash != 0 && generated.Fingerprint() != wantTraceHash {
-		return nil, fmt.Errorf("%w: trace %#x, checkpoint envelope %#x for %v",
-			ErrTraceDrift, generated.Fingerprint(), wantTraceHash, k)
-	}
 	seed := s.cfg.Seed ^ int64(len(k.Bench)) ^ 0x5eed
 	return s.assemble(setup, seed, k.OversubPct, generated.Warps, generated.FootprintPages, generated)
 }
@@ -379,7 +360,7 @@ func (s *Session) machine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefe
 // collect assembles the harness Result from a finished machine, then hands
 // the machine back to the session's free list: collect is drive's one
 // terminal step, and b must not be run again. A run that panics, parks, or
-// fails to replay or checkpoint never gets here, so its machine is dropped.
+// fails to write its run record never gets here, so its machine is dropped.
 func (s *Session) collect(k Key, b *built, res sm.Result) Result {
 	out := Result{
 		Key:            k,
@@ -434,7 +415,7 @@ type runOpts struct {
 	// every is the epoch length in simulated cycles (0 = run to completion
 	// in one go).
 	every memdef.Cycle
-	// path, when set, is the checkpoint file written at each epoch boundary.
+	// path, when set, is the run record file written at each epoch boundary.
 	path string
 	// stop, consulted at each epoch boundary, parks the run when it returns
 	// true (nil = never).
@@ -443,14 +424,13 @@ type runOpts struct {
 	progress func(Progress)
 }
 
-// drive is the one run loop: every run path hands its built (or replayed)
-// machine to it. Without an epoch the machine runs to completion. Otherwise
-// it pauses every o.every cycles (at the first event boundary past each
-// multiple) to write a checkpoint to o.path if one is set, report progress,
-// and consult the stop hook; parked reports a stop, with a zero Result and
-// the checkpoint, if any, left on disk. A checkpoint that cannot be written
-// fails the run: one the caller asked to checkpoint is never silently
-// degraded.
+// drive is the one run loop: every run path hands its built machine to it.
+// Without an epoch the machine runs to completion. Otherwise it pauses every
+// o.every cycles (at the first event boundary past each multiple) to write
+// the run record to o.path if one is set, report progress, and consult the
+// stop hook; parked reports a stop, with a zero Result. A run record that
+// cannot be written fails the run: a run the caller asked to record is never
+// silently degraded.
 func (s *Session) drive(k Key, b *built, o runOpts) (out Result, parked bool) {
 	if o.every == 0 {
 		return s.collect(k, b, b.machine.Run(s.cfg.MaxEvents)), false
@@ -461,7 +441,7 @@ func (s *Session) drive(k Key, b *built, o runOpts) (out Result, parked bool) {
 			return s.collect(k, b, res), false
 		}
 		if o.path != "" {
-			if err := s.writeCheckpoint(o.path, k, b); err != nil {
+			if err := s.writeRecord(o.path, k, b); err != nil {
 				return Result{Key: k, Crashed: true, Err: err,
 					FootprintPages: b.footprint, CapacityPages: b.cfg.MemoryPages}, false
 			}

@@ -2,12 +2,8 @@ package harness
 
 import (
 	"encoding/json"
-	"errors"
-	"path/filepath"
 	"runtime"
 	"testing"
-
-	"github.com/reproductions/cppe/internal/workload"
 )
 
 func sweepTestConfig() Config {
@@ -121,61 +117,5 @@ func TestSweepStatsAccounting(t *testing.T) {
 	cold.Run(keys[0])
 	if got := cold.SweepStats(); got.Runs != 0 || got.Commits != 0 {
 		t.Errorf("per-run path leaked into sweep stats: %+v", got)
-	}
-}
-
-// TestTraceDriftFailsResume is the cache-correctness satellite: when the
-// session's memoized trace carries a fingerprint different from the one the
-// checkpoint envelope pinned, the resume must fail with ErrTraceDrift (a kind
-// of ErrCheckpointMismatch) instead of silently replaying the run over
-// a trace the checkpoint was not taken against.
-func TestTraceDriftFailsResume(t *testing.T) {
-	k := ckptKey()
-	path := filepath.Join(t.TempDir(), "drift.ckpt")
-	if r := NewSession(checkpointTestConfig()).RunCheckpointed(k, path, 150_000); r.Err != nil {
-		t.Fatalf("checkpointed run failed: %v", r.Err)
-	}
-
-	s := NewSession(checkpointTestConfig())
-	bench, ok := workload.ByAbbr(k.Bench)
-	if !ok {
-		t.Fatalf("unknown bench %q", k.Bench)
-	}
-	s.traces.Poison(bench, workload.Options{
-		Scale:           s.cfg.Scale,
-		Warps:           s.cfg.Warps,
-		AccessesPerPage: s.cfg.AccessesPerPage,
-		Seed:            s.cfg.Seed,
-	}, 0xDEAD)
-
-	_, err := s.Resume(path, 0)
-	if !errors.Is(err, ErrTraceDrift) {
-		t.Fatalf("resume over poisoned trace: err = %v, want ErrTraceDrift", err)
-	}
-	if !errors.Is(err, ErrCheckpointMismatch) {
-		t.Errorf("ErrTraceDrift must remain a kind of ErrCheckpointMismatch (got %v)", err)
-	}
-
-	// An un-poisoned session still resumes cleanly from the same file.
-	if _, err := NewSession(checkpointTestConfig()).Resume(path, 0); err != nil {
-		t.Errorf("clean session failed to resume: %v", err)
-	}
-}
-
-// TestBuildCheckedRejectsForeignHash covers the drift check on the build path
-// directly, without a checkpoint file.
-func TestBuildCheckedRejectsForeignHash(t *testing.T) {
-	s := NewSession(sweepTestConfig())
-	k := Key{Bench: "SRD", Setup: "cppe", OversubPct: 50}
-
-	b, err := s.build(k)
-	if err != nil {
-		t.Fatalf("unpinned build: %v", err)
-	}
-	if _, err := s.buildChecked(k, b.traceHash()); err != nil {
-		t.Fatalf("matching pin rejected: %v", err)
-	}
-	if _, err := s.buildChecked(k, b.traceHash()^1); !errors.Is(err, ErrTraceDrift) {
-		t.Errorf("mismatched pin: err = %v, want ErrTraceDrift", err)
 	}
 }

@@ -9,8 +9,8 @@ import (
 // code: a call whose error result is neither consumed nor explicitly
 // assigned. The Result.Err discipline (DESIGN §8) converted runtime panics
 // into returned errors; an error that is produced and then dropped on the
-// floor undoes that work — a failed snapshot write or audit step would look
-// like success.
+// floor undoes that work — a failed run-record write or audit step would
+// look like success.
 //
 // Only *implicit* drops are flagged: a call used as a bare statement (or in
 // defer/go). An explicit `_ = f()` or `x, _ := f()` is a visible, reviewable

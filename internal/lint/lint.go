@@ -85,7 +85,7 @@ type Check struct {
 var simCore = []string{
 	"engine", "uvm", "sm", "tlb", "ptw", "pagetable", "cache", "dram",
 	"xbus", "evict", "prefetch", "policy", "harness", "audit", "inject",
-	"workload", "stats", "snapshot",
+	"workload", "stats",
 }
 
 // Checks returns the full analyzer suite.

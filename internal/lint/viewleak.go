@@ -13,10 +13,11 @@ import (
 //   - the view itself may be stored exactly once, into a field of the
 //     receiver, inside BindView. Storing it into a package-level variable, or
 //     into a field from any other method, hides machine state where the
-//     snapshot codec and the conformance kit cannot see it;
+//     conformance kit cannot see it;
 //   - the RecentEvictions window is handed out as a fresh copy per call;
 //     retaining it in a field or package-level variable turns a per-decision
-//     observation into hidden state that diverges across checkpoint/resume;
+//     observation into hidden state that diverges between a run and its
+//     rerun;
 //   - writing through the returned window (element assignment) is always a
 //     bug: the machine ignores it, so the policy is talking to itself.
 //

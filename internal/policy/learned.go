@@ -9,8 +9,8 @@ import (
 // candidates. It is the in-tree proof of the registry + MachineView API — a
 // policy that consults only the narrow view (residency bit vectors, the
 // pattern window, capacity pressure) plus its own driver-visible events, yet
-// plugs into the simulator, checkpoint replay, and the conformance kit
-// exactly like the hand-tuned heuristics.
+// plugs into the simulator, the sweep's recycled machines, and the
+// conformance kit exactly like the hand-tuned heuristics.
 //
 // Decision rule. Candidates are the first scanDepth non-excluded chunks from
 // the LRU end of a driver-visible recency chain (the same chain LRU keeps).
@@ -27,7 +27,7 @@ import (
 // demotes its feature vector. A chunk that falls off the ring un-refaulted
 // was a good eviction: its features are promoted. Updates apply only inside
 // a margin, weights are clamped, and all arithmetic is integer — decisions
-// replay bit-identically across platforms, GOMAXPROCS, and checkpoints.
+// reproduce bit-identically across platforms, GOMAXPROCS, and reruns.
 const (
 	nFeatures    = 6
 	scanDepth    = 16      // candidates considered per eviction

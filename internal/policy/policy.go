@@ -75,8 +75,7 @@ const WindowSize = 32
 // The view is bound once, at machine construction, to any policy or
 // prefetcher that implements ViewBinder. All observations are deterministic
 // functions of the simulation state, so two machines running the same trace
-// present identical views, whether fresh, recycled, or replayed from a
-// checkpoint.
+// present identical views, whether fresh, recycled, or rerun.
 type MachineView interface {
 	// Cycle is the current simulated time in core cycles.
 	Cycle() memdef.Cycle

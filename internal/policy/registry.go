@@ -33,8 +33,9 @@ func (k Kind) String() string {
 
 // Env is the construction environment handed to a policy factory: the
 // machine configuration and the run's deterministic seed. Factories must be
-// pure — same Env, same policy — because the harness rebuilds policies from
-// the same Env when it replays a checkpoint.
+// pure — same Env, same policy — because the harness builds a fresh policy
+// from the same Env for every run of a key, so a rerun (of a parked or
+// interrupted job, say) reproduces the first run's decisions.
 type Env struct {
 	// Config is the Table-I system configuration of the machine the policy
 	// will serve (policies read their tuning parameters from it: T1/T2/T3,

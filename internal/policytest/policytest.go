@@ -25,11 +25,12 @@
 //   - determinism under GOMAXPROCS changes and heap churn: two instances fed
 //     the identical script make identical decisions while the allocator and
 //     scheduler are perturbed around them;
-//   - snapshot replay: a checkpoint restores a policy by rebuilding it from
-//     its factory and replaying the run up to the checkpointed cycle, so an
-//     instance built while the original is halfway through, fed the same
-//     prefix, must reach the same state and then continue in lockstep with
-//     the original decision for decision.
+//   - isolation: two interleaved instances of one factory share no state —
+//     parallel Warm workers run instances side by side, and recycled
+//     machines get fresh ones from the factory — so an instance built while
+//     the original is halfway through, fed the same prefix, must reach the
+//     same state and then continue in lockstep with the original decision
+//     for decision.
 package policytest
 
 import (
@@ -303,18 +304,18 @@ func Run(t *testing.T, factory policy.EvictionFactory) {
 		}
 	})
 
-	t.Run("snapshot", func(t *testing.T) {
+	t.Run("isolation", func(t *testing.T) {
 		a := newMachine(t, build(t, factory), scriptSeed)
 		for i := 0; i < scriptSteps/2; i++ {
 			a.step()
 		}
-		// Resume: a fresh instance, built while the original is live, is
-		// replayed over the same prefix.
+		// A second instance, built while the original is live, is fed the
+		// same prefix.
 		b := newMachine(t, build(t, factory), scriptSeed)
 		for i := 0; i < scriptSteps/2; i++ {
 			b.step()
 		}
-		compareDecisions(t, "replayed prefix", a.decisions, b.decisions)
+		compareDecisions(t, "second instance's prefix", a.decisions, b.decisions)
 		b.checkTracked()
 		// Both continue in lockstep, so state the two instances share (a
 		// package-level table, a buffer captured by the factory) shows up
@@ -325,9 +326,9 @@ func Run(t *testing.T, factory policy.EvictionFactory) {
 			b.step()
 		}
 		if len(a.decisions) == 0 {
-			t.Fatal("no evictions after the replay cut")
+			t.Fatal("no evictions after the halfway cut")
 		}
-		compareDecisions(t, "post-replay", a.decisions, b.decisions)
+		compareDecisions(t, "interleaved", a.decisions, b.decisions)
 		a.checkTracked()
 		b.checkTracked()
 	})
@@ -341,7 +342,7 @@ func compareDecisions(t *testing.T, what string, a, b []memdef.ChunkID) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("%s decision %d differs: original %v, replayed %v", what, i, a[i], b[i])
+			t.Fatalf("%s decision %d differs: original %v, second instance %v", what, i, a[i], b[i])
 		}
 	}
 }
@@ -349,7 +350,7 @@ func compareDecisions(t *testing.T, what string, a, b []memdef.ChunkID) {
 // RunPrefetch drives one prefetcher through the conformance suite: the Plan
 // append contract (a non-empty dst prefix comes back untouched; the appended
 // pages contain the faulted page, no resident pages, and ascend),
-// determinism, and snapshot replay.
+// determinism, and isolation.
 func RunPrefetch(t *testing.T, factory policy.PrefetchFactory) {
 	t.Helper()
 
@@ -391,19 +392,19 @@ func RunPrefetch(t *testing.T, factory policy.PrefetchFactory) {
 		}
 	})
 
-	t.Run("snapshot", func(t *testing.T) {
+	t.Run("isolation", func(t *testing.T) {
 		a := buildPF(t)
 		for i := 0; i < scriptSteps/2; i++ {
 			a.step()
 		}
-		// Resume: a fresh instance replayed over the same prefix, then both
-		// continued in lockstep.
+		// A second instance, built while the original is live, fed the same
+		// prefix, then both continued in lockstep.
 		b := buildPF(t)
 		for i := 0; i < scriptSteps/2; i++ {
 			b.step()
 		}
 		if a.planHash != b.planHash || a.planPages != b.planPages {
-			t.Fatalf("replayed prefix plan streams diverge: %#x/%d vs %#x/%d pages",
+			t.Fatalf("second instance's prefix plan streams diverge: %#x/%d vs %#x/%d pages",
 				a.planHash, a.planPages, b.planHash, b.planPages)
 		}
 		a.planHash, a.planPages = 0, 0
@@ -413,10 +414,10 @@ func RunPrefetch(t *testing.T, factory policy.PrefetchFactory) {
 			b.step()
 		}
 		if a.planPages == 0 {
-			t.Fatal("no prefetch plans after the replay cut")
+			t.Fatal("no prefetch plans after the halfway cut")
 		}
 		if a.planHash != b.planHash || a.planPages != b.planPages {
-			t.Fatalf("post-replay plan streams diverge: %#x/%d vs %#x/%d pages",
+			t.Fatalf("interleaved plan streams diverge: %#x/%d vs %#x/%d pages",
 				a.planHash, a.planPages, b.planHash, b.planPages)
 		}
 	})

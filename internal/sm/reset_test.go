@@ -98,7 +98,6 @@ type observation struct {
 	L1TLB   tlb.Stats
 	L2TLB   tlb.Stats
 	Walker  ptw.Stats
-	Prog    uvm.Progress
 	Now     memdef.Cycle
 	Fired   uint64
 	Pending int
@@ -108,7 +107,7 @@ func observe(m *Machine, res Result) observation {
 	l1, l2 := m.MMU.TLBStats()
 	return observation{
 		Res: res, UVM: m.MMU.Stats(), SMStats: m.SMStats(), L2: m.L2.Stats(), DRAM: m.DRAM.Stats(),
-		Link: m.Link.Stats(), L1TLB: l1, L2TLB: l2, Walker: m.MMU.WalkerStats(), Prog: m.MMU.Progress(),
+		Link: m.Link.Stats(), L1TLB: l1, L2TLB: l2, Walker: m.MMU.WalkerStats(),
 		Now: m.Eng.Now(), Fired: m.Eng.Fired(), Pending: m.Eng.Pending(),
 	}
 }

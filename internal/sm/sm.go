@@ -372,8 +372,8 @@ func (m *Machine) Run(maxEvents uint64) Result {
 
 // RunUntil executes until the machine finishes or every event at cycles <=
 // pauseAt has fired, whichever comes first. paused reports that the machine
-// stopped at the pause boundary — the state a checkpoint records — and the
-// accompanying Result is an intermediate reading, not a final one.
+// stopped at the pause boundary — an epoch boundary of a resumable run — and
+// the accompanying Result is an intermediate reading, not a final one.
 func (m *Machine) RunUntil(maxEvents uint64, pauseAt memdef.Cycle) (res Result, paused bool) {
 	m.Eng.PauseAt(pauseAt)
 	defer m.Eng.ClearPause()
@@ -381,8 +381,8 @@ func (m *Machine) RunUntil(maxEvents uint64, pauseAt memdef.Cycle) (res Result, 
 }
 
 // run charges maxEvents against the engine's fired count, so one budget
-// covers the whole simulation: a run paused by RunUntil and continued, or
-// replayed from a checkpoint, stops where a single Run would.
+// covers the whole simulation: a run paused by RunUntil and continued stops
+// where a single Run would.
 func (m *Machine) run(maxEvents uint64) (Result, bool) {
 	if maxEvents == 0 {
 		maxEvents = 2_000_000_000

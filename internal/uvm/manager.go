@@ -1398,25 +1398,6 @@ func (m *Manager) Corrupt(kind CorruptKind) (audit.Class, bool) {
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// Progress is an O(1) reading of the hot traffic counters — a subset of
-// Stats. Readings are cumulative; subtract two to get a delta.
-type Progress struct {
-	Accesses      uint64
-	FaultEvents   uint64
-	MigratedPages uint64
-	EvictedPages  uint64
-}
-
-// Progress returns the current cumulative sweep-progress counters.
-func (m *Manager) Progress() Progress {
-	return Progress{
-		Accesses:      m.stats.Accesses,
-		FaultEvents:   m.stats.FaultEvents,
-		MigratedPages: m.stats.MigratedPages,
-		EvictedPages:  m.stats.EvictedPages,
-	}
-}
-
 // TLBStats returns (aggregated L1, L2) TLB statistics.
 func (m *Manager) TLBStats() (l1 tlb.Stats, l2 tlb.Stats) {
 	for _, t := range m.l1tlbs {

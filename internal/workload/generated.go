@@ -10,9 +10,8 @@ import (
 // fans a single Generated out to every machine instance of the same workload:
 // the warp slices are shared zero-copy, so the consumers' contract is strictly
 // read-only (package sm only ever reads trace entries). The fingerprint is
-// computed at most once, on first use: only checkpoint envelopes, job IDs and
-// the resume drift check read the trace's identity, so a plain run never
-// hashes its trace.
+// computed at most once, on first use: only job IDs and run records read the
+// trace's identity, so a plain run never hashes its trace.
 type Generated struct {
 	Trace
 	fpOnce sync.Once
@@ -93,23 +92,12 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
-// Poison replaces the memoized fingerprint for b under opt with fp, forcing
-// the entry to disagree with any honestly computed trace hash. Test hook for
-// the harness's trace-drift detection; the trace itself is left intact.
-func (c *Cache) Poison(b Benchmark, opt Options, fp uint64) {
-	poisoned := &Generated{Trace: c.Get(b, opt).Trace}
-	poisoned.fpOnce.Do(func() { poisoned.fp = fp })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[b.Key(opt)].g = poisoned
-}
-
 // Fingerprint hashes warp traces (FNV-1a over addresses, kinds, and warp
-// boundaries). It is the workload identity pinned by checkpoint envelopes: a
-// resume compares the envelope's hash against the memoized trace's
-// fingerprint to detect workload drift even when every scalar session knob
-// matches. The algorithm (and therefore every stored hash) is unchanged from
-// the harness's original per-build fingerprint.
+// boundaries). It is the workload identity that job IDs hash and run records
+// pin, so two traces that differ in any access give different IDs even when
+// every scalar session knob matches. The algorithm (and therefore every
+// stored job ID) is unchanged from the harness's original per-build
+// fingerprint.
 func Fingerprint(traces [][]memdef.Access) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -83,22 +83,6 @@ func TestCacheConcurrentGetSharesOneGeneration(t *testing.T) {
 	}
 }
 
-func TestCachePoisonReplacesFingerprintOnly(t *testing.T) {
-	c := NewCache()
-	b, _ := ByAbbr("SRD")
-	opt := Options{Scale: 0.05, Warps: 8}
-	orig := c.Get(b, opt)
-
-	c.Poison(b, opt, 0xDEAD)
-	g := c.Get(b, opt)
-	if g.Fingerprint() != 0xDEAD {
-		t.Errorf("fingerprint = %#x, want the poison value", g.Fingerprint())
-	}
-	if &g.Warps[0] != &orig.Warps[0] {
-		t.Error("poison replaced the trace, not just the fingerprint")
-	}
-}
-
 func TestFingerprintSensitivity(t *testing.T) {
 	tr := [][]memdef.Access{
 		{{Addr: 0x1000, Kind: memdef.Read}, {Addr: 0x2000, Kind: memdef.Write}},

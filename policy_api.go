@@ -87,11 +87,11 @@ const (
 // registrations ErrBadRegistration; RegisterPolicy never panics, so a broken
 // plugin degrades into one structured error.
 //
-// Factories must be deterministic: same PolicyEnv, same decisions. That is
-// all checkpointing asks of a policy: a checkpoint records the run, not its
-// state, and resuming rebuilds the policy from its factory and replays the
-// run to the checkpointed cycle (DESIGN.md §10), so every registered policy
-// checkpoints and resumes like the built-ins.
+// Factories must be deterministic: same PolicyEnv, same decisions, and no
+// state shared between instances. A parked or interrupted run is continued
+// by running it again from cycle 0 with a fresh instance from the factory,
+// so that is all a policy needs to be parked and continued like the
+// built-ins.
 func RegisterPolicy(reg PolicyRegistration) error { return policy.Register(reg) }
 
 // EvictionPolicies returns the registered eviction-policy names, sorted.

@@ -17,13 +17,13 @@ import (
 // layer.
 
 // ErrParked reports that RunResumableProgress stopped at an epoch boundary
-// because its stop hook asked it to; a checkpoint, if the run had a path,
-// stays on disk for a later RunResumableProgress to continue from.
+// because its stop hook asked it to; a later RunResumableProgress of the same
+// request runs it again from cycle 0.
 var ErrParked = harness.ErrParked
 
 // JobID returns the stable content fingerprint of one simulation under this
-// session, as 16 lowercase hex digits. It hashes exactly the identity a
-// checkpoint envelope pins — the request, the session knobs, the derived
+// session, as 16 lowercase hex digits. It hashes exactly the identity a run
+// record pins — the request, the session knobs, the derived
 // system configuration JSON, and the workload trace's FNV fingerprint — so
 // identical requests (to sessions with identical options) map to the same ID
 // and can share one cached Result, while any knob that could change the
@@ -41,22 +41,19 @@ func (s *Session) JobID(req Request) (string, error) {
 	return fmt.Sprintf("%016x", id), nil
 }
 
-// RunResumableProgress executes one simulation in epochs of everyCycles
-// simulated cycles, with two service hooks. It neither reads nor fills the
-// session's result cache (every call simulates; the caller's store is the
-// cache). At each epoch boundary the progress callback (nil = none) receives
-// the simulated cycle, then the stop hook (nil = never) is consulted: true
-// parks the run there with ErrParked.
+// RunResumableProgress executes one simulation from cycle 0 in epochs of
+// everyCycles simulated cycles, with two service hooks. It neither reads nor
+// fills the session's result cache (every call simulates; the caller's store
+// is the cache). At each epoch boundary the progress callback (nil = none)
+// receives the simulated cycle, then the stop hook (nil = never) is
+// consulted: true parks the run there with ErrParked, and the next call runs
+// it again from cycle 0 to the same Result.
 //
-// An empty path means no checkpoint: stop and progress at epoch boundaries,
-// and a parked run starts again from cycle 0 on the next call. With a path,
-// the run checkpoints there at each boundary: a valid checkpoint at path is
-// resumed, a stale or corrupt leftover is removed and the run starts fresh,
-// a parked run leaves its checkpoint for the next call to continue,
-// completed runs remove it, and runs that died with a run error keep it so a
-// retry resumes. The hooks fire at deterministic simulation points, so
-// observing progress cannot perturb the result; cppe-serve drives its sweep
-// SSE events off them.
+// An empty path means no file is touched. With a path, the run writes a
+// small run record there at each boundary, before the hooks; nothing reads
+// it, and it is removed on every return. The hooks fire at deterministic
+// simulation points, so observing progress cannot perturb the result;
+// cppe-serve drives its sweep SSE events off them.
 func (s *Session) RunResumableProgress(req Request, path string, everyCycles uint64, stop func() bool, progress func(cycle uint64)) (Result, error) {
 	if err := s.validate(req); err != nil {
 		return Result{}, err
@@ -97,7 +94,7 @@ func ResultJSON(r Result) ([]byte, error) {
 }
 
 // validate rejects malformed requests, with one message per field (shared by
-// Run, RunCheckpointed, JobID, and RunResumableProgress).
+// Run, JobID, and RunResumableProgress).
 func (s *Session) validate(req Request) error {
 	if _, ok := workload.ByAbbr(req.Benchmark); !ok {
 		return fmt.Errorf("cppe: unknown benchmark %q (see Benchmarks())", req.Benchmark)
