@@ -36,6 +36,40 @@ func TestRunAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestRunBytesCeiling gates the bytes allocated by one whole simulation of
+// each TestRunAllocCeiling key, in a fresh session as one cppe-sim run pays.
+// Byte counts are as deterministic as allocation counts. A fresh run builds
+// the whole Table-I machine, so this is where the layout of the per-machine
+// structures — TLBs, page table, chunk states, cache tags — shows. Each
+// ceiling sits about 15% above the measured count (1.24 / 1.83 / 1.56 /
+// 1.17 MB). With the TLBs, page-table nodes and chunk states of an earlier
+// layout the same runs allocated 1.62 / 2.21 / 1.94 / 1.56 MB.
+func TestRunBytesCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		bench, setup string
+		ceiling      uint64
+	}{
+		{"SRD", SetupCPPE, 1_425_000},
+		{"HIS", SetupLearned, 2_100_000},
+		{"STN", SetupDisableOnFull, 1_795_000},
+		{"BFS", SetupTree, 1_350_000},
+	} {
+		t.Run(tc.bench+"/"+tc.setup, func(t *testing.T) {
+			req := Request{Benchmark: tc.bench, Setup: tc.setup, Oversubscription: 50}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := NewSession(Options{Scale: 0.05, Parallelism: 1}).Run(req); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			b := after.TotalAlloc - before.TotalAlloc
+			if b > tc.ceiling {
+				t.Errorf("%s/%s@50 at scale 0.05: %d bytes allocated, ceiling %d", tc.bench, tc.setup, b, tc.ceiling)
+			}
+		})
+	}
+}
+
 // TestWarmAllocCeiling gates the allocations of runs that share a session,
 // which hands each finished machine to the next run to reset in place
 // instead of building a new one.

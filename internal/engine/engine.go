@@ -59,6 +59,29 @@ type Tag struct {
 	A, B uint64
 }
 
+// Fired-event counting per Tag.Kind: kinds live in per-package ranges
+// 0x01xx–0x03xx, and kindsPerPackage low values of each range get a counter;
+// every other kind — untagged events (Kind 0) included — shares the last one.
+const (
+	kindPackages    = 3
+	kindsPerPackage = 16
+	otherKindSlot   = kindPackages * kindsPerPackage
+)
+
+// kindSlot returns the fired-count slot of kind.
+func kindSlot(kind uint16) int {
+	pkg, low := int(kind>>8)-1, int(kind&0xff)
+	if pkg < 0 || pkg >= kindPackages || low >= kindsPerPackage {
+		return otherKindSlot
+	}
+	return pkg*kindsPerPackage + low
+}
+
+// OtherKinds is the FiredByKind key that counts the events whose Kind has no
+// counter of its own: untagged events and kinds outside the per-package
+// ranges.
+const OtherKinds uint16 = 0
+
 // bucket is one per-cycle FIFO list in the ring.
 type bucket struct {
 	head, tail *eventNode
@@ -71,6 +94,8 @@ type Engine struct {
 	fired   uint64
 	budget  uint64 // optional hard cap on events per Run; 0 = unlimited
 	pending int
+	// firedKind counts fired events per kindSlot (see FiredByKind).
+	firedKind [otherKindSlot + 1]uint64
 
 	// ring holds events with at in [now, now+ringWindow), bucketed by
 	// at&ringMask. Because ring events always satisfy that half-open bound
@@ -158,6 +183,26 @@ func (e *Engine) Now() memdef.Cycle { return e.now }
 
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// FiredByKind returns the number of events executed so far per Tag.Kind,
+// with one entry per kind that fired. Kinds outside the per-package ranges
+// 0x01xx–0x03xx with a low byte of 16 or more, and untagged events, are
+// counted together under OtherKinds. The counts sum to Fired. They are
+// observation only: nothing in the simulation reads them.
+func (e *Engine) FiredByKind() map[uint16]uint64 {
+	out := make(map[uint16]uint64)
+	for slot, n := range e.firedKind {
+		if n == 0 {
+			continue
+		}
+		kind := OtherKinds
+		if slot != otherKindSlot {
+			kind = uint16(slot/kindsPerPackage+1)<<8 | uint16(slot%kindsPerPackage)
+		}
+		out[kind] = n
+	}
+	return out
+}
 
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.pending }
@@ -528,6 +573,7 @@ func (e *Engine) Run(done func() bool) (memdef.Cycle, error) {
 		}
 		e.now = n.at
 		e.fired++
+		e.firedKind[kindSlot(n.tag.Kind)]++
 		// Copy the callback out and recycle the node before invoking it: the
 		// callback may schedule new events, which can then reuse this node.
 		fn, argFn, arg := n.fn, n.argFn, n.arg

@@ -7,6 +7,13 @@
 // 48-bit virtual address, with intermediate directory nodes allocated on
 // demand — because the walker's memory traffic (one access per level, each
 // eligible to hit in the page-walk cache) is part of the modeled cost.
+//
+// The nodes are packed. A level-0 node is one 4 KB array of 8-byte leaf
+// words (present bit, dirty bit, frame). A directory node is one 2 KB array
+// of 4-byte child references: the child's position in the table's pool of
+// directory nodes (levels 3 to 1) or of leaf nodes (below level 1), plus one,
+// with 0 for no child. The two pools are separate, so a recycled table never
+// turns a node of one kind into the other.
 package pagetable
 
 import (
@@ -25,6 +32,10 @@ var ErrDoubleMap = errors.New("pagetable: double map")
 // eviction-side counterpart of ErrDoubleMap.
 var ErrUnmapUnmapped = errors.New("pagetable: unmap of unmapped page")
 
+// ErrFrameRange reports a Map of a frame above MaxFrame, which a leaf word
+// cannot hold.
+var ErrFrameRange = errors.New("pagetable: frame out of range")
+
 // Levels is the radix-tree depth (x86-64-style 4-level table).
 const Levels = 4
 
@@ -39,7 +50,17 @@ type FrameNum uint64
 // InvalidFrame is returned by Lookup for non-resident pages.
 const InvalidFrame = FrameNum(^uint64(0))
 
-// PTE is a leaf page-table entry.
+// Leaf word layout: the present and dirty bits on top, the frame below.
+const (
+	leafPresent = uint64(1) << 63
+	leafDirty   = uint64(1) << 62
+)
+
+// MaxFrame is the largest frame a leaf word holds. Frame 0 is valid; the
+// driver hands out at most one frame per virtual page, far below MaxFrame.
+const MaxFrame = FrameNum(leafDirty - 1)
+
+// PTE is a leaf page-table entry, as Unmap reports it.
 type PTE struct {
 	Frame FrameNum
 	// Dirty is set when the page has been written on the GPU; a dirty page
@@ -47,31 +68,51 @@ type PTE struct {
 	Dirty bool
 }
 
-// node is one directory page of the radix tree.
-type node struct {
-	children [fanout]*node // interior levels
-	// leaves and present are level-0 only, allocated lazily: a node has leaf
-	// arrays when len(leaves) > 0. A recycled node keeps their storage at
-	// length 0.
-	leaves  []PTE
-	present []bool
-	// id is the node's pseudo physical identity, assigned lazily on the
-	// walker's first visit (see nodeID); 0 means not yet assigned. Keeping it
-	// in the node replaces a map[*node]uint64 lookup on every walk level.
-	id uint64
+// leaf is a level-0 node: one packed word per page, 0 when not present.
+type leaf [fanout]uint64
+
+// dir is a directory node: per entry, the pool position of the child plus
+// one, or 0 for no child.
+type dir [fanout]uint32
+
+// pool is the registry of one kind of node, in allocation order, with each
+// node's walker ID (0 until the walker first visits it; see nodeID). Reset
+// truncates it; get hands the retained nodes out again, zeroed, before
+// allocating, up to the high-water mark of earlier use.
+type pool[T any] struct {
+	nodes []*T
+	ids   []uint64
+}
+
+// get returns a zeroed node and its child reference (pool position + 1).
+func (p *pool[T]) get() uint32 {
+	i := len(p.nodes)
+	if i < cap(p.nodes) && p.nodes[:i+1][i] != nil {
+		p.nodes = p.nodes[:i+1]
+		var zero T
+		*p.nodes[i] = zero
+	} else {
+		p.nodes = append(p.nodes, new(T))
+	}
+	p.ids = append(p.ids, 0)
+	return uint32(i + 1)
+}
+
+func (p *pool[T]) reset() {
+	p.nodes = p.nodes[:0]
+	p.ids = p.ids[:0]
 }
 
 // Table is a 4-level radix page table.
 type Table struct {
-	root   node
+	root   dir
+	rootID uint64
 	mapped int
-	// nextNodeID assigns each directory node a pseudo physical address so the
-	// walker's per-level accesses have distinct cache-visible addresses.
+	// nextNodeID assigns each node a pseudo physical address so the walker's
+	// per-level accesses have distinct cache-visible addresses.
 	nextNodeID uint64
-	// nodes registers every directory node below the root in allocation
-	// order. Reset truncates it; newNode hands the retained nodes out again
-	// before allocating, up to the high-water mark of earlier use.
-	nodes []*node
+	dirs       pool[dir]  // levels 2 and 1
+	leaves     pool[leaf] // level 0
 }
 
 // New returns an empty table.
@@ -81,37 +122,12 @@ func New() *Table {
 	return t
 }
 
-// Reset empties the table — no mapping, no directory node, node IDs
+// Reset empties the table — no mapping, no node below the root, node IDs
 // restarting at 1 — keeping its nodes for reuse.
 func (t *Table) Reset() {
-	*t = Table{nodes: t.nodes[:0]}
-}
-
-// newNode returns an empty directory node: a retained one below the
-// registry's high-water mark, else a new one.
-func (t *Table) newNode() *node {
-	i := len(t.nodes)
-	if i < cap(t.nodes) {
-		if n := t.nodes[:i+1][i]; n != nil {
-			t.nodes = t.nodes[:i+1]
-			*n = node{leaves: n.leaves[:0], present: n.present[:0]}
-			return n
-		}
-	}
-	n := &node{}
-	t.nodes = append(t.nodes, n)
-	return n
-}
-
-// allocLeaves gives n zeroed leaf arrays, reusing retained storage.
-func (n *node) allocLeaves() {
-	if cap(n.leaves) < fanout {
-		n.leaves, n.present = make([]PTE, fanout), make([]bool, fanout)
-		return
-	}
-	n.leaves, n.present = n.leaves[:fanout], n.present[:fanout]
-	clear(n.leaves)
-	clear(n.present)
+	t.dirs.reset()
+	t.leaves.reset()
+	*t = Table{dirs: t.dirs, leaves: t.leaves}
 }
 
 // indexAt extracts the level-l index (l = Levels-1 is the root) of page p.
@@ -121,15 +137,18 @@ func indexAt(p memdef.PageNum, l int) int {
 
 // Map installs a virtual-to-physical mapping. Mapping an already-mapped page
 // returns ErrDoubleMap (and installs nothing): double migration is a UVM
-// driver integrity violation, which the caller fail-stops on.
+// driver integrity violation, which the caller fail-stops on. A frame above
+// MaxFrame returns ErrFrameRange.
 func (t *Table) Map(p memdef.PageNum, f FrameNum) error {
-	n := t.walkAlloc(p)
+	if f > MaxFrame {
+		return fmt.Errorf("%w: %d", ErrFrameRange, f)
+	}
+	l := t.walkAlloc(p)
 	i := indexAt(p, 0)
-	if n.present[i] {
+	if l[i]&leafPresent != 0 {
 		return fmt.Errorf("%w: %v", ErrDoubleMap, p)
 	}
-	n.leaves[i] = PTE{Frame: f}
-	n.present[i] = true
+	l[i] = leafPresent | uint64(f)
 	t.mapped++
 	return nil
 }
@@ -138,26 +157,23 @@ func (t *Table) Map(p memdef.PageNum, f FrameNum) error {
 // is not mapped returns ErrUnmapUnmapped (and removes nothing), for the same
 // driver-invariant reason as Map.
 func (t *Table) Unmap(p memdef.PageNum) (PTE, error) {
-	n := t.walkNoAlloc(p)
-	i := indexAt(p, 0)
-	if n == nil || len(n.leaves) == 0 || !n.present[i] {
+	w := t.word(p)
+	if w == nil || *w&leafPresent == 0 {
 		return PTE{}, fmt.Errorf("%w: %v", ErrUnmapUnmapped, p)
 	}
-	pte := n.leaves[i]
-	n.leaves[i] = PTE{}
-	n.present[i] = false
+	pte := PTE{Frame: FrameNum(*w & uint64(MaxFrame)), Dirty: *w&leafDirty != 0}
+	*w = 0
 	t.mapped--
 	return pte, nil
 }
 
 // Lookup returns the frame for p, or InvalidFrame if p has no GPU mapping.
 func (t *Table) Lookup(p memdef.PageNum) FrameNum {
-	n := t.walkNoAlloc(p)
-	i := indexAt(p, 0)
-	if n == nil || len(n.leaves) == 0 || !n.present[i] {
+	w := t.word(p)
+	if w == nil || *w&leafPresent == 0 {
 		return InvalidFrame
 	}
-	return n.leaves[i].Frame
+	return FrameNum(*w & uint64(MaxFrame))
 }
 
 // IsMapped reports whether p has a valid GPU mapping.
@@ -166,22 +182,15 @@ func (t *Table) IsMapped(p memdef.PageNum) bool { return t.Lookup(p) != InvalidF
 // SetDirty marks p dirty. It is a no-op for unmapped pages (a store whose
 // page has already been chosen for eviction is replayed later).
 func (t *Table) SetDirty(p memdef.PageNum) {
-	n := t.walkNoAlloc(p)
-	i := indexAt(p, 0)
-	if n == nil || len(n.leaves) == 0 || !n.present[i] {
-		return
+	if w := t.word(p); w != nil && *w&leafPresent != 0 {
+		*w |= leafDirty
 	}
-	n.leaves[i].Dirty = true
 }
 
 // IsDirty reports whether p is mapped and dirty.
 func (t *Table) IsDirty(p memdef.PageNum) bool {
-	n := t.walkNoAlloc(p)
-	i := indexAt(p, 0)
-	if n == nil || len(n.leaves) == 0 || !n.present[i] {
-		return false
-	}
-	return n.leaves[i].Dirty
+	w := t.word(p)
+	return w != nil && *w&(leafPresent|leafDirty) == leafPresent|leafDirty
 }
 
 // Mapped returns the number of currently mapped pages.
@@ -207,25 +216,28 @@ func (t *Table) WalkPath(p memdef.PageNum) []WalkStep {
 // AppendWalkPath is WalkPath appending into dst, for callers that reuse a
 // step buffer across walks (the page-table walker's hot path).
 func (t *Table) AppendWalkPath(dst []WalkStep, p memdef.PageNum) []WalkStep {
-	n := &t.root
+	d, id := &t.root, &t.rootID
 	for l := Levels - 1; l >= 0; l-- {
-		id := t.nodeID(n)
 		idx := indexAt(p, l)
 		dst = append(dst, WalkStep{
 			Level:     l,
-			EntryAddr: memdef.VirtAddr(id<<24 | uint64(idx)<<3),
+			EntryAddr: memdef.VirtAddr(t.nodeID(id)<<24 | uint64(idx)<<3),
 		})
 		if l == 0 {
 			break
 		}
-		next := n.children[indexAt(p, l)]
-		if next == nil {
+		c := d[idx]
+		if c == 0 {
 			// The remaining levels fault immediately at this level: the
 			// walker reads a non-present entry and stops. Charge only the
 			// accesses actually made.
 			break
 		}
-		n = next
+		if l == 1 {
+			id = &t.leaves.ids[c-1]
+		} else {
+			d, id = t.dirs.nodes[c-1], &t.dirs.ids[c-1]
+		}
 	}
 	return dst
 }
@@ -233,36 +245,44 @@ func (t *Table) AppendWalkPath(dst []WalkStep, p memdef.PageNum) []WalkStep {
 // nodeID assigns IDs on first visit — walk order, not allocation order — so
 // the pseudo-address stream (and thus PWC behaviour) is identical to the
 // historical map-based assignment.
-func (t *Table) nodeID(n *node) uint64 {
-	if n.id == 0 {
+func (t *Table) nodeID(id *uint64) uint64 {
+	if *id == 0 {
 		t.nextNodeID++
-		n.id = t.nextNodeID
+		*id = t.nextNodeID
 	}
-	return n.id
+	return *id
 }
 
-func (t *Table) walkAlloc(p memdef.PageNum) *node {
-	n := &t.root
-	for l := Levels - 1; l >= 1; l-- {
+// walkAlloc returns p's leaf node, allocating the missing nodes on its path.
+func (t *Table) walkAlloc(p memdef.PageNum) *leaf {
+	d := &t.root
+	for l := Levels - 1; l >= 2; l-- {
 		i := indexAt(p, l)
-		if n.children[i] == nil {
-			n.children[i] = t.newNode()
+		if d[i] == 0 {
+			d[i] = t.dirs.get()
 		}
-		n = n.children[i]
+		d = t.dirs.nodes[d[i]-1]
 	}
-	if len(n.leaves) == 0 {
-		n.allocLeaves()
+	i := indexAt(p, 1)
+	if d[i] == 0 {
+		d[i] = t.leaves.get()
 	}
-	return n
+	return t.leaves.nodes[d[i]-1]
 }
 
-func (t *Table) walkNoAlloc(p memdef.PageNum) *node {
-	n := &t.root
-	for l := Levels - 1; l >= 1; l-- {
-		n = n.children[indexAt(p, l)]
-		if n == nil {
+// word returns p's leaf word, or nil if p's leaf node does not exist.
+func (t *Table) word(p memdef.PageNum) *uint64 {
+	d := &t.root
+	for l := Levels - 1; l >= 2; l-- {
+		c := d[indexAt(p, l)]
+		if c == 0 {
 			return nil
 		}
+		d = t.dirs.nodes[c-1]
 	}
-	return n
+	c := d[indexAt(p, 1)]
+	if c == 0 {
+		return nil
+	}
+	return &t.leaves.nodes[c-1][indexAt(p, 0)]
 }

@@ -215,11 +215,10 @@ func TestManyMappingsStress(t *testing.T) {
 			}
 			continue
 		}
-		f := FrameNum(rng.Uint64())
-		if f == InvalidFrame {
-			f = 0
+		f := FrameNum(rng.Uint64()) & MaxFrame
+		if err := pt.Map(p, f); err != nil {
+			t.Fatal(err)
 		}
-		pt.Map(p, f)
 		ref[p] = f
 	}
 	if pt.Mapped() != len(ref) {
@@ -228,6 +227,108 @@ func TestManyMappingsStress(t *testing.T) {
 	for p, f := range ref {
 		if pt.Lookup(p) != f {
 			t.Fatalf("Lookup(%v) = %d, want %d", p, pt.Lookup(p), f)
+		}
+	}
+}
+
+// TestLeafWordRoundTrip maps frame 0 and MaxFrame into neighbouring words of
+// one leaf node and dirties the frame-0 page, and checks that every query
+// reads back exactly its own word: the dirty bit does not show in frame 0,
+// MaxFrame's all-ones frame does not read as dirty, and nothing bleeds into
+// a neighbour.
+func TestLeafWordRoundTrip(t *testing.T) {
+	pt := New()
+	base := memdef.PageNum(0x7_0000) // page index 0 of a leaf node
+	lo, hi, gap := base+1, base+2, base+3
+	if err := pt.Map(lo, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Map(hi, MaxFrame); err != nil {
+		t.Fatal(err)
+	}
+	pt.SetDirty(lo)
+	pt.SetDirty(gap) // unmapped: a no-op
+
+	for _, c := range []struct {
+		p      memdef.PageNum
+		frame  FrameNum
+		mapped bool
+		dirty  bool
+	}{
+		{base, InvalidFrame, false, false},
+		{lo, 0, true, true},
+		{hi, MaxFrame, true, false},
+		{gap, InvalidFrame, false, false},
+	} {
+		if got := pt.Lookup(c.p); got != c.frame {
+			t.Errorf("Lookup(%#x) = %d, want %d", c.p, got, c.frame)
+		}
+		if got := pt.IsMapped(c.p); got != c.mapped {
+			t.Errorf("IsMapped(%#x) = %v, want %v", c.p, got, c.mapped)
+		}
+		if got := pt.IsDirty(c.p); got != c.dirty {
+			t.Errorf("IsDirty(%#x) = %v, want %v", c.p, got, c.dirty)
+		}
+	}
+
+	pte, err := pt.Unmap(lo)
+	if err != nil || pte != (PTE{Frame: 0, Dirty: true}) {
+		t.Fatalf("Unmap(lo) = %+v, %v; want frame 0, dirty", pte, err)
+	}
+	pte, err = pt.Unmap(hi)
+	if err != nil || pte != (PTE{Frame: MaxFrame}) {
+		t.Fatalf("Unmap(hi) = %+v, %v; want frame MaxFrame, clean", pte, err)
+	}
+	// A remap starts clean: Unmap cleared the whole word.
+	if err := pt.Map(lo, 5); err != nil {
+		t.Fatal(err)
+	}
+	if pt.IsDirty(lo) || pt.Lookup(lo) != 5 || pt.Mapped() != 1 {
+		t.Fatalf("remapped page: dirty %v, frame %d, mapped %d", pt.IsDirty(lo), pt.Lookup(lo), pt.Mapped())
+	}
+}
+
+// TestMapRejectsFrameOutOfRange: a frame a leaf word cannot hold is refused
+// and installs nothing.
+func TestMapRejectsFrameOutOfRange(t *testing.T) {
+	pt := New()
+	if err := pt.Map(9, MaxFrame+1); !errors.Is(err, ErrFrameRange) {
+		t.Fatalf("Map(MaxFrame+1) error = %v, want ErrFrameRange", err)
+	}
+	if pt.IsMapped(9) || pt.Mapped() != 0 {
+		t.Fatal("out-of-range frame was installed")
+	}
+}
+
+// TestResetRemapAllocatesNothing: a reset table hands its retained directory
+// and leaf nodes out again, so remapping the same page set — spread over
+// several leaf and directory nodes — allocates nothing, and walks see the
+// same node IDs as on the first use.
+func TestResetRemapAllocatesNothing(t *testing.T) {
+	pt := New()
+	var pages []memdef.PageNum
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 4; j++ {
+			pages = append(pages, memdef.PageNum(i)<<18|memdef.PageNum(i)<<9|memdef.PageNum(j))
+		}
+	}
+	mapAll := func() {
+		pt.Reset()
+		for i, p := range pages {
+			if err := pt.Map(p, FrameNum(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mapAll()
+	first := pt.WalkPath(pages[len(pages)-1])
+	if a := testing.AllocsPerRun(10, mapAll); a != 0 {
+		t.Fatalf("remapping %d pages after Reset: %v allocs, want 0", len(pages), a)
+	}
+	again := pt.WalkPath(pages[len(pages)-1])
+	for i := range first {
+		if first[i] != again[i] {
+			t.Fatalf("walk step %d after reset = %+v, first use %+v", i, again[i], first[i])
 		}
 	}
 }

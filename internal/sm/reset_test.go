@@ -7,6 +7,7 @@ import (
 
 	"github.com/reproductions/cppe/internal/cache"
 	"github.com/reproductions/cppe/internal/dram"
+	"github.com/reproductions/cppe/internal/engine"
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/memdef"
 	"github.com/reproductions/cppe/internal/prefetch"
@@ -86,8 +87,8 @@ func recycleFor(t *testing.T, m *Machine, k resetKey, base memdef.Config) {
 }
 
 // observation is everything a machine reports: the result, every
-// component's statistics, and the engine's clock, fired-event count and
-// queue length.
+// component's statistics, and the engine's clock, fired-event counts (total
+// and per tag kind) and queue length.
 type observation struct {
 	Res     Result
 	UVM     uvm.Stats
@@ -100,6 +101,7 @@ type observation struct {
 	Walker  ptw.Stats
 	Now     memdef.Cycle
 	Fired   uint64
+	Kinds   map[uint16]uint64
 	Pending int
 }
 
@@ -108,7 +110,7 @@ func observe(m *Machine, res Result) observation {
 	return observation{
 		Res: res, UVM: m.MMU.Stats(), SMStats: m.SMStats(), L2: m.L2.Stats(), DRAM: m.DRAM.Stats(),
 		Link: m.Link.Stats(), L1TLB: l1, L2TLB: l2, Walker: m.MMU.WalkerStats(),
-		Now: m.Eng.Now(), Fired: m.Eng.Fired(), Pending: m.Eng.Pending(),
+		Now: m.Eng.Now(), Fired: m.Eng.Fired(), Kinds: m.Eng.FiredByKind(), Pending: m.Eng.Pending(),
 	}
 }
 
@@ -219,5 +221,40 @@ func TestResetRejectsShapeChange(t *testing.T) {
 	reshaped.NumSMs++
 	if err := m.Reset(reshaped, evict.NewLRU(), prefetch.NewLocality(), nil); err == nil {
 		t.Fatal("reset to a different NumSMs accepted")
+	}
+}
+
+// TestFiredByKindFreshAndRecycled: SRD/cppe@50 at scale 0.05 fires the same
+// events per tag kind on a new machine and on one recycled after a different
+// key, the per-kind counts sum to Fired, and every event of the run is
+// tagged with a kind of its own (an untagged event would land in OtherKinds).
+func TestFiredByKindFreshAndRecycled(t *testing.T) {
+	base := memdef.DefaultConfig()
+	key := resetKey{"SRD", cppe, 50}
+	fresh := freshFor(t, key, base)
+	fresh.Run(0)
+	recycled := freshFor(t, resetKey{"HIS", learned, 75}, base)
+	recycled.Run(0)
+	recycleFor(t, recycled, key, base)
+	recycled.Run(0)
+
+	kinds := fresh.Eng.FiredByKind()
+	if got := recycled.Eng.FiredByKind(); !reflect.DeepEqual(got, kinds) {
+		t.Fatalf("recycled machine fired %v per kind, fresh %v", got, kinds)
+	}
+	var sum uint64
+	for _, n := range kinds {
+		sum += n
+	}
+	if sum != fresh.Eng.Fired() {
+		t.Errorf("per-kind counts sum to %d, Fired() = %d", sum, fresh.Eng.Fired())
+	}
+	if n := kinds[engine.OtherKinds]; n != 0 {
+		t.Errorf("%d events fired untagged or outside the kind ranges", n)
+	}
+	for _, k := range []uint16{TagWarpStep, TagWarpFin, ptw.TagWalkStage, uvm.TagXlatL1, uvm.TagMigXfer} {
+		if kinds[k] == 0 {
+			t.Errorf("kind %#04x never fired", k)
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // through the same shootdown — one with the batched InvalidateChunk, one with
 // a per-page Invalidate loop — and expects identical entry state, identical
 // counters, and identical subsequent eviction behaviour. Run over both the
-// fully-associative geometry (single-scan fast path) and a set-associative
-// one (per-page fallback).
+// fully-associative geometry (slot-table probes) and a set-associative one
+// (set scans).
 func TestInvalidateChunkEquivalence(t *testing.T) {
 	geometries := []struct {
 		name          string

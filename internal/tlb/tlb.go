@@ -12,57 +12,51 @@ import (
 	"github.com/reproductions/cppe/internal/memdef"
 )
 
-// entry is one TLB slot.
-type entry struct {
-	page  memdef.PageNum
-	valid bool
-	lru   uint64 // larger = more recently used
-}
-
-// Index slot states for the open-addressed page index.
-const (
-	idxEmpty uint8 = iota
-	idxFull
-	idxTombstone
-)
+// invalid marks an empty entry slot. No page number reaches it: a page is a
+// virtual address shifted right by memdef.PageShift, so its top bits are 0.
+const invalid = ^memdef.PageNum(0)
 
 // noSlot marks an empty list link.
 const noSlot int32 = -1
 
 // TLB is a set-associative, LRU-replacement translation cache.
 //
-// Two acceleration structures sit alongside the entry array; both are pure
-// derived state and leave hit/miss/eviction/shootdown counters, LRU victim
-// choices, and lru stamps bit-identical to the plain scanning implementation:
+// Every entry is one 8-byte page number (invalid for an empty slot). What
+// else is stored depends on the geometry; both layouts leave
+// hit/miss/eviction/shootdown counters and LRU victim choices identical to a
+// plain scan over stamped entries:
 //
-//   - A linear-probing open-addressed page->slot index makes Lookup,
-//     Contains, Invalidate, and Insert's presence check O(1) probes instead
-//     of O(ways) scans — material for the fully-associative L1, whose single
-//     set spans the whole array. Probing is plain arithmetic on
-//     deterministic keys (no Go map, nothing iterated).
+//   - Set-associative geometry (sets > 1) keeps a uint64 LRU stamp per entry
+//     and scans the page's set (16 ways in Table I's L2) with no index.
+//     Insert's victim is the last invalid way in scan order, else the way
+//     with the smallest stamp.
 //
-//   - For fully-associative geometry (sets == 1), a doubly-linked recency
-//     list replaces Insert's O(entries) min-lru victim scan: every touch
-//     moves the slot to the list head, so the tail is exactly the entry the
-//     scan would pick (lru ticks are unique), and a free list hands out
-//     unused slots without searching.
+//   - Fully-associative geometry (sets == 1, the 128-entry L1s) keeps no
+//     stamps. A doubly-linked recency list orders the slots: every touch
+//     moves a slot to the head, so the tail is the least recently used
+//     entry, and a free list hands out unused slots without searching. A
+//     linear-probing slot table (a power of two, at least twice the entry
+//     count) maps a page to its slot in O(1) probes; deletion shifts the
+//     rest of the probe run back, so there are no tombstones and the table
+//     is never rebuilt. Probing is plain arithmetic on deterministic keys
+//     (no Go map, nothing iterated).
 type TLB struct {
-	name    string
-	sets    int
-	ways    int
-	entries []entry // sets x ways, row-major
+	name  string
+	sets  int
+	ways  int
+	pages []memdef.PageNum // sets x ways, row-major; invalid = empty
+
+	// Set-associative only: LRU stamps (larger = more recently used), and
+	// sets-1 when sets is a power of two, else 0.
+	lru     []uint64
 	tick    uint64
+	setMask uint64
 
-	// Open-addressed page index (all geometries).
-	idxKeys  []memdef.PageNum
-	idxSlots []int32
-	idxState []uint8
-	idxMask  uint64
-	idxShift uint
-	idxDead  int
-
-	// Recency + free lists (fully associative only; next doubles as the
-	// free-list link for invalid slots).
+	// Fully associative only. slots is the probe table: entry slot + 1, or
+	// 0 for an empty position. prev/next link the recency list (next doubles
+	// as the free-list link of unused slots).
+	slots      []int32
+	shift      uint
 	prev, next []int32
 	head, tail int32
 	free       int32
@@ -93,41 +87,55 @@ func New(name string, entries, ways int) *TLB {
 // keeping its name, geometry and storage.
 func (t *TLB) Reset() {
 	entries := t.sets * t.ways
-	// Index capacity: power-of-two, at least 4x entries, so the probe load
-	// factor stays at or below 1/4.
-	idxCap := 1
-	for idxCap < 4*entries {
-		idxCap <<= 1
-	}
 	*t = TLB{
-		name:     t.name,
-		sets:     t.sets,
-		ways:     t.ways,
-		entries:  zeroed(t.entries, entries),
-		idxKeys:  zeroed(t.idxKeys, idxCap),
-		idxSlots: zeroed(t.idxSlots, idxCap),
-		idxState: zeroed(t.idxState, idxCap),
-		idxMask:  uint64(idxCap - 1),
-		idxShift: uint(64 - bits.TrailingZeros(uint(idxCap))),
-		prev:     t.prev,
-		next:     t.next,
+		name:  t.name,
+		sets:  t.sets,
+		ways:  t.ways,
+		pages: resized(t.pages, entries),
+		lru:   t.lru,
+		slots: t.slots,
+		prev:  t.prev,
+		next:  t.next,
 	}
-	if t.sets == 1 {
-		t.prev = zeroed(t.prev, entries)
-		t.next = zeroed(t.next, entries)
-		t.resetLists()
+	fillInvalid(t.pages)
+	if t.sets > 1 {
+		t.lru = zeroed(t.lru, entries)
+		if t.sets&(t.sets-1) == 0 {
+			t.setMask = uint64(t.sets - 1)
+		}
+		return
 	}
+	size := 2
+	for size < 2*entries {
+		size <<= 1
+	}
+	t.slots = zeroed(t.slots, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.prev = resized(t.prev, entries)
+	t.next = resized(t.next, entries)
+	t.resetLists()
 }
 
-// zeroed returns buf resized to n zero elements, reusing its storage when it
-// is big enough.
-func zeroed[T any](buf []T, n int) []T {
+// resized returns buf at length n, reusing its storage when it is big
+// enough; the contents are left for the caller to overwrite.
+func resized[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}
-	buf = buf[:n]
+	return buf[:n]
+}
+
+// zeroed returns buf resized to n zero elements.
+func zeroed[T any](buf []T, n int) []T {
+	buf = resized(buf, n)
 	clear(buf)
 	return buf
+}
+
+func fillInvalid(pages []memdef.PageNum) {
+	for i := range pages {
+		pages[i] = invalid
+	}
 }
 
 // resetLists rebuilds the fully-associative lists for an empty TLB: no
@@ -142,70 +150,51 @@ func (t *TLB) resetLists() {
 	t.next[len(t.next)-1] = noSlot
 }
 
-// idxHome is the preferred probe position of page p (Fibonacci hashing: the
+// home is the preferred probe position of page p (Fibonacci hashing: the
 // top bits of the product are well-mixed even for sequential page numbers).
-func (t *TLB) idxHome(p memdef.PageNum) uint64 {
-	return (uint64(p) * 0x9E3779B97F4A7C15) >> t.idxShift
+func (t *TLB) home(p memdef.PageNum) int {
+	return int((uint64(p) * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
-// idxGet returns the entry slot holding page p, if the index knows it.
-func (t *TLB) idxGet(p memdef.PageNum) (int32, bool) {
-	for i := t.idxHome(p); ; i = (i + 1) & t.idxMask {
-		switch t.idxState[i] {
-		case idxEmpty:
+// find returns the probe-table position holding page p, if any.
+func (t *TLB) find(p memdef.PageNum) (int, bool) {
+	mask := len(t.slots) - 1
+	for i := t.home(p); ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
 			return 0, false
-		case idxFull:
-			if t.idxKeys[i] == p {
-				return t.idxSlots[i], true
-			}
+		}
+		if t.pages[s-1] == p {
+			return i, true
 		}
 	}
 }
 
-// idxPut records page p at entry slot. p must not be present.
-func (t *TLB) idxPut(p memdef.PageNum, slot int32) {
-	i := t.idxHome(p)
-	for t.idxState[i] == idxFull {
-		i = (i + 1) & t.idxMask
+// put records that page p lives in entry slot s. p must not be present.
+func (t *TLB) put(p memdef.PageNum, s int32) {
+	mask := len(t.slots) - 1
+	i := t.home(p)
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
 	}
-	if t.idxState[i] == idxTombstone {
-		t.idxDead--
-	}
-	t.idxKeys[i] = p
-	t.idxSlots[i] = slot
-	t.idxState[i] = idxFull
+	t.slots[i] = s + 1
 }
 
-// idxDel removes page p from the index, rebuilding the table when tombstones
-// pile up (they lengthen every subsequent probe chain).
-func (t *TLB) idxDel(p memdef.PageNum) {
-	for i := t.idxHome(p); ; i = (i + 1) & t.idxMask {
-		switch t.idxState[i] {
-		case idxEmpty:
-			return
-		case idxFull:
-			if t.idxKeys[i] == p {
-				t.idxState[i] = idxTombstone
-				t.idxDead++
-				if uint64(t.idxDead)*4 > t.idxMask+1 {
-					t.idxRebuild()
-				}
-				return
-			}
+// remove empties probe position i and shifts the rest of its probe run back
+// over the hole, so every remaining page stays reachable from its home with
+// no tombstone. The pages of the run must still be in their entry slots.
+func (t *TLB) remove(i int) {
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
+		// The page at j may fill the hole if the hole lies on its probe
+		// path, i.e. between its home and j (cyclically).
+		h := t.home(t.pages[t.slots[j]-1])
+		if (j-h)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
 		}
 	}
-}
-
-// idxRebuild repopulates the index from the entry array (the source of
-// truth), clearing all tombstones.
-func (t *TLB) idxRebuild() {
-	clear(t.idxState)
-	t.idxDead = 0
-	for s := range t.entries {
-		if t.entries[s].valid {
-			t.idxPut(t.entries[s].page, int32(s))
-		}
-	}
+	t.slots[i] = 0
 }
 
 // listTouch moves slot to the head of the recency list (fully associative
@@ -214,27 +203,8 @@ func (t *TLB) listTouch(s int32) {
 	if t.head == s {
 		return
 	}
-	// Unlink (s is in the chain, so it has a prev or is the head).
-	p, n := t.prev[s], t.next[s]
-	if p != noSlot {
-		t.next[p] = n
-	}
-	if n != noSlot {
-		t.prev[n] = p
-	}
-	if t.tail == s {
-		t.tail = p
-	}
-	// Relink at head.
-	t.prev[s] = noSlot
-	t.next[s] = t.head
-	if t.head != noSlot {
-		t.prev[t.head] = s
-	}
-	t.head = s
-	if t.tail == noSlot {
-		t.tail = s
-	}
+	t.listUnlink(s)
+	t.listPushHead(s)
 }
 
 // listPushHead links a detached slot at the head of the recency list.
@@ -266,16 +236,36 @@ func (t *TLB) listUnlink(s int32) {
 	t.prev[s], t.next[s] = noSlot, noSlot
 }
 
-func (t *TLB) setOf(p memdef.PageNum) int { return int(uint64(p) % uint64(t.sets)) }
+// setBase returns the first entry index of page p's set.
+func (t *TLB) setBase(p memdef.PageNum) int {
+	if t.setMask != 0 {
+		return int(uint64(p)&t.setMask) * t.ways
+	}
+	return int(uint64(p)%uint64(t.sets)) * t.ways
+}
+
+// way returns the entry index holding page p in a set-associative TLB, or -1.
+func (t *TLB) way(p memdef.PageNum) int {
+	base := t.setBase(p)
+	for i, q := range t.pages[base : base+t.ways] {
+		if q == p {
+			return base + i
+		}
+	}
+	return -1
+}
 
 // Lookup probes the TLB for page p, updating LRU state and hit/miss counters.
 func (t *TLB) Lookup(p memdef.PageNum) bool {
-	if i, ok := t.idxGet(p); ok {
-		t.tick++
-		t.entries[i].lru = t.tick
-		if t.sets == 1 {
-			t.listTouch(i)
+	if t.sets == 1 {
+		if i, ok := t.find(p); ok {
+			t.listTouch(t.slots[i] - 1)
+			t.hits++
+			return true
 		}
+	} else if w := t.way(p); w >= 0 {
+		t.tick++
+		t.lru[w] = t.tick
 		t.hits++
 		return true
 	}
@@ -285,123 +275,99 @@ func (t *TLB) Lookup(p memdef.PageNum) bool {
 
 // Contains probes without disturbing LRU state or statistics.
 func (t *TLB) Contains(p memdef.PageNum) bool {
-	_, ok := t.idxGet(p)
-	return ok
+	if t.sets == 1 {
+		_, ok := t.find(p)
+		return ok
+	}
+	return t.way(p) >= 0
 }
 
 // Insert fills the entry for p, evicting the LRU way of its set if needed.
 // Re-inserting a present page just refreshes its recency.
 func (t *TLB) Insert(p memdef.PageNum) {
-	t.tick++
-	if i, ok := t.idxGet(p); ok {
-		t.entries[i].lru = t.tick
-		if t.sets == 1 {
-			t.listTouch(i)
-		}
-		return
-	}
-	var victim int32
 	if t.sets == 1 {
-		// Fully associative: take a free slot, else evict the recency tail —
-		// the same victim page the min-lru scan would find.
-		if t.free != noSlot {
-			victim = t.free
-			t.free = t.next[victim]
-			t.next[victim] = noSlot
-		} else {
-			victim = t.tail
-			t.evictions++
-			// Invalidate before idxDel: a tombstone-triggered index rebuild
-			// repopulates from the entry array and must not resurrect the
-			// page being evicted.
-			old := t.entries[victim].page
-			t.entries[victim].valid = false
-			t.idxDel(old)
-			t.listUnlink(victim)
-		}
-		t.entries[victim] = entry{page: p, valid: true, lru: t.tick}
-		t.idxPut(p, victim)
-		t.listPushHead(victim)
+		t.insertFully(p)
 		return
 	}
-	base := t.setOf(p) * t.ways
+	t.tick++
+	base := t.setBase(p)
 	v := base
 	var victimLRU uint64 = ^uint64(0)
-	for i := 0; i < t.ways; i++ {
-		e := &t.entries[base+i]
-		if !e.valid {
-			v = base + i
-			victimLRU = 0
-			continue
-		}
-		if e.lru < victimLRU {
-			v = base + i
-			victimLRU = e.lru
+	for i := base; i < base+t.ways; i++ {
+		switch {
+		case t.pages[i] == p:
+			t.lru[i] = t.tick
+			return
+		case t.pages[i] == invalid:
+			v, victimLRU = i, 0
+		case t.lru[i] < victimLRU:
+			v, victimLRU = i, t.lru[i]
 		}
 	}
-	if t.entries[v].valid {
+	if t.pages[v] != invalid {
 		t.evictions++
-		// Invalidate before idxDel (see the fully-associative path).
-		old := t.entries[v].page
-		t.entries[v].valid = false
-		t.idxDel(old)
 	}
-	t.entries[v] = entry{page: p, valid: true, lru: t.tick}
-	t.idxPut(p, int32(v))
+	t.pages[v] = p
+	t.lru[v] = t.tick
+}
+
+// insertFully is Insert for fully-associative geometry: take a free slot,
+// else evict the recency tail — the same victim page a min-stamp scan would
+// find.
+func (t *TLB) insertFully(p memdef.PageNum) {
+	if i, ok := t.find(p); ok {
+		t.listTouch(t.slots[i] - 1)
+		return
+	}
+	s := t.free
+	if s != noSlot {
+		t.free = t.next[s]
+		t.next[s] = noSlot
+	} else {
+		s = t.tail
+		t.evictions++
+		i, _ := t.find(t.pages[s])
+		t.remove(i)
+		t.listUnlink(s)
+	}
+	t.pages[s] = p
+	t.put(p, s)
+	t.listPushHead(s)
 }
 
 // Invalidate removes the entry for p if present (TLB shootdown on page
 // eviction). It returns whether an entry was removed.
 func (t *TLB) Invalidate(p memdef.PageNum) bool {
-	i, ok := t.idxGet(p)
-	if !ok {
-		return false
+	if t.sets == 1 {
+		i, ok := t.find(p)
+		if !ok {
+			return false
+		}
+		s := t.slots[i] - 1
+		t.remove(i)
+		t.pages[s] = invalid
+		t.listUnlink(s)
+		t.next[s] = t.free
+		t.free = s
+	} else {
+		w := t.way(p)
+		if w < 0 {
+			return false
+		}
+		t.pages[w] = invalid
 	}
-	t.dropSlot(i)
 	t.shootdowns++
 	return true
 }
 
-// dropSlot invalidates entry slot i, maintaining the index and, for fully
-// associative geometry, returning the slot to the free list.
-func (t *TLB) dropSlot(i int32) {
-	// Invalidate before idxDel: a tombstone-triggered rebuild repopulates
-	// from the entry array and must not resurrect this page.
-	t.entries[i].valid = false
-	t.idxDel(t.entries[i].page)
-	if t.sets == 1 {
-		t.listUnlink(i)
-		t.next[i] = t.free
-		t.free = i
-	}
-}
-
 // InvalidateChunk removes the entries of every page of chunk c selected by
 // mask (the batched TLB shootdown of a chunk eviction), returning the number
-// of entries removed. It is exactly equivalent to calling Invalidate for each
-// set page of the mask — same entries removed, same shootdown count, LRU
-// state untouched — but for a fully-associative TLB it makes one pass over
-// the entry array instead of a probe per mask page.
+// of entries removed. It is Invalidate for each set page of the mask, in page
+// order: at most ChunkPages probes, whatever the TLB's size.
 func (t *TLB) InvalidateChunk(c memdef.ChunkID, mask memdef.PageBitmap) int {
-	if mask == 0 {
-		return 0
-	}
 	n := 0
-	if t.sets == 1 {
-		// Fully associative: every page lives in the single set, so one scan
-		// covers all shootdowns of the batch.
-		for i := range t.entries {
-			e := &t.entries[i]
-			if e.valid && e.page.Chunk() == c && mask.Has(e.page.Index()) {
-				t.dropSlot(int32(i))
-				t.shootdowns++
-				n++
-			}
-		}
-		return n
-	}
-	for idx := 0; idx < memdef.ChunkPages; idx++ {
-		if mask.Has(idx) && t.Invalidate(c.Page(idx)) {
+	for rem := uint16(mask); rem != 0; rem &= rem - 1 {
+		if t.Invalidate(c.Page(bits.TrailingZeros16(rem))) {
 			n++
 		}
 	}
@@ -411,21 +377,18 @@ func (t *TLB) InvalidateChunk(c memdef.ChunkID, mask memdef.PageBitmap) int {
 // ForEachPage calls fn for every valid entry's page, without disturbing LRU
 // state or statistics. Audit/diagnostic use only.
 func (t *TLB) ForEachPage(fn func(memdef.PageNum)) {
-	for i := range t.entries {
-		if t.entries[i].valid {
-			fn(t.entries[i].page)
+	for _, p := range t.pages {
+		if p != invalid {
+			fn(p)
 		}
 	}
 }
 
 // Flush invalidates every entry.
 func (t *TLB) Flush() {
-	for i := range t.entries {
-		t.entries[i].valid = false
-	}
-	clear(t.idxState)
-	t.idxDead = 0
+	fillInvalid(t.pages)
 	if t.sets == 1 {
+		clear(t.slots)
 		t.resetLists()
 	}
 }

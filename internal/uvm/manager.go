@@ -63,37 +63,43 @@ const (
 // resident, which are being migrated, and which have been touched by the GPU
 // since migration (the touch bit vector read at eviction time).
 type chunkState struct {
-	resident memdef.PageBitmap
-	inflight memdef.PageBitmap
-	touched  memdef.PageBitmap
-	// pendingFault marks pages whose fault has been claimed but whose
-	// migration has not been planned yet (the fault sits in the driver's
-	// fault buffer); later faults on the same page merge into its waiters.
-	pendingFault memdef.PageBitmap
 	// smMask records which SMs may hold L1 TLB entries for this chunk's
 	// pages (set at L1 insert time), so eviction only shoots down those L1s.
 	// It over-approximates — an entry may have aged out — which is safe:
 	// invalidating an absent page is a no-op. Bit i covers SM i; SMs >= 64
 	// fall back to smMaskAll.
-	smMask    uint64
+	smMask uint64
+	// waitHead/waitTail are the ends of the chunk's FIFO of faulted
+	// translations to resume when their page becomes resident. The list is
+	// intrusive (linked through xlat.waitNext): every waiter is a
+	// translation context, which waits on at most one page at a time, its
+	// own x.page. Translations of the chunk's pages share the list; wake
+	// takes out those of one page, so each page's waiters keep their FIFO
+	// order.
+	waitHead, waitTail *xlat
+	resident           memdef.PageBitmap
+	inflight           memdef.PageBitmap
+	touched            memdef.PageBitmap
+	// pendingFault marks pages whose fault has been claimed but whose
+	// migration has not been planned yet (the fault sits in the driver's
+	// fault buffer); later faults on the same page merge into its waiters.
+	pendingFault memdef.PageBitmap
+	// waiting marks the pages with at least one translation in the FIFO.
+	waiting   memdef.PageBitmap
 	smMaskAll bool
-	// waitHead/waitTail are, per chunk page, the ends of the FIFO of
-	// faulted translations to resume when the page becomes resident. The
-	// list is intrusive (linked through xlat.waitNext): every waiter is a
-	// translation context, which waits on at most one page at a time.
-	waitHead, waitTail [memdef.ChunkPages]*xlat
 }
 
-// addWaiter queues translation x until page index idx becomes resident.
-// Clearing x's link keeps every list acyclic.
+// addWaiter queues translation x until its page, index idx of the chunk,
+// becomes resident. Clearing x's link keeps the list acyclic.
 func (st *chunkState) addWaiter(idx int, x *xlat) {
 	x.waitNext = nil
-	if st.waitTail[idx] == nil {
-		st.waitHead[idx] = x
+	if st.waitTail == nil {
+		st.waitHead = x
 	} else {
-		st.waitTail[idx].waitNext = x
+		st.waitTail.waitNext = x
 	}
-	st.waitTail[idx] = x
+	st.waitTail = x
+	st.waiting = st.waiting.Set(idx)
 }
 
 // Stats aggregates the driver-level counters the evaluation reports.
@@ -884,17 +890,28 @@ func (m *Manager) deliverReordered(commit func()) {
 }
 
 // wake schedules, in FIFO order, the fault completion of every translation
-// waiting on page.
+// waiting on page, unlinking them from the chunk's waiter list.
 func (m *Manager) wake(page memdef.PageNum) {
 	st := m.lookupChunk(page.Chunk())
-	if st == nil {
+	if st == nil || !st.waiting.Has(page.Index()) {
 		return
 	}
-	idx := page.Index()
-	x := st.waitHead[idx]
-	st.waitHead[idx], st.waitTail[idx] = nil, nil
-	for x != nil {
+	st.waiting = st.waiting.Clear(page.Index())
+	var prev *xlat
+	for x := st.waitHead; x != nil; {
 		next := x.waitNext
+		if x.page != page {
+			prev, x = x, next
+			continue
+		}
+		if prev == nil {
+			st.waitHead = next
+		} else {
+			prev.waitNext = next
+		}
+		if st.waitTail == x {
+			st.waitTail = prev
+		}
 		x.waitNext = nil
 		// Zero-delay event keeps wake-up ordering deterministic.
 		m.eng.ScheduleArgTagged(0, engine.Tag{Kind: TagXlatFault, A: x.id}, m.xlatFaultFn, x.id)
@@ -1294,7 +1311,7 @@ func (m *Manager) checkPending() string {
 				// wakes the waiters.
 				continue
 			}
-			if st.waitHead[idx] == nil {
+			if !st.waiting.Has(idx) {
 				c := m.chunkBase + memdef.ChunkID(i)
 				return fmt.Sprintf("pending fault on page %d has no waiters", c.Page(idx))
 			}

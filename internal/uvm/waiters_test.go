@@ -1,0 +1,70 @@
+package uvm
+
+import (
+	"slices"
+	"testing"
+	"unsafe"
+
+	"github.com/reproductions/cppe/internal/engine"
+	"github.com/reproductions/cppe/internal/evict"
+	"github.com/reproductions/cppe/internal/memdef"
+	"github.com/reproductions/cppe/internal/prefetch"
+	"github.com/reproductions/cppe/internal/xbus"
+)
+
+// TestChunkStateSize pins the per-chunk bookkeeping at 48 bytes or less: a
+// Table-I run touches hundreds of chunks, and the waiter FIFO is one list
+// per chunk, not a pair of heads per page.
+func TestChunkStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(chunkState{}); n > 48 {
+		t.Fatalf("chunkState is %d bytes, want <= 48", n)
+	}
+}
+
+// TestWakeKeepsPerPageFIFO: translations waiting on different pages of one
+// chunk share its FIFO; waking a page resumes exactly that page's waiters,
+// in the order they arrived, and leaves the others queued in theirs.
+func TestWakeKeepsPerPageFIFO(t *testing.T) {
+	eng := engine.New()
+	cfg := memdef.DefaultConfig()
+	cfg.NumSMs = 1
+	m := New(eng, cfg, xbus.New(eng, cfg), evict.NewLRU(), prefetch.NewLocality(), &flatMem{eng: eng})
+	var woke []uint64
+	m.xlatFaultFn = func(id uint64) { woke = append(woke, id) }
+
+	c := memdef.ChunkID(5)
+	a, b, other := c.Page(2), c.Page(9), c.Page(4)
+	st := m.chunkState(c)
+	pages := []memdef.PageNum{a, b, a, b, a}
+	for i, p := range pages {
+		st.addWaiter(p.Index(), &xlat{id: uint64(i), page: p})
+	}
+
+	m.wake(other) // no waiters: nothing happens
+	m.wake(a)
+	if _, err := eng.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{0, 2, 4}; !slices.Equal(woke, want) {
+		t.Fatalf("wake(a) resumed %v, want %v", woke, want)
+	}
+	if st.waiting.Has(a.Index()) || !st.waiting.Has(b.Index()) {
+		t.Fatalf("waiting bitmap %016b after wake(a)", st.waiting)
+	}
+	if st.waitHead.id != 1 || st.waitTail.id != 3 || st.waitHead.waitNext != st.waitTail || st.waitTail.waitNext != nil {
+		t.Fatal("page b's waiters are not left as the FIFO 1, 3")
+	}
+
+	woke = woke[:0]
+	st.addWaiter(b.Index(), &xlat{id: 7, page: b})
+	m.wake(b)
+	if _, err := eng.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{1, 3, 7}; !slices.Equal(woke, want) {
+		t.Fatalf("wake(b) resumed %v, want %v", woke, want)
+	}
+	if st.waitHead != nil || st.waitTail != nil || st.waiting != 0 {
+		t.Fatal("chunk FIFO not empty after waking every page")
+	}
+}
