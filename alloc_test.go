@@ -38,12 +38,19 @@ func TestRunAllocCeiling(t *testing.T) {
 
 // TestRunBytesCeiling gates the bytes allocated by one whole simulation of
 // each TestRunAllocCeiling key, in a fresh session as one cppe-sim run pays.
-// Byte counts are as deterministic as allocation counts. A fresh run builds
-// the whole Table-I machine, so this is where the layout of the per-machine
-// structures — TLBs, page table, chunk states, cache tags — shows. Each
-// ceiling sits about 15% above the measured count (1.24 / 1.83 / 1.56 /
-// 1.17 MB). With the TLBs, page-table nodes and chunk states of an earlier
-// layout the same runs allocated 1.62 / 2.21 / 1.94 / 1.56 MB.
+// A fresh run builds the whole Table-I machine, so this is where the layout
+// of the per-machine structures — TLBs, page table, chunk states, cache
+// tags — shows. With the TLBs, page-table nodes and chunk states of an
+// earlier layout the same runs allocated 1.62 / 2.21 / 1.94 / 1.56 MB.
+//
+// TotalAlloc is process-wide, so a runtime or test-framework allocation that
+// lands inside the window counts too. The gate takes the smallest of three
+// runs, which drops such strays. Each ceiling sits about 15% above the
+// count measured with go1.24 on linux/amd64 (1.24 / 1.83 / 1.56 / 1.17 MB;
+// repeats differ by under 6 KB, GOMAXPROCS 1 and 2 agree, and -race adds
+// about 4 KB). A Go release that
+// changes what its runtime or standard library allocates can move the
+// counts; remeasure them (the test logs each run) before moving a ceiling.
 func TestRunBytesCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		bench, setup string
@@ -56,15 +63,18 @@ func TestRunBytesCeiling(t *testing.T) {
 	} {
 		t.Run(tc.bench+"/"+tc.setup, func(t *testing.T) {
 			req := Request{Benchmark: tc.bench, Setup: tc.setup, Oversubscription: 50}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			if _, err := NewSession(Options{Scale: 0.05, Parallelism: 1}).Run(req); err != nil {
-				t.Fatal(err)
+			best := ^uint64(0)
+			for range 3 {
+				b := allocBytes(func() {
+					if _, err := NewSession(Options{Scale: 0.05, Parallelism: 1}).Run(req); err != nil {
+						t.Fatal(err)
+					}
+				})
+				t.Logf("%s/%s@50 at scale 0.05: %d bytes", tc.bench, tc.setup, b)
+				best = min(best, b)
 			}
-			runtime.ReadMemStats(&after)
-			b := after.TotalAlloc - before.TotalAlloc
-			if b > tc.ceiling {
-				t.Errorf("%s/%s@50 at scale 0.05: %d bytes allocated, ceiling %d", tc.bench, tc.setup, b, tc.ceiling)
+			if best > tc.ceiling {
+				t.Errorf("%s/%s@50 at scale 0.05: %d bytes allocated, ceiling %d", tc.bench, tc.setup, best, tc.ceiling)
 			}
 		})
 	}
@@ -131,4 +141,13 @@ func mallocs(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
+}
+
+// allocBytes returns the number of heap bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -94,8 +94,6 @@ type Engine struct {
 	fired   uint64
 	budget  uint64 // optional hard cap on events per Run; 0 = unlimited
 	pending int
-	// firedKind counts fired events per kindSlot (see FiredByKind).
-	firedKind [otherKindSlot + 1]uint64
 
 	// ring holds events with at in [now, now+ringWindow), bucketed by
 	// at&ringMask. Because ring events always satisfy that half-open bound
@@ -140,6 +138,11 @@ type Engine struct {
 	// resumable run reports progress and may park.
 	pauseAt  memdef.Cycle
 	pauseSet bool
+
+	// firedKind counts fired events per kindSlot (see FiredByKind). It is
+	// last so that its 392 bytes do not push the fields Run reads per event
+	// apart.
+	firedKind [otherKindSlot + 1]uint64
 }
 
 // New returns an empty engine at cycle 0.

@@ -32,10 +32,6 @@ var ErrDoubleMap = errors.New("pagetable: double map")
 // eviction-side counterpart of ErrDoubleMap.
 var ErrUnmapUnmapped = errors.New("pagetable: unmap of unmapped page")
 
-// ErrFrameRange reports a Map of a frame above MaxFrame, which a leaf word
-// cannot hold.
-var ErrFrameRange = errors.New("pagetable: frame out of range")
-
 // Levels is the radix-tree depth (x86-64-style 4-level table).
 const Levels = 4
 
@@ -57,7 +53,8 @@ const (
 )
 
 // MaxFrame is the largest frame a leaf word holds. Frame 0 is valid; the
-// driver hands out at most one frame per virtual page, far below MaxFrame.
+// driver hands out at most one frame per virtual page, far below MaxFrame,
+// so Map does not check the bound.
 const MaxFrame = FrameNum(leafDirty - 1)
 
 // PTE is a leaf page-table entry, as Unmap reports it.
@@ -137,12 +134,9 @@ func indexAt(p memdef.PageNum, l int) int {
 
 // Map installs a virtual-to-physical mapping. Mapping an already-mapped page
 // returns ErrDoubleMap (and installs nothing): double migration is a UVM
-// driver integrity violation, which the caller fail-stops on. A frame above
-// MaxFrame returns ErrFrameRange.
+// driver integrity violation, which the caller fail-stops on. f must not
+// exceed MaxFrame.
 func (t *Table) Map(p memdef.PageNum, f FrameNum) error {
-	if f > MaxFrame {
-		return fmt.Errorf("%w: %d", ErrFrameRange, f)
-	}
 	l := t.walkAlloc(p)
 	i := indexAt(p, 0)
 	if l[i]&leafPresent != 0 {

@@ -288,18 +288,6 @@ func TestLeafWordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMapRejectsFrameOutOfRange: a frame a leaf word cannot hold is refused
-// and installs nothing.
-func TestMapRejectsFrameOutOfRange(t *testing.T) {
-	pt := New()
-	if err := pt.Map(9, MaxFrame+1); !errors.Is(err, ErrFrameRange) {
-		t.Fatalf("Map(MaxFrame+1) error = %v, want ErrFrameRange", err)
-	}
-	if pt.IsMapped(9) || pt.Mapped() != 0 {
-		t.Fatal("out-of-range frame was installed")
-	}
-}
-
 // TestResetRemapAllocatesNothing: a reset table hands its retained directory
 // and leaf nodes out again, so remapping the same page set — spread over
 // several leaf and directory nodes — allocates nothing, and walks see the

@@ -106,9 +106,10 @@ func (r *refTLB) resident() []memdef.PageNum {
 
 // fuzzGeometries are the TLB shapes FuzzTLB drives: Table I's L1 and L2,
 // small fully-associative and set-associative ones that evict constantly,
-// and the degenerate single-entry and direct-mapped cases.
+// the degenerate single-entry and direct-mapped cases, and a set count that
+// is not a power of two (3 sets of 8 ways), which a config may give.
 var fuzzGeometries = [][2]int{
-	{128, 128}, {512, 16}, {8, 8}, {16, 4}, {12, 3}, {1, 1}, {8, 1},
+	{128, 128}, {512, 16}, {8, 8}, {16, 4}, {12, 3}, {1, 1}, {8, 1}, {24, 8},
 }
 
 // FuzzTLB decodes a geometry and a stream of operations from the input and

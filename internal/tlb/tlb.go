@@ -46,11 +46,9 @@ type TLB struct {
 	ways  int
 	pages []memdef.PageNum // sets x ways, row-major; invalid = empty
 
-	// Set-associative only: LRU stamps (larger = more recently used), and
-	// sets-1 when sets is a power of two, else 0.
-	lru     []uint64
-	tick    uint64
-	setMask uint64
+	// Set-associative only: LRU stamps (larger = more recently used).
+	lru  []uint64
+	tick uint64
 
 	// Fully associative only. slots is the probe table: entry slot + 1, or
 	// 0 for an empty position. prev/next link the recency list (next doubles
@@ -100,9 +98,6 @@ func (t *TLB) Reset() {
 	fillInvalid(t.pages)
 	if t.sets > 1 {
 		t.lru = zeroed(t.lru, entries)
-		if t.sets&(t.sets-1) == 0 {
-			t.setMask = uint64(t.sets - 1)
-		}
 		return
 	}
 	size := 2
@@ -238,9 +233,6 @@ func (t *TLB) listUnlink(s int32) {
 
 // setBase returns the first entry index of page p's set.
 func (t *TLB) setBase(p memdef.PageNum) int {
-	if t.setMask != 0 {
-		return int(uint64(p)&t.setMask) * t.ways
-	}
 	return int(uint64(p)%uint64(t.sets)) * t.ways
 }
 
