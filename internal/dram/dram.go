@@ -105,17 +105,11 @@ func (d *DRAM) route(a memdef.VirtAddr) (*channel, *bank, uint64) {
 	return ch, &ch.banks[bi], row
 }
 
-// Access schedules a memory access of the given kind to address a, invoking
-// done when the data is available (read) or committed (write). The returned
-// cycle is the completion time.
-func (d *DRAM) Access(a memdef.VirtAddr, kind memdef.AccessKind, done func()) memdef.Cycle {
-	return d.AccessT(a, kind, engine.Tag{}, done)
-}
-
-// AccessT is Access with a tag describing done, carried by the completion
-// event (see engine.Tag).
-// Accesses without a completion callback schedule nothing and need no tag.
-func (d *DRAM) AccessT(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag, done func()) memdef.Cycle {
+// Access books a memory access of the given kind to address a and returns
+// its completion cycle. A non-nil done runs at that cycle, when the data is
+// available (read) or committed (write), as an event of kind tag; an access
+// without a callback schedules nothing, so its tag is unused.
+func (d *DRAM) Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag, done func()) memdef.Cycle {
 	ch, bk, row := d.route(a)
 	var svc memdef.Cycle
 	if bk.hasRow && bk.openRow == row {

@@ -38,8 +38,8 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	cfg := testConfig()
 	d := New(e, cfg)
 	var miss, hit memdef.Cycle
-	e.Schedule(0, func() { miss = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, nil) })
-	e.Schedule(100, func() { hit = d.Access(addrFor(cfg, 0, 0, 0)+64, memdef.Read, nil) })
+	e.Schedule(0, func() { miss = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil) })
+	e.Schedule(100, func() { hit = d.Access(addrFor(cfg, 0, 0, 0)+64, memdef.Read, 0, nil) })
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestBankLevelParallelism(t *testing.T) {
 	d := New(e, cfg)
 	var a, b memdef.Cycle
 	e.Schedule(0, func() {
-		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, nil) // ch0 bank0
-		b = d.Access(addrFor(cfg, 0, 1, 0), memdef.Read, nil) // ch0 bank1
+		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil) // ch0 bank0
+		b = d.Access(addrFor(cfg, 0, 1, 0), memdef.Read, 0, nil) // ch0 bank1
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -80,8 +80,8 @@ func TestSameBankSerializes(t *testing.T) {
 	d := New(e, cfg)
 	var a, b memdef.Cycle
 	e.Schedule(0, func() {
-		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, nil) // bank0 row r0
-		b = d.Access(addrFor(cfg, 0, 0, 1), memdef.Read, nil) // bank0 row r1: conflict
+		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil) // bank0 row r0
+		b = d.Access(addrFor(cfg, 0, 0, 1), memdef.Read, 0, nil) // bank0 row r1: conflict
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -98,8 +98,8 @@ func TestChannelParallelism(t *testing.T) {
 	d := New(e, cfg)
 	var a, b memdef.Cycle
 	e.Schedule(0, func() {
-		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, nil)
-		b = d.Access(addrFor(cfg, 1, 0, 0), memdef.Read, nil)
+		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil)
+		b = d.Access(addrFor(cfg, 1, 0, 0), memdef.Read, 0, nil)
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -114,9 +114,9 @@ func TestRowBufferReplacement(t *testing.T) {
 	cfg := testConfig()
 	d := New(e, cfg)
 	e.Schedule(0, func() {
-		d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, nil) // open row A
-		d.Access(addrFor(cfg, 0, 0, 1), memdef.Read, nil) // row B closes A
-		d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, nil) // row A misses again
+		d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil) // open row A
+		d.Access(addrFor(cfg, 0, 0, 1), memdef.Read, 0, nil) // row B closes A
+		d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil) // row A misses again
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestDoneCallbackFiresAtCompletion(t *testing.T) {
 	d := New(e, cfg)
 	var at, finish memdef.Cycle
 	e.Schedule(5, func() {
-		finish = d.Access(addrFor(cfg, 0, 0, 0), memdef.Write, func() { at = e.Now() })
+		finish = d.Access(addrFor(cfg, 0, 0, 0), memdef.Write, 0, func() { at = e.Now() })
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestSequentialStreamRowLocality(t *testing.T) {
 	n := 256
 	e.Schedule(0, func() {
 		for i := 0; i < n; i++ {
-			d.Access(memdef.VirtAddr(i*64), memdef.Read, nil)
+			d.Access(memdef.VirtAddr(i*64), memdef.Read, 0, nil)
 		}
 	})
 	if _, err := e.Run(nil); err != nil {

@@ -1,6 +1,24 @@
 package engine
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestNodeSizes pins the event node at 56 bytes or less and the semaphore
+// waiter at 32 on 64-bit platforms: every scheduled event and every queued
+// acquire carries one, and a tag is a 2-byte kind with no operands.
+func TestNodeSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(eventNode{}); n > 56 {
+		t.Errorf("eventNode is %d bytes, want <= 56", n)
+	}
+	if n := unsafe.Sizeof(waiter{}); n > 32 {
+		t.Errorf("waiter is %d bytes, want <= 32", n)
+	}
+}
 
 // TestSemaphoreContentionAllocFree gates the waiter FIFO: once the ring has
 // grown to the peak queue depth, acquires that queue and releases that hand
@@ -15,9 +33,9 @@ func TestSemaphoreContentionAllocFree(t *testing.T) {
 	round := func() {
 		for i := 0; i < depth; i++ {
 			if i%2 == 0 {
-				s.AcquireTagged(Tag{Kind: 1, A: uint64(i)}, fn)
+				s.AcquireTagged(1, fn)
 			} else {
-				s.AcquireArgTagged(Tag{Kind: 2, A: uint64(i)}, argFn, uint64(i))
+				s.AcquireArgTagged(2, argFn, uint64(i))
 			}
 		}
 		for i := 0; i < depth; i++ {

@@ -1,7 +1,8 @@
 // Package engine implements the discrete-event simulation core shared by all
 // hardware models. It is deliberately minimal: a time-ordered event queue with
-// deterministic FIFO tie-breaking, and a couple of helpers (resources,
-// deferred wake-ups) that the latency/bandwidth models build on.
+// deterministic FIFO tie-breaking, and two helpers (a serially shared
+// resource and a counting semaphore) that the latency/bandwidth models build
+// on.
 //
 // An Engine is single-goroutine: components schedule closures and the owner
 // drains the queue with Run. Determinism is guaranteed — two events scheduled
@@ -44,24 +45,21 @@ type eventNode struct {
 	fn    func()
 	argFn func(uint64)
 	arg   uint64
-	// tag names the callback and its operands (zero Kind = untagged).
-	// Production scheduling paths use the *Tagged variants.
-	tag  Tag
-	next *eventNode
+	next  *eventNode
+	// tag is the event's kind (zero = untagged). Production scheduling
+	// paths use the *Tagged variants.
+	tag Tag
 }
 
-// Tag is a deterministic event descriptor: Kind names the callback (component
-// kinds live in per-package constant ranges; 0 is reserved for untagged) and
-// A/B carry its operands (a warp gid, a walk ID, a page number...). Tags
-// label the event stream for observation; they never affect dispatch.
-type Tag struct {
-	Kind uint16
-	A, B uint64
-}
+// Tag is an event's kind: it names the callback. Component kinds live in
+// per-package constant ranges (0x01xx sm, 0x02xx ptw, 0x03xx uvm); 0 is
+// reserved for untagged events. Tags label the event stream for observation
+// (see FiredByKind); they never affect dispatch.
+type Tag uint16
 
-// Fired-event counting per Tag.Kind: kinds live in per-package ranges
+// Fired-event counting per Tag: kinds live in per-package ranges
 // 0x01xx–0x03xx, and kindsPerPackage low values of each range get a counter;
-// every other kind — untagged events (Kind 0) included — shares the last one.
+// every other kind — untagged events (Tag 0) included — shares the last one.
 const (
 	kindPackages    = 3
 	kindsPerPackage = 16
@@ -69,7 +67,7 @@ const (
 )
 
 // kindSlot returns the fired-count slot of kind.
-func kindSlot(kind uint16) int {
+func kindSlot(kind Tag) int {
 	pkg, low := int(kind>>8)-1, int(kind&0xff)
 	if pkg < 0 || pkg >= kindPackages || low >= kindsPerPackage {
 		return otherKindSlot
@@ -77,10 +75,10 @@ func kindSlot(kind uint16) int {
 	return pkg*kindsPerPackage + low
 }
 
-// OtherKinds is the FiredByKind key that counts the events whose Kind has no
+// OtherKinds is the FiredByKind key that counts the events whose kind has no
 // counter of its own: untagged events and kinds outside the per-package
 // ranges.
-const OtherKinds uint16 = 0
+const OtherKinds Tag = 0
 
 // bucket is one per-cycle FIFO list in the ring.
 type bucket struct {
@@ -187,20 +185,20 @@ func (e *Engine) Now() memdef.Cycle { return e.now }
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// FiredByKind returns the number of events executed so far per Tag.Kind,
-// with one entry per kind that fired. Kinds outside the per-package ranges
+// FiredByKind returns the number of events executed so far per Tag, with
+// one entry per kind that fired. Kinds outside the per-package ranges
 // 0x01xx–0x03xx with a low byte of 16 or more, and untagged events, are
 // counted together under OtherKinds. The counts sum to Fired. They are
 // observation only: nothing in the simulation reads them.
-func (e *Engine) FiredByKind() map[uint16]uint64 {
-	out := make(map[uint16]uint64)
+func (e *Engine) FiredByKind() map[Tag]uint64 {
+	out := make(map[Tag]uint64)
 	for slot, n := range e.firedKind {
 		if n == 0 {
 			continue
 		}
 		kind := OtherKinds
 		if slot != otherKindSlot {
-			kind = uint16(slot/kindsPerPackage+1)<<8 | uint16(slot%kindsPerPackage)
+			kind = Tag(slot/kindsPerPackage+1)<<8 | Tag(slot%kindsPerPackage)
 		}
 		out[kind] = n
 	}
@@ -279,16 +277,28 @@ func (e *Engine) insert(n *eventNode, at memdef.Cycle) {
 	e.heapPush(n)
 }
 
-// Schedule runs fn after delay cycles (possibly zero, meaning "later this
-// cycle, after already-queued same-cycle events").
-func (e *Engine) Schedule(delay memdef.Cycle, fn func()) {
-	if fn == nil {
+// schedule is the node-filling core of every Schedule variant: it queues a
+// node at absolute cycle at (>= now) that runs fn, or argFn(arg) when fn is
+// nil, under tag.
+func (e *Engine) schedule(at memdef.Cycle, tag Tag, fn func(), argFn func(uint64), arg uint64) {
+	if at < e.now {
+		//cppelint:panicfree scheduling in the past is a component bug that would silently corrupt event order; fail loudly, recovered by the harness
+		panic(fmt.Sprintf("engine: event scheduled at %d, in the past (now=%d)", at, e.now))
+	}
+	if fn == nil && argFn == nil {
 		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
-		panic("engine: Schedule called with nil fn")
+		panic("engine: event scheduled with a nil callback")
 	}
 	n := e.alloc()
-	n.fn = fn
-	e.insert(n, e.now+delay)
+	n.fn, n.argFn, n.arg, n.tag = fn, argFn, arg, tag
+	e.insert(n, at)
+}
+
+// Schedule runs fn after delay cycles (possibly zero, meaning "later this
+// cycle, after already-queued same-cycle events"). The event is untagged;
+// production scheduling paths use ScheduleTagged.
+func (e *Engine) Schedule(delay memdef.Cycle, fn func()) {
+	e.schedule(e.now+delay, 0, fn, nil, 0)
 }
 
 // ScheduleArg runs fn(arg) after delay cycles. It is the allocation-free
@@ -296,106 +306,29 @@ func (e *Engine) Schedule(delay memdef.Cycle, fn func()) {
 // stored once by the component, and arg carries the per-event state, so no
 // closure is created per event.
 func (e *Engine) ScheduleArg(delay memdef.Cycle, fn func(uint64), arg uint64) {
-	if fn == nil {
-		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
-		panic("engine: ScheduleArg called with nil fn")
-	}
-	n := e.alloc()
-	n.argFn = fn
-	n.arg = arg
-	e.insert(n, e.now+delay)
+	e.schedule(e.now+delay, 0, nil, fn, arg)
 }
 
-// ScheduleAt runs fn at absolute cycle at. Scheduling in the past panics:
-// components must never rewind time.
-func (e *Engine) ScheduleAt(at memdef.Cycle, fn func()) {
-	if at < e.now {
-		//cppelint:panicfree scheduling in the past is a component bug that would silently corrupt event order; fail loudly, recovered by the harness
-		panic(fmt.Sprintf("engine: ScheduleAt(%d) in the past (now=%d)", at, e.now))
-	}
-	if fn == nil {
-		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
-		panic("engine: ScheduleAt called with nil fn")
-	}
-	n := e.alloc()
-	n.fn = fn
-	e.insert(n, at)
-}
-
-// ScheduleTagged is Schedule with a tag describing fn (see Tag). Production
-// scheduling paths use the tagged variants; untagged events are fine for
-// tests and ad-hoc tooling.
+// ScheduleTagged is Schedule with tag naming fn's kind (see Tag).
 func (e *Engine) ScheduleTagged(delay memdef.Cycle, tag Tag, fn func()) {
-	if fn == nil {
-		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
-		panic("engine: ScheduleTagged called with nil fn")
-	}
-	n := e.alloc()
-	n.fn = fn
-	n.tag = tag
-	e.insert(n, e.now+delay)
+	e.schedule(e.now+delay, tag, fn, nil, 0)
 }
 
-// ScheduleAtTagged is ScheduleAt with a tag (see ScheduleTagged).
+// ScheduleAtTagged runs fn at absolute cycle at, under tag. Scheduling in
+// the past panics: components must never rewind time.
 func (e *Engine) ScheduleAtTagged(at memdef.Cycle, tag Tag, fn func()) {
-	if at < e.now {
-		//cppelint:panicfree scheduling in the past is a component bug that would silently corrupt event order; fail loudly, recovered by the harness
-		panic(fmt.Sprintf("engine: ScheduleAtTagged(%d) in the past (now=%d)", at, e.now))
-	}
-	if fn == nil {
-		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
-		panic("engine: ScheduleAtTagged called with nil fn")
-	}
-	n := e.alloc()
-	n.fn = fn
-	n.tag = tag
-	e.insert(n, at)
+	e.schedule(at, tag, fn, nil, 0)
 }
 
-// ScheduleArgTagged is ScheduleArg with a tag (see ScheduleTagged).
+// ScheduleArgTagged is ScheduleArg with tag naming fn's kind.
 func (e *Engine) ScheduleArgTagged(delay memdef.Cycle, tag Tag, fn func(uint64), arg uint64) {
-	if fn == nil {
-		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
-		panic("engine: ScheduleArgTagged called with nil fn")
-	}
-	n := e.alloc()
-	n.argFn = fn
-	n.arg = arg
-	n.tag = tag
-	e.insert(n, e.now+delay)
+	e.schedule(e.now+delay, tag, nil, fn, arg)
 }
 
-// ScheduleArgAt is ScheduleAt's allocation-free variant (see ScheduleArg).
-func (e *Engine) ScheduleArgAt(at memdef.Cycle, fn func(uint64), arg uint64) {
-	if at < e.now {
-		//cppelint:panicfree scheduling in the past is a component bug that would silently corrupt event order; fail loudly, recovered by the harness
-		panic(fmt.Sprintf("engine: ScheduleArgAt(%d) in the past (now=%d)", at, e.now))
-	}
-	if fn == nil {
-		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
-		panic("engine: ScheduleArgAt called with nil fn")
-	}
-	n := e.alloc()
-	n.argFn = fn
-	n.arg = arg
-	e.insert(n, at)
-}
-
-// ScheduleArgAtTagged is ScheduleArgAt with a tag (see ScheduleTagged).
+// ScheduleArgAtTagged is ScheduleAtTagged's allocation-free variant (see
+// ScheduleArg).
 func (e *Engine) ScheduleArgAtTagged(at memdef.Cycle, tag Tag, fn func(uint64), arg uint64) {
-	if at < e.now {
-		//cppelint:panicfree scheduling in the past is a component bug that would silently corrupt event order; fail loudly, recovered by the harness
-		panic(fmt.Sprintf("engine: ScheduleArgAtTagged(%d) in the past (now=%d)", at, e.now))
-	}
-	if fn == nil {
-		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
-		panic("engine: ScheduleArgAtTagged called with nil fn")
-	}
-	n := e.alloc()
-	n.argFn = fn
-	n.arg = arg
-	n.tag = tag
-	e.insert(n, at)
+	e.schedule(at, tag, nil, fn, arg)
 }
 
 // nextRing returns the earliest cycle with a ring event. Ring slots ascend in
@@ -424,29 +357,6 @@ func (e *Engine) nextRing() (memdef.Cycle, int) {
 	panic("engine: ringCount > 0 but no occupied slot")
 }
 
-// popNext removes and returns the globally next event in (at, seq) order.
-func (e *Engine) popNext() *eventNode {
-	if e.ringCount == 0 {
-		return e.heapPop()
-	}
-	// Same-cycle cascade fast path: events at cycle now can only live in slot
-	// now&ringMask, so when that slot's head is still at now it is the
-	// earliest ring event and the bitmap scan is unnecessary. Cascades (many
-	// events firing at one cycle) dominate the simulator's event mix, making
-	// this the common case.
-	s := int(e.now & ringMask)
-	at := e.now
-	if b := &e.ring[s]; b.head == nil || b.head.at != e.now {
-		at, s = e.nextRing()
-	}
-	if len(e.overflow) > 0 && e.overflow[0].at <= at {
-		// An overflow event at the same cycle always precedes ring events of
-		// that cycle (strictly smaller seq; see the overflow invariant).
-		return e.heapPop()
-	}
-	return e.popRing(s)
-}
-
 // popRing removes and returns the head event of ring slot s.
 func (e *Engine) popRing(s int) *eventNode {
 	b := &e.ring[s]
@@ -462,10 +372,10 @@ func (e *Engine) popRing(s int) *eventNode {
 	return n
 }
 
-// popNextBounded is popNext limited to events at or before limit: it returns
-// nil — removing nothing — when the globally next event lies beyond the
-// boundary. One queue scan replaces Run's peek-then-pop pair on the paused
-// path; pop order is identical to popNext's.
+// popNextBounded removes and returns the globally next event in (at, seq)
+// order if it lies at or before limit, else returns nil and removes nothing.
+// One queue scan decides both "past the boundary?" and "which event fires
+// next"; Run passes an unbounded limit when no pause is armed.
 func (e *Engine) popNextBounded(limit memdef.Cycle) *eventNode {
 	if e.ringCount == 0 {
 		if len(e.overflow) == 0 || e.overflow[0].at > limit {
@@ -473,13 +383,19 @@ func (e *Engine) popNextBounded(limit memdef.Cycle) *eventNode {
 		}
 		return e.heapPop()
 	}
-	// Same-cycle cascade fast path; see popNext.
+	// Same-cycle cascade fast path: events at cycle now can only live in slot
+	// now&ringMask, so when that slot's head is still at now it is the
+	// earliest ring event and the bitmap scan is unnecessary. Cascades (many
+	// events firing at one cycle) dominate the simulator's event mix, making
+	// this the common case.
 	s := int(e.now & ringMask)
 	at := e.now
 	if b := &e.ring[s]; b.head == nil || b.head.at != e.now {
 		at, s = e.nextRing()
 	}
 	if len(e.overflow) > 0 && e.overflow[0].at <= at {
+		// An overflow event at the same cycle always precedes ring events of
+		// that cycle (strictly smaller seq; see the overflow invariant).
 		if e.overflow[0].at > limit {
 			return nil
 		}
@@ -560,15 +476,13 @@ func (e *Engine) Run(done func() bool) (memdef.Cycle, error) {
 		if e.budget != 0 && e.fired-start >= e.budget {
 			return e.now, ErrBudget
 		}
-		var n *eventNode
+		limit := ^memdef.Cycle(0)
 		if e.pauseSet {
-			// Bounded pop: one queue scan decides both "past the boundary?"
-			// and "which event fires next".
-			if n = e.popNextBounded(e.pauseAt); n == nil {
-				return e.now, ErrPaused
-			}
-		} else {
-			n = e.popNext()
+			limit = e.pauseAt
+		}
+		n := e.popNextBounded(limit)
+		if n == nil {
+			return e.now, ErrPaused
 		}
 		if n.at < e.now {
 			//cppelint:panicfree time monotonicity invariant on the zero-alloc dispatch path; the harness converts the panic to Result.Err via ErrPanic
@@ -576,7 +490,7 @@ func (e *Engine) Run(done func() bool) (memdef.Cycle, error) {
 		}
 		e.now = n.at
 		e.fired++
-		e.firedKind[kindSlot(n.tag.Kind)]++
+		e.firedKind[kindSlot(n.tag)]++
 		// Copy the callback out and recycle the node before invoking it: the
 		// callback may schedule new events, which can then reuse this node.
 		fn, argFn, arg := n.fn, n.argFn, n.arg

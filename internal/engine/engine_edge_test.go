@@ -111,19 +111,19 @@ func TestScheduleArgNilPanics(t *testing.T) {
 	e.ScheduleArg(0, nil, 7)
 }
 
-// TestScheduleArgAt covers the absolute-time pooled variant, including the
-// past-scheduling panic.
+// TestScheduleArgAt covers the absolute-time pooled variant,
+// ScheduleArgAtTagged, including the past-scheduling panic.
 func TestScheduleArgAt(t *testing.T) {
 	e := New()
 	var got []uint64
 	e.Schedule(5, func() {
-		e.ScheduleArgAt(9, func(v uint64) { got = append(got, v) }, 42)
+		e.ScheduleArgAtTagged(9, 0, func(v uint64) { got = append(got, v) }, 42)
 		defer func() {
 			if recover() == nil {
-				t.Error("ScheduleArgAt in the past did not panic")
+				t.Error("ScheduleArgAtTagged in the past did not panic")
 			}
 		}()
-		e.ScheduleArgAt(2, func(uint64) {}, 0)
+		e.ScheduleArgAtTagged(2, 0, func(uint64) {}, 0)
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -145,14 +145,14 @@ func TestOverflowHeapOrdering(t *testing.T) {
 	var order []int
 	// Scheduled at cycle 0: lands in the heap (beyond the ring window).
 	target := memdef.Cycle(ringWindow + 100)
-	e.ScheduleAt(target, func() { order = append(order, 1) })
+	e.ScheduleAtTagged(target, 0, func() { order = append(order, 1) })
 	// Bounce to a cycle from which the same target is ring-reachable, then
 	// schedule a same-cycle ring event: the heap event must still fire first.
 	e.Schedule(200, func() {
-		e.ScheduleAt(target, func() { order = append(order, 2) })
+		e.ScheduleAtTagged(target, 0, func() { order = append(order, 2) })
 	})
 	// And a far event after the target, plus a near event before it.
-	e.ScheduleAt(target+ringWindow+1, func() { order = append(order, 3) })
+	e.ScheduleAtTagged(target+ringWindow+1, 0, func() { order = append(order, 3) })
 	e.Schedule(1, func() { order = append(order, 0) })
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)

@@ -69,10 +69,10 @@ func TestScheduleAtPastPanics(t *testing.T) {
 	e.Schedule(10, func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("ScheduleAt in the past did not panic")
+				t.Error("ScheduleAtTagged in the past did not panic")
 			}
 		}()
-		e.ScheduleAt(5, func() {})
+		e.ScheduleAtTagged(5, 0, func() {})
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestSemaphoreCapacityAndFIFO(t *testing.T) {
 	s := NewSemaphore(e, 2)
 	var got []int
 	hold := func(id int, dur memdef.Cycle) {
-		s.Acquire(func() {
+		s.AcquireTagged(0, func() {
 			got = append(got, id)
 			e.Schedule(dur, s.Release)
 		})

@@ -9,24 +9,24 @@ func TestFiredByKind(t *testing.T) {
 	e := New()
 	nop := func() {}
 	argNop := func(uint64) {}
-	e.ScheduleTagged(1, Tag{Kind: 0x0101}, nop)
-	e.ScheduleTagged(2, Tag{Kind: 0x0101}, nop)
-	e.ScheduleArgTagged(3, Tag{Kind: 0x0203, A: 9}, argNop, 9)
-	e.ScheduleArgAtTagged(4, Tag{Kind: 0x030f}, argNop, 0)
-	e.Schedule(5, nop)                             // untagged
-	e.ScheduleTagged(6, Tag{Kind: 0x0310}, nop)    // low byte past the counters
-	e.ScheduleTagged(7, Tag{Kind: 0x0401}, nop)    // outside the ranges
-	e.ScheduleTagged(9000, Tag{Kind: 0x0302}, nop) // overflow heap
+	e.ScheduleTagged(1, 0x0101, nop)
+	e.ScheduleTagged(2, 0x0101, nop)
+	e.ScheduleArgTagged(3, 0x0203, argNop, 9)
+	e.ScheduleArgAtTagged(4, 0x030f, argNop, 0)
+	e.Schedule(5, nop)                  // untagged
+	e.ScheduleTagged(6, 0x0310, nop)    // low byte past the counters
+	e.ScheduleTagged(7, 0x0401, nop)    // outside the ranges
+	e.ScheduleTagged(9000, 0x0302, nop) // overflow heap
 	s := NewSemaphore(e, 1)
-	s.AcquireTagged(Tag{Kind: 0x0202}, nop)
-	s.AcquireTagged(Tag{Kind: 0x0202}, func() {})
-	e.ScheduleTagged(20, Tag{Kind: 0x0105}, s.Release)
+	s.AcquireTagged(0x0202, nop)
+	s.AcquireTagged(0x0202, func() {})
+	e.ScheduleTagged(20, 0x0105, s.Release)
 	e.PauseAt(100)
 	if _, err := e.Run(nil); err != ErrPaused {
 		t.Fatalf("Run = %v, want ErrPaused", err)
 	}
 
-	want := map[uint16]uint64{
+	want := map[Tag]uint64{
 		0x0101: 2, 0x0203: 1, 0x030f: 1, 0x0202: 2, 0x0105: 1,
 		OtherKinds: 3,
 	}

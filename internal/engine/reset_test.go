@@ -12,8 +12,8 @@ import (
 // early cycle leaves both tiers populated.
 func queueMixed(e *Engine, fn func(), argFn func(uint64)) {
 	for i := 0; i < 8; i++ {
-		e.ScheduleTagged(memdef.Cycle(10+i), Tag{Kind: 1, A: uint64(i)}, fn)
-		e.ScheduleArgTagged(memdef.Cycle(ringWindow+100*i), Tag{Kind: 2, A: uint64(i)}, argFn, uint64(i))
+		e.ScheduleTagged(memdef.Cycle(10+i), 1, fn)
+		e.ScheduleArgTagged(memdef.Cycle(ringWindow+100*i), 2, argFn, uint64(i))
 	}
 	e.ScheduleArg(50, argFn, 99)
 }
@@ -61,7 +61,7 @@ func TestResetDrainsQueue(t *testing.T) {
 	}
 	pooled := 0
 	for n := e.free; n != nil; n = n.next {
-		if n.fn != nil || n.argFn != nil || n.tag != (Tag{}) {
+		if n.fn != nil || n.argFn != nil || n.tag != 0 {
 			t.Fatal("pooled node still holds a callback or tag")
 		}
 		pooled++

@@ -1,10 +1,7 @@
 package engine
 
-import "github.com/reproductions/cppe/internal/memdef"
-
-// waiter is one queued Acquire: the callback plus the tag describing it
-// (zero tag for untagged acquires). Exactly one of fn / argFn is set, as in
-// eventNode.
+// waiter is one queued acquire: the callback and the kind of its grant
+// event. Exactly one of fn / argFn is set, as in eventNode.
 type waiter struct {
 	tag   Tag
 	fn    func()
@@ -46,13 +43,9 @@ func (s *Semaphore) Reset(capacity int) {
 	*s = Semaphore{eng: s.eng, cap: capacity, ring: s.ring}
 }
 
-// Acquire grants a slot to fn as soon as one is available (immediately, via a
-// zero-delay event, if the semaphore is not full). Untagged acquires are for
-// tests and tooling; production paths use AcquireTagged.
-func (s *Semaphore) Acquire(fn func()) { s.AcquireTagged(Tag{}, fn) }
-
-// AcquireTagged is Acquire with a tag describing fn, carried by the
-// zero-delay grant event.
+// AcquireTagged grants a slot to fn as soon as one is available
+// (immediately, via a zero-delay event, if the semaphore is not full). tag is
+// the grant event's kind.
 func (s *Semaphore) AcquireTagged(tag Tag, fn func()) {
 	s.acquire(waiter{tag: tag, fn: fn})
 }
@@ -127,7 +120,3 @@ func (s *Semaphore) Waiting() int { return s.n }
 
 // Peak returns the maximum concurrent holders observed.
 func (s *Semaphore) Peak() int { return s.peak }
-
-// Latency is a convenience for modeling a fixed-latency, fully pipelined
-// stage: After schedules fn after lat cycles.
-func After(eng *Engine, lat memdef.Cycle, fn func()) { eng.Schedule(lat, fn) }

@@ -10,8 +10,7 @@
 //
 // Walk contexts are pooled: each context owns its stage callbacks (built once
 // when the context is first created) and a reusable step buffer, so a walk
-// performs no per-level allocation. Contexts carry a stable registry ID, the
-// operand of every event the walk schedules.
+// performs no per-level allocation.
 package ptw
 
 import (
@@ -22,28 +21,26 @@ import (
 )
 
 // MemAccessor is the walker's view of the GPU memory hierarchy: an
-// asynchronous access that invokes done when the data returns. The tag
-// describes done (see engine.Tag); accessors propagate it to whatever
-// completion event they schedule.
+// asynchronous access that invokes done when the data returns. tag is the
+// kind of done's event; accessors pass it to whatever completion event they
+// schedule.
 type MemAccessor interface {
 	Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag, done func())
 }
 
-// Tag kinds for walker-scheduled events (engine.Tag.A is the walk
-// registry ID).
+// Tag kinds for walker-scheduled events.
 const (
-	// TagWalkGrant is the semaphore grant that starts walk A.
-	TagWalkGrant uint16 = 0x0201
-	// TagWalkStage is the PWC probe of walk A's current level.
-	TagWalkStage uint16 = 0x0202
-	// TagWalkMem is the PWC-miss memory read completion of walk A.
-	TagWalkMem uint16 = 0x0203
+	// TagWalkGrant is the semaphore grant that starts a walk.
+	TagWalkGrant engine.Tag = 0x0201
+	// TagWalkStage is the PWC probe of a walk's current level.
+	TagWalkStage engine.Tag = 0x0202
+	// TagWalkMem is the PWC-miss memory read completion of a walk.
+	TagWalkMem engine.Tag = 0x0203
 )
 
 // walkState is one pooled in-flight walk.
 type walkState struct {
 	w     *Walker
-	id    uint64 // registry ID, stable for the walker's lifetime
 	p     memdef.PageNum
 	steps []pagetable.WalkStep
 	i     int
@@ -63,7 +60,7 @@ func (x *walkState) advance() {
 		x.w.finish(x)
 		return
 	}
-	x.w.eng.ScheduleTagged(x.w.cfg.PWCLatency, engine.Tag{Kind: TagWalkStage, A: x.id}, x.stage)
+	x.w.eng.ScheduleTagged(x.w.cfg.PWCLatency, TagWalkStage, x.stage)
 }
 
 // Walker is the shared page-table walker.
@@ -74,10 +71,9 @@ type Walker struct {
 	pwc   *cache.Cache
 	slots *engine.Semaphore
 	mem   MemAccessor
-	// states is the walk-context registry, indexed by walkState.id; free
-	// chains the inactive ones. Reset truncates the registry and newState
-	// hands the retained contexts out again in ID order, so a reset walker
-	// assigns the same IDs as a new one.
+	// states holds every walk context built, free chains the inactive ones.
+	// Reset truncates states and newState hands the retained contexts out
+	// again, so a reset walker builds none.
 	states []*walkState
 	free   *walkState
 
@@ -127,18 +123,17 @@ type Result struct {
 	Frame  pagetable.FrameNum
 }
 
-// newState returns an idle walk context with the next registry ID: a
-// retained one below the registry's high-water mark, else a new one with its
-// once-allocated stage callbacks.
+// newState returns an idle walk context: a retained one below the high-water
+// mark of states, else a new one with its once-allocated stage callbacks.
 func (w *Walker) newState() *walkState {
 	if i := len(w.states); i < cap(w.states) {
 		if x := w.states[:i+1][i]; x != nil {
 			w.states = w.states[:i+1]
-			*x = walkState{w: w, id: x.id, steps: x.steps[:0], granted: x.granted, stage: x.stage, memDone: x.memDone}
+			*x = walkState{w: w, steps: x.steps[:0], granted: x.granted, stage: x.stage, memDone: x.memDone}
 			return x
 		}
 	}
-	x := &walkState{w: w, id: uint64(len(w.states)), steps: make([]pagetable.WalkStep, 0, pagetable.Levels)}
+	x := &walkState{w: w, steps: make([]pagetable.WalkStep, 0, pagetable.Levels)}
 	x.granted = func() {
 		x.w.walks++
 		x.steps = x.w.table.AppendWalkPath(x.steps[:0], x.p)
@@ -155,7 +150,7 @@ func (w *Walker) newState() *walkState {
 		}
 		x.w.pwcMisses++
 		x.w.memReads++
-		x.w.mem.Access(s.EntryAddr, memdef.Read, engine.Tag{Kind: TagWalkMem, A: x.id}, x.memDone)
+		x.w.mem.Access(s.EntryAddr, memdef.Read, TagWalkMem, x.memDone)
 	}
 	x.memDone = x.advance
 	w.states = append(w.states, x)
@@ -181,7 +176,7 @@ func (w *Walker) Walk(p memdef.PageNum, done func(Result)) {
 	x.p = p
 	x.done = done
 	x.start = w.eng.Now()
-	w.slots.AcquireTagged(engine.Tag{Kind: TagWalkGrant, A: x.id}, x.granted)
+	w.slots.AcquireTagged(TagWalkGrant, x.granted)
 }
 
 func (w *Walker) finish(x *walkState) {

@@ -25,7 +25,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the events golden file")
 
 // kindNames names every tag kind the simulated machine schedules.
-var kindNames = map[uint16]string{
+var kindNames = map[engine.Tag]string{
 	engine.OtherKinds:   "other",
 	TagWarpStep:         "sm.WarpStep",
 	TagWarpL1:           "sm.WarpL1",

@@ -101,7 +101,7 @@ type observation struct {
 	Walker  ptw.Stats
 	Now     memdef.Cycle
 	Fired   uint64
-	Kinds   map[uint16]uint64
+	Kinds   map[engine.Tag]uint64
 	Pending int
 }
 
@@ -252,7 +252,7 @@ func TestFiredByKindFreshAndRecycled(t *testing.T) {
 	if n := kinds[engine.OtherKinds]; n != 0 {
 		t.Errorf("%d events fired untagged or outside the kind ranges", n)
 	}
-	for _, k := range []uint16{TagWarpStep, TagWarpFin, ptw.TagWalkStage, uvm.TagXlatL1, uvm.TagMigXfer} {
+	for _, k := range []engine.Tag{TagWarpStep, TagWarpFin, ptw.TagWalkStage, uvm.TagXlatL1, uvm.TagMigXfer} {
 		if kinds[k] == 0 {
 			t.Errorf("kind %#04x never fired", k)
 		}

@@ -31,30 +31,27 @@ import (
 	"github.com/reproductions/cppe/internal/xbus"
 )
 
-// Tag kinds for SM-scheduled events (engine.Tag.A carries the
-// operand: a warp's global index or a memory-request registry ID).
+// Tag kinds for SM-scheduled events.
 const (
-	// TagWarpStep issues warp A's next access after the compute gap.
-	TagWarpStep uint16 = 0x0101
-	// TagWarpL1 is warp A's post-translation L1 data-cache probe.
-	TagWarpL1 uint16 = 0x0102
-	// TagWarpFin is warp A's data-access completion (the done callback its
+	// TagWarpStep issues a warp's next access after the compute gap.
+	TagWarpStep engine.Tag = 0x0101
+	// TagWarpL1 is a warp's post-translation L1 data-cache probe.
+	TagWarpL1 engine.Tag = 0x0102
+	// TagWarpFin is a warp's data-access completion (the done callback its
 	// L2/DRAM request carries).
-	TagWarpFin uint16 = 0x0103
-	// TagMemL2 is request A's L2 probe on the shared data path.
-	TagMemL2 uint16 = 0x0105
+	TagWarpFin engine.Tag = 0x0103
+	// TagMemL2 is a request's L2 probe on the shared data path.
+	TagMemL2 engine.Tag = 0x0105
 )
 
 // memReq is one pooled request context for the shared L2/DRAM path: the
 // callback closure is created once per node and reads its operands from the
-// node, so a request costs no allocation after the pool warms up. Contexts
-// carry a stable registry ID, the operand of their L2-probe event's tag.
+// node, so a request costs no allocation after the pool warms up.
 type memReq struct {
 	mp   *memPath
-	id   uint64
 	a    memdef.VirtAddr
 	kind memdef.AccessKind
-	tag  engine.Tag // the caller's description of done
+	tag  engine.Tag // the kind of done's event
 	done func()
 	run  func()
 	next *memReq
@@ -66,33 +63,33 @@ type memPath struct {
 	eng *engine.Engine
 	cfg memdef.Config
 	l2  *cache.Cache
-	// dram is the backing memory; reqs is the request registry indexed by
-	// memReq.id, free the chain of inactive contexts. A machine reset
-	// truncates the registry and empties the chain; newReq then hands the
-	// retained contexts out again in ID order.
+	// dram is the backing memory; reqs holds every request context built,
+	// free the chain of inactive ones. A machine reset truncates reqs and
+	// empties the chain; newReq then hands the retained contexts out again,
+	// so a recycled machine builds none.
 	dram *dram.DRAM
 	reqs []*memReq
 	free *memReq
 }
 
-// newReq returns an idle request context with the next registry ID: a
-// retained one below the registry's high-water mark, else a new one.
+// newReq returns an idle request context: a retained one below the
+// high-water mark of reqs, else a new one.
 func (mp *memPath) newReq() *memReq {
 	if i := len(mp.reqs); i < cap(mp.reqs) {
 		if rq := mp.reqs[:i+1][i]; rq != nil {
 			mp.reqs = mp.reqs[:i+1]
-			*rq = memReq{mp: mp, id: rq.id, run: rq.run}
+			*rq = memReq{mp: mp, run: rq.run}
 			return rq
 		}
 	}
-	rq := &memReq{mp: mp, id: uint64(len(mp.reqs))}
+	rq := &memReq{mp: mp}
 	rq.run = rq.l2Stage
 	mp.reqs = append(mp.reqs, rq)
 	return rq
 }
 
-// Access implements ptw.MemAccessor: L2 lookup, then DRAM on a miss. tag
-// describes done and rides along to whatever completion event is scheduled.
+// Access implements ptw.MemAccessor: L2 lookup, then DRAM on a miss. tag is
+// the kind of done's event, whichever stage schedules it.
 func (mp *memPath) Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag, done func()) {
 	rq := mp.free
 	if rq == nil {
@@ -102,7 +99,7 @@ func (mp *memPath) Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.
 		rq.next = nil
 	}
 	rq.a, rq.kind, rq.tag, rq.done = a, kind, tag, done
-	mp.eng.ScheduleTagged(mp.cfg.L2HitLatency, engine.Tag{Kind: TagMemL2, A: rq.id}, rq.run)
+	mp.eng.ScheduleTagged(mp.cfg.L2HitLatency, TagMemL2, rq.run)
 }
 
 // l2Stage performs the L2 probe (and DRAM access on a miss). It copies its
@@ -111,20 +108,20 @@ func (mp *memPath) Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.
 func (rq *memReq) l2Stage() {
 	mp, a, kind, tag, done := rq.mp, rq.a, rq.kind, rq.tag, rq.done
 	rq.done = nil
-	rq.tag = engine.Tag{}
+	rq.tag = 0
 	rq.next = mp.free
 	mp.free = rq
 	res := mp.l2.Access(a, kind)
 	if res.WritebackVictim {
 		// Dirty victim drains to DRAM off the critical path (no completion
 		// callback, so no event and no tag).
-		mp.dram.Access(a, memdef.Write, nil)
+		mp.dram.Access(a, memdef.Write, 0, nil)
 	}
 	if res.Hit {
 		done()
 		return
 	}
-	mp.dram.AccessT(a, kind, tag, done)
+	mp.dram.Access(a, kind, tag, done)
 }
 
 // Warp is one in-flight access stream.
@@ -308,23 +305,23 @@ func (m *Machine) newWarp() *warp {
 	}
 	w := &warp{gid: uint64(gid)}
 	w.translated = func() {
-		m.Eng.ScheduleTagged(m.Cfg.L1HitLatency, engine.Tag{Kind: TagWarpL1, A: w.gid}, w.l1Stage)
+		m.Eng.ScheduleTagged(m.Cfg.L1HitLatency, TagWarpL1, w.l1Stage)
 	}
 	w.l1Stage = func() {
 		res := w.sm.l1.Access(w.acc.Addr, w.acc.Kind)
 		if res.WritebackVictim {
-			m.DRAM.Access(w.acc.Addr, memdef.Write, nil)
+			m.DRAM.Access(w.acc.Addr, memdef.Write, 0, nil)
 		}
 		if res.Hit {
 			w.finished()
 			return
 		}
-		m.mp.Access(w.acc.Addr, w.acc.Kind, engine.Tag{Kind: TagWarpFin, A: w.gid}, w.finished)
+		m.mp.Access(w.acc.Addr, w.acc.Kind, TagWarpFin, w.finished)
 	}
 	w.finished = func() {
 		w.sm.accessesDone++
 		w.sm.stallCycles += m.Eng.Now() - w.issue
-		m.Eng.ScheduleArgTagged(m.Cfg.ComputeGapCycles, engine.Tag{Kind: TagWarpStep, A: w.gid}, m.stepWarp, w.gid)
+		m.Eng.ScheduleArgTagged(m.Cfg.ComputeGapCycles, TagWarpStep, m.stepWarp, w.gid)
 	}
 	m.allWarps = append(m.allWarps, w)
 	return w
@@ -394,7 +391,7 @@ func (m *Machine) run(maxEvents uint64) (Result, bool) {
 		// pinned with.
 		for _, s := range m.SMs {
 			for _, w := range s.warps {
-				m.Eng.ScheduleArgTagged(0, engine.Tag{Kind: TagWarpStep, A: w.gid}, m.stepWarp, w.gid)
+				m.Eng.ScheduleArgTagged(0, TagWarpStep, m.stepWarp, w.gid)
 			}
 		}
 	}

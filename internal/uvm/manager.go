@@ -36,27 +36,26 @@ import (
 	"github.com/reproductions/cppe/internal/xbus"
 )
 
-// Tag kinds for driver-scheduled events (engine.Tag.A carries the
-// operand: a translation registry ID, a page number, or a migration ID).
+// Tag kinds for driver-scheduled events.
 const (
-	// TagXlatL1 is translation A's post-L1-latency TLB probe.
-	TagXlatL1 uint16 = 0x0301
-	// TagXlatL2Grant is translation A's L2 TLB port grant.
-	TagXlatL2Grant uint16 = 0x0302
-	// TagXlatL2Stage is translation A's post-L2-latency TLB probe.
-	TagXlatL2Stage uint16 = 0x0303
-	// TagXlatFault is translation A's far-fault completion (also the tag
-	// under which it waits on a chunk page).
-	TagXlatFault uint16 = 0x0304
-	// TagProcessFault is the driver-slot grant that starts servicing the
-	// claimed fault on page A.
-	TagProcessFault uint16 = 0x0306
-	// TagFaultRetry is the backoff retry of the fault on page A, attempt B.
-	TagFaultRetry uint16 = 0x0307
-	// TagMigSvc is the end of migration A's fixed fault-service latency.
-	TagMigSvc uint16 = 0x0308
-	// TagMigXfer is migration A's H2D transfer completion.
-	TagMigXfer uint16 = 0x0309
+	// TagXlatL1 is a translation's post-L1-latency TLB probe.
+	TagXlatL1 engine.Tag = 0x0301
+	// TagXlatL2Grant is a translation's L2 TLB port grant.
+	TagXlatL2Grant engine.Tag = 0x0302
+	// TagXlatL2Stage is a translation's post-L2-latency TLB probe.
+	TagXlatL2Stage engine.Tag = 0x0303
+	// TagXlatFault is a translation's far-fault completion, scheduled when
+	// the page it waits on becomes resident.
+	TagXlatFault engine.Tag = 0x0304
+	// TagProcessFault is the driver-slot grant that starts servicing a
+	// claimed fault.
+	TagProcessFault engine.Tag = 0x0306
+	// TagFaultRetry is the backoff retry of a fault whose service failed.
+	TagFaultRetry engine.Tag = 0x0307
+	// TagMigSvc is the end of a migration's fixed fault-service latency.
+	TagMigSvc engine.Tag = 0x0308
+	// TagMigXfer is a migration's H2D transfer completion.
+	TagMigXfer engine.Tag = 0x0309
 )
 
 // chunkState is the GMMU's per-resident-chunk bookkeeping: which pages are
@@ -526,12 +525,12 @@ func (m *Manager) xlatL1(id uint64) {
 	}
 	// The shared L2 TLB has a bounded number of ports: an access holds one
 	// for the lookup latency; excess lookups queue.
-	m.l2ports.AcquireArgTagged(engine.Tag{Kind: TagXlatL2Grant, A: id}, m.xlatL2GrantFn, id)
+	m.l2ports.AcquireArgTagged(TagXlatL2Grant, m.xlatL2GrantFn, id)
 }
 
 // xlatL2Grant runs when an L2 TLB port is granted.
 func (m *Manager) xlatL2Grant(id uint64) {
-	m.eng.ScheduleArgTagged(m.cfg.L2TLBLatency, engine.Tag{Kind: TagXlatL2Stage, A: id}, m.xlatL2StageFn, id)
+	m.eng.ScheduleArgTagged(m.cfg.L2TLBLatency, TagXlatL2Stage, m.xlatL2StageFn, id)
 }
 
 // xlatL2Stage runs after the L2 TLB latency: probe the L2 TLB, walk on miss.
@@ -591,7 +590,7 @@ func (m *Manager) Translate(sm memdef.SMID, acc memdef.Access, done func()) {
 	x.write = acc.Kind == memdef.Write
 	x.start = m.eng.Now()
 	x.done = done
-	m.eng.ScheduleArgTagged(m.cfg.L1TLBLatency, engine.Tag{Kind: TagXlatL1, A: x.id}, m.xlatL1Fn, x.id)
+	m.eng.ScheduleArgTagged(m.cfg.L1TLBLatency, TagXlatL1, m.xlatL1Fn, x.id)
 }
 
 // finish completes a translation: path accounting, touch/dirty bookkeeping,
@@ -666,7 +665,7 @@ func (m *Manager) handleFault(x *xlat) {
 	m.pendingFaults++
 	st.addWaiter(idx, x)
 	m.policy.OnFault(page.Chunk())
-	m.migSlots.AcquireArgTagged(engine.Tag{Kind: TagProcessFault, A: uint64(page)}, m.faultFn, uint64(page))
+	m.migSlots.AcquireArgTagged(TagProcessFault, m.faultFn, uint64(page))
 }
 
 // retryBackoff returns the driver's backoff before the (attempt+1)-th
@@ -699,9 +698,7 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 			return
 		}
 		m.stats.FaultRetries++
-		m.eng.ScheduleTagged(m.retryBackoff(attempt),
-			engine.Tag{Kind: TagFaultRetry, A: uint64(page), B: uint64(attempt + 1)},
-			func() { m.serviceFault(page, attempt+1) })
+		m.eng.ScheduleTagged(m.retryBackoff(attempt), TagFaultRetry, func() { m.serviceFault(page, attempt+1) })
 		return
 	}
 	st := m.chunkState(page.Chunk())
@@ -783,7 +780,7 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 	// The plan lives in the migration registry so both pending events carry
 	// only the migration ID.
 	id := m.allocMig(plan)
-	m.eng.ScheduleArgTagged(m.cfg.FaultServiceCycles(), engine.Tag{Kind: TagMigSvc, A: id}, m.migSvcFn, id)
+	m.eng.ScheduleArgTagged(m.cfg.FaultServiceCycles(), TagMigSvc, m.migSvcFn, id)
 }
 
 // allocMig registers plan as an in-flight migration and returns its ID.
@@ -823,8 +820,8 @@ func (m *Manager) newMig() *migEntry {
 // migration ID as its argument.
 func (m *Manager) migTransfer(id uint64) {
 	bytes := len(m.migs[id].plan) * memdef.PageBytes
-	finish := m.link.Transfer(xbus.HostToDevice, bytes, nil)
-	m.eng.ScheduleArgAtTagged(finish, engine.Tag{Kind: TagMigXfer, A: id}, m.migXferFn, id)
+	finish := m.link.Transfer(xbus.HostToDevice, bytes)
+	m.eng.ScheduleArgAtTagged(finish, TagMigXfer, m.migXferFn, id)
 }
 
 // migArrived commits migration id once its transfer completes (possibly
@@ -857,7 +854,7 @@ const heldFlushCycles = memdef.Cycle(20_000)
 // which is exactly what reordering exercises.
 func (m *Manager) deliverCommit(commit func()) {
 	if d := m.inj.CommitDelay(); d > 0 {
-		engine.After(m.eng, d, func() { m.deliverReordered(commit) })
+		m.eng.Schedule(d, func() { m.deliverReordered(commit) })
 		return
 	}
 	m.deliverReordered(commit)
@@ -877,7 +874,7 @@ func (m *Manager) deliverReordered(commit func()) {
 		m.heldCommit = commit
 		m.heldGen++
 		gen := m.heldGen
-		engine.After(m.eng, heldFlushCycles, func() {
+		m.eng.Schedule(heldFlushCycles, func() {
 			if m.heldCommit != nil && m.heldGen == gen {
 				c := m.heldCommit
 				m.heldCommit = nil
@@ -914,7 +911,7 @@ func (m *Manager) wake(page memdef.PageNum) {
 		}
 		x.waitNext = nil
 		// Zero-delay event keeps wake-up ordering deterministic.
-		m.eng.ScheduleArgTagged(0, engine.Tag{Kind: TagXlatFault, A: x.id}, m.xlatFaultFn, x.id)
+		m.eng.ScheduleArgTagged(0, TagXlatFault, m.xlatFaultFn, x.id)
 		x = next
 	}
 }
@@ -1164,7 +1161,7 @@ func (m *Manager) evictChunk(victim memdef.ChunkID) bool {
 	m.auditTransition("eviction")
 
 	if dirtyBytes > 0 {
-		m.link.Transfer(xbus.DeviceToHost, dirtyBytes, nil)
+		m.link.Transfer(xbus.DeviceToHost, dirtyBytes)
 	}
 
 	if m.cfg.ThrashAbortFactor > 0 && m.footprintPages > 0 &&

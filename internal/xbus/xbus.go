@@ -81,25 +81,16 @@ func (l *Link) Reset() {
 }
 
 // Transfer books a transfer of n bytes in direction d, starting now (or when
-// the link frees up), and invokes done at completion. It returns the
-// completion cycle. Zero-byte transfers complete immediately.
-func (l *Link) Transfer(d Direction, n int, done func()) memdef.Cycle {
-	return l.TransferT(d, n, engine.Tag{}, done)
-}
-
-// TransferT is Transfer with a tag describing done, carried by the
-// completion event (see engine.Tag). Transfers without a completion callback
-// schedule nothing and need no tag.
-func (l *Link) TransferT(d Direction, n int, tag engine.Tag, done func()) memdef.Cycle {
+// the link frees up), and returns its completion cycle. It schedules nothing:
+// a caller that must act at completion schedules its own event at the
+// returned cycle. Zero-byte transfers complete immediately.
+func (l *Link) Transfer(d Direction, n int) memdef.Cycle {
 	dur := l.cfg.TransferCycles(n, l.cfg.PCIeGBs)
 	finish := l.dir[d].Acquire(dur)
 	l.bytesMoved[d] += uint64(n)
 	l.transfers[d]++
 	if l.track {
 		l.recordOutstanding(d, n, dur, finish)
-	}
-	if done != nil {
-		l.eng.ScheduleAtTagged(finish, tag, done)
 	}
 	return finish
 }

@@ -14,8 +14,8 @@ func TestTransferSerializesPerDirection(t *testing.T) {
 	page := cfg.TransferCycles(memdef.PageBytes, cfg.PCIeGBs)
 	var a, b memdef.Cycle
 	e.Schedule(0, func() {
-		a = l.Transfer(HostToDevice, memdef.PageBytes, nil)
-		b = l.Transfer(HostToDevice, memdef.PageBytes, nil)
+		a = l.Transfer(HostToDevice, memdef.PageBytes)
+		b = l.Transfer(HostToDevice, memdef.PageBytes)
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -32,8 +32,8 @@ func TestDuplexDirectionsIndependent(t *testing.T) {
 	page := cfg.TransferCycles(memdef.PageBytes, cfg.PCIeGBs)
 	var h2d, d2h memdef.Cycle
 	e.Schedule(0, func() {
-		h2d = l.Transfer(HostToDevice, memdef.PageBytes, nil)
-		d2h = l.Transfer(DeviceToHost, memdef.PageBytes, nil)
+		h2d = l.Transfer(HostToDevice, memdef.PageBytes)
+		d2h = l.Transfer(DeviceToHost, memdef.PageBytes)
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -43,37 +43,34 @@ func TestDuplexDirectionsIndependent(t *testing.T) {
 	}
 }
 
-func TestDoneCallbackTiming(t *testing.T) {
+// TestTransferFinishCycle: a transfer booked on an idle link finishes its
+// duration after the cycle it was booked at.
+func TestTransferFinishCycle(t *testing.T) {
 	e := engine.New()
 	cfg := memdef.DefaultConfig()
 	l := New(e, cfg)
-	var doneAt memdef.Cycle
 	var finish memdef.Cycle
-	e.Schedule(100, func() {
-		finish = l.Transfer(DeviceToHost, memdef.ChunkBytes, func() { doneAt = e.Now() })
-	})
+	e.Schedule(100, func() { finish = l.Transfer(DeviceToHost, memdef.ChunkBytes) })
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	if doneAt != finish || doneAt <= 100 {
-		t.Fatalf("done at %d, finish %d", doneAt, finish)
+	if want := 100 + cfg.TransferCycles(memdef.ChunkBytes, cfg.PCIeGBs); finish != want || finish <= 100 {
+		t.Fatalf("chunk transfer booked at 100 finishes at %d, want %d", finish, want)
 	}
 }
 
+// TestZeroByteTransfer: a zero-byte transfer finishes at the cycle it is
+// booked.
 func TestZeroByteTransfer(t *testing.T) {
 	e := engine.New()
 	l := New(e, memdef.DefaultConfig())
-	fired := false
 	e.Schedule(7, func() {
-		if got := l.Transfer(HostToDevice, 0, func() { fired = true }); got != 7 {
+		if got := l.Transfer(HostToDevice, 0); got != 7 {
 			t.Errorf("zero transfer completes at %d, want 7", got)
 		}
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("done not fired for zero-byte transfer")
 	}
 }
 
@@ -82,9 +79,9 @@ func TestStatsAccounting(t *testing.T) {
 	cfg := memdef.DefaultConfig()
 	l := New(e, cfg)
 	e.Schedule(0, func() {
-		l.Transfer(HostToDevice, memdef.ChunkBytes, nil)
-		l.Transfer(HostToDevice, memdef.PageBytes, nil)
-		l.Transfer(DeviceToHost, memdef.PageBytes, nil)
+		l.Transfer(HostToDevice, memdef.ChunkBytes)
+		l.Transfer(HostToDevice, memdef.PageBytes)
+		l.Transfer(DeviceToHost, memdef.PageBytes)
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -114,8 +111,8 @@ func TestTrackingInflightBytes(t *testing.T) {
 	l.EnableTracking()
 	page := cfg.TransferCycles(memdef.PageBytes, cfg.PCIeGBs)
 	e.Schedule(0, func() {
-		l.Transfer(HostToDevice, memdef.PageBytes, nil)
-		l.Transfer(HostToDevice, memdef.PageBytes, nil)
+		l.Transfer(HostToDevice, memdef.PageBytes)
+		l.Transfer(HostToDevice, memdef.PageBytes)
 		if got := l.InflightBytes(HostToDevice); got != 2*memdef.PageBytes {
 			t.Errorf("inflight = %d, want %d", got, 2*memdef.PageBytes)
 		}
@@ -149,8 +146,8 @@ func TestCheckIntegrityDetectsOverbooking(t *testing.T) {
 	l := New(e, cfg)
 	l.EnableTracking()
 	e.Schedule(0, func() {
-		l.Transfer(DeviceToHost, memdef.PageBytes, nil)
-		l.Transfer(DeviceToHost, memdef.PageBytes, nil)
+		l.Transfer(DeviceToHost, memdef.PageBytes)
+		l.Transfer(DeviceToHost, memdef.PageBytes)
 		// Corrupt the bookkeeping: pull the second completion up to the
 		// first's, as if both pages moved in one transfer's worth of time —
 		// more bytes in flight than the link has bandwidth for.
@@ -168,7 +165,7 @@ func TestCheckIntegrityDetectsOverbooking(t *testing.T) {
 func TestCheckIntegrityDisabledWithoutTracking(t *testing.T) {
 	e := engine.New()
 	l := New(e, memdef.DefaultConfig())
-	l.Transfer(HostToDevice, memdef.PageBytes, nil)
+	l.Transfer(HostToDevice, memdef.PageBytes)
 	if msg := l.CheckIntegrity(); msg != "" {
 		t.Fatalf("untracked link reported: %s", msg)
 	}
