@@ -23,23 +23,12 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"testing"
 	"time"
 
 	cppe "github.com/reproductions/cppe"
-	"github.com/reproductions/cppe/internal/engine"
 	"github.com/reproductions/cppe/internal/harness"
-	"github.com/reproductions/cppe/internal/memdef"
 	"github.com/reproductions/cppe/internal/stats"
 )
-
-// benchResult is one microbenchmark's measurement in the -json report.
-type benchResult struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Iterations  int     `json:"iterations"`
-}
 
 // expResult is one experiment's wall time in the -json report. The per-run
 // fields amortize the experiment's cost over the simulations it actually
@@ -69,85 +58,20 @@ type sweepReport struct {
 }
 
 // jsonReport is the machine-readable output of -json: environment metadata,
-// the engine microbenchmarks, per-experiment wall times with amortized
-// per-run cost, and the sweep-progress totals. Parallelism is the harness
+// per-experiment wall times with amortized per-run cost, and the
+// sweep-progress totals. Parallelism is the harness
 // value actually used for the runs (after defaulting), not the flag.
 type jsonReport struct {
-	GoVersion   string                 `json:"go_version"`
-	GOOS        string                 `json:"goos"`
-	GOARCH      string                 `json:"goarch"`
-	NumCPU      int                    `json:"num_cpu"`
-	GOMAXPROCS  int                    `json:"gomaxprocs"`
-	Parallelism int                    `json:"parallelism"`
-	Scale       float64                `json:"scale"`
-	Warps       int                    `json:"warps"`
-	Engine      map[string]benchResult `json:"engine"`
-	Experiments []expResult            `json:"experiments"`
-	Sweep       sweepReport            `json:"sweep"`
-}
-
-func toBenchResult(r testing.BenchmarkResult) benchResult {
-	return benchResult{
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		Iterations:  r.N,
-	}
-}
-
-// engineBenches runs the scheduler microbenchmarks in-process, mirroring
-// internal/engine's benchmark suite: the closure path, the pooled arg path,
-// and the far-future overflow tier.
-func engineBenches() map[string]benchResult {
-	out := map[string]benchResult{}
-	out["schedule_run"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		e := engine.New()
-		left := b.N
-		var tick func()
-		tick = func() {
-			left--
-			if left > 0 {
-				e.Schedule(1, tick)
-			}
-		}
-		e.Schedule(0, tick)
-		b.ResetTimer()
-		if _, err := e.Run(nil); err != nil {
-			b.Fatal(err)
-		}
-	}))
-	out["schedule_run_arg"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		e := engine.New()
-		var tick func(uint64)
-		tick = func(left uint64) {
-			if left > 0 {
-				e.ScheduleArg(1, tick, left-1)
-			}
-		}
-		e.ScheduleArg(0, tick, uint64(b.N))
-		b.ResetTimer()
-		if _, err := e.Run(nil); err != nil {
-			b.Fatal(err)
-		}
-	}))
-	out["schedule_overflow"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		e := engine.New()
-		var tick func(uint64)
-		tick = func(left uint64) {
-			if left > 0 {
-				e.ScheduleArg(5000+memdef.Cycle(left%1000), tick, left-1)
-			}
-		}
-		e.ScheduleArg(0, tick, uint64(b.N))
-		b.ResetTimer()
-		if _, err := e.Run(nil); err != nil {
-			b.Fatal(err)
-		}
-	}))
-	return out
+	GoVersion   string      `json:"go_version"`
+	GOOS        string      `json:"goos"`
+	GOARCH      string      `json:"goarch"`
+	NumCPU      int         `json:"num_cpu"`
+	GOMAXPROCS  int         `json:"gomaxprocs"`
+	Parallelism int         `json:"parallelism"`
+	Scale       float64     `json:"scale"`
+	Warps       int         `json:"warps"`
+	Experiments []expResult `json:"experiments"`
+	Sweep       sweepReport `json:"sweep"`
 }
 
 // writeCSV stores one experiment's table as <dir>/<id>.csv.
@@ -183,7 +107,7 @@ func main() {
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")
-		jsonOut    = flag.String("json", "", "write a machine-readable report (engine microbenchmarks + per-experiment wall times) to this file")
+		jsonOut    = flag.String("json", "", "write a machine-readable report (per-experiment wall times and sweep totals) to this file")
 	)
 	flag.Parse()
 
@@ -301,8 +225,8 @@ func main() {
 	}
 
 	if *cpuprofile != "" {
-		// Stop before the microbenchmarks so the profile covers only the
-		// experiment runs (the deferred stop then becomes a no-op).
+		// Stop before the report so the profile covers only the experiment
+		// runs (the deferred stop then becomes a no-op).
 		pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
@@ -337,7 +261,6 @@ func main() {
 			Parallelism: s.Harness().Config().Parallelism,
 			Scale:       effScale,
 			Warps:       effWarps,
-			Engine:      engineBenches(),
 			Experiments: expTimes,
 			Sweep: sweepReport{
 				Runs:          st.Runs,
