@@ -127,19 +127,25 @@ func TestRowBufferReplacement(t *testing.T) {
 	}
 }
 
+// TestDoneCallbackFiresAtCompletion: done runs at the returned finish cycle,
+// as an event of the kind the caller passed.
 func TestDoneCallbackFiresAtCompletion(t *testing.T) {
 	e := engine.New()
 	cfg := testConfig()
 	d := New(e, cfg)
+	const kind engine.Tag = 0x0103
 	var at, finish memdef.Cycle
 	e.Schedule(5, func() {
-		finish = d.Access(addrFor(cfg, 0, 0, 0), memdef.Write, 0, func() { at = e.Now() })
+		finish = d.Access(addrFor(cfg, 0, 0, 0), memdef.Write, kind, func() { at = e.Now() })
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
 	}
 	if at != finish || at != 37 {
 		t.Fatalf("done at %d, finish %d, want 37", at, finish)
+	}
+	if n := e.FiredByKind()[kind]; n != 1 {
+		t.Fatalf("%d events of kind %#04x fired, want the completion", n, kind)
 	}
 	if d.Stats().Writes != 1 {
 		t.Fatal("write not counted")

@@ -71,11 +71,7 @@ func (s *Semaphore) acquire(w waiter) {
 
 // grant schedules w's callback as a zero-delay event.
 func (s *Semaphore) grant(w waiter) {
-	if w.fn != nil {
-		s.eng.ScheduleTagged(0, w.tag, w.fn)
-		return
-	}
-	s.eng.ScheduleArgTagged(0, w.tag, w.argFn, w.arg)
+	s.eng.schedule(s.eng.now, w.tag, w.fn, w.argFn, w.arg)
 }
 
 // push appends w to the waiter ring, doubling it (unwrapped) when full.
