@@ -108,7 +108,6 @@ func (mp *memPath) Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.
 func (rq *memReq) l2Stage() {
 	mp, a, kind, tag, done := rq.mp, rq.a, rq.kind, rq.tag, rq.done
 	rq.done = nil
-	rq.tag = 0
 	rq.next = mp.free
 	mp.free = rq
 	res := mp.l2.Access(a, kind)

@@ -211,8 +211,8 @@ type xlat struct {
 }
 
 // migEntry is one in-flight migration in the registry: the planned pages,
-// addressed by a stable migration ID carried in the service-latency and
-// transfer-completion event tags.
+// addressed by a stable migration ID, the argument of its service-latency
+// and transfer-completion events.
 type migEntry struct {
 	plan []memdef.PageNum
 }
