@@ -104,7 +104,8 @@ func main() {
 	// pages (the quantity behind the paper's untouch levels).
 	touched := map[memdef.ChunkID]map[int]bool{}
 	for _, w := range tr.Warps {
-		for _, a := range w {
+		for _, op := range w {
+			a := op.Access()
 			c := a.Addr.Chunk()
 			if touched[c] == nil {
 				touched[c] = map[int]bool{}
@@ -125,10 +126,11 @@ func main() {
 
 	if *dump > 0 && len(tr.Warps) > 0 {
 		fmt.Printf("first %d accesses of warp 0:\n", *dump)
-		for i, a := range tr.Warps[0] {
+		for i, op := range tr.Warps[0] {
 			if i >= *dump {
 				break
 			}
+			a := op.Access()
 			fmt.Printf("  %s %v (page %v, chunk %v)\n", a.Kind, a.Addr, a.Addr.Page(), a.Addr.Chunk())
 		}
 	}

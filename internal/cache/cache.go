@@ -8,34 +8,40 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/reproductions/cppe/internal/memdef"
 )
 
-// Line state bits, the low two bits of line.key.
+// Line state bits, the low two bits of a line's key.
 const (
 	lineValid = 1 << iota
 	lineDirty
 )
 
-// line is one tag-store entry: key is tag<<2 | dirty | valid, lru the tick of
-// its last access. An invalidated line keeps its tag and dirty bit.
-type line struct {
-	key uint64
-	lru uint64
-}
-
 // Cache is a set-associative, LRU, write-back tag store.
 //
-// The store is one array of 16-byte line records, so a set scan reads one
-// contiguous run: a 16-way set is four host cache lines. Against the earlier
-// three parallel arrays of tags, flags and LRU ticks, on a 2-vCPU x86 host
-// over 8 alternating runs, BenchmarkAccessStream went from 44.9-71.2 ns to
-// 31.7-46.4 ns per access; BenchmarkAccessHit stayed within noise (5.8-7.6 ns
-// before, 5.4-8.8 ns after). (An O(1) hash-index variant was measured slower
-// than a scan: with 6-16 ways a set scan stays within a few hot cache lines,
-// which beats a cold random probe into an index sized for the whole store.)
+// A line is 12 bytes in two parallel arrays: keys[i] is tag<<2 | dirty |
+// valid, and stamps[i] the 32-bit clock tick of its last access. An
+// invalidated line keeps its tag and dirty bit. A set scan reads one
+// contiguous run of each: a 16-way set is two host cache lines of keys and
+// one of stamps. The stamps and the per-set hints share one allocation, so a
+// cache is two allocations whatever its size. Against 16-byte records of key
+// and 64-bit tick, a Table-I machine's tag stores take 439 KiB instead of
+// 575 KiB; on a 2-vCPU x86 host over 16 alternating rounds the medians of
+// BenchmarkAccessStream (33.3 to 35.1 ns) and BenchmarkAccessHit (5.8 to
+// 6.2 ns) stayed inside the older layout's quartiles. (Per-line age bytes,
+// 9 bytes a line, were measured slower on the streaming miss path; an O(1)
+// hash-index variant was measured slower than a scan: with 6-16 ways a set
+// scan stays within a few hot cache lines, which beats a cold random probe
+// into an index sized for the whole store.)
+//
+// The 32-bit clock is rewound before it wraps: every set's valid lines are
+// renumbered 1..n in stamp order and the clock restarts at ways. Victims
+// depend only on the stamp order within a set, so every victim is the one a
+// 64-bit clock would pick.
 type Cache struct {
 	name   string
 	sets   int
@@ -48,15 +54,18 @@ type Cache struct {
 	// forms produce identical (set, tag) pairs.
 	setMask  uint64
 	setShift uint
-	lines    []line
+	keys     []uint64
+	// stamps[i] is the tick of line i's last access. stamps and hint are
+	// the two halves of one allocation.
+	stamps []uint32
 	// hint[set] is the way of that set's most recent hit or fill. Accesses
 	// check it before scanning: temporal locality makes repeat hits on the
 	// same line common, and a correct hint resolves them with one compare.
 	// The hint is purely an accelerator — a stale hint only fails the
 	// one-compare check and falls through to the scan, so it never affects
 	// results.
-	hint []uint16
-	tick uint64
+	hint []uint32
+	tick uint32
 
 	hits       uint64
 	misses     uint64
@@ -103,6 +112,7 @@ func New(name string, capacityBytes, ways, lineSize int) *Cache {
 // zero — keeping its name, geometry and tag-store storage.
 func (c *Cache) Reset() {
 	lines := c.sets * c.ways
+	meta := zeroed(c.stamps, lines+c.sets)
 	*c = Cache{
 		name:     c.name,
 		sets:     c.sets,
@@ -111,9 +121,32 @@ func (c *Cache) Reset() {
 		shift:    c.shift,
 		setMask:  c.setMask,
 		setShift: c.setShift,
-		lines:    zeroed(c.lines, lines),
-		hint:     zeroed(c.hint, c.sets),
+		keys:     zeroed(c.keys, lines),
+		stamps:   meta[:lines],
+		hint:     meta[lines:],
 	}
+}
+
+// rewind renumbers every set's valid lines 1..n in stamp order and restarts
+// the clock at ways, keeping each set's LRU order. Access calls it when the
+// clock would wrap past its largest value, once every 2^32 accesses.
+func (c *Cache) rewind() {
+	order := make([]int, 0, c.ways)
+	for base := 0; base < len(c.keys); base += c.ways {
+		order = order[:0]
+		for i := base; i < base+c.ways; i++ {
+			if c.keys[i]&lineValid != 0 {
+				order = append(order, i)
+			} else {
+				c.stamps[i] = 0
+			}
+		}
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(c.stamps[a], c.stamps[b]) })
+		for r, i := range order {
+			c.stamps[i] = uint32(r + 1)
+		}
+	}
+	c.tick = uint32(c.ways)
 }
 
 // zeroed returns buf resized to n zero elements, reusing its storage when it
@@ -148,7 +181,12 @@ type AccessResult struct {
 func (c *Cache) Access(a memdef.VirtAddr, kind memdef.AccessKind) AccessResult {
 	set, tag := c.indexOf(a)
 	base := set * c.ways
-	c.tick++
+	tick := c.tick + 1
+	if tick == 0 {
+		c.rewind()
+		tick = c.tick + 1
+	}
+	c.tick = tick
 	// A line hits when its key, dirty bit aside, is this tag and valid.
 	want := tag<<2 | lineValid | lineDirty
 	var dirty uint64
@@ -156,43 +194,44 @@ func (c *Cache) Access(a memdef.VirtAddr, kind memdef.AccessKind) AccessResult {
 		dirty = lineDirty
 	}
 	// MRU fast path: the way of the set's last hit or fill.
-	if l := &c.lines[base+int(c.hint[set])]; l.key|lineDirty == want {
-		l.key |= dirty
-		l.lru = c.tick
+	if i := base + int(c.hint[set]); c.keys[i]|lineDirty == want {
+		c.keys[i] |= dirty
+		c.stamps[i] = tick
 		c.hits++
 		return AccessResult{Hit: true}
 	}
-	lines := c.lines[base : base+c.ways]
+	keys := c.keys[base : base+c.ways]
+	stamps := c.stamps[base : base+len(keys)]
 	// Single fused scan: find the hit, or the victim for the miss path. A
-	// way ranks by its LRU tick, an invalid way by 0, and the first way of
-	// the lowest rank is the victim: the first invalid way, else the least
-	// recently used (a valid line's tick is at least 1).
-	victim, best := 0, ^uint64(0)
-	for i := range lines {
-		l := &lines[i]
-		if l.key|lineDirty == want {
-			l.key |= dirty
-			l.lru = c.tick
+	// way ranks by its stamp, an invalid way by 0, and the first way of the
+	// lowest rank is the victim: the first invalid way, else the least
+	// recently used (a valid line's stamp is at least 1 and below the
+	// clock, which never wraps).
+	victim, best := 0, ^uint32(0)
+	for i, k := range keys {
+		if k|lineDirty == want {
+			keys[i] |= dirty
+			stamps[i] = tick
 			c.hits++
-			c.hint[set] = uint16(i)
+			c.hint[set] = uint32(i)
 			return AccessResult{Hit: true}
 		}
-		if rank := l.lru & -(l.key & lineValid); rank < best {
+		if rank := stamps[i] & -uint32(k&lineValid); rank < best {
 			victim, best = i, rank
 		}
 	}
 	c.misses++
-	v := &lines[victim]
-	wb := v.key&(lineValid|lineDirty) == lineValid|lineDirty
-	if v.key&lineValid != 0 {
+	k := keys[victim]
+	wb := k&(lineValid|lineDirty) == lineValid|lineDirty
+	if k&lineValid != 0 {
 		c.evictions++
 	}
 	if wb {
 		c.writebacks++
 	}
-	v.key = tag<<2 | lineValid | dirty
-	v.lru = c.tick
-	c.hint[set] = uint16(victim)
+	keys[victim] = tag<<2 | lineValid | dirty
+	stamps[victim] = tick
+	c.hint[set] = uint32(victim)
 	return AccessResult{Hit: false, WritebackVictim: wb}
 }
 
@@ -200,8 +239,8 @@ func (c *Cache) Access(a memdef.VirtAddr, kind memdef.AccessKind) AccessResult {
 func (c *Cache) Probe(a memdef.VirtAddr) bool {
 	set, tag := c.indexOf(a)
 	want := tag<<2 | lineValid | lineDirty
-	for _, l := range c.lines[set*c.ways : (set+1)*c.ways] {
-		if l.key|lineDirty == want {
+	for _, k := range c.keys[set*c.ways : (set+1)*c.ways] {
+		if k|lineDirty == want {
 			return true
 		}
 	}
@@ -217,10 +256,10 @@ func (c *Cache) InvalidatePage(p memdef.PageNum) int {
 	for off := 0; off < memdef.PageBytes; off += c.lineSz {
 		set, tag := c.indexOf(first + memdef.VirtAddr(off))
 		want := tag<<2 | lineValid | lineDirty
-		lines := c.lines[set*c.ways : (set+1)*c.ways]
-		for i := range lines {
-			if lines[i].key|lineDirty == want {
-				lines[i].key &^= lineValid
+		keys := c.keys[set*c.ways : (set+1)*c.ways]
+		for i := range keys {
+			if keys[i]|lineDirty == want {
+				keys[i] &^= lineValid
 				dropped++
 			}
 		}

@@ -308,7 +308,7 @@ func (s *Session) build(k Key) (*built, error) {
 // assemble instantiates the setup's policy (seeded with seed) and prefetcher
 // for a capacity of oversubPct of footprint, and binds them and the warps to
 // a machine from the session's free list (see machine).
-func (s *Session) assemble(setup Setup, seed int64, oversubPct int, warps [][]memdef.Access, footprint int, trace *workload.Generated) (*built, error) {
+func (s *Session) assemble(setup Setup, seed int64, oversubPct int, warps [][]memdef.Op, footprint int, trace *workload.Generated) (*built, error) {
 	cfg := s.cfg.Base
 	cfg.MemoryPages = capacityFor(footprint, oversubPct)
 	policy, err := setup.NewPolicy(cfg, seed)
@@ -339,7 +339,7 @@ func (s *Session) assemble(setup Setup, seed int64, oversubPct int, warps [][]me
 // one from the session's free list, or a zero Machine, which Reset builds
 // from scratch. Every machine of a session shares the Base shape, so a
 // recycled one always fits.
-func (s *Session) machine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, warps [][]memdef.Access) (*sm.Machine, error) {
+func (s *Session) machine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, warps [][]memdef.Op) (*sm.Machine, error) {
 	var m *sm.Machine
 	s.machinesMu.Lock()
 	if n := len(s.machines); n > 0 {

@@ -257,6 +257,20 @@ func (c Config) Validate() error {
 	case c.PWCEntryBytes < 4 || !powerOfTwo(c.PWCEntryBytes):
 		return fmt.Errorf("memdef: PWCEntryBytes must be a power of two of at least 4, got %d", c.PWCEntryBytes)
 	}
+	// The tag-store geometries cache.New accepts: a positive capacity of at
+	// least one line, and a line count the ways divide into whole sets.
+	for _, g := range [...]struct {
+		name              string
+		bytes, ways, line int
+	}{
+		{"L1 cache", c.L1CacheBytes, c.L1CacheWays, c.L1CacheLineSz},
+		{"L2 cache", c.L2CacheBytes, c.L2CacheWays, c.L2CacheLineSz},
+		{"PWC", c.PWCBytes, c.PWCWays, c.PWCEntryBytes},
+	} {
+		if g.bytes < g.line || g.ways <= 0 || (g.bytes/g.line)%g.ways != 0 {
+			return fmt.Errorf("memdef: %s geometry invalid (%d bytes, %d ways, %d-byte lines)", g.name, g.bytes, g.ways, g.line)
+		}
+	}
 	return nil
 }
 

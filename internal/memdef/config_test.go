@@ -35,6 +35,15 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"L2CacheLineSzNonPow2", func(c *Config) { c.L2CacheLineSz = 100 }},
 		{"L2CacheLineSzTooSmall", func(c *Config) { c.L2CacheLineSz = 2 }},
 		{"PWCEntryBytes", func(c *Config) { c.PWCEntryBytes = 0 }},
+		{"L1CacheBytes", func(c *Config) { c.L1CacheBytes = 0 }},
+		{"L1CacheBytesSubLine", func(c *Config) { c.L1CacheBytes = 64 }},
+		{"L1CacheWays", func(c *Config) { c.L1CacheWays = 0 }},
+		{"L1CacheWaysIndivisible", func(c *Config) { c.L1CacheWays = 5 }},
+		{"L2CacheBytes", func(c *Config) { c.L2CacheBytes = -1 }},
+		{"L2CacheWaysIndivisible", func(c *Config) { c.L2CacheWays = 7 }},
+		{"PWCBytes", func(c *Config) { c.PWCBytes = 0 }},
+		{"PWCWays", func(c *Config) { c.PWCWays = -16 }},
+		{"PWCWaysIndivisible", func(c *Config) { c.PWCWays = 3 }},
 	}
 	for _, m := range mutations {
 		cfg := DefaultConfig()

@@ -31,6 +31,30 @@ type Access struct {
 	Kind AccessKind
 }
 
+// Op is an Access packed into one word, the form traces store: the address
+// in bits 0-62 and the write flag in bit 63. A padded Access is 16 bytes; an
+// Op is 8.
+type Op uint64
+
+// opWrite is Op's write flag.
+const opWrite Op = 1 << 63
+
+// PackAccess packs a into an Op. The address must stay below 1<<63, which
+// every trace producer guarantees: the generator emits 48-bit (VABits)
+// addresses and trace.Read rejects negative int64 addresses.
+func PackAccess(a Access) Op {
+	op := Op(a.Addr)
+	if a.Kind == Write {
+		op |= opWrite
+	}
+	return op
+}
+
+// Access unpacks op. The write flag is the kind itself: Read is 0, Write 1.
+func (op Op) Access() Access {
+	return Access{Addr: VirtAddr(op &^ opWrite), Kind: AccessKind(op >> 63)}
+}
+
 // Request is an in-flight memory access being serviced by the translation and
 // data hierarchy on behalf of a warp.
 type Request struct {

@@ -12,11 +12,11 @@ import (
 // hit the SM's private L1 after the first.
 func TestL1CacheHitsOnRepeatedAccess(t *testing.T) {
 	cfg := smallConfig()
-	tr := make([]memdef.Access, 10)
+	tr := make([]memdef.Op, 10)
 	for i := range tr {
-		tr[i] = memdef.Access{Addr: 0x1000}
+		tr[i] = memdef.PackAccess(memdef.Access{Addr: 0x1000})
 	}
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{tr})
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{tr})
 	m.Run(0)
 	st := m.SMStats()[0]
 	if st.L1Cache.Hits != 9 || st.L1Cache.Misses != 1 {
@@ -28,9 +28,9 @@ func TestL1CacheHitsOnRepeatedAccess(t *testing.T) {
 // SM's private L1 but the second miss hits the shared L2.
 func TestL1CachesArePrivate(t *testing.T) {
 	cfg := smallConfig()
-	a := []memdef.Access{{Addr: 0x1000}}
-	b := []memdef.Access{{Addr: 0x1000}}
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{a, b})
+	a := []memdef.Op{memdef.PackAccess(memdef.Access{Addr: 0x1000})}
+	b := []memdef.Op{memdef.PackAccess(memdef.Access{Addr: 0x1000})}
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{a, b})
 	m.Run(0)
 	stats := m.SMStats()
 	if stats[0].L1Cache.Misses != 1 || stats[1].L1Cache.Misses != 1 {
@@ -46,12 +46,12 @@ func TestL1CachesArePrivate(t *testing.T) {
 // DRAM; re-reading a cache-sized region must not.
 func TestDRAMTrafficOnStreaming(t *testing.T) {
 	cfg := smallConfig()
-	var tr []memdef.Access
+	var tr []memdef.Op
 	// Stream 8 MB (beyond the 3 MB L2).
 	for a := memdef.VirtAddr(0); a < 8<<20; a += 128 {
-		tr = append(tr, memdef.Access{Addr: a})
+		tr = append(tr, memdef.PackAccess(memdef.Access{Addr: a}))
 	}
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{tr})
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{tr})
 	m.Run(0)
 	if m.DRAM.Stats().Reads == 0 {
 		t.Fatal("streaming never reached DRAM")
@@ -63,11 +63,11 @@ func TestDRAMTrafficOnStreaming(t *testing.T) {
 func TestComputeGapSpacing(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ComputeGapCycles = 1000
-	tr := make([]memdef.Access, 5)
+	tr := make([]memdef.Op, 5)
 	for i := range tr {
-		tr[i] = memdef.Access{Addr: 0x2000}
+		tr[i] = memdef.PackAccess(memdef.Access{Addr: 0x2000})
 	}
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{tr})
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{tr})
 	res := m.Run(0)
 	// At least (n-1) compute gaps must elapse.
 	if res.Cycles < 4*1000 {
@@ -80,12 +80,12 @@ func TestComputeGapSpacing(t *testing.T) {
 func TestWriteReachesDirtyTracking(t *testing.T) {
 	cfg := smallConfig()
 	cfg.MemoryPages = 2 * memdef.ChunkPages
-	tr := []memdef.Access{
-		{Addr: memdef.ChunkID(0).FirstPage().Addr(), Kind: memdef.Write},
-		{Addr: memdef.ChunkID(1).FirstPage().Addr()},
-		{Addr: memdef.ChunkID(2).FirstPage().Addr()}, // evicts dirty chunk 0
+	tr := []memdef.Op{
+		memdef.PackAccess(memdef.Access{Addr: memdef.ChunkID(0).FirstPage().Addr(), Kind: memdef.Write}),
+		memdef.PackAccess(memdef.Access{Addr: memdef.ChunkID(1).FirstPage().Addr()}),
+		memdef.PackAccess(memdef.Access{Addr: memdef.ChunkID(2).FirstPage().Addr()}), // evicts dirty chunk 0
 	}
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{tr})
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{tr})
 	m.Run(0)
 	if m.MMU.Stats().DirtyPagesWrittenBack != 1 {
 		t.Fatalf("dirty write-backs = %d", m.MMU.Stats().DirtyPagesWrittenBack)

@@ -42,6 +42,8 @@ var kindNames = map[engine.Tag]string{
 	uvm.TagFaultRetry:   "uvm.FaultRetry",
 	uvm.TagMigSvc:       "uvm.MigSvc",
 	uvm.TagMigXfer:      "uvm.MigXfer",
+	uvm.TagCommitDelay:  "uvm.CommitDelay",
+	uvm.TagCommitFlush:  "uvm.CommitFlush",
 }
 
 // sortedKeys returns m's keys in ascending order.

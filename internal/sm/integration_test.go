@@ -155,10 +155,10 @@ func TestSharedPageAcrossAllWarps(t *testing.T) {
 	cfg := memdef.DefaultConfig()
 	cfg.NumSMs = 8
 	cfg.WarpsPerSM = 4
-	traces := make([][]memdef.Access, 32)
+	traces := make([][]memdef.Op, 32)
 	for w := range traces {
 		for i := 0; i < 10; i++ {
-			traces[w] = append(traces[w], memdef.Access{Addr: memdef.PageNum(5).Addr()})
+			traces[w] = append(traces[w], memdef.PackAccess(memdef.Access{Addr: memdef.PageNum(5).Addr()}))
 		}
 	}
 	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), traces)
@@ -181,13 +181,13 @@ func TestWidelyScatteredAddresses(t *testing.T) {
 	cfg := memdef.DefaultConfig()
 	cfg.NumSMs = 4
 	cfg.WarpsPerSM = 2
-	var tr []memdef.Access
+	var tr []memdef.Op
 	for i := 0; i < 50; i++ {
 		// Spread chunks across distant regions of the VA space.
 		addr := memdef.VirtAddr(uint64(i) * 0x3f_0000_1000 % (1 << 47))
-		tr = append(tr, memdef.Access{Addr: addr})
+		tr = append(tr, memdef.PackAccess(memdef.Access{Addr: addr}))
 	}
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{tr})
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{tr})
 	res := m.Run(0)
 	if res.Crashed || res.Accesses != 50 {
 		t.Fatalf("res = %+v", res)
@@ -203,14 +203,14 @@ func TestPatternPrefetchEndToEndFig6(t *testing.T) {
 	cfg.WarpsPerSM = 1
 	cfg.MemoryPages = 2 * memdef.ChunkPages
 
-	stride := func(c memdef.ChunkID) []memdef.Access {
-		var out []memdef.Access
+	stride := func(c memdef.ChunkID) []memdef.Op {
+		var out []memdef.Op
 		for i := 0; i < memdef.ChunkPages; i += 2 {
-			out = append(out, memdef.Access{Addr: c.Page(i).Addr()})
+			out = append(out, memdef.PackAccess(memdef.Access{Addr: c.Page(i).Addr()}))
 		}
 		return out
 	}
-	var tr []memdef.Access
+	var tr []memdef.Op
 	// Phase 1: strided touch of chunk 0, then fill memory with chunks 1, 2
 	// to evict chunk 0 (untouch 8 -> pattern recorded).
 	tr = append(tr, stride(0)...)
@@ -219,10 +219,10 @@ func TestPatternPrefetchEndToEndFig6(t *testing.T) {
 	// Phase 2: strided re-touch of chunk 0 (pattern match: 8 pages only).
 	tr = append(tr, stride(0)...)
 	// Phase 3: off-pattern page of chunk 0.
-	tr = append(tr, memdef.Access{Addr: memdef.ChunkID(0).Page(1).Addr()})
+	tr = append(tr, memdef.PackAccess(memdef.Access{Addr: memdef.ChunkID(0).Page(1).Addr()}))
 
 	pol, pf := cppe.build(t, cfg, 0)
-	m := NewMachine(cfg, pol, pf, [][]memdef.Access{tr})
+	m := NewMachine(cfg, pol, pf, [][]memdef.Op{tr})
 	res := m.Run(0)
 	if res.Crashed {
 		t.Fatal("crashed")

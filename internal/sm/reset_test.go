@@ -48,7 +48,7 @@ var resetTraces = map[string]workload.Trace{}
 
 // parts derives k's configuration from base, its fresh policy and
 // prefetcher, its warps and its footprint.
-func (k resetKey) parts(t *testing.T, base memdef.Config) (memdef.Config, evict.Policy, prefetch.Prefetcher, [][]memdef.Access, int) {
+func (k resetKey) parts(t *testing.T, base memdef.Config) (memdef.Config, evict.Policy, prefetch.Prefetcher, [][]memdef.Op, int) {
 	t.Helper()
 	tr, ok := resetTraces[k.bench]
 	if !ok {
@@ -170,13 +170,13 @@ func TestResetMatchesFresh(t *testing.T) {
 	t.Run("after-thrash-abort", func(t *testing.T) {
 		cfg := base
 		cfg.MemoryPages = 2 * memdef.ChunkPages
-		var trace []memdef.Access
+		var trace []memdef.Op
 		for round := 0; round < 400; round++ {
 			for c := 0; c < 3; c++ {
-				trace = append(trace, memdef.Access{Addr: memdef.ChunkID(c).FirstPage().Addr(), Kind: memdef.Write})
+				trace = append(trace, memdef.PackAccess(memdef.Access{Addr: memdef.ChunkID(c).FirstPage().Addr(), Kind: memdef.Write}))
 			}
 		}
-		m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{trace, trace})
+		m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{trace, trace})
 		m.SetFootprint(3 * memdef.ChunkPages)
 		if res := m.Run(0); !res.Crashed || m.Eng.Pending() == 0 {
 			t.Fatalf("setup: want a thrash abort with events still queued, got %+v with %d pending", res, m.Eng.Pending())
@@ -210,11 +210,11 @@ func TestResetMatchesFresh(t *testing.T) {
 // differ from the configuration a machine was built with.
 func TestResetRejectsShapeChange(t *testing.T) {
 	cfg := smallConfig()
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{seqTrace(0, 8)})
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{seqTrace(0, 8)})
 	m.Run(0)
 	resized := cfg
 	resized.MemoryPages = 8 * memdef.ChunkPages
-	if err := m.Reset(resized, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{seqTrace(0, 8)}); err != nil {
+	if err := m.Reset(resized, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{seqTrace(0, 8)}); err != nil {
 		t.Fatalf("capacity change refused: %v", err)
 	}
 	reshaped := cfg
@@ -253,6 +253,25 @@ func TestFiredByKindFreshAndRecycled(t *testing.T) {
 		t.Errorf("%d events fired untagged or outside the kind ranges", n)
 	}
 	for _, k := range []engine.Tag{TagWarpStep, TagWarpFin, ptw.TagWalkStage, uvm.TagXlatL1, uvm.TagMigXfer} {
+		if kinds[k] == 0 {
+			t.Errorf("kind %#04x never fired", k)
+		}
+	}
+}
+
+// TestChaosEventsTagged: under fault injection the delayed and held-back
+// migration commits fire under uvm kinds of their own, so a chaos run, like
+// a clean one, leaves nothing in OtherKinds.
+func TestChaosEventsTagged(t *testing.T) {
+	base := memdef.DefaultConfig()
+	base.ChaosSeed = 11
+	m := freshFor(t, resetKey{"STN", disableOnFull, 50}, base)
+	m.Run(0)
+	kinds := m.Eng.FiredByKind()
+	if n := kinds[engine.OtherKinds]; n != 0 {
+		t.Errorf("%d events fired untagged or outside the kind ranges", n)
+	}
+	for _, k := range []engine.Tag{uvm.TagCommitDelay, uvm.TagCommitFlush} {
 		if kinds[k] == 0 {
 			t.Errorf("kind %#04x never fired", k)
 		}

@@ -128,7 +128,7 @@ type warp struct {
 	id    memdef.WarpID
 	gid   uint64 // index into Machine.allWarps, the ScheduleArg handle
 	sm    *SM
-	trace []memdef.Access
+	trace []memdef.Op
 	pos   int
 
 	// In-flight access state (one access outstanding per warp), read by the
@@ -176,7 +176,7 @@ type Machine struct {
 // NewMachine builds the full system with the given eviction policy and
 // prefetcher, and loads one trace per warp. Traces beyond
 // NumSMs x WarpsPerSM panic; missing traces just leave warps idle.
-func NewMachine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, traces [][]memdef.Access) *Machine {
+func NewMachine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, traces [][]memdef.Op) *Machine {
 	m := &Machine{}
 	if err := m.Reset(cfg, pol, pf, traces); err != nil {
 		panic(err)
@@ -192,7 +192,7 @@ func NewMachine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, tra
 // accepts only a cfg of the shape it was built with: every field except
 // MemoryPages must match. Reset discards whatever the previous run left,
 // finished, aborted or paused.
-func (m *Machine) Reset(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, traces [][]memdef.Access) error {
+func (m *Machine) Reset(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, traces [][]memdef.Op) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -439,7 +439,7 @@ func (w *warp) step() {
 		w.sm.machine.activeWarps--
 		return
 	}
-	w.acc = w.trace[w.pos]
+	w.acc = w.trace[w.pos].Access()
 	w.pos++
 	w.issue = w.sm.machine.Eng.Now()
 	w.sm.machine.MMU.Translate(w.sm.id, w.acc, w.translated)

@@ -16,17 +16,17 @@ func smallConfig() memdef.Config {
 }
 
 // seqTrace builds a sequential read trace over n pages, one access per page.
-func seqTrace(startPage, n int) []memdef.Access {
-	tr := make([]memdef.Access, n)
+func seqTrace(startPage, n int) []memdef.Op {
+	tr := make([]memdef.Op, n)
 	for i := range tr {
-		tr[i] = memdef.Access{Addr: memdef.PageNum(startPage + i).Addr()}
+		tr[i] = memdef.PackAccess(memdef.Access{Addr: memdef.PageNum(startPage + i).Addr()})
 	}
 	return tr
 }
 
 func TestMachineRunsToCompletion(t *testing.T) {
 	cfg := smallConfig()
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{
 		seqTrace(0, 64),
 	})
 	res := m.Run(0)
@@ -46,7 +46,7 @@ func TestMachineRunsToCompletion(t *testing.T) {
 
 func TestTooManyTracesPanics(t *testing.T) {
 	cfg := smallConfig() // 8 warps
-	traces := make([][]memdef.Access, 9)
+	traces := make([][]memdef.Op, 9)
 	for i := range traces {
 		traces[i] = seqTrace(i*100, 1)
 	}
@@ -64,9 +64,9 @@ func TestPrefetchingAmortizesFaults(t *testing.T) {
 	cfg := smallConfig()
 	trace := seqTrace(0, 4*memdef.ChunkPages)
 
-	with := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{trace})
+	with := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{trace})
 	resWith := with.Run(0)
-	without := NewMachine(cfg, evict.NewLRU(), prefetch.NewNone(), [][]memdef.Access{trace})
+	without := NewMachine(cfg, evict.NewLRU(), prefetch.NewNone(), [][]memdef.Op{trace})
 	resWithout := without.Run(0)
 
 	fw := with.MMU.Stats().FaultEvents
@@ -87,12 +87,12 @@ func TestWarpsOverlapFaults(t *testing.T) {
 	// Two warps faulting on different chunks: their 20us services overlap,
 	// so the total time is far below 2x the single-warp time.
 	cfg := smallConfig()
-	one := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{
+	one := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{
 		seqTrace(0, 16),
 	})
 	r1 := one.Run(0)
 
-	two := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{
+	two := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{
 		seqTrace(0, 16),
 		seqTrace(1024, 16),
 	})
@@ -108,7 +108,7 @@ func TestOversubscriptionCausesEvictions(t *testing.T) {
 	// Footprint 8 chunks, capacity 4 chunks (50%).
 	cfg.MemoryPages = 4 * memdef.ChunkPages
 	trace := seqTrace(0, 8*memdef.ChunkPages)
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{trace})
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{trace})
 	m.SetFootprint(8 * memdef.ChunkPages)
 	res := m.Run(0)
 	if res.Crashed {
@@ -126,13 +126,13 @@ func TestCrashDetectionOnPathologicalThrash(t *testing.T) {
 	cfg.ThrashAbortFactor = 4
 	// A warp cycling over 3 chunks forever-ish: every access faults, each
 	// fault evicts; eviction traffic rapidly exceeds 4x footprint.
-	var trace []memdef.Access
+	var trace []memdef.Op
 	for round := 0; round < 200; round++ {
 		for c := 0; c < 3; c++ {
-			trace = append(trace, memdef.Access{Addr: memdef.ChunkID(c).FirstPage().Addr()})
+			trace = append(trace, memdef.PackAccess(memdef.Access{Addr: memdef.ChunkID(c).FirstPage().Addr()}))
 		}
 	}
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{trace})
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{trace})
 	m.SetFootprint(3 * memdef.ChunkPages)
 	res := m.Run(0)
 	if !res.Crashed {
@@ -144,7 +144,7 @@ func TestDeterministicCycles(t *testing.T) {
 	build := func() *Machine {
 		cfg := smallConfig()
 		cfg.MemoryPages = 4 * memdef.ChunkPages
-		return NewMachine(cfg, evict.NewMHPE(evict.MHPEOptions{}), prefetch.MustPattern(prefetch.Scheme2, 0), [][]memdef.Access{
+		return NewMachine(cfg, evict.NewMHPE(evict.MHPEOptions{}), prefetch.MustPattern(prefetch.Scheme2, 0), [][]memdef.Op{
 			seqTrace(0, 128),
 			seqTrace(64, 128),
 			seqTrace(128, 64),
@@ -159,7 +159,7 @@ func TestDeterministicCycles(t *testing.T) {
 
 func TestSMStatsAccounting(t *testing.T) {
 	cfg := smallConfig()
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{
 		seqTrace(0, 10),
 		seqTrace(512, 10),
 	})
@@ -183,7 +183,7 @@ func TestSMStatsAccounting(t *testing.T) {
 
 func TestEmptyTraceIgnored(t *testing.T) {
 	cfg := smallConfig()
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{
 		nil,
 		seqTrace(0, 5),
 	})
@@ -195,7 +195,7 @@ func TestEmptyTraceIgnored(t *testing.T) {
 
 func TestEventBudgetMarksCrash(t *testing.T) {
 	cfg := smallConfig()
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Access{
+	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{
 		seqTrace(0, 10000),
 	})
 	res := m.Run(100) // absurdly small budget

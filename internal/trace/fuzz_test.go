@@ -16,9 +16,9 @@ func FuzzRead(f *testing.F) {
 	var seed bytes.Buffer
 	_ = Write(&seed, &Trace{
 		FootprintPages: 64,
-		Warps: [][]memdef.Access{
+		Warps: pack([][]memdef.Access{
 			{{Addr: 0x1000}, {Addr: 0x2000, Kind: memdef.Write}},
-		},
+		}),
 	})
 	f.Add(seed.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {

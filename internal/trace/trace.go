@@ -9,7 +9,8 @@
 //	  with the read/write bit folded into the low bit.
 //
 // Delta encoding exploits the strong spatial locality of GPU traces: typical
-// encoded sizes are ~1.5 bytes per access, versus 9 bytes raw.
+// encoded sizes are ~1.5 bytes per access, against the 8-byte memdef.Op a
+// trace holds in memory per access.
 package trace
 
 import (
@@ -28,7 +29,7 @@ const magic = "CPPETRC1"
 // Trace is a serializable workload: one access stream per warp.
 type Trace struct {
 	FootprintPages int
-	Warps          [][]memdef.Access
+	Warps          [][]memdef.Op
 }
 
 // ErrBadFormat is returned when the input is not a CPPE trace.
@@ -63,7 +64,8 @@ func Write(w io.Writer, t *Trace) error {
 			return err
 		}
 		prev := int64(0)
-		for _, a := range warp {
+		for _, op := range warp {
+			a := op.Access()
 			cur := int64(a.Addr)
 			delta := zigzag(cur - prev)
 			prev = cur
@@ -118,7 +120,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if capHint > 4096 {
 			capHint = 4096
 		}
-		warp := make([]memdef.Access, 0, capHint)
+		warp := make([]memdef.Op, 0, capHint)
 		prev := int64(0)
 		for i := 0; i < int(n); i++ {
 			word, err := binary.ReadUvarint(br)
@@ -133,7 +135,7 @@ func Read(r io.Reader) (*Trace, error) {
 			if prev < 0 {
 				return nil, fmt.Errorf("trace: warp %d access %d: negative address", wi, i)
 			}
-			warp = append(warp, memdef.Access{Addr: memdef.VirtAddr(prev), Kind: kind})
+			warp = append(warp, memdef.PackAccess(memdef.Access{Addr: memdef.VirtAddr(prev), Kind: kind}))
 		}
 		t.Warps = append(t.Warps, warp)
 	}
@@ -155,7 +157,8 @@ func Summarize(t *Trace) Stats {
 	pages := map[memdef.PageNum]struct{}{}
 	chunks := map[memdef.ChunkID]struct{}{}
 	for _, warp := range t.Warps {
-		for _, a := range warp {
+		for _, op := range warp {
+			a := op.Access()
 			s.Accesses++
 			if a.Kind == memdef.Write {
 				s.Writes++

@@ -11,6 +11,17 @@ import (
 	"github.com/reproductions/cppe/internal/workload"
 )
 
+// pack converts per-warp access literals to the packed form traces store.
+func pack(warps [][]memdef.Access) [][]memdef.Op {
+	out := make([][]memdef.Op, len(warps))
+	for w, accs := range warps {
+		for _, a := range accs {
+			out[w] = append(out[w], memdef.PackAccess(a))
+		}
+	}
+	return out
+}
+
 func roundTrip(t *testing.T, tr *Trace) *Trace {
 	t.Helper()
 	var buf bytes.Buffer
@@ -42,7 +53,7 @@ func tracesEqual(a, b *Trace) bool {
 }
 
 func TestRoundTripEmpty(t *testing.T) {
-	tr := &Trace{FootprintPages: 128, Warps: [][]memdef.Access{}}
+	tr := &Trace{FootprintPages: 128, Warps: [][]memdef.Op{}}
 	if !tracesEqual(tr, roundTrip(t, tr)) {
 		t.Fatal("empty trace mismatch")
 	}
@@ -51,7 +62,7 @@ func TestRoundTripEmpty(t *testing.T) {
 func TestRoundTripSimple(t *testing.T) {
 	tr := &Trace{
 		FootprintPages: 64,
-		Warps: [][]memdef.Access{
+		Warps: pack([][]memdef.Access{
 			{
 				{Addr: 0x1000, Kind: memdef.Read},
 				{Addr: 0x2000, Kind: memdef.Write},
@@ -61,7 +72,7 @@ func TestRoundTripSimple(t *testing.T) {
 			{
 				{Addr: 0, Kind: memdef.Write},
 			},
-		},
+		}),
 	}
 	if !tracesEqual(tr, roundTrip(t, tr)) {
 		t.Fatal("trace mismatch after round trip")
@@ -75,16 +86,16 @@ func TestRoundTripRandomProperty(t *testing.T) {
 		tr := &Trace{FootprintPages: rng.Intn(10000)}
 		for w := 0; w < nw; w++ {
 			n := rng.Intn(200)
-			warp := make([]memdef.Access, n)
+			warp := make([]memdef.Op, n)
 			for i := range warp {
 				kind := memdef.Read
 				if rng.Intn(2) == 0 {
 					kind = memdef.Write
 				}
-				warp[i] = memdef.Access{
+				warp[i] = memdef.PackAccess(memdef.Access{
 					Addr: memdef.VirtAddr(rng.Uint64() & (1<<47 - 1)),
 					Kind: kind,
-				}
+				})
 			}
 			tr.Warps = append(tr.Warps, warp)
 		}
@@ -137,7 +148,7 @@ func TestBadMagic(t *testing.T) {
 func TestTruncatedInput(t *testing.T) {
 	tr := &Trace{
 		FootprintPages: 64,
-		Warps:          [][]memdef.Access{{{Addr: 0x1000}, {Addr: 0x2000}}},
+		Warps:          pack([][]memdef.Access{{{Addr: 0x1000}, {Addr: 0x2000}}}),
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, tr); err != nil {
@@ -173,13 +184,13 @@ func TestZigZag(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	tr := &Trace{
 		FootprintPages: 64,
-		Warps: [][]memdef.Access{
+		Warps: pack([][]memdef.Access{
 			{
 				{Addr: memdef.PageNum(0).Addr(), Kind: memdef.Read},
 				{Addr: memdef.PageNum(0).Addr() + 128, Kind: memdef.Write},
 				{Addr: memdef.PageNum(17).Addr(), Kind: memdef.Read},
 			},
-		},
+		}),
 	}
 	s := Summarize(tr)
 	if s.Accesses != 3 || s.Reads != 2 || s.Writes != 1 {

@@ -56,6 +56,12 @@ const (
 	TagMigSvc engine.Tag = 0x0308
 	// TagMigXfer is a migration's H2D transfer completion.
 	TagMigXfer engine.Tag = 0x0309
+	// TagCommitDelay is a migration commit delivered after the fault
+	// injector's extra delay.
+	TagCommitDelay engine.Tag = 0x030A
+	// TagCommitFlush is the bounded flush of a commit the fault injector
+	// held back for reordering.
+	TagCommitFlush engine.Tag = 0x030B
 )
 
 // chunkState is the GMMU's per-resident-chunk bookkeeping: which pages are
@@ -854,7 +860,7 @@ const heldFlushCycles = memdef.Cycle(20_000)
 // which is exactly what reordering exercises.
 func (m *Manager) deliverCommit(commit func()) {
 	if d := m.inj.CommitDelay(); d > 0 {
-		m.eng.Schedule(d, func() { m.deliverReordered(commit) })
+		m.eng.ScheduleTagged(d, TagCommitDelay, func() { m.deliverReordered(commit) })
 		return
 	}
 	m.deliverReordered(commit)
@@ -874,7 +880,7 @@ func (m *Manager) deliverReordered(commit func()) {
 		m.heldCommit = commit
 		m.heldGen++
 		gen := m.heldGen
-		m.eng.Schedule(heldFlushCycles, func() {
+		m.eng.ScheduleTagged(heldFlushCycles, TagCommitFlush, func() {
 			if m.heldCommit != nil && m.heldGen == gen {
 				c := m.heldCommit
 				m.heldCommit = nil
@@ -927,11 +933,18 @@ func (m *Manager) lookupChunk(c memdef.ChunkID) *chunkState {
 // chunkState returns (allocating if needed) the state for chunk c.
 func (m *Manager) chunkState(c memdef.ChunkID) *chunkState {
 	if len(m.chunkTab) == 0 {
+		// The first touch sizes the table. A touch inside the footprint
+		// SetFootprint gave (chunk 0 up to its size) gets a table over the
+		// whole footprint, so a run that stays inside it never grows it.
 		m.chunkBase = c
-		if cap(m.chunkTab) == 0 {
-			m.chunkTab = make([]*chunkState, 0, 64)
+		n := 64
+		if fc := (m.footprintPages + memdef.ChunkPages - 1) / memdef.ChunkPages; int(c) < fc {
+			m.chunkBase, n = 0, fc
 		}
-		m.chunkTab = m.chunkTab[:1] // Reset cleared the retained storage
+		if cap(m.chunkTab) < n {
+			m.chunkTab = make([]*chunkState, 0, n)
+		}
+		m.chunkTab = m.chunkTab[:c-m.chunkBase+1] // Reset cleared the retained storage
 	} else if c < m.chunkBase {
 		// Grow downward: shift existing entries up, with headroom.
 		pad := int(m.chunkBase-c) + len(m.chunkTab)

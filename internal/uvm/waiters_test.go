@@ -21,6 +21,34 @@ func TestChunkStateSize(t *testing.T) {
 	}
 }
 
+// TestChunkTabSizedOnce: with the footprint known, the first touch sizes the
+// chunk table over the whole footprint, so touches below and above it inside
+// the footprint keep the same storage, and states stay where lookupChunk
+// finds them. A touch past the footprint still grows the table.
+func TestChunkTabSizedOnce(t *testing.T) {
+	eng := engine.New()
+	cfg := memdef.DefaultConfig()
+	cfg.NumSMs = 1
+	m := New(eng, cfg, xbus.New(eng, cfg), evict.NewLRU(), prefetch.NewLocality(), &flatMem{eng: eng})
+	const chunks = 300
+	m.SetFootprint(chunks*memdef.ChunkPages - 3) // a partial last chunk counts
+	first := m.chunkState(7)
+	tab := unsafe.SliceData(m.chunkTab)
+	if cap(m.chunkTab) != chunks {
+		t.Fatalf("first touch sized the table to %d chunks, want %d", cap(m.chunkTab), chunks)
+	}
+	for _, c := range []memdef.ChunkID{0, chunks - 1, 150} {
+		m.chunkState(c)
+	}
+	if unsafe.SliceData(m.chunkTab) != tab || m.lookupChunk(7) != first {
+		t.Fatal("touches inside the footprint moved the chunk table")
+	}
+	m.chunkState(chunks)
+	if m.lookupChunk(chunks) == nil || m.lookupChunk(7) != first {
+		t.Fatal("a touch past the footprint lost a chunk state")
+	}
+}
+
 // TestWakeKeepsPerPageFIFO: translations waiting on different pages of one
 // chunk share its FIFO; waking a page resumes exactly that page's waiters,
 // in the order they arrived, and leaves the others queued in theirs.

@@ -98,7 +98,7 @@ func (c *Cache) Len() int {
 // every scalar session knob matches. The algorithm (and therefore every
 // stored job ID) is unchanged from the harness's original per-build
 // fingerprint.
-func Fingerprint(traces [][]memdef.Access) uint64 {
+func Fingerprint(traces [][]memdef.Op) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -113,7 +113,8 @@ func Fingerprint(traces [][]memdef.Access) uint64 {
 	}
 	for _, tr := range traces {
 		mix(uint64(len(tr)))
-		for _, a := range tr {
+		for _, op := range tr {
+			a := op.Access()
 			mix(uint64(a.Addr))
 			mix(uint64(a.Kind))
 		}

@@ -84,26 +84,26 @@ func TestCacheConcurrentGetSharesOneGeneration(t *testing.T) {
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
-	tr := [][]memdef.Access{
+	tr := pack([][]memdef.Access{
 		{{Addr: 0x1000, Kind: memdef.Read}, {Addr: 0x2000, Kind: memdef.Write}},
 		{{Addr: 0x3000, Kind: memdef.Read}},
-	}
+	})
 	base := Fingerprint(tr)
 
-	addr := [][]memdef.Access{
+	addr := pack([][]memdef.Access{
 		{{Addr: 0x1001, Kind: memdef.Read}, {Addr: 0x2000, Kind: memdef.Write}},
 		{{Addr: 0x3000, Kind: memdef.Read}},
-	}
-	kind := [][]memdef.Access{
+	})
+	kind := pack([][]memdef.Access{
 		{{Addr: 0x1000, Kind: memdef.Write}, {Addr: 0x2000, Kind: memdef.Write}},
 		{{Addr: 0x3000, Kind: memdef.Read}},
-	}
+	})
 	// Same flat access stream, different warp boundary.
-	split := [][]memdef.Access{
+	split := pack([][]memdef.Access{
 		{{Addr: 0x1000, Kind: memdef.Read}},
 		{{Addr: 0x2000, Kind: memdef.Write}, {Addr: 0x3000, Kind: memdef.Read}},
-	}
-	for name, v := range map[string][][]memdef.Access{"addr": addr, "kind": kind, "warp-boundary": split} {
+	})
+	for name, v := range map[string][][]memdef.Op{"addr": addr, "kind": kind, "warp-boundary": split} {
 		if Fingerprint(v) == base {
 			t.Errorf("%s change not reflected in fingerprint", name)
 		}
@@ -111,4 +111,15 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if Fingerprint(tr) != base {
 		t.Error("fingerprint not stable across calls")
 	}
+}
+
+// pack converts per-warp access literals to the packed form traces store.
+func pack(warps [][]memdef.Access) [][]memdef.Op {
+	out := make([][]memdef.Op, len(warps))
+	for w, accs := range warps {
+		for _, a := range accs {
+			out[w] = append(out[w], memdef.PackAccess(a))
+		}
+	}
+	return out
 }

@@ -62,7 +62,8 @@ func TestTraceLayout(t *testing.T) {
 				t.Errorf("%s warp %d: cap %d, len %d", b.Abbr, w, cap(acc), len(acc))
 			}
 			total += len(acc)
-			for _, a := range acc {
+			for _, op := range acc {
+				a := op.Access()
 				pages[a.Addr.Page()] = struct{}{}
 			}
 		}

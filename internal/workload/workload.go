@@ -221,7 +221,7 @@ func (o Options) withDefaults() Options {
 
 // Trace is a generated workload: one access stream per warp.
 type Trace struct {
-	Warps [][]memdef.Access
+	Warps [][]memdef.Op
 	// FootprintPages is the allocation size in pages (chunk aligned); the
 	// touched subset may be smaller for sparse benchmarks.
 	FootprintPages int
@@ -311,7 +311,7 @@ type gen struct {
 	// subslices of memberList).
 	arena []int
 	// warps are the per-warp access streams layout deals the passes into.
-	warps [][]memdef.Access
+	warps [][]memdef.Op
 }
 
 // passOrder is one traversal: a global page order and the salt of its accesses.
@@ -419,10 +419,10 @@ func (g *gen) emit(w, page, salt int) {
 			kind = memdef.Write
 		}
 		off := uint64((salt+k)*384) % memdef.PageBytes
-		g.warps[w] = append(g.warps[w], memdef.Access{
+		g.warps[w] = append(g.warps[w], memdef.PackAccess(memdef.Access{
 			Addr: memdef.PageNum(page).Addr() + memdef.VirtAddr(off),
 			Kind: kind,
-		})
+		}))
 	}
 }
 
@@ -462,8 +462,8 @@ func (g *gen) layout() Trace {
 	for w := 0; w < nw; w++ {
 		ends[w+1] += ends[w]
 	}
-	backing := make([]memdef.Access, ends[nw])
-	g.warps = make([][]memdef.Access, nw)
+	backing := make([]memdef.Op, ends[nw])
+	g.warps = make([][]memdef.Op, nw)
 	for w := range g.warps {
 		g.warps[w] = backing[ends[w]:ends[w]:ends[w+1]]
 	}

@@ -118,7 +118,8 @@ func TestAllBenchmarksGenerate(t *testing.T) {
 		// Every access must fall inside the footprint.
 		limit := memdef.PageNum(tr.FootprintPages)
 		for _, warp := range tr.Warps {
-			for _, a := range warp {
+			for _, op := range warp {
+				a := op.Access()
 				if a.Addr.Page() >= limit {
 					t.Fatalf("%s: access %v beyond footprint %d pages", b.Abbr, a.Addr, tr.FootprintPages)
 				}
@@ -137,7 +138,8 @@ func TestStridedMembership(t *testing.T) {
 		offStride := 0
 		total := 0
 		for _, warp := range tr.Warps {
-			for _, a := range warp {
+			for _, op := range warp {
+				a := op.Access()
 				total++
 				if a.Addr.Page().Index()%stride != 0 {
 					offStride++
@@ -185,7 +187,8 @@ func TestSubsetTouchingVariesByPass(t *testing.T) {
 		third := len(tr.Warps[0]) / 3
 		set := func(lo, hi int) map[memdef.PageNum]bool {
 			out := map[memdef.PageNum]bool{}
-			for _, a := range tr.Warps[0][lo:hi] {
+			for _, op := range tr.Warps[0][lo:hi] {
+				a := op.Access()
 				out[a.Addr.Page()] = true
 			}
 			return out
@@ -228,7 +231,8 @@ func TestEveryChunkHasAMember(t *testing.T) {
 		tr := b.Generate(Options{Scale: 0.05, Warps: 8})
 		touched := map[memdef.ChunkID]bool{}
 		for _, warp := range tr.Warps {
-			for _, a := range warp {
+			for _, op := range warp {
+				a := op.Access()
 				touched[a.Addr.Chunk()] = true
 			}
 		}
@@ -244,7 +248,8 @@ func TestTracesContainWrites(t *testing.T) {
 	tr := b.Generate(Options{Scale: 0.05, Warps: 8})
 	writes := 0
 	for _, warp := range tr.Warps {
-		for _, a := range warp {
+		for _, op := range warp {
+			a := op.Access()
 			if a.Kind == memdef.Write {
 				writes++
 			}
@@ -341,7 +346,7 @@ func TestGlobalOrderIsBandLimited(t *testing.T) {
 		progressed := false
 		for w := 0; w < warps; w++ {
 			for k := 0; k < blockPages*AccPerPageForTest && pos[w] < len(tr.Warps[w]); k++ {
-				p := tr.Warps[w][pos[w]].Addr.Page()
+				p := tr.Warps[w][pos[w]].Access().Addr.Page()
 				pos[w]++
 				progressed = true
 				if !first {
