@@ -75,6 +75,14 @@ type Cache struct {
 
 // New builds a cache from total capacity, associativity and line size.
 func New(name string, capacityBytes, ways, lineSize int) *Cache {
+	return &NewMany(name, 1, capacityBytes, ways, lineSize)[0]
+}
+
+// NewMany builds n empty caches of one geometry, all named name, in one
+// slice. Each cache keeps its own two tag-store allocations: sharing one
+// across caches would save allocations but not bytes, since a store above
+// the allocator's largest size class is rounded up to whole pages.
+func NewMany(name string, n, capacityBytes, ways, lineSize int) []Cache {
 	// A line of at least 4 bytes leaves two spare high bits in every tag,
 	// which line.key shifts into.
 	if capacityBytes <= 0 || ways <= 0 || lineSize < 4 {
@@ -91,21 +99,25 @@ func New(name string, capacityBytes, ways, lineSize int) *Cache {
 	if 1<<shift != lineSize {
 		panic(fmt.Sprintf("cache %s: line size %d not a power of two", name, lineSize))
 	}
-	c := &Cache{
+	proto := Cache{
 		name:   name,
 		sets:   linesTotal / ways,
 		ways:   ways,
 		lineSz: lineSize,
 		shift:  shift,
 	}
-	if c.sets&(c.sets-1) == 0 {
-		c.setMask = uint64(c.sets - 1)
-		for 1<<c.setShift < c.sets {
-			c.setShift++
+	if proto.sets&(proto.sets-1) == 0 {
+		proto.setMask = uint64(proto.sets - 1)
+		for 1<<proto.setShift < proto.sets {
+			proto.setShift++
 		}
 	}
-	c.Reset()
-	return c
+	cs := make([]Cache, n)
+	for i := range cs {
+		cs[i] = proto
+		cs[i].Reset()
+	}
+	return cs
 }
 
 // Reset empties the cache — every line invalid, LRU clock and counters at

@@ -32,11 +32,12 @@ type bank struct {
 	rowMisses uint64
 }
 
-// channel is one GDDR5 channel: banks plus a shared data bus. Banks (and
-// their resources) are stored by value so route's bank lookup lands in one
-// contiguous array instead of chasing a per-bank pointer; bankMask is
-// len(banks)-1 when the bank count is a power of two (Table I's 16), letting
-// route mask instead of divide.
+// channel is one GDDR5 channel: banks plus a shared data bus. Channels, banks
+// and their resources are stored by value, every channel's banks in one
+// array, so route's lookup lands in contiguous memory instead of chasing a
+// per-channel or per-bank pointer and a DRAM is three allocations; bankMask
+// is len(banks)-1 when the bank count is a power of two (Table I's 16),
+// letting route mask instead of divide.
 type channel struct {
 	banks    []bank
 	bankMask uint64
@@ -47,7 +48,7 @@ type channel struct {
 type DRAM struct {
 	eng      *engine.Engine
 	cfg      memdef.Config
-	channels []*channel
+	channels []channel
 	rowShift uint
 	reads    uint64
 	writes   uint64
@@ -62,14 +63,15 @@ func New(eng *engine.Engine, cfg memdef.Config) *DRAM {
 	for 1<<shift < cfg.DRAMRowBytes {
 		shift++
 	}
-	d := &DRAM{eng: eng, cfg: cfg, rowShift: shift}
-	for i := 0; i < cfg.DRAMChannels; i++ {
-		ch := &channel{bus: *engine.NewResource(eng)}
-		ch.banks = make([]bank, cfg.DRAMBanksPerChannel)
-		if n := uint64(len(ch.banks)); n&(n-1) == 0 {
+	d := &DRAM{eng: eng, cfg: cfg, rowShift: shift, channels: make([]channel, cfg.DRAMChannels)}
+	nb := cfg.DRAMBanksPerChannel
+	banks := make([]bank, cfg.DRAMChannels*nb)
+	for i := range d.channels {
+		ch := &d.channels[i]
+		ch.banks = banks[i*nb : (i+1)*nb : (i+1)*nb]
+		if n := uint64(nb); n&(n-1) == 0 {
 			ch.bankMask = n - 1
 		}
-		d.channels = append(d.channels, ch)
 	}
 	d.Reset()
 	return d
@@ -78,8 +80,9 @@ func New(eng *engine.Engine, cfg memdef.Config) *DRAM {
 // Reset returns every bank and bus to idle with no open row and zeroed
 // counters, keeping the geometry.
 func (d *DRAM) Reset() {
-	for _, ch := range d.channels {
-		ch.bus.Reset()
+	for i := range d.channels {
+		ch := &d.channels[i]
+		ch.bus = *engine.NewResource(d.eng)
 		for b := range ch.banks {
 			ch.banks[b] = bank{res: *engine.NewResource(d.eng)}
 		}
@@ -95,7 +98,7 @@ func (d *DRAM) route(a memdef.VirtAddr) (*channel, *bank, uint64) {
 	// quotient; the bank modulo is a mask for power-of-two bank counts.
 	nch := uint64(len(d.channels))
 	q := row / nch
-	ch := d.channels[row-q*nch]
+	ch := &d.channels[row-q*nch]
 	var bi uint64
 	if ch.bankMask != 0 {
 		bi = q & ch.bankMask
@@ -106,10 +109,10 @@ func (d *DRAM) route(a memdef.VirtAddr) (*channel, *bank, uint64) {
 }
 
 // Access books a memory access of the given kind to address a and returns
-// its completion cycle. A non-nil done runs at that cycle, when the data is
-// available (read) or committed (write), as an event of kind tag; an access
-// without a callback schedules nothing, so its tag is unused.
-func (d *DRAM) Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag, done func()) memdef.Cycle {
+// its completion cycle, when the data is available (read) or committed
+// (write). It schedules nothing: a caller that must act at completion
+// schedules its own event at the returned cycle.
+func (d *DRAM) Access(a memdef.VirtAddr, kind memdef.AccessKind) memdef.Cycle {
 	ch, bk, row := d.route(a)
 	var svc memdef.Cycle
 	if bk.hasRow && bk.openRow == row {
@@ -127,11 +130,7 @@ func (d *DRAM) Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag,
 		d.reads++
 	}
 	bankDone := bk.res.Acquire(svc)
-	finish := ch.bus.AcquireAt(bankDone, d.cfg.DRAMBusLat)
-	if done != nil {
-		d.eng.ScheduleAtTagged(finish, tag, done)
-	}
-	return finish
+	return ch.bus.AcquireAt(bankDone, d.cfg.DRAMBusLat)
 }
 
 // Stats is a snapshot of DRAM counters.
@@ -157,7 +156,8 @@ func (s Stats) RowHitRate() float64 {
 // Stats returns aggregate counters.
 func (d *DRAM) Stats() Stats {
 	s := Stats{Reads: d.reads, Writes: d.writes}
-	for _, ch := range d.channels {
+	for i := range d.channels {
+		ch := &d.channels[i]
 		s.BusBusyCycles += ch.bus.BusyCycles()
 		for i := range ch.banks {
 			bk := &ch.banks[i]

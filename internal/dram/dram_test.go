@@ -38,8 +38,8 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	cfg := testConfig()
 	d := New(e, cfg)
 	var miss, hit memdef.Cycle
-	e.Schedule(0, func() { miss = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil) })
-	e.Schedule(100, func() { hit = d.Access(addrFor(cfg, 0, 0, 0)+64, memdef.Read, 0, nil) })
+	e.Schedule(0, func() { miss = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read) })
+	e.Schedule(100, func() { hit = d.Access(addrFor(cfg, 0, 0, 0)+64, memdef.Read) })
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestBankLevelParallelism(t *testing.T) {
 	d := New(e, cfg)
 	var a, b memdef.Cycle
 	e.Schedule(0, func() {
-		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil) // ch0 bank0
-		b = d.Access(addrFor(cfg, 0, 1, 0), memdef.Read, 0, nil) // ch0 bank1
+		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read) // ch0 bank0
+		b = d.Access(addrFor(cfg, 0, 1, 0), memdef.Read) // ch0 bank1
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -80,8 +80,8 @@ func TestSameBankSerializes(t *testing.T) {
 	d := New(e, cfg)
 	var a, b memdef.Cycle
 	e.Schedule(0, func() {
-		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil) // bank0 row r0
-		b = d.Access(addrFor(cfg, 0, 0, 1), memdef.Read, 0, nil) // bank0 row r1: conflict
+		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read) // bank0 row r0
+		b = d.Access(addrFor(cfg, 0, 0, 1), memdef.Read) // bank0 row r1: conflict
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -98,8 +98,8 @@ func TestChannelParallelism(t *testing.T) {
 	d := New(e, cfg)
 	var a, b memdef.Cycle
 	e.Schedule(0, func() {
-		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil)
-		b = d.Access(addrFor(cfg, 1, 0, 0), memdef.Read, 0, nil)
+		a = d.Access(addrFor(cfg, 0, 0, 0), memdef.Read)
+		b = d.Access(addrFor(cfg, 1, 0, 0), memdef.Read)
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -114,9 +114,9 @@ func TestRowBufferReplacement(t *testing.T) {
 	cfg := testConfig()
 	d := New(e, cfg)
 	e.Schedule(0, func() {
-		d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil) // open row A
-		d.Access(addrFor(cfg, 0, 0, 1), memdef.Read, 0, nil) // row B closes A
-		d.Access(addrFor(cfg, 0, 0, 0), memdef.Read, 0, nil) // row A misses again
+		d.Access(addrFor(cfg, 0, 0, 0), memdef.Read) // open row A
+		d.Access(addrFor(cfg, 0, 0, 1), memdef.Read) // row B closes A
+		d.Access(addrFor(cfg, 0, 0, 0), memdef.Read) // row A misses again
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -127,25 +127,26 @@ func TestRowBufferReplacement(t *testing.T) {
 	}
 }
 
-// TestDoneCallbackFiresAtCompletion: done runs at the returned finish cycle,
-// as an event of the kind the caller passed.
-func TestDoneCallbackFiresAtCompletion(t *testing.T) {
+// TestAccessSchedulesNothing: Access returns the completion cycle and queues
+// no event; a caller that acts at completion schedules its own.
+func TestAccessSchedulesNothing(t *testing.T) {
 	e := engine.New()
 	cfg := testConfig()
 	d := New(e, cfg)
-	const kind engine.Tag = 0x0103
-	var at, finish memdef.Cycle
+	var finish memdef.Cycle
+	pending := -1
 	e.Schedule(5, func() {
-		finish = d.Access(addrFor(cfg, 0, 0, 0), memdef.Write, kind, func() { at = e.Now() })
+		finish = d.Access(addrFor(cfg, 0, 0, 0), memdef.Write)
+		pending = e.Pending()
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	if at != finish || at != 37 {
-		t.Fatalf("done at %d, finish %d, want 37", at, finish)
+	if finish != 37 {
+		t.Fatalf("finish %d, want 37", finish)
 	}
-	if n := e.FiredByKind()[kind]; n != 1 {
-		t.Fatalf("%d events of kind %#04x fired, want the completion", n, kind)
+	if pending != 0 || e.Fired() != 1 {
+		t.Fatalf("Access queued %d events (%d fired), want none", pending, e.Fired())
 	}
 	if d.Stats().Writes != 1 {
 		t.Fatal("write not counted")
@@ -159,7 +160,7 @@ func TestSequentialStreamRowLocality(t *testing.T) {
 	n := 256
 	e.Schedule(0, func() {
 		for i := 0; i < n; i++ {
-			d.Access(memdef.VirtAddr(i*64), memdef.Read, 0, nil)
+			d.Access(memdef.VirtAddr(i*64), memdef.Read)
 		}
 	})
 	if _, err := e.Run(nil); err != nil {

@@ -11,8 +11,9 @@
 // Internally the queue is a two-tier bucket scheduler. Events landing within
 // the next ringWindow cycles go into a ring of per-cycle FIFO buckets (O(1)
 // push and pop, no comparisons); events further out go into an overflow
-// min-heap ordered by (cycle, seq). Event nodes are pooled on a free list, so
-// the steady-state hot path performs no heap allocation. See the
+// min-heap ordered by (cycle, seq). Event nodes are allocated in slabs and
+// pooled on a free list, so the steady-state hot path performs no heap
+// allocation. See the
 // "Performance" section of DESIGN.md for the sizing and the determinism
 // argument.
 package engine
@@ -245,10 +246,21 @@ func (e *Engine) SetWatchdog(window time.Duration, everyEvents uint64) {
 	e.wdWindow = window
 }
 
+// nodeSlab is the number of event nodes allocated at once when the pool is
+// empty: a fresh engine reaches its peak queue depth in a few allocations
+// instead of one per node.
+const nodeSlab = 64
+
+// alloc pops a node from the pool, refilling the pool with a slab of
+// nodeSlab nodes when it is empty.
 func (e *Engine) alloc() *eventNode {
 	n := e.free
 	if n == nil {
-		return &eventNode{}
+		slab := make([]eventNode, nodeSlab)
+		for i := range slab[:nodeSlab-1] {
+			slab[i].next = &slab[i+1]
+		}
+		n = &slab[0]
 	}
 	e.free = n.next
 	n.next = nil

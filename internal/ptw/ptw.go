@@ -8,9 +8,11 @@
 // GMMU). A walk that reaches a non-present leaf reports a page fault to its
 // caller; the fault itself is handled by the UVM driver, not here.
 //
-// Walk contexts are pooled: each context owns its stage callbacks (built once
-// when the context is first created) and a reusable step buffer, so a walk
-// performs no per-level allocation.
+// Walk contexts are pooled and carved out of slabs, each with an inline step
+// array. The grant and stage events are two walker-wide callbacks keyed by
+// the context's registry index, and every finished walk reports to one
+// walker-wide done callback with the ID its caller passed, so a walk
+// performs no allocation once the pool is warm.
 package ptw
 
 import (
@@ -38,29 +40,21 @@ const (
 	TagWalkMem engine.Tag = 0x0203
 )
 
-// walkState is one pooled in-flight walk.
+// walkState is one pooled in-flight walk. Its registry index is the
+// argument of its grant and stage events.
 type walkState struct {
-	w     *Walker
+	idx   uint64 // index in Walker.states, stable for the walker's lifetime
 	p     memdef.PageNum
-	steps []pagetable.WalkStep
+	id    uint64 // the caller's walk ID, passed back to Walker.done
+	steps [pagetable.Levels]pagetable.WalkStep
+	n     int // steps in use
 	i     int
 	start memdef.Cycle
-	done  func(Result)
 	next  *walkState
 
-	granted func() // a walker slot was acquired: start the walk
-	stage   func() // PWC probe of level steps[i]
-	memDone func() // PWC-miss memory read returned
-}
-
-// advance moves to the next level, or finishes the walk.
-func (x *walkState) advance() {
-	x.i++
-	if x.i >= len(x.steps) {
-		x.w.finish(x)
-		return
-	}
-	x.w.eng.ScheduleTagged(x.w.cfg.PWCLatency, TagWalkStage, x.stage)
+	// memDone is the PWC-miss read's completion: the one per-context
+	// closure left, because MemAccessor.Access takes a func().
+	memDone func()
 }
 
 // Walker is the shared page-table walker.
@@ -71,11 +65,18 @@ type Walker struct {
 	pwc   *cache.Cache
 	slots *engine.Semaphore
 	mem   MemAccessor
+	// done receives every finished walk: the ID its Walk call passed and
+	// the outcome.
+	done func(id uint64, r Result)
+	// grantFn and stageFn are the grant and stage events of the walk context
+	// their argument indexes, shared by every context.
+	grantFn, stageFn func(uint64)
 	// states holds every walk context built, free chains the inactive ones.
-	// Reset truncates states and newState hands the retained contexts out
-	// again, so a reset walker builds none.
+	// Contexts are carved out of slab. Reset truncates states and newState
+	// hands the retained contexts out again, so a reset walker builds none.
 	states []*walkState
 	free   *walkState
+	slab   []walkState
 
 	walks     uint64
 	faults    uint64
@@ -85,8 +86,9 @@ type Walker struct {
 	totalLat  memdef.Cycle
 }
 
-// New builds a walker over table, issuing PWC-miss reads through mem.
-func New(eng *engine.Engine, cfg memdef.Config, table *pagetable.Table, mem MemAccessor) *Walker {
+// New builds a walker over table, issuing PWC-miss reads through mem and
+// reporting each finished walk to done.
+func New(eng *engine.Engine, cfg memdef.Config, table *pagetable.Table, mem MemAccessor, done func(id uint64, r Result)) *Walker {
 	w := &Walker{
 		eng:   eng,
 		cfg:   cfg,
@@ -94,7 +96,10 @@ func New(eng *engine.Engine, cfg memdef.Config, table *pagetable.Table, mem MemA
 		pwc:   cache.New("pwc", cfg.PWCBytes, cfg.PWCWays, cfg.PWCEntryBytes),
 		slots: engine.NewSemaphore(eng, cfg.PTWConcurrentWalks),
 		mem:   mem,
+		done:  done,
 	}
+	w.grantFn = w.granted
+	w.stageFn = w.stage
 	w.Reset()
 	return w
 }
@@ -106,13 +111,17 @@ func (w *Walker) Reset() {
 	w.pwc.Reset()
 	w.slots.Reset(w.cfg.PTWConcurrentWalks)
 	*w = Walker{
-		eng:    w.eng,
-		cfg:    w.cfg,
-		table:  w.table,
-		pwc:    w.pwc,
-		slots:  w.slots,
-		mem:    w.mem,
-		states: w.states[:0],
+		eng:     w.eng,
+		cfg:     w.cfg,
+		table:   w.table,
+		pwc:     w.pwc,
+		slots:   w.slots,
+		mem:     w.mem,
+		done:    w.done,
+		grantFn: w.grantFn,
+		stageFn: w.stageFn,
+		states:  w.states[:0],
+		slab:    w.slab,
 	}
 }
 
@@ -123,36 +132,26 @@ type Result struct {
 	Frame  pagetable.FrameNum
 }
 
+// walkSlab is the number of walk contexts allocated at once.
+const walkSlab = 16
+
 // newState returns an idle walk context: a retained one below the high-water
-// mark of states, else a new one with its once-allocated stage callbacks.
+// mark of states, else a new one from the slab with its once-built memDone.
 func (w *Walker) newState() *walkState {
 	if i := len(w.states); i < cap(w.states) {
 		if x := w.states[:i+1][i]; x != nil {
 			w.states = w.states[:i+1]
-			*x = walkState{w: w, steps: x.steps[:0], granted: x.granted, stage: x.stage, memDone: x.memDone}
+			*x = walkState{idx: x.idx, memDone: x.memDone}
 			return x
 		}
 	}
-	x := &walkState{w: w, steps: make([]pagetable.WalkStep, 0, pagetable.Levels)}
-	x.granted = func() {
-		x.w.walks++
-		x.steps = x.w.table.AppendWalkPath(x.steps[:0], x.p)
-		x.i = -1
-		x.advance()
+	if len(w.slab) == 0 {
+		w.slab = make([]walkState, walkSlab)
 	}
-	x.stage = func() {
-		s := x.steps[x.i]
-		// Every level access costs one PWC probe.
-		if x.w.pwc.Access(s.EntryAddr, memdef.Read).Hit {
-			x.w.pwcHits++
-			x.advance()
-			return
-		}
-		x.w.pwcMisses++
-		x.w.memReads++
-		x.w.mem.Access(s.EntryAddr, memdef.Read, TagWalkMem, x.memDone)
-	}
-	x.memDone = x.advance
+	x := &w.slab[0]
+	w.slab = w.slab[1:]
+	x.idx = uint64(len(w.states))
+	x.memDone = func() { w.advance(x) }
 	w.states = append(w.states, x)
 	return x
 }
@@ -169,14 +168,50 @@ func (w *Walker) get() *walkState {
 	return x
 }
 
-// Walk starts a page-table walk for page p. done is invoked when the walk
-// finishes, with the outcome. Walks beyond the concurrency limit queue FIFO.
-func (w *Walker) Walk(p memdef.PageNum, done func(Result)) {
+// Walk starts a page-table walk for page p. The walker's done callback
+// receives id and the outcome when the walk finishes. Walks beyond the
+// concurrency limit queue FIFO.
+func (w *Walker) Walk(p memdef.PageNum, id uint64) {
 	x := w.get()
 	x.p = p
-	x.done = done
+	x.id = id
 	x.start = w.eng.Now()
-	w.slots.AcquireTagged(TagWalkGrant, x.granted)
+	w.slots.AcquireArgTagged(TagWalkGrant, w.grantFn, x.idx)
+}
+
+// granted starts walk context idx once it holds a walker slot.
+func (w *Walker) granted(idx uint64) {
+	x := w.states[idx]
+	w.walks++
+	x.n = len(w.table.AppendWalkPath(x.steps[:0], x.p))
+	x.i = -1
+	w.advance(x)
+}
+
+// advance moves x to its next level, or finishes the walk.
+func (w *Walker) advance(x *walkState) {
+	x.i++
+	if x.i >= x.n {
+		w.finish(x)
+		return
+	}
+	w.eng.ScheduleArgTagged(w.cfg.PWCLatency, TagWalkStage, w.stageFn, x.idx)
+}
+
+// stage probes the PWC for walk context idx's current level, reading the
+// entry from memory on a miss.
+func (w *Walker) stage(idx uint64) {
+	x := w.states[idx]
+	s := x.steps[x.i]
+	// Every level access costs one PWC probe.
+	if w.pwc.Access(s.EntryAddr, memdef.Read).Hit {
+		w.pwcHits++
+		w.advance(x)
+		return
+	}
+	w.pwcMisses++
+	w.memReads++
+	w.mem.Access(s.EntryAddr, memdef.Read, TagWalkMem, x.memDone)
 }
 
 func (w *Walker) finish(x *walkState) {
@@ -187,11 +222,10 @@ func (w *Walker) finish(x *walkState) {
 		w.faults++
 	}
 	w.slots.Release()
-	done := x.done
-	x.done = nil
+	id := x.id
 	x.next = w.free
 	w.free = x
-	done(res)
+	w.done(id, res)
 }
 
 // Stats is a snapshot of walker counters.

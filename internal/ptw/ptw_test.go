@@ -20,14 +20,31 @@ func (m *fixedMem) Access(a memdef.VirtAddr, k memdef.AccessKind, tag engine.Tag
 	m.eng.ScheduleTagged(m.lat, tag, done)
 }
 
-func setup(t *testing.T) (*engine.Engine, memdef.Config, *pagetable.Table, *fixedMem, *Walker) {
+// testWalker gives each walk its own continuation: walk registers fn under
+// the next walk ID and the walker's done callback dispatches on that ID.
+type testWalker struct {
+	*Walker
+	fns []func(Result)
+}
+
+func newTestWalker(e *engine.Engine, cfg memdef.Config, pt *pagetable.Table, mem MemAccessor) *testWalker {
+	tw := &testWalker{}
+	tw.Walker = New(e, cfg, pt, mem, func(id uint64, r Result) { tw.fns[id](r) })
+	return tw
+}
+
+func (tw *testWalker) walk(p memdef.PageNum, fn func(Result)) {
+	tw.fns = append(tw.fns, fn)
+	tw.Walk(p, uint64(len(tw.fns)-1))
+}
+
+func setup(t *testing.T) (*engine.Engine, memdef.Config, *pagetable.Table, *fixedMem, *testWalker) {
 	t.Helper()
 	e := engine.New()
 	cfg := memdef.DefaultConfig()
 	pt := pagetable.New()
 	mem := &fixedMem{eng: e, lat: 100}
-	w := New(e, cfg, pt, mem)
-	return e, cfg, pt, mem, w
+	return e, cfg, pt, mem, newTestWalker(e, cfg, pt, mem)
 }
 
 func TestWalkMappedPage(t *testing.T) {
@@ -35,7 +52,7 @@ func TestWalkMappedPage(t *testing.T) {
 	pt.Map(0x1000, 42)
 	var got Result
 	e.Schedule(0, func() {
-		w.Walk(0x1000, func(r Result) { got = r })
+		w.walk(0x1000, func(r Result) { got = r })
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -53,7 +70,7 @@ func TestWalkUnmappedPageFaults(t *testing.T) {
 	e, _, _, _, w := setup(t)
 	var got Result
 	e.Schedule(0, func() {
-		w.Walk(0x2000, func(r Result) { got = r })
+		w.walk(0x2000, func(r Result) { got = r })
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -69,7 +86,7 @@ func TestWalkUnmappedPageFaults(t *testing.T) {
 func TestColdWalkTouchesAllLevels(t *testing.T) {
 	e, _, pt, mem, w := setup(t)
 	pt.Map(0x3000, 1)
-	e.Schedule(0, func() { w.Walk(0x3000, func(Result) {}) })
+	e.Schedule(0, func() { w.walk(0x3000, func(Result) {}) })
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +101,9 @@ func TestWarmWalkHitsPWC(t *testing.T) {
 	pt.Map(0x3001, 2) // shares all upper levels with 0x3000
 	done := 0
 	e.Schedule(0, func() {
-		w.Walk(0x3000, func(Result) {
+		w.walk(0x3000, func(Result) {
 			done++
-			w.Walk(0x3001, func(Result) { done++ })
+			w.walk(0x3001, func(Result) { done++ })
 		})
 	})
 	if _, err := e.Run(nil); err != nil {
@@ -110,7 +127,7 @@ func TestWalkLatencyComposition(t *testing.T) {
 	pt.Map(0x5000, 9)
 	var finished memdef.Cycle
 	e.Schedule(0, func() {
-		w.Walk(0x5000, func(Result) { finished = e.Now() })
+		w.walk(0x5000, func(Result) { finished = e.Now() })
 	})
 	if _, err := e.Run(nil); err != nil {
 		t.Fatal(err)
@@ -128,14 +145,14 @@ func TestConcurrencyLimit(t *testing.T) {
 	cfg.PTWConcurrentWalks = 2
 	pt := pagetable.New()
 	mem := &fixedMem{eng: e, lat: 1000}
-	w := New(e, cfg, pt, mem)
+	w := newTestWalker(e, cfg, pt, mem)
 	for i := 0; i < 8; i++ {
 		pt.Map(memdef.PageNum(i*512*512), pagetable.FrameNum(i)) // distinct subtrees
 	}
 	finished := 0
 	e.Schedule(0, func() {
 		for i := 0; i < 8; i++ {
-			w.Walk(memdef.PageNum(i*512*512), func(Result) { finished++ })
+			w.walk(memdef.PageNum(i*512*512), func(Result) { finished++ })
 		}
 	})
 	if _, err := e.Run(nil); err != nil {
@@ -157,7 +174,7 @@ func TestManyWalksStats(t *testing.T) {
 	done := 0
 	e.Schedule(0, func() {
 		for i := 0; i < 64; i++ {
-			w.Walk(memdef.PageNum(0x8000+i), func(r Result) {
+			w.walk(memdef.PageNum(0x8000+i), func(r Result) {
 				if !r.Mapped {
 					t.Error("mapped page faulted")
 				}

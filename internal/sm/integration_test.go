@@ -176,7 +176,9 @@ func TestSharedPageAcrossAllWarps(t *testing.T) {
 }
 
 // TestWidelyScatteredAddresses: accesses scattered across the 48-bit VA space
-// must not break the page table or the TLBs.
+// must not break the page table or the TLBs, and must cost memory by the
+// chunks touched, not by the span they cover. A chunk table grown densely
+// from the lowest to the highest chunk touched allocated 3.5 GB here.
 func TestWidelyScatteredAddresses(t *testing.T) {
 	cfg := memdef.DefaultConfig()
 	cfg.NumSMs = 4
@@ -187,10 +189,18 @@ func TestWidelyScatteredAddresses(t *testing.T) {
 		addr := memdef.VirtAddr(uint64(i) * 0x3f_0000_1000 % (1 << 47))
 		tr = append(tr, memdef.PackAccess(memdef.Access{Addr: addr}))
 	}
-	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{tr})
-	res := m.Run(0)
+	var res Result
+	b := allocBytes(func() {
+		m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{tr})
+		res = m.Run(0)
+	})
 	if res.Crashed || res.Accesses != 50 {
 		t.Fatalf("res = %+v", res)
+	}
+	t.Logf("50 scattered accesses: %d bytes allocated", b)
+	const ceiling = 16 << 20
+	if b > ceiling {
+		t.Errorf("50 scattered accesses allocated %d bytes, ceiling %d", b, ceiling)
 	}
 }
 

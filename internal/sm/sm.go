@@ -10,9 +10,10 @@
 // costing ~28,000 cycles, pipeline detail below the warp level is noise.
 //
 // The per-access pipeline is allocation-free on the hot path: each warp has
-// exactly one access in flight, so its stage callbacks are built once at
-// construction and carry their state in warp fields; the shared L2/DRAM path
-// pools its request contexts the same way.
+// exactly one access in flight and keeps its state in its slot of the warp
+// slab, and each stage is one machine-wide callback keyed by the warp's slab
+// index; the shared L2/DRAM path pools its request contexts the same way. A
+// fresh machine is built from one allocation per kind of component.
 package sm
 
 import (
@@ -44,46 +45,59 @@ const (
 	TagMemL2 engine.Tag = 0x0105
 )
 
-// memReq is one pooled request context for the shared L2/DRAM path: the
-// callback closure is created once per node and reads its operands from the
-// node, so a request costs no allocation after the pool warms up.
+// memReq is one pooled request context for the shared L2/DRAM path. Its
+// registry index is the argument of its L2 event, so a request costs no
+// allocation after the pool warms up.
 type memReq struct {
-	mp   *memPath
+	idx  uint64 // index in memPath.reqs, stable for the machine's lifetime
 	a    memdef.VirtAddr
 	kind memdef.AccessKind
-	tag  engine.Tag // the kind of done's event
-	done func()
-	run  func()
-	next *memReq
+	tag  engine.Tag // the kind of the completion's event
+	// The completion: done, or doneArg(arg) when done is nil.
+	done    func()
+	doneArg func(uint64)
+	arg     uint64
+	next    *memReq
 }
 
 // memPath is the shared L2-cache + DRAM data path, used by SM data accesses
 // (after their private L1) and by the page-table walker.
 type memPath struct {
-	eng *engine.Engine
-	cfg memdef.Config
-	l2  *cache.Cache
-	// dram is the backing memory; reqs holds every request context built,
-	// free the chain of inactive ones. A machine reset truncates reqs and
-	// empties the chain; newReq then hands the retained contexts out again,
-	// so a recycled machine builds none.
+	eng  *engine.Engine
+	cfg  memdef.Config
+	l2   *cache.Cache
 	dram *dram.DRAM
+	// l2Fn is the TagMemL2 event of the request its argument indexes,
+	// shared by every request.
+	l2Fn func(uint64)
+	// reqs holds every request context built, free the chain of inactive
+	// ones; contexts are carved out of slab. A machine reset truncates reqs
+	// and empties the chain; newReq then hands the retained contexts out
+	// again, so a recycled machine builds none.
 	reqs []*memReq
 	free *memReq
+	slab []memReq
 }
 
+// reqSlab is the number of request contexts allocated at once.
+const reqSlab = 64
+
 // newReq returns an idle request context: a retained one below the
-// high-water mark of reqs, else a new one.
+// high-water mark of reqs, else a new one from the slab.
 func (mp *memPath) newReq() *memReq {
 	if i := len(mp.reqs); i < cap(mp.reqs) {
 		if rq := mp.reqs[:i+1][i]; rq != nil {
 			mp.reqs = mp.reqs[:i+1]
-			*rq = memReq{mp: mp, run: rq.run}
+			*rq = memReq{idx: rq.idx}
 			return rq
 		}
 	}
-	rq := &memReq{mp: mp}
-	rq.run = rq.l2Stage
+	if len(mp.slab) == 0 {
+		mp.slab = make([]memReq, reqSlab)
+	}
+	rq := &mp.slab[0]
+	mp.slab = mp.slab[1:]
+	rq.idx = uint64(len(mp.reqs))
 	mp.reqs = append(mp.reqs, rq)
 	return rq
 }
@@ -91,6 +105,15 @@ func (mp *memPath) newReq() *memReq {
 // Access implements ptw.MemAccessor: L2 lookup, then DRAM on a miss. tag is
 // the kind of done's event, whichever stage schedules it.
 func (mp *memPath) Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag, done func()) {
+	mp.access(a, kind, tag, done, nil, 0)
+}
+
+// accessArg is Access completing with fn(arg) instead of a closure.
+func (mp *memPath) accessArg(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag, fn func(uint64), arg uint64) {
+	mp.access(a, kind, tag, nil, fn, arg)
+}
+
+func (mp *memPath) access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.Tag, done func(), doneArg func(uint64), arg uint64) {
 	rq := mp.free
 	if rq == nil {
 		rq = mp.newReq()
@@ -98,55 +121,65 @@ func (mp *memPath) Access(a memdef.VirtAddr, kind memdef.AccessKind, tag engine.
 		mp.free = rq.next
 		rq.next = nil
 	}
-	rq.a, rq.kind, rq.tag, rq.done = a, kind, tag, done
-	mp.eng.ScheduleTagged(mp.cfg.L2HitLatency, TagMemL2, rq.run)
+	rq.a, rq.kind, rq.tag = a, kind, tag
+	rq.done, rq.doneArg, rq.arg = done, doneArg, arg
+	mp.eng.ScheduleArgTagged(mp.cfg.L2HitLatency, TagMemL2, mp.l2Fn, rq.idx)
 }
 
-// l2Stage performs the L2 probe (and DRAM access on a miss). It copies its
-// operands out and releases the node first, so re-entrant Access calls from
-// the completion callback can reuse it.
-func (rq *memReq) l2Stage() {
-	mp, a, kind, tag, done := rq.mp, rq.a, rq.kind, rq.tag, rq.done
-	rq.done = nil
+// l2Stage performs request idx's L2 probe, and its DRAM access on a miss,
+// after which it schedules the completion at the DRAM's finish cycle. It
+// copies the operands out and releases the context first, so re-entrant
+// accesses from the completion can reuse it.
+func (mp *memPath) l2Stage(idx uint64) {
+	rq := mp.reqs[idx]
+	a, kind, tag, done, doneArg, arg := rq.a, rq.kind, rq.tag, rq.done, rq.doneArg, rq.arg
+	rq.done, rq.doneArg = nil, nil
 	rq.next = mp.free
 	mp.free = rq
 	res := mp.l2.Access(a, kind)
 	if res.WritebackVictim {
-		// Dirty victim drains to DRAM off the critical path (no completion
-		// callback, so no event and no tag).
-		mp.dram.Access(a, memdef.Write, 0, nil)
+		// Dirty victim drains to DRAM off the critical path (no completion,
+		// so no event and no tag).
+		mp.dram.Access(a, memdef.Write)
 	}
 	if res.Hit {
-		done()
+		if done != nil {
+			done()
+		} else {
+			doneArg(arg)
+		}
 		return
 	}
-	mp.dram.Access(a, kind, tag, done)
+	finish := mp.dram.Access(a, kind)
+	if done != nil {
+		mp.eng.ScheduleAtTagged(finish, tag, done)
+	} else {
+		mp.eng.ScheduleArgAtTagged(finish, tag, doneArg, arg)
+	}
 }
 
-// Warp is one in-flight access stream.
+// warp is one in-flight access stream. Its index in Machine.warps is the
+// argument of its step, L1 and completion events.
 type warp struct {
-	id    memdef.WarpID
-	gid   uint64 // index into Machine.allWarps, the ScheduleArg handle
 	sm    *SM
 	trace []memdef.Op
 	pos   int
 
-	// In-flight access state (one access outstanding per warp), read by the
-	// per-warp stage callbacks below, which are built once in newWarp.
+	// In-flight access state (one access outstanding per warp).
 	acc   memdef.Access
 	issue memdef.Cycle
 
-	translated func() // MMU translation done -> start the data access
-	l1Stage    func() // L1 data-cache probe, after the L1 hit latency
-	finished   func() // data access complete -> account and schedule next step
+	// translated is the warp's MMU translation-done callback, which
+	// schedules its L1 probe. It is the one per-warp closure left, because
+	// uvm.Translate takes a func(); it is built once per warp slot and kept
+	// across resets.
+	translated func()
 }
 
 // SM is one streaming multiprocessor.
 type SM struct {
-	id      memdef.SMID
-	machine *Machine
-	l1      *cache.Cache
-	warps   []*warp
+	id memdef.SMID
+	l1 *cache.Cache
 
 	accessesDone uint64
 	stallCycles  memdef.Cycle
@@ -162,12 +195,17 @@ type Machine struct {
 	MMU  *uvm.Manager
 	SMs  []*SM
 
-	mp          *memPath
-	allWarps    []*warp
-	stepWarp    func(uint64) // shared ScheduleArg trampoline: allWarps[g].step()
+	mp memPath
+	// warps is the warp slab, one per non-empty trace in SM-major order
+	// (each SM's warps in trace order), so seeding them in index order is
+	// the SM-major order the golden results were pinned with.
+	warps []warp
+	// The warp events, shared by every warp and keyed by its index.
+	stepFn      func(uint64) // TagWarpStep: issue the warp's next access
+	l1Fn        func(uint64) // TagWarpL1: probe the warp's L1 after translation
+	finFn       func(uint64) // TagWarpFin: account the access, schedule the next
 	activeWarps int
 	started     bool // warps seeded: a paused machine must not reseed
-	finished    memdef.Cycle
 
 	aud *audit.Auditor
 	inj *inject.Injector
@@ -212,21 +250,30 @@ func (m *Machine) Reset(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetc
 		m.MMU.Reset(cfg, pol, pf)
 		for _, s := range m.SMs {
 			s.l1.Reset()
-			*s = SM{id: s.id, machine: m, l1: s.l1, warps: s.warps[:0]}
+			*s = SM{id: s.id, l1: s.l1}
 		}
 	}
-	*m.mp = memPath{eng: m.Eng, cfg: cfg, l2: m.L2, dram: m.DRAM, reqs: m.mp.reqs[:0]}
 	*m = Machine{
-		Eng:      m.Eng,
-		Cfg:      cfg,
-		L2:       m.L2,
-		DRAM:     m.DRAM,
-		Link:     m.Link,
-		MMU:      m.MMU,
-		SMs:      m.SMs,
-		mp:       m.mp,
-		allWarps: m.allWarps[:0],
-		stepWarp: m.stepWarp,
+		Eng:  m.Eng,
+		Cfg:  cfg,
+		L2:   m.L2,
+		DRAM: m.DRAM,
+		Link: m.Link,
+		MMU:  m.MMU,
+		SMs:  m.SMs,
+		mp: memPath{
+			eng:  m.Eng,
+			cfg:  cfg,
+			l2:   m.L2,
+			dram: m.DRAM,
+			l2Fn: m.mp.l2Fn,
+			reqs: m.mp.reqs[:0],
+			slab: m.mp.slab,
+		},
+		warps:  m.warps,
+		stepFn: m.stepFn,
+		l1Fn:   m.l1Fn,
+		finFn:  m.finFn,
 	}
 	if cfg.AuditEveryCycles > 0 {
 		// Integrity auditing: periodic full-state checks run between events
@@ -248,19 +295,7 @@ func (m *Machine) Reset(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetc
 		m.MMU.SetInjector(inj)
 		m.inj = inj
 	}
-	// Round-robin trace assignment across SMs so a workload's parallelism
-	// spreads over the machine the way a real grid would.
-	for wi, tr := range traces {
-		if len(tr) == 0 {
-			continue
-		}
-		w := m.newWarp()
-		w.id = memdef.WarpID(wi)
-		w.sm = m.SMs[wi%cfg.NumSMs]
-		w.trace = tr
-		w.sm.warps = append(w.sm.warps, w)
-		m.activeWarps++
-	}
+	m.loadWarps(traces)
 	return nil
 }
 
@@ -270,16 +305,18 @@ func (m *Machine) build(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetc
 	m.L2 = cache.New("l2", cfg.L2CacheBytes, cfg.L2CacheWays, cfg.L2CacheLineSz)
 	m.DRAM = dram.New(m.Eng, cfg)
 	m.Link = xbus.New(m.Eng, cfg)
-	m.mp = &memPath{}
-	m.MMU = uvm.New(m.Eng, cfg, m.Link, pol, pf, m.mp)
-	for i := 0; i < cfg.NumSMs; i++ {
-		m.SMs = append(m.SMs, &SM{
-			id:      memdef.SMID(i),
-			machine: m,
-			l1:      cache.New(fmt.Sprintf("l1-sm%d", i), cfg.L1CacheBytes, cfg.L1CacheWays, cfg.L1CacheLineSz),
-		})
+	m.MMU = uvm.New(m.Eng, cfg, m.Link, pol, pf, &m.mp)
+	sms := make([]SM, cfg.NumSMs)
+	l1s := cache.NewMany("l1", cfg.NumSMs, cfg.L1CacheBytes, cfg.L1CacheWays, cfg.L1CacheLineSz)
+	m.SMs = make([]*SM, cfg.NumSMs)
+	for i := range sms {
+		sms[i] = SM{id: memdef.SMID(i), l1: &l1s[i]}
+		m.SMs[i] = &sms[i]
 	}
-	m.stepWarp = func(g uint64) { m.allWarps[g].step() }
+	m.mp.l2Fn = m.mp.l2Stage
+	m.stepFn = m.step
+	m.l1Fn = m.l1Stage
+	m.finFn = m.finished
 }
 
 // shape is cfg without its per-run capacity: the part of a configuration
@@ -289,41 +326,77 @@ func shape(cfg memdef.Config) memdef.Config {
 	return cfg
 }
 
-// newWarp appends an idle warp to allWarps: a retained one below the
-// registry's high-water mark, else a new one with its once-built stage
-// callbacks. The callbacks reach the warp's SM through w.sm, so a retained
-// warp serves whichever SM its next trace lands on.
-func (m *Machine) newWarp() *warp {
-	gid := len(m.allWarps)
-	if gid < cap(m.allWarps) {
-		if w := m.allWarps[:gid+1][gid]; w != nil {
-			m.allWarps = m.allWarps[:gid+1]
-			*w = warp{gid: w.gid, translated: w.translated, l1Stage: w.l1Stage, finished: w.finished}
-			return w
+// loadWarps fills the warp slab with one idle warp per non-empty trace.
+// Traces are assigned round-robin across SMs, so a workload's parallelism
+// spreads over the machine the way a real grid would; the slab holds them
+// SM-major. Warp slots, with their translated callbacks, are kept across
+// resets and the slab grows only when a run has more warps than any before.
+func (m *Machine) loadWarps(traces [][]memdef.Op) {
+	n := 0
+	for _, tr := range traces {
+		if len(tr) > 0 {
+			n++
 		}
 	}
-	w := &warp{gid: uint64(gid)}
-	w.translated = func() {
-		m.Eng.ScheduleTagged(m.Cfg.L1HitLatency, TagWarpL1, w.l1Stage)
+	if n > cap(m.warps) {
+		grown := make([]warp, n)
+		copy(grown, m.warps[:cap(m.warps)])
+		m.warps = grown
 	}
-	w.l1Stage = func() {
-		res := w.sm.l1.Access(w.acc.Addr, w.acc.Kind)
-		if res.WritebackVictim {
-			m.DRAM.Access(w.acc.Addr, memdef.Write, 0, nil)
+	m.warps = m.warps[:n]
+	g := 0
+	for si, s := range m.SMs {
+		for wi := si; wi < len(traces); wi += len(m.SMs) {
+			if len(traces[wi]) == 0 {
+				continue
+			}
+			w := &m.warps[g]
+			*w = warp{sm: s, trace: traces[wi], translated: w.translated}
+			if w.translated == nil {
+				gid := uint64(g)
+				w.translated = func() { m.Eng.ScheduleArgTagged(m.Cfg.L1HitLatency, TagWarpL1, m.l1Fn, gid) }
+			}
+			g++
 		}
-		if res.Hit {
-			w.finished()
-			return
-		}
-		m.mp.Access(w.acc.Addr, w.acc.Kind, TagWarpFin, w.finished)
 	}
-	w.finished = func() {
-		w.sm.accessesDone++
-		w.sm.stallCycles += m.Eng.Now() - w.issue
-		m.Eng.ScheduleArgTagged(m.Cfg.ComputeGapCycles, TagWarpStep, m.stepWarp, w.gid)
+	m.activeWarps = n
+}
+
+// step issues warp g's next access, or retires the warp.
+func (m *Machine) step(g uint64) {
+	w := &m.warps[g]
+	if w.pos >= len(w.trace) {
+		m.activeWarps--
+		return
 	}
-	m.allWarps = append(m.allWarps, w)
-	return w
+	w.acc = w.trace[w.pos].Access()
+	w.pos++
+	w.issue = m.Eng.Now()
+	m.MMU.Translate(w.sm.id, w.acc, w.translated)
+}
+
+// l1Stage probes warp g's L1 data cache, after the L1 hit latency, and sends
+// a miss down the shared L2/DRAM path.
+func (m *Machine) l1Stage(g uint64) {
+	w := &m.warps[g]
+	res := w.sm.l1.Access(w.acc.Addr, w.acc.Kind)
+	if res.WritebackVictim {
+		m.DRAM.Access(w.acc.Addr, memdef.Write)
+	}
+	if res.Hit {
+		m.finished(g)
+		return
+	}
+	m.mp.accessArg(w.acc.Addr, w.acc.Kind, TagWarpFin, m.finFn, g)
+}
+
+// finished accounts warp g's completed data access and schedules its next
+// step after the compute gap.
+func (m *Machine) finished(g uint64) {
+	w := &m.warps[g]
+	w.sm.accessesDone++
+	w.sm.stallCycles += m.Eng.Now() - w.issue
+	m.Eng.ScheduleArgTagged(m.Cfg.ComputeGapCycles, TagWarpStep, m.stepFn, g)
 }
 
 // SetFootprint forwards the application footprint to the thrash detector.
@@ -388,10 +461,8 @@ func (m *Machine) run(maxEvents uint64) (Result, bool) {
 		// SM-major order: each SM's warps are seeded back-to-back, preserving
 		// the deterministic same-cycle FIFO order the golden results were
 		// pinned with.
-		for _, s := range m.SMs {
-			for _, w := range s.warps {
-				m.Eng.ScheduleArgTagged(0, TagWarpStep, m.stepWarp, w.gid)
-			}
+		for g := range m.warps {
+			m.Eng.ScheduleArgTagged(0, TagWarpStep, m.stepFn, uint64(g))
 		}
 	}
 	var err error
@@ -433,18 +504,6 @@ func (m *Machine) run(maxEvents uint64) (Result, bool) {
 	return res, false
 }
 
-// step issues the warp's next access, or retires the warp.
-func (w *warp) step() {
-	if w.pos >= len(w.trace) {
-		w.sm.machine.activeWarps--
-		return
-	}
-	w.acc = w.trace[w.pos].Access()
-	w.pos++
-	w.issue = w.sm.machine.Eng.Now()
-	w.sm.machine.MMU.Translate(w.sm.id, w.acc, w.translated)
-}
-
 // ActiveWarps returns the number of warps that have not retired.
 func (m *Machine) ActiveWarps() int { return m.activeWarps }
 
@@ -460,11 +519,13 @@ type SMStats struct {
 func (m *Machine) SMStats() []SMStats {
 	out := make([]SMStats, 0, len(m.SMs))
 	for _, s := range m.SMs {
+		l1 := s.l1.Stats()
+		l1.Name = fmt.Sprintf("l1-sm%d", s.id)
 		out = append(out, SMStats{
 			ID:           s.id,
 			AccessesDone: s.accessesDone,
 			StallCycles:  s.stallCycles,
-			L1Cache:      s.l1.Stats(),
+			L1Cache:      l1,
 		})
 	}
 	return out

@@ -52,7 +52,8 @@ type TLB struct {
 
 	// Fully associative only. slots is the probe table: entry slot + 1, or
 	// 0 for an empty position. prev/next link the recency list (next doubles
-	// as the free-list link of unused slots).
+	// as the free-list link of unused slots). The three are consecutive
+	// parts of one allocation, which slots' capacity spans.
 	slots      []int32
 	shift      uint
 	prev, next []int32
@@ -69,17 +70,56 @@ type TLB struct {
 // New returns a TLB with the given total entry count and associativity.
 // A fully associative TLB is expressed as ways == entries.
 func New(name string, entries, ways int) *TLB {
+	return &NewMany(name, 1, entries, ways)[0]
+}
+
+// NewMany returns n empty TLBs of one geometry, all named name. They share
+// one allocation per kind of storage (entries, and LRU stamps or list
+// links), so a machine's per-SM L1 TLBs cost three allocations, not three
+// per SM.
+func NewMany(name string, n, entries, ways int) []TLB {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		panic(fmt.Sprintf("tlb: bad geometry %d entries / %d ways", entries, ways))
 	}
-	t := &TLB{
-		name: name,
-		sets: entries / ways,
-		ways: ways,
+	ts := make([]TLB, n)
+	pages := make([]memdef.PageNum, n*entries)
+	var lru []uint64
+	var links []int32
+	if sets := entries / ways; sets > 1 {
+		lru = make([]uint64, n*entries)
+	} else {
+		links = make([]int32, n*linkLen(entries))
 	}
-	t.Reset()
-	return t
+	for i := range ts {
+		t := &ts[i]
+		*t = TLB{name: name, sets: entries / ways, ways: ways, pages: part(pages, i, entries)}
+		if lru != nil {
+			t.lru = part(lru, i, entries)
+		} else {
+			t.slots = part(links, i, linkLen(entries))
+		}
+		t.Reset()
+	}
+	return ts
 }
+
+// part returns the i-th of consecutive n-element parts of buf, capped so
+// that resizing it never reaches into the next part.
+func part[T any](buf []T, i, n int) []T { return buf[i*n : (i+1)*n : (i+1)*n] }
+
+// probeSize is the fully-associative probe table's size for entries: a power
+// of two, at least twice the entry count.
+func probeSize(entries int) int {
+	size := 2
+	for size < 2*entries {
+		size <<= 1
+	}
+	return size
+}
+
+// linkLen is the length of a fully-associative TLB's link storage: the probe
+// table, then prev, then next.
+func linkLen(entries int) int { return probeSize(entries) + 2*entries }
 
 // Reset empties the TLB — no valid entry, LRU clock and counters at zero —
 // keeping its name, geometry and storage.
@@ -92,22 +132,19 @@ func (t *TLB) Reset() {
 		pages: resized(t.pages, entries),
 		lru:   t.lru,
 		slots: t.slots,
-		prev:  t.prev,
-		next:  t.next,
 	}
 	fillInvalid(t.pages)
 	if t.sets > 1 {
 		t.lru = zeroed(t.lru, entries)
 		return
 	}
-	size := 2
-	for size < 2*entries {
-		size <<= 1
-	}
-	t.slots = zeroed(t.slots, size)
+	size := probeSize(entries)
+	links := resized(t.slots[:cap(t.slots)], linkLen(entries))
+	t.slots = links[:size]
+	clear(t.slots)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	t.prev = resized(t.prev, entries)
-	t.next = resized(t.next, entries)
+	t.prev = links[size : size+entries]
+	t.next = links[size+entries:]
 	t.resetLists()
 }
 

@@ -11,7 +11,8 @@
 // (replayable far faults, Zheng et al. [9]), while other warps keep running.
 //
 // Hot-path bookkeeping is dense: per-chunk state lives in a slice indexed by
-// chunk ID (footprints are contiguous), pending-fault marks are per-chunk
+// chunk ID over the footprint (footprints are contiguous; chunks past it live
+// in blocks sized by the chunks touched), pending-fault marks are per-chunk
 // bitmaps, fault waiters are linked through their translation contexts, and
 // every event callback is built once and takes its operand as the event
 // argument, so the translate → fault → migrate → evict path is
@@ -22,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"github.com/reproductions/cppe/internal/audit"
@@ -199,7 +201,8 @@ func (b Breakdown) AvgLatency(p PathKind) float64 {
 
 // xlat is one pooled in-flight translation. Contexts carry a stable registry
 // ID, which is also the argument of their stage events (the manager's xlat*Fn
-// callbacks), so a translation allocates nothing after the pool warms up.
+// callbacks) and the walk ID of their page-table walk, so a translation
+// allocates nothing after the pool warms up.
 type xlat struct {
 	id    uint64 // registry ID, stable for the manager's lifetime
 	sm    memdef.SMID
@@ -211,9 +214,6 @@ type xlat struct {
 	// waitNext links the translation into its faulted page's waiter FIFO
 	// (see chunkState.addWaiter).
 	waitNext *xlat
-	// walkDone is the walker's completion callback for this context, built
-	// once when the context is first allocated.
-	walkDone func(ptw.Result)
 }
 
 // migEntry is one in-flight migration in the registry: the planned pages,
@@ -266,7 +266,7 @@ type Manager struct {
 	policy evict.Policy
 	pf     prefetch.Prefetcher
 
-	l1tlbs  []*tlb.TLB
+	l1tlbs  []tlb.TLB // one per SM, from one allocation
 	l2tlb   *tlb.TLB
 	l2ports *engine.Semaphore // Table I: the shared L2 TLB has 2 ports
 	walker  *ptw.Walker
@@ -278,11 +278,15 @@ type Manager struct {
 	freeFrames []pagetable.FrameNum
 	nextFrame  pagetable.FrameNum
 
-	// chunkTab is the dense per-chunk state table: chunk c lives at
-	// chunkTab[c-chunkBase]. Entries are handed out by newChunkState on
-	// first touch and kept (zeroed, waiters preserved) across evictions.
-	chunkBase memdef.ChunkID
-	chunkTab  []*chunkState
+	// chunkTab is the dense per-chunk state table over the footprint
+	// SetFootprint gave, sized on the first touch: chunk c lives at
+	// chunkTab[c]. Chunks past it live in far, blocks of farChunks
+	// consecutive chunks in ascending order, so scattered touches cost
+	// memory by the chunks touched rather than by the span they cover.
+	// Entries are handed out by newChunkState on first touch and kept
+	// (zeroed, waiters preserved) across evictions.
+	chunkTab []*chunkState
+	far      []*farBlock
 	// chunkSlabs holds the chunk states in slabs that are never moved, so
 	// every handed-out pointer stays valid; the first chunkUsed states are
 	// in use. Reset rewinds chunkUsed, and newChunkState zeroes each
@@ -369,14 +373,12 @@ func New(eng *engine.Engine, cfg memdef.Config, link *xbus.Link, policy evict.Po
 		eng:      eng,
 		table:    pagetable.New(),
 		link:     link,
+		l1tlbs:   tlb.NewMany("l1tlb", cfg.NumSMs, cfg.L1TLBEntries, cfg.L1TLBEntries),
 		l2tlb:    tlb.New("l2tlb", cfg.L2TLBEntries, cfg.L2TLBWays),
 		l2ports:  engine.NewSemaphore(eng, l2Ports(cfg)),
 		migSlots: engine.NewSemaphore(eng, driverSlots(cfg)),
 	}
-	for i := 0; i < cfg.NumSMs; i++ {
-		m.l1tlbs = append(m.l1tlbs, tlb.New(fmt.Sprintf("l1tlb-sm%d", i), cfg.L1TLBEntries, cfg.L1TLBEntries))
-	}
-	m.walker = ptw.New(eng, cfg, m.table, walkMem)
+	m.walker = ptw.New(eng, cfg, m.table, walkMem, m.walkDone)
 	m.xlatL1Fn = m.xlatL1
 	m.xlatL2GrantFn = m.xlatL2Grant
 	m.xlatL2StageFn = m.xlatL2Stage
@@ -400,13 +402,14 @@ func New(eng *engine.Engine, cfg memdef.Config, link *xbus.Link, policy evict.Po
 func (m *Manager) Reset(cfg memdef.Config, policy evict.Policy, pf prefetch.Prefetcher) {
 	m.table.Reset()
 	m.walker.Reset()
-	for _, t := range m.l1tlbs {
-		t.Reset()
+	for i := range m.l1tlbs {
+		m.l1tlbs[i].Reset()
 	}
 	m.l2tlb.Reset()
 	m.l2ports.Reset(l2Ports(cfg))
 	m.migSlots.Reset(driverSlots(cfg))
 	clear(m.chunkTab[:cap(m.chunkTab)])
+	clear(m.far)
 	*m = Manager{
 		eng:           m.eng,
 		cfg:           cfg,
@@ -421,6 +424,7 @@ func (m *Manager) Reset(cfg memdef.Config, policy evict.Policy, pf prefetch.Pref
 		capacityPages: cfg.MemoryPages,
 		freeFrames:    m.freeFrames[:0],
 		chunkTab:      m.chunkTab[:0],
+		far:           m.far[:0],
 		chunkSlabs:    m.chunkSlabs,
 		migSlots:      m.migSlots,
 		xlatL1Fn:      m.xlatL1Fn,
@@ -500,13 +504,13 @@ func (m *Manager) ResidentPages() int { return m.usedPages }
 const slabSize = 64
 
 // newXlat returns an idle translation context with the next registry ID: a
-// retained one below the registry's high-water mark, else a new one with its
-// once-allocated walker callback.
+// retained one below the registry's high-water mark, else a new one from the
+// slab.
 func (m *Manager) newXlat() *xlat {
 	if i := len(m.xlats); i < cap(m.xlats) {
 		if x := m.xlats[:i+1][i]; x != nil {
 			m.xlats = m.xlats[:i+1]
-			*x = xlat{id: x.id, walkDone: x.walkDone}
+			*x = xlat{id: x.id}
 			return x
 		}
 	}
@@ -516,7 +520,6 @@ func (m *Manager) newXlat() *xlat {
 	x := &m.xlatSlab[0]
 	m.xlatSlab = m.xlatSlab[1:]
 	x.id = uint64(len(m.xlats))
-	x.walkDone = func(r ptw.Result) { m.walkDone(x, r) }
 	m.xlats = append(m.xlats, x)
 	return x
 }
@@ -550,12 +553,13 @@ func (m *Manager) xlatL2Stage(id uint64) {
 		return
 	}
 	m.stats.Walks++
-	m.walker.Walk(x.page, x.walkDone)
+	m.walker.Walk(x.page, id)
 }
 
-// walkDone completes x's page-table walk: a mapped page finishes the
-// translation, an unmapped one raises a far fault.
-func (m *Manager) walkDone(x *xlat, r ptw.Result) {
+// walkDone completes translation id's page-table walk: a mapped page
+// finishes the translation, an unmapped one raises a far fault.
+func (m *Manager) walkDone(id uint64, r ptw.Result) {
+	x := m.xlats[id]
 	if r.Mapped {
 		m.l2tlb.Insert(x.page)
 		m.insertL1(x.sm, x.page)
@@ -922,53 +926,95 @@ func (m *Manager) wake(page memdef.PageNum) {
 	}
 }
 
+// farChunks is the number of consecutive chunks one far block covers.
+const farChunks = 64
+
+// farBlock holds the states of farChunks consecutive chunks past the dense
+// table, starting at base, a multiple of farChunks.
+type farBlock struct {
+	base memdef.ChunkID
+	st   [farChunks]*chunkState
+}
+
+// farIndex returns the position in far of the block covering chunk c, and
+// whether that block exists (else the position where it belongs).
+func (m *Manager) farIndex(c memdef.ChunkID) (int, bool) {
+	base := c - c%farChunks
+	lo, hi := 0, len(m.far)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.far[mid].base < base {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(m.far) && m.far[lo].base == base
+}
+
 // lookupChunk returns the state for chunk c, or nil if c was never touched.
 func (m *Manager) lookupChunk(c memdef.ChunkID) *chunkState {
-	if c < m.chunkBase || c >= m.chunkBase+memdef.ChunkID(len(m.chunkTab)) {
-		return nil
+	if c < memdef.ChunkID(len(m.chunkTab)) {
+		return m.chunkTab[c]
 	}
-	return m.chunkTab[c-m.chunkBase]
+	if i, ok := m.farIndex(c); ok {
+		return m.far[i].st[c%farChunks]
+	}
+	return nil
 }
 
 // chunkState returns (allocating if needed) the state for chunk c.
 func (m *Manager) chunkState(c memdef.ChunkID) *chunkState {
-	if len(m.chunkTab) == 0 {
-		// The first touch sizes the table. A touch inside the footprint
-		// SetFootprint gave (chunk 0 up to its size) gets a table over the
-		// whole footprint, so a run that stays inside it never grows it.
-		m.chunkBase = c
-		n := 64
-		if fc := (m.footprintPages + memdef.ChunkPages - 1) / memdef.ChunkPages; int(c) < fc {
-			m.chunkBase, n = 0, fc
+	if len(m.chunkTab) == 0 && len(m.far) == 0 {
+		// The first touch sizes the table over the footprint SetFootprint
+		// gave (chunk 0 up to its size), so a run that stays inside it never
+		// grows it. Reset cleared the retained storage.
+		fc := (m.footprintPages + memdef.ChunkPages - 1) / memdef.ChunkPages
+		if cap(m.chunkTab) < fc {
+			m.chunkTab = make([]*chunkState, fc)
 		}
-		if cap(m.chunkTab) < n {
-			m.chunkTab = make([]*chunkState, 0, n)
+		m.chunkTab = m.chunkTab[:fc]
+	}
+	var slot **chunkState
+	if c < memdef.ChunkID(len(m.chunkTab)) {
+		slot = &m.chunkTab[c]
+	} else {
+		i, ok := m.farIndex(c)
+		if !ok {
+			m.far = slices.Insert(m.far, i, &farBlock{base: c - c%farChunks})
 		}
-		m.chunkTab = m.chunkTab[:c-m.chunkBase+1] // Reset cleared the retained storage
-	} else if c < m.chunkBase {
-		// Grow downward: shift existing entries up, with headroom.
-		pad := int(m.chunkBase-c) + len(m.chunkTab)
-		grown := make([]*chunkState, int(m.chunkBase-c)+len(m.chunkTab), pad*2)
-		copy(grown[m.chunkBase-c:], m.chunkTab)
-		m.chunkTab = grown
-		m.chunkBase = c
-	} else if i := int(c - m.chunkBase); i >= len(m.chunkTab) {
-		// Grow upward, amortized.
-		need := i + 1
-		if need <= cap(m.chunkTab) {
-			m.chunkTab = m.chunkTab[:need]
-		} else {
-			grown := make([]*chunkState, need, need*2)
-			copy(grown, m.chunkTab)
-			m.chunkTab = grown
+		slot = &m.far[i].st[c%farChunks]
+	}
+	if *slot == nil {
+		*slot = m.newChunkState()
+	}
+	return *slot
+}
+
+// eachChunk calls fn for every chunk touched since the last reset, with its
+// state, in ascending chunk order, until fn returns false.
+func (m *Manager) eachChunk(fn func(memdef.ChunkID, *chunkState) bool) {
+	for c, st := range m.chunkTab {
+		if st != nil && !fn(memdef.ChunkID(c), st) {
+			return
 		}
 	}
-	st := m.chunkTab[c-m.chunkBase]
-	if st == nil {
-		st = m.newChunkState()
-		m.chunkTab[c-m.chunkBase] = st
+	for _, b := range m.far {
+		for i, st := range b.st {
+			if st != nil && !fn(b.base+memdef.ChunkID(i), st) {
+				return
+			}
+		}
 	}
-	return st
+}
+
+// chunkLimit returns a chunk ID above every chunk touched since the last
+// reset.
+func (m *Manager) chunkLimit() memdef.ChunkID {
+	if n := len(m.far); n > 0 {
+		return m.far[n-1].base + farChunks
+	}
+	return memdef.ChunkID(len(m.chunkTab))
 }
 
 // newChunkState hands out the next zeroed chunk state from chunkSlabs,
@@ -1139,8 +1185,8 @@ func (m *Manager) evictChunk(victim memdef.ChunkID) bool {
 	// changes no statistics, only the probes spent. InvalidateChunk batches
 	// the whole chunk's shootdown into one scan per fully-associative L1.
 	if st.smMaskAll {
-		for _, l1 := range m.l1tlbs {
-			l1.InvalidateChunk(victim, resident)
+		for i := range m.l1tlbs {
+			m.l1tlbs[i].InvalidateChunk(victim, resident)
 		}
 	} else {
 		for mask := st.smMask; mask != 0; {
@@ -1218,14 +1264,12 @@ func (m *Manager) AttachAuditor(a *audit.Auditor) {
 // recount re-derives the conservation sums from the per-chunk bitmaps (the
 // ground truth the mirrored counters must match).
 func (m *Manager) recount() (resident, inflight, pending int) {
-	for _, st := range m.chunkTab {
-		if st == nil {
-			continue
-		}
+	m.eachChunk(func(_ memdef.ChunkID, st *chunkState) bool {
 		resident += st.resident.Count()
 		inflight += st.inflight.Count()
 		pending += st.pendingFault.Count()
-	}
+		return true
+	})
 	return resident, inflight, pending
 }
 
@@ -1267,15 +1311,14 @@ func (m *Manager) checkChain() string {
 			return fmt.Sprintf("policy %q tracks chunk %d with no resident pages", m.policy.Name(), c)
 		}
 	}
-	for i, st := range m.chunkTab {
-		if st == nil || st.resident == 0 {
-			continue
+	bad := ""
+	m.eachChunk(func(c memdef.ChunkID, st *chunkState) bool {
+		if st.resident != 0 && !seen[c] {
+			bad = fmt.Sprintf("resident chunk %d not tracked by policy %q", c, m.policy.Name())
 		}
-		if c := m.chunkBase + memdef.ChunkID(i); !seen[c] {
-			return fmt.Sprintf("resident chunk %d not tracked by policy %q", c, m.policy.Name())
-		}
-	}
-	return ""
+		return bad == ""
+	})
+	return bad
 }
 
 // checkTLB verifies no L1/L2 TLB entry maps a non-resident page (a missed
@@ -1294,11 +1337,11 @@ func (m *Manager) checkTLB() string {
 		}
 	}
 	m.l2tlb.ForEachPage(scan("l2tlb"))
-	for i, t := range m.l1tlbs {
+	for i := range m.l1tlbs {
 		if bad != "" {
 			break
 		}
-		t.ForEachPage(scan(fmt.Sprintf("l1tlb-sm%d", i)))
+		m.l1tlbs[i].ForEachPage(scan(fmt.Sprintf("l1tlb-sm%d", i)))
 	}
 	return bad
 }
@@ -1308,10 +1351,8 @@ func (m *Manager) checkTLB() string {
 // covered by a migration still has waiters to wake.
 func (m *Manager) checkPending() string {
 	pending := 0
-	for i, st := range m.chunkTab {
-		if st == nil || st.pendingFault == 0 {
-			continue
-		}
+	bad := ""
+	m.eachChunk(func(c memdef.ChunkID, st *chunkState) bool {
 		pending += st.pendingFault.Count()
 		for rem := st.pendingFault; rem != 0; {
 			idx := bits.TrailingZeros16(uint16(rem))
@@ -1322,10 +1363,14 @@ func (m *Manager) checkPending() string {
 				continue
 			}
 			if !st.waiting.Has(idx) {
-				c := m.chunkBase + memdef.ChunkID(i)
-				return fmt.Sprintf("pending fault on page %d has no waiters", c.Page(idx))
+				bad = fmt.Sprintf("pending fault on page %d has no waiters", c.Page(idx))
+				return false
 			}
 		}
+		return true
+	})
+	if bad != "" {
+		return bad
 	}
 	if pending != m.pendingFaults {
 		return fmt.Sprintf("pending-fault bitmap recount %d != counter %d", pending, m.pendingFaults)
@@ -1350,19 +1395,20 @@ func (m *Manager) auditSnapshot() audit.Snapshot {
 	const maxDump = 16
 	var b strings.Builder
 	dumped := 0
-	for i, st := range m.chunkTab {
-		if st == nil || st.resident|st.inflight|st.pendingFault == 0 {
-			continue
+	m.eachChunk(func(c memdef.ChunkID, st *chunkState) bool {
+		if st.resident|st.inflight|st.pendingFault == 0 {
+			return true
 		}
 		if dumped == maxDump {
 			b.WriteString("... (dump truncated)")
-			break
+			return false
 		}
 		fmt.Fprintf(&b, "chunk %d: resident=%04x inflight=%04x pending=%04x touched=%04x\n",
-			m.chunkBase+memdef.ChunkID(i), uint16(st.resident), uint16(st.inflight),
+			c, uint16(st.resident), uint16(st.inflight),
 			uint16(st.pendingFault), uint16(st.touched))
 		dumped++
-	}
+		return true
+	})
 	s.Detail = strings.TrimRight(b.String(), "\n")
 	return s
 }
@@ -1393,28 +1439,30 @@ func (m *Manager) Corrupt(kind CorruptKind) (audit.Class, bool) {
 		m.usedPages++
 		return audit.ClassCapacity, true
 	case CorruptResidentBit:
-		for _, st := range m.chunkTab {
-			if st == nil || st.resident == 0 {
-				continue
+		applied := false
+		m.eachChunk(func(_ memdef.ChunkID, st *chunkState) bool {
+			if st.resident == 0 {
+				return true
 			}
-			idx := bits.TrailingZeros16(uint16(st.resident))
-			st.resident = st.resident.Clear(idx)
-			return audit.ClassCapacity, true
-		}
-		return audit.ClassCapacity, false
+			st.resident = st.resident.Clear(bits.TrailingZeros16(uint16(st.resident)))
+			applied = true
+			return false
+		})
+		return audit.ClassCapacity, applied
 	case CorruptTLB:
-		ghost := (m.chunkBase + memdef.ChunkID(len(m.chunkTab))).Page(0)
-		m.l2tlb.Insert(ghost)
+		m.l2tlb.Insert(m.chunkLimit().Page(0))
 		return audit.ClassTLB, true
 	case CorruptChain:
-		for i, st := range m.chunkTab {
-			if st == nil || st.resident == 0 {
-				continue
+		applied := false
+		m.eachChunk(func(c memdef.ChunkID, st *chunkState) bool {
+			if st.resident == 0 {
+				return true
 			}
-			m.policy.OnEvicted(m.chunkBase+memdef.ChunkID(i), 0)
-			return audit.ClassChain, true
-		}
-		return audit.ClassChain, false
+			m.policy.OnEvicted(c, 0)
+			applied = true
+			return false
+		})
+		return audit.ClassChain, applied
 	case CorruptPendingFault:
 		m.pendingFaults++
 		return audit.ClassPendingFault, true
@@ -1427,8 +1475,8 @@ func (m *Manager) Stats() Stats { return m.stats }
 
 // TLBStats returns (aggregated L1, L2) TLB statistics.
 func (m *Manager) TLBStats() (l1 tlb.Stats, l2 tlb.Stats) {
-	for _, t := range m.l1tlbs {
-		s := t.Stats()
+	for i := range m.l1tlbs {
+		s := m.l1tlbs[i].Stats()
 		l1.Hits += s.Hits
 		l1.Misses += s.Misses
 		l1.Evictions += s.Evictions

@@ -366,8 +366,8 @@ func TestResetTruncatesRegistries(t *testing.T) {
 	recycled.m.link.Reset()
 	recycled.m.Reset(recycled.cfg, evict.NewLRU(), prefetch.NewLocality())
 	drive(recycled)
-	got := [3]int{len(recycled.m.xlats), len(recycled.m.migs), len(recycled.m.chunkTab)}
-	want := [3]int{len(fresh.m.xlats), len(fresh.m.migs), len(fresh.m.chunkTab)}
+	got := [3]int{len(recycled.m.xlats), len(recycled.m.migs), recycled.m.chunkUsed}
+	want := [3]int{len(fresh.m.xlats), len(fresh.m.migs), fresh.m.chunkUsed}
 	if got != want {
 		t.Errorf("recycled registries (xlats, migs, chunks) = %v, a new manager's = %v", got, want)
 	}

@@ -24,7 +24,8 @@ func TestChunkStateSize(t *testing.T) {
 // TestChunkTabSizedOnce: with the footprint known, the first touch sizes the
 // chunk table over the whole footprint, so touches below and above it inside
 // the footprint keep the same storage, and states stay where lookupChunk
-// finds them. A touch past the footprint still grows the table.
+// finds them. A touch past the footprint lands in a far block and leaves the
+// table where it is.
 func TestChunkTabSizedOnce(t *testing.T) {
 	eng := engine.New()
 	cfg := memdef.DefaultConfig()
@@ -44,8 +45,49 @@ func TestChunkTabSizedOnce(t *testing.T) {
 		t.Fatal("touches inside the footprint moved the chunk table")
 	}
 	m.chunkState(chunks)
-	if m.lookupChunk(chunks) == nil || m.lookupChunk(7) != first {
-		t.Fatal("a touch past the footprint lost a chunk state")
+	if m.lookupChunk(chunks) == nil || m.lookupChunk(7) != first || unsafe.SliceData(m.chunkTab) != tab {
+		t.Fatal("a touch past the footprint lost a chunk state or moved the table")
+	}
+	if len(m.far) != 1 {
+		t.Fatalf("a touch past the footprint made %d far blocks, want 1", len(m.far))
+	}
+}
+
+// TestFarChunksInOrder: without a footprint, chunks scattered over the whole
+// VA space cost one block each, lookupChunk finds every one of them and
+// nothing else, and eachChunk visits them in ascending chunk order, which
+// the audit's first-violation reports and the state dump depend on.
+func TestFarChunksInOrder(t *testing.T) {
+	eng := engine.New()
+	cfg := memdef.DefaultConfig()
+	cfg.NumSMs = 1
+	m := New(eng, cfg, xbus.New(eng, cfg), evict.NewLRU(), prefetch.NewLocality(), &flatMem{eng: eng})
+	var want []memdef.ChunkID
+	for i := uint64(0); i < 50; i++ {
+		c := memdef.ChunkID(i * 0x3f_0000_1000 % (1 << 47) >> memdef.PageShift / memdef.ChunkPages)
+		want = append(want, c)
+		m.chunkState(c).touched = 1
+	}
+	m.chunkState(want[3] + 1) // a neighbour shares its block
+	want = append(want, want[3]+1)
+	slices.Sort(want)
+	want = slices.Compact(want)
+	var got []memdef.ChunkID
+	m.eachChunk(func(c memdef.ChunkID, st *chunkState) bool {
+		if m.lookupChunk(c) != st {
+			t.Errorf("lookupChunk(%d) does not find the state eachChunk visits", c)
+		}
+		got = append(got, c)
+		return true
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("eachChunk visited %v, want %v", got, want)
+	}
+	if len(m.chunkTab) != 0 || len(m.far) > len(want) {
+		t.Fatalf("%d dense entries and %d far blocks for %d scattered chunks", len(m.chunkTab), len(m.far), len(want))
+	}
+	if m.lookupChunk(want[len(want)-1]+1) != nil || m.lookupChunk(m.chunkLimit()) != nil {
+		t.Fatal("lookupChunk found an untouched chunk")
 	}
 }
 
