@@ -237,13 +237,13 @@ func (p *fifoPolicy) SelectVictim(excluded func(ChunkID) bool) (ChunkID, bool) {
 	return 0, false
 }
 
-// TestRegisteredPolicyCheckpoints runs a policy registered through
+// TestRegisteredPolicyParksAndReruns runs a policy registered through
 // RegisterPolicy through RunResumableProgress with a run record path, parks
 // it at a mid-run epoch boundary, and calls it again: the second call runs
 // from cycle 0 with a fresh instance from the factory and must render the
-// plain Run's Result JSON. Being parked and continued asks nothing of a
-// policy beyond a deterministic factory.
-func TestRegisteredPolicyCheckpoints(t *testing.T) {
+// plain Run's Result JSON. Being parked and rerun asks nothing of a policy
+// beyond a deterministic factory.
+func TestRegisteredPolicyParksAndReruns(t *testing.T) {
 	err := RegisterPolicy(PolicyRegistration{
 		Name: "fifo-plugin", Version: PolicyAPIVersion, Kind: KindEviction,
 		Description: "test plugin: evict in migration order",

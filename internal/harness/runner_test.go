@@ -2,7 +2,6 @@ package harness
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -115,44 +114,6 @@ func TestDynamicSetupPairResolves(t *testing.T) {
 	}
 }
 
-func TestRunCachedAndDeterministic(t *testing.T) {
-	s := NewSession(Config{Scale: 0.05, Warps: 16})
-	k := Key{"STN", "baseline", 50}
-	a := s.Run(k)
-	if s.CachedRuns() != 1 {
-		t.Fatalf("cached = %d", s.CachedRuns())
-	}
-	b := s.Run(k)
-	if a.Cycles != b.Cycles {
-		t.Fatal("cache miss returned different result")
-	}
-	// A brand-new session must reproduce the same numbers.
-	s2 := NewSession(Config{Scale: 0.05, Warps: 16})
-	c := s2.Run(k)
-	if c.Cycles != a.Cycles || c.UVM.FaultEvents != a.UVM.FaultEvents {
-		t.Fatalf("cross-session nondeterminism: %d vs %d cycles", c.Cycles, a.Cycles)
-	}
-}
-
-func TestWarmMatchesRun(t *testing.T) {
-	keys := []Key{
-		{"STN", "baseline", 50},
-		{"STN", "cppe", 50},
-		{"MRQ", "baseline", 50},
-	}
-	par := NewSession(Config{Scale: 0.05, Warps: 16, Parallelism: 4})
-	par.Warm(append(keys, keys...)) // duplicates must be deduped
-	if par.CachedRuns() != len(keys) {
-		t.Fatalf("cached = %d, want %d", par.CachedRuns(), len(keys))
-	}
-	ser := NewSession(Config{Scale: 0.05, Warps: 16, Parallelism: 1})
-	for _, k := range keys {
-		if par.Run(k).Cycles != ser.Run(k).Cycles {
-			t.Fatalf("parallel/serial mismatch on %v", k)
-		}
-	}
-}
-
 func TestSpeedupSemantics(t *testing.T) {
 	ref := Result{Cycles: 200}
 	cand := Result{Cycles: 100}
@@ -211,9 +172,10 @@ func TestRunTraceReportsPolicyStats(t *testing.T) {
 }
 
 // TestSessionRecyclesMachines checks the session's machine free list: each
-// finished run hands its machine back, the next run reuses it, and a run on
-// a recycled machine — another benchmark, setup and capacity before it —
-// returns exactly what a fresh session returns.
+// finished run hands its machine back and the next run reuses it, whatever
+// benchmark, setup and capacity ran before, and a sweep never keeps more
+// machines than it ran at once. That a recycled machine returns what a fresh
+// one does is FuzzPathsAgree's.
 func TestSessionRecyclesMachines(t *testing.T) {
 	s := NewSession(Config{Scale: 0.05, Warps: 16, Parallelism: 1})
 	for i, k := range []Key{{"STN", "cppe", 50}, {"NW", "baseline", 75}, {"HIS", "learned", 0}, {"BFS", "tree", 50}} {
@@ -221,26 +183,21 @@ func TestSessionRecyclesMachines(t *testing.T) {
 		if i > 0 {
 			reused = s.machines[0]
 		}
-		got := s.Run(k)
+		s.Run(k)
 		if len(s.machines) != 1 || (reused != nil && s.machines[0] != reused) {
 			t.Fatalf("after %v: free list %v, want the one machine %p", k, s.machines, reused)
 		}
-		want := NewSession(Config{Scale: 0.05, Warps: 16, Parallelism: 1}).Run(k)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v on a recycled machine:\n got %+v\nwant %+v", k, got, want)
-		}
 	}
 
-	// A lockstep sweep never keeps more machines than it ran at once: two
-	// workers of at most two lanes each.
+	// Two workers never keep more than two machines.
 	par := NewSession(Config{Scale: 0.05, Warps: 16, Parallelism: 2})
 	par.Warm([]Key{
 		{"STN", "cppe", 50}, {"STN", "baseline", 50},
 		{"NW", "cppe", 50}, {"NW", "baseline", 50},
 		{"SRD", "cppe", 50}, {"SRD", "baseline", 50},
 	})
-	if n := len(par.machines); n == 0 || n > 4 {
-		t.Errorf("after a 3-group sweep at Parallelism 2: %d machines on the free list, want 1 to 4", n)
+	if n := len(par.machines); n == 0 || n > 2 {
+		t.Errorf("after a 6-key sweep at Parallelism 2: %d machines on the free list, want 1 or 2", n)
 	}
 }
 

@@ -14,8 +14,8 @@
 //     checkpoint: rerunning the few interrupted runs costs less than
 //     checkpointing every run);
 //   - dedup: job identity IS the content fingerprint, so identical in-flight
-//     requests collapse onto one job, and a single-flight guard around the
-//     executor keeps even pathological duplicates down to one simulation;
+//     requests collapse onto one job, and the registry admits a job to the
+//     queue only when it is fresh or terminal, so no job has two runners;
 //   - backpressure: a bounded admission queue turns overload into HTTP 429 +
 //     Retry-After instead of unbounded memory growth. POSTed jobs and sweep
 //     points enter it through one admission path (Server.admitLocked);

@@ -293,6 +293,56 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestRepostWhileFailedRunReturns: a failed job re-POSTed before its worker
+// has returned from the failed run is re-armed, and the next free worker
+// runs it to completion. The registry admits a job only when it is fresh or
+// terminal, so the two workers never run it at once.
+func TestRepostWhileFailedRunReturns(t *testing.T) {
+	stub := newStubRunner()
+	stub.failures["SRD-cppe-50"] = 1
+	cfg := testConfig(t.TempDir(), stub)
+	cfg.Workers = 2
+	cfg.MaxAttempts = 1
+	var srv *Server
+	reposted := make(chan SubmitResponse, 1)
+	var once sync.Once
+	cfg.Logf = func(format string, args ...any) {
+		if !strings.Contains(format, "failed:") {
+			return
+		}
+		// Still inside the first worker's failed run: re-POST, then hold
+		// that worker until the second one starts the rerun (or a second
+		// passes), so the rerun begins before the first run has returned.
+		once.Do(func() {
+			_, sr, _ := post(t, srv.Handler(), srdBody)
+			reposted <- sr
+			<-stub.started // the failed run's start
+			select {
+			case <-stub.started:
+			case <-time.After(time.Second):
+			}
+		})
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown(0)
+
+	_, sr, _ := post(t, srv.Handler(), srdBody)
+	if re := <-reposted; re.ID != sr.ID || re.Cached || re.Deduped {
+		t.Fatalf("re-POST of the failed job: %+v, want a fresh admission of %s", re, sr.ID)
+	}
+	j := waitDone(t, srv, sr.ID)
+	if j.State() != StateCached {
+		t.Errorf("re-POSTed job state = %s (err=%q), want cached", j.State(), j.Err())
+	}
+	if got := stub.runs.Load(); got != 2 {
+		t.Errorf("underlying runs = %d, want 2 (the failed one and the rerun)", got)
+	}
+}
+
 // TestDeadline: a job whose per-request deadline expires is terminal failed,
 // enforced at the stop-hook (epoch) boundary.
 func TestDeadline(t *testing.T) {

@@ -108,7 +108,6 @@ type Server struct {
 	cfg      Config
 	store    *Store
 	queue    *queue
-	flight   group
 	counters stats.ServeCounters
 
 	mu     sync.Mutex
@@ -721,10 +720,7 @@ func (s *Server) worker() {
 				s.park(j)
 				continue
 			}
-			// Single-flight across workers: if a concurrent execution of the
-			// same fingerprint is somehow in flight, wait it out instead of
-			// running the simulation twice.
-			s.flight.Do(j.ID, func() { s.execute(j) })
+			s.execute(j)
 		}
 	}
 }

@@ -252,26 +252,3 @@ func TestPatternPrefetchEndToEndFig6(t *testing.T) {
 		t.Fatalf("Scheme-2 deleted %d entries after a match", ps.Deletions)
 	}
 }
-
-// TestDeterminismAcrossParallelRuns runs the same simulation twice and in a
-// different interleaving context; cycle counts must be identical because each
-// machine owns a private engine.
-func TestDeterminismAcrossParallelRuns(t *testing.T) {
-	run := func() memdef.Cycle {
-		m, _ := buildFor(t, "HIS", cppe, 50)
-		return m.Run(0).Cycles
-	}
-	a := run()
-	done := make(chan memdef.Cycle, 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			m, _ := buildFor(t, "HIS", cppe, 50)
-			done <- m.Run(0).Cycles
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		if got := <-done; got != a {
-			t.Fatalf("parallel run diverged: %d vs %d", got, a)
-		}
-	}
-}

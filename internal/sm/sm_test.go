@@ -140,23 +140,6 @@ func TestCrashDetectionOnPathologicalThrash(t *testing.T) {
 	}
 }
 
-func TestDeterministicCycles(t *testing.T) {
-	build := func() *Machine {
-		cfg := smallConfig()
-		cfg.MemoryPages = 4 * memdef.ChunkPages
-		return NewMachine(cfg, evict.NewMHPE(evict.MHPEOptions{}), prefetch.MustPattern(prefetch.Scheme2, 0), [][]memdef.Op{
-			seqTrace(0, 128),
-			seqTrace(64, 128),
-			seqTrace(128, 64),
-		})
-	}
-	a := build().Run(0)
-	b := build().Run(0)
-	if a.Cycles != b.Cycles || a.Accesses != b.Accesses {
-		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
-	}
-}
-
 func TestSMStatsAccounting(t *testing.T) {
 	cfg := smallConfig()
 	m := NewMachine(cfg, evict.NewLRU(), prefetch.NewLocality(), [][]memdef.Op{

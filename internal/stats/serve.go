@@ -14,8 +14,8 @@ type ServeCounters struct {
 	// Accepted counts jobs admitted into the queue (fresh submissions and
 	// re-submissions of failed jobs).
 	Accepted atomic.Uint64
-	// Deduped counts submissions that matched an in-flight job and were
-	// single-flighted onto it instead of running again.
+	// Deduped counts submissions that matched an in-flight job and joined
+	// it instead of running again.
 	Deduped atomic.Uint64
 	// CacheHits counts submissions answered directly from the completed
 	// result cache (no simulation, no queueing).
