@@ -13,6 +13,8 @@ package evict
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/reproductions/cppe/internal/memdef"
 )
@@ -30,162 +32,260 @@ type Entry struct {
 	// (fault or migration); HPE uses it for its recency partitions.
 	LastRefInterval int
 
-	prev, next *Entry
+	// prev and next are the neighbours' positions in the chain (none at
+	// the ends); a free entry chains the free list through next.
+	prev, next int32
 }
+
+// none marks a missing neighbour, an empty chain end or an empty free list.
+const none = -1
 
 // Chain is the doubly linked chunk chain. Head is the LRU end, tail the MRU
 // end. It supports O(1) insertion/removal and lookup by chunk.
+//
+// Entries are held by value and linked by position, and a chunk's entry is
+// found through a position table indexed by chunk ID, so a chain allocates
+// only when it outgrows its capacity: O(log n) times for n chunks, and
+// nothing once it has reached its peak length. The entries live in blocks
+// that double in size and never move, so growing copies none of them and a
+// returned *Entry stays valid until it is removed; the position table
+// doubles too.
 type Chain struct {
-	head, tail *Entry
-	index      map[memdef.ChunkID]*Entry
-	n          int
-	// free chains unused entries (through next) for reuse by newEntry, so
-	// insert/remove churn allocates nothing once the chain has reached its
-	// peak length. No policy holds an *Entry past Remove.
-	free *Entry
+	// blocks[k] holds the firstBlock<<k entries from position
+	// firstBlock*(2^k-1) on; the first used positions have been handed out.
+	blocks     [][]Entry
+	used       int32
+	head, tail int32
+	// free chains removed entries (through next) for reuse by newEntry.
+	free int32
+	n    int
+	// pos[c] is 1 + the position of chunk c's entry (0: not in the chain)
+	// for chunks below denseChunks; chunks at or past it are kept in far,
+	// sorted by chunk, so a widely scattered footprint costs memory by the
+	// chunks it holds rather than by the span it covers.
+	pos []int32
+	far []farPos
 }
 
-// entryBlock is the number of entries the pool allocates at once.
-const entryBlock = 64
+// farPos is the position of one chunk's entry past the dense table.
+type farPos struct {
+	chunk memdef.ChunkID
+	at    int32
+}
+
+const (
+	// denseChunks bounds the position table: chunks below it (64 GiB of
+	// virtual address space, a table of at most 4 MiB) are indexed
+	// directly. Every generated footprint lies far below it.
+	denseChunks = 1 << 20
+	// firstBlock is the size of the first entry block and minPos the first
+	// length of the position table; both then double.
+	firstBlock = 64
+	minPos     = 256
+)
 
 // NewChain returns an empty chain.
 func NewChain() *Chain {
-	return &Chain{index: make(map[memdef.ChunkID]*Entry)}
+	return &Chain{head: none, tail: none, free: none}
 }
 
 // Len returns the number of entries.
 func (c *Chain) Len() int { return c.n }
 
+// at returns the entry at position i, or nil for none.
+func (c *Chain) at(i int32) *Entry {
+	if i == none {
+		return nil
+	}
+	k := bits.Len32(uint32(i)/firstBlock+1) - 1
+	return &c.blocks[k][uint32(i)-firstBlock*(1<<k-1)]
+}
+
+// find returns the position of chunk id's entry, or none.
+func (c *Chain) find(id memdef.ChunkID) int32 {
+	if id < memdef.ChunkID(len(c.pos)) {
+		return c.pos[id] - 1
+	}
+	if i, ok := c.farIndex(id); ok {
+		return c.far[i].at
+	}
+	return none
+}
+
+// farIndex returns the index in far of chunk id, and whether it is there
+// (else the index where it belongs).
+func (c *Chain) farIndex(id memdef.ChunkID) (int, bool) {
+	return slices.BinarySearchFunc(c.far, id, func(f farPos, id memdef.ChunkID) int {
+		switch {
+		case f.chunk < id:
+			return -1
+		case f.chunk > id:
+			return 1
+		}
+		return 0
+	})
+}
+
+// setPos records that chunk id's entry is at position i (none: removed).
+func (c *Chain) setPos(id memdef.ChunkID, i int32) {
+	if id < denseChunks {
+		if id >= memdef.ChunkID(len(c.pos)) {
+			n := min(max(2*len(c.pos), int(id)+1, minPos), denseChunks)
+			pos := make([]int32, n)
+			copy(pos, c.pos)
+			c.pos = pos
+		}
+		c.pos[id] = i + 1
+		return
+	}
+	k, ok := c.farIndex(id)
+	switch {
+	case i == none:
+		c.far = slices.Delete(c.far, k, k+1)
+	case ok:
+		c.far[k].at = i
+	default:
+		c.far = slices.Insert(c.far, k, farPos{chunk: id, at: i})
+	}
+}
+
+// self returns the position of e, an entry in the chain, from its
+// neighbours' links.
+func (c *Chain) self(e *Entry) int32 {
+	if e.prev != none {
+		return c.at(e.prev).next
+	}
+	return c.head
+}
+
 // Get returns the entry for chunk id, or nil.
-func (c *Chain) Get(id memdef.ChunkID) *Entry { return c.index[id] }
+func (c *Chain) Get(id memdef.ChunkID) *Entry { return c.at(c.find(id)) }
 
 // Head returns the LRU-most entry (nil when empty).
-func (c *Chain) Head() *Entry { return c.head }
+func (c *Chain) Head() *Entry { return c.at(c.head) }
 
 // Tail returns the MRU-most entry (nil when empty).
-func (c *Chain) Tail() *Entry { return c.tail }
+func (c *Chain) Tail() *Entry { return c.at(c.tail) }
 
 // Next returns the neighbour of e toward the MRU end.
-func (c *Chain) Next(e *Entry) *Entry { return e.next }
+func (c *Chain) Next(e *Entry) *Entry { return c.at(e.next) }
 
 // Prev returns the neighbour of e toward the LRU end.
-func (c *Chain) Prev(e *Entry) *Entry { return e.prev }
+func (c *Chain) Prev(e *Entry) *Entry { return c.at(e.prev) }
 
 // PushTail inserts a new entry for id at the MRU end and returns it.
 // Inserting a chunk that is already present panics: callers must Remove or
 // move entries, never duplicate them.
 func (c *Chain) PushTail(id memdef.ChunkID) *Entry {
-	e := c.newEntry(id)
-	e.prev = c.tail
-	if c.tail != nil {
-		c.tail.next = e
+	i, e := c.newEntry(id)
+	e.prev, e.next = c.tail, none
+	if c.tail != none {
+		c.at(c.tail).next = i
 	} else {
-		c.head = e
+		c.head = i
 	}
-	c.tail = e
+	c.tail = i
 	return e
 }
 
 // PushHead inserts a new entry for id at the LRU end and returns it.
 func (c *Chain) PushHead(id memdef.ChunkID) *Entry {
-	e := c.newEntry(id)
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
+	i, e := c.newEntry(id)
+	e.prev, e.next = none, c.head
+	if c.head != none {
+		c.at(c.head).prev = i
 	} else {
-		c.tail = e
+		c.tail = i
 	}
-	c.head = e
+	c.head = i
 	return e
 }
 
-func (c *Chain) newEntry(id memdef.ChunkID) *Entry {
-	if _, dup := c.index[id]; dup {
+// newEntry takes an unlinked entry for id from the free list, or the next
+// unused position, adding a block twice the size of the last when every
+// block is in use, and indexes it.
+func (c *Chain) newEntry(id memdef.ChunkID) (int32, *Entry) {
+	if c.find(id) != none {
 		//cppelint:panicfree duplicate insert is a policy bug the audit ClassChain check also detects; zero-alloc hot path, recovered by the harness into Result.Err
 		panic(fmt.Sprintf("evict: chunk %v already in chain", id))
 	}
-	e := c.free
-	if e == nil {
-		// Refill the pool with a block of entries, so a growing chain
-		// allocates once per entryBlock inserts.
-		block := make([]Entry, entryBlock)
-		for i := range block[:entryBlock-1] {
-			block[i].next = &block[i+1]
+	i := c.free
+	if i != none {
+		c.free = c.at(i).next
+	} else {
+		if k := len(c.blocks); c.used == firstBlock*(1<<k-1) {
+			c.blocks = append(c.blocks, make([]Entry, firstBlock<<k))
 		}
-		e = &block[0]
+		i = c.used
+		c.used++
 	}
-	c.free = e.next
+	e := c.at(i)
 	*e = Entry{Chunk: id}
-	c.index[id] = e
+	c.setPos(id, i)
 	c.n++
-	return e
+	return i, e
+}
+
+// unlink detaches the entry at position i from its neighbours.
+func (c *Chain) unlink(i int32) {
+	e := c.at(i)
+	if e.prev != none {
+		c.at(e.prev).next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != none {
+		c.at(e.next).prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
 }
 
 // Remove unlinks e from the chain and recycles it: callers must not use e
 // afterwards.
 func (c *Chain) Remove(e *Entry) {
-	if c.index[e.Chunk] != e {
+	i := c.find(e.Chunk)
+	if i == none || c.at(i) != e {
 		//cppelint:panicfree foreign-entry removal is a policy bug the audit ClassChain check also detects; zero-alloc hot path, recovered by the harness into Result.Err
 		panic(fmt.Sprintf("evict: removing foreign entry %v", e.Chunk))
 	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	delete(c.index, e.Chunk)
+	c.unlink(i)
+	c.setPos(e.Chunk, none)
 	c.n--
-	e.prev, e.next = nil, c.free
-	c.free = e
+	e.prev, e.next = none, c.free
+	c.free = i
 }
 
 // MoveToTail makes e the MRU entry.
 func (c *Chain) MoveToTail(e *Entry) {
-	if c.tail == e {
+	i := c.self(e)
+	if c.tail == i {
 		return
 	}
-	// Unlink.
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	e.next.prev = e.prev // e != tail, so e.next != nil
-	// Relink at tail.
-	e.prev = c.tail
-	e.next = nil
-	c.tail.next = e
-	c.tail = e
+	c.unlink(i)
+	e.prev, e.next = c.tail, none
+	c.at(c.tail).next = i // e was not the tail, so the chain has one
+	c.tail = i
 }
 
 // MoveToHead makes e the LRU entry.
 func (c *Chain) MoveToHead(e *Entry) {
-	if c.head == e {
+	i := c.self(e)
+	if c.head == i {
 		return
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev.next = e.next // e != head, so e.prev != nil
-	e.next = c.head
-	e.prev = nil
-	c.head.prev = e
-	c.head = e
+	c.unlink(i)
+	e.prev, e.next = none, c.head
+	c.at(c.head).prev = i // e was not the head, so the chain has one
+	c.head = i
 }
 
 // FromTail returns the i-th entry counting from the MRU end (0 = tail), or
 // nil if the chain is shorter.
 func (c *Chain) FromTail(i int) *Entry {
-	e := c.tail
+	e := c.Tail()
 	for ; e != nil && i > 0; i-- {
-		e = e.prev
+		e = c.Prev(e)
 	}
 	return e
 }
@@ -194,7 +294,7 @@ func (c *Chain) FromTail(i int) *Entry {
 // audit and diagnostic use only.
 func (c *Chain) Chunks() []memdef.ChunkID {
 	out := make([]memdef.ChunkID, 0, c.n)
-	for e := c.head; e != nil; e = e.next {
+	for e := c.Head(); e != nil; e = c.Next(e) {
 		out = append(out, e.Chunk)
 	}
 	return out
@@ -204,7 +304,7 @@ func (c *Chain) Chunks() []memdef.ChunkID {
 // used only by tests and diagnostics.
 func (c *Chain) Position(e *Entry) int {
 	i := 0
-	for x := c.head; x != nil; x = x.next {
+	for x := c.Head(); x != nil; x = c.Next(x) {
 		if x == e {
 			return i
 		}

@@ -38,10 +38,8 @@ type HPE struct {
 
 	// wrong-eviction buffer (fixed length: evictions of the last two
 	// intervals, 8 chunks at the default interval length).
-	buf     []memdef.ChunkID
-	bufNext int
-	inBuf   map[memdef.ChunkID]bool
-	w       int
+	buf wrongRing
+	w   int
 
 	// irregular#2 switching state.
 	curStratIntervals int
@@ -131,9 +129,8 @@ func NewHPE(opt HPEOptions) *HPE {
 		opt:      opt.withDefaults(),
 		chain:    NewChain(),
 		strategy: StrategyLRU,
-		inBuf:    make(map[memdef.ChunkID]bool),
+		buf:      newWrongRing(8),
 	}
-	h.buf = newBufRing(8)
 	return h
 }
 
@@ -146,8 +143,7 @@ func (h *HPE) OnFault(c memdef.ChunkID) {
 		h.chain.MoveToTail(e)
 		e.LastRefInterval = h.interval
 	}
-	if h.inBuf[c] {
-		delete(h.inBuf, c)
+	if h.buf.take(c) {
 		h.w++
 		h.stats.WrongEvictions++
 	}
@@ -229,12 +225,7 @@ func (h *HPE) OnEvicted(c memdef.ChunkID, untouch int) {
 		h.chain.Remove(e)
 	}
 	h.stats.Evictions++
-	if old := h.buf[h.bufNext]; old != invalidChunk {
-		delete(h.inBuf, old)
-	}
-	h.buf[h.bufNext] = c
-	h.inBuf[c] = true
-	h.bufNext = (h.bufNext + 1) % len(h.buf)
+	h.buf.push(c)
 }
 
 // classify performs the one-shot classification at memory-full time.

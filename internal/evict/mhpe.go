@@ -1,6 +1,8 @@
 package evict
 
 import (
+	"slices"
+
 	"github.com/reproductions/cppe/internal/memdef"
 )
 
@@ -81,12 +83,12 @@ type MHPE struct {
 	u1, u2 int // untouch totals: current interval / first four intervals
 	w      int // wrong evictions in the current interval
 
-	// Wrong-eviction buffer: a FIFO ring of recently evicted chunk tags.
-	buf       []memdef.ChunkID
-	bufNext   int
-	bufCap    int
-	inBuf     map[memdef.ChunkID]bool
-	pendWrong map[memdef.ChunkID]bool // faulted while in buffer; insert at head
+	// Wrong-eviction buffer: a FIFO ring of recently evicted chunk tags,
+	// sized when memory fills.
+	buf wrongRing
+	// pendWrong holds the chunks that faulted while in the buffer, each
+	// once, until their migration inserts them at the head.
+	pendWrong []memdef.ChunkID
 
 	stats MHPEStats
 }
@@ -120,12 +122,10 @@ type MHPEStats struct {
 // NewMHPE returns an MHPE policy with the given options.
 func NewMHPE(opt MHPEOptions) *MHPE {
 	return &MHPE{
-		opt:       opt.withDefaults(),
-		chain:     NewChain(),
-		strategy:  StrategyMRU,
-		inBuf:     make(map[memdef.ChunkID]bool),
-		pendWrong: make(map[memdef.ChunkID]bool),
-		stats:     MHPEStats{SwitchedAtInterval: -1},
+		opt:      opt.withDefaults(),
+		chain:    NewChain(),
+		strategy: StrategyMRU,
+		stats:    MHPEStats{SwitchedAtInterval: -1},
 	}
 }
 
@@ -135,11 +135,12 @@ func (m *MHPE) Name() string { return "mhpe" }
 // OnFault checks the wrong-eviction buffer: a fault on a recently evicted
 // chunk is a wrong eviction (Section IV-B, "Adjusting Forward Distance").
 func (m *MHPE) OnFault(c memdef.ChunkID) {
-	if m.inBuf[c] {
-		delete(m.inBuf, c)
+	if m.buf.take(c) {
 		m.w++
 		m.stats.WrongEvictions++
-		m.pendWrong[c] = true
+		if !slices.Contains(m.pendWrong, c) {
+			m.pendWrong = append(m.pendWrong, c)
+		}
 	}
 }
 
@@ -148,8 +149,11 @@ func (m *MHPE) OnFault(c memdef.ChunkID) {
 // advances the interval clock by the number of migrated pages.
 func (m *MHPE) OnMigrate(c memdef.ChunkID, pages memdef.PageBitmap) {
 	if e := m.chain.Get(c); e == nil {
-		wrong := m.pendWrong[c]
-		delete(m.pendWrong, c)
+		wrong := false
+		if i := slices.Index(m.pendWrong, c); i >= 0 {
+			wrong = true
+			m.pendWrong = slices.Delete(m.pendWrong, i, i+1)
+		}
 		var entry *Entry
 		if wrong && m.strategy == StrategyMRU {
 			entry = m.chain.PushHead(c)
@@ -225,19 +229,13 @@ func (m *MHPE) OnEvicted(c memdef.ChunkID, untouch int) {
 }
 
 func (m *MHPE) pushBuf(c memdef.ChunkID) {
-	if m.bufCap == 0 {
-		// Memory not yet marked full (possible only in tests that call
-		// OnEvicted directly); fall back to the minimum buffer.
-		m.bufCap = 8
-		m.buf = newBufRing(m.bufCap)
-		m.stats.BufferCap = m.bufCap
+	if m.buf.slots == nil {
+		// Memory not yet marked full (tests that call OnEvicted directly,
+		// or an injected chain corruption); fall back to the minimum buffer.
+		m.buf = newWrongRing(8)
+		m.stats.BufferCap = 8
 	}
-	if old := m.buf[m.bufNext]; old != invalidChunk {
-		delete(m.inBuf, old)
-	}
-	m.buf[m.bufNext] = c
-	m.inBuf[c] = true
-	m.bufNext = (m.bufNext + 1) % m.bufCap
+	m.buf.push(c)
 }
 
 // onMemoryFull initializes the forward distance and the wrong-eviction
@@ -260,16 +258,15 @@ func (m *MHPE) onMemoryFull() {
 	}
 	m.stats.InitialForward = m.forward
 
-	m.bufCap = (n / 64) * 8
-	if m.bufCap < 8 {
-		m.bufCap = 8
+	bufCap := (n / 64) * 8
+	if bufCap < 8 {
+		bufCap = 8
 	}
 	if m.opt.FixedBufferCap > 0 {
-		m.bufCap = m.opt.FixedBufferCap
+		bufCap = m.opt.FixedBufferCap
 	}
-	m.buf = newBufRing(m.bufCap)
-	m.bufNext = 0
-	m.stats.BufferCap = m.bufCap
+	m.buf = newWrongRing(bufCap)
+	m.stats.BufferCap = bufCap
 }
 
 // endInterval runs one iteration of Algorithm 1's loop body.

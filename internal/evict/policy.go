@@ -69,11 +69,49 @@ func selectFromHead(ch *Chain, excluded func(memdef.ChunkID) bool) (memdef.Chunk
 	return 0, false
 }
 
-// newBufRing allocates a wrong-eviction ring with all slots empty.
-func newBufRing(n int) []memdef.ChunkID {
-	buf := make([]memdef.ChunkID, n)
-	for i := range buf {
-		buf[i] = invalidChunk
+// wrongRing is the wrong-eviction buffer MHPE and HPE keep: a FIFO ring of
+// recently evicted chunks, scanned instead of indexed (it holds a few
+// hundred chunks at most). A chunk is in the buffer while a live slot holds
+// it. A fault takes it out of every slot; a push overwrites the oldest slot
+// and takes that slot's chunk out of every slot first, so a chunk evicted
+// twice leaves the buffer with its older slot.
+type wrongRing struct {
+	slots []ringSlot
+	next  int
+}
+
+// ringSlot is one evicted chunk; live is false once it has left the buffer.
+type ringSlot struct {
+	chunk memdef.ChunkID
+	live  bool
+}
+
+// newWrongRing returns a ring of n empty slots.
+func newWrongRing(n int) wrongRing {
+	slots := make([]ringSlot, n)
+	for i := range slots {
+		slots[i].chunk = invalidChunk
 	}
-	return buf
+	return wrongRing{slots: slots}
+}
+
+// push records the eviction of c in the oldest slot.
+func (r *wrongRing) push(c memdef.ChunkID) {
+	if old := r.slots[r.next].chunk; old != invalidChunk {
+		r.take(old)
+	}
+	r.slots[r.next] = ringSlot{chunk: c, live: true}
+	r.next = (r.next + 1) % len(r.slots)
+}
+
+// take reports whether c is in the buffer and takes it out.
+func (r *wrongRing) take(c memdef.ChunkID) bool {
+	found := false
+	for i := range r.slots {
+		if s := &r.slots[i]; s.live && s.chunk == c {
+			s.live = false
+			found = true
+		}
+	}
+	return found
 }

@@ -21,8 +21,8 @@
 // type-checked whole-program graph (see program.go):
 //
 //   - viewleak: the policy.MachineView read-only contract (DESIGN §13) —
-//     views bind once in BindView, and the RecentEvictions window is never
-//     retained or written through.
+//     views bind once in BindView, and the RecentEvictions window (the
+//     view's reused buffer) is never retained or written through.
 //   - detreach: cross-package reachability — no sim-core call path may reach
 //     wall clocks, global rand, map iteration, or goroutine spawns in
 //     module-local packages outside the per-package lint scope.

@@ -10,8 +10,8 @@ func TestFixtureViewLeak(t *testing.T) {
 	assertDiags(t, lintFixture(t, "viewleak"), []string{
 		"internal/lint/testdata/src/viewleak/viewleak.go:18: [viewleak] MachineView stored in a package-level variable: the view must live only in the bound policy (DESIGN §13)",
 		"internal/lint/testdata/src/viewleak/viewleak.go:23: [viewleak] MachineView stored in a field outside BindView: the view is bound exactly once, at machine construction (DESIGN §13)",
-		"internal/lint/testdata/src/viewleak/viewleak.go:29: [viewleak] RecentEvictions window retained in a struct field: the window is a per-call observation, not policy state — copy what you need or waive with //cppelint:viewleak <reason>",
-		"internal/lint/testdata/src/viewleak/viewleak.go:30: [viewleak] write through the RecentEvictions window: the machine hands out a copy and ignores mutations (DESIGN §13 read-only contract)",
+		"internal/lint/testdata/src/viewleak/viewleak.go:29: [viewleak] RecentEvictions window retained in a struct field: the slice is the view's reused buffer, valid only until the next call — copy what you need or waive with //cppelint:viewleak <reason>",
+		"internal/lint/testdata/src/viewleak/viewleak.go:30: [viewleak] write through the RecentEvictions window: it is the view's reused buffer, which the machine never reads back and the next call overwrites (DESIGN §13 read-only contract)",
 	})
 }
 

@@ -14,12 +14,13 @@ import (
 //     receiver, inside BindView. Storing it into a package-level variable, or
 //     into a field from any other method, hides machine state where the
 //     conformance kit cannot see it;
-//   - the RecentEvictions window is handed out as a fresh copy per call;
-//     retaining it in a field or package-level variable turns a per-decision
-//     observation into hidden state that diverges between a run and its
-//     rerun;
+//   - the RecentEvictions window is the view's reused buffer, valid only
+//     until the next call; retaining it in a field or package-level
+//     variable keeps a slice whose contents the next call rewrites, hidden
+//     state that no longer says what the policy read;
 //   - writing through the returned window (element assignment) is always a
-//     bug: the machine ignores it, so the policy is talking to itself.
+//     bug: the machine never reads the buffer back and the next call
+//     overwrites it, so the policy is talking to itself.
 //
 // The analysis is package-local over every function body, not just methods of
 // binder types: a leak through a helper function is still a leak.
@@ -78,7 +79,7 @@ func (vl *viewLeakScan) run() {
 			// for i := range recs / for _, r := range recs is a read; fine.
 		case *ast.IncDecStmt:
 			if vl.isWindowElem(s.X) {
-				vl.ctx.reportNode(vl.pkg, s, "write through the RecentEvictions window: the machine hands out a copy and ignores mutations (DESIGN §13 read-only contract)")
+				vl.ctx.reportNode(vl.pkg, s, "write through the RecentEvictions window: it is the view's reused buffer, which the machine never reads back and the next call overwrites (DESIGN §13 read-only contract)")
 			}
 		}
 		return true
@@ -102,7 +103,7 @@ func (vl *viewLeakScan) assign(s *ast.AssignStmt, inBindView bool) {
 		}
 		// Writes through a window (recs[i] = x, recs[i].Untouch = n).
 		if vl.isWindowElem(lhs) {
-			vl.ctx.reportNode(vl.pkg, s, "write through the RecentEvictions window: the machine hands out a copy and ignores mutations (DESIGN §13 read-only contract)")
+			vl.ctx.reportNode(vl.pkg, s, "write through the RecentEvictions window: it is the view's reused buffer, which the machine never reads back and the next call overwrites (DESIGN §13 read-only contract)")
 			continue
 		}
 		retained, kind := vl.retentionTarget(lhs)
@@ -111,7 +112,7 @@ func (vl *viewLeakScan) assign(s *ast.AssignStmt, inBindView bool) {
 		}
 		switch {
 		case vl.isWindowCall(rhs) || vl.isWindowVar(rhs):
-			vl.ctx.reportNode(vl.pkg, s, "RecentEvictions window retained in a %s: the window is a per-call observation, not policy state — copy what you need or waive with //cppelint:viewleak <reason>", kind)
+			vl.ctx.reportNode(vl.pkg, s, "RecentEvictions window retained in a %s: the slice is the view's reused buffer, valid only until the next call — copy what you need or waive with //cppelint:viewleak <reason>", kind)
 		case vl.isViewTyped(rhs):
 			if kind == "package-level variable" {
 				vl.ctx.reportNode(vl.pkg, s, "MachineView stored in a package-level variable: the view must live only in the bound policy (DESIGN §13)")

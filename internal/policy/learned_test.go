@@ -103,11 +103,13 @@ func TestLearnedViewFeatures(t *testing.T) {
 	}
 }
 
-// fakeView is a minimal MachineView for feature tests.
+// fakeView is a minimal MachineView for feature tests. Like the driver's
+// view, it copies the window into one buffer that every call reuses.
 type fakeView struct {
 	resident map[memdef.ChunkID]memdef.PageBitmap
 	touched  map[memdef.ChunkID]memdef.PageBitmap
 	window   []EvictionRecord
+	buf      [WindowSize]EvictionRecord
 	capacity int
 	cycle    memdef.Cycle
 }
@@ -128,5 +130,34 @@ func (v *fakeView) Resident(p memdef.PageNum) bool {
 func (v *fakeView) ChunkResident(c memdef.ChunkID) memdef.PageBitmap { return v.resident[c] }
 func (v *fakeView) ChunkTouched(c memdef.ChunkID) memdef.PageBitmap  { return v.touched[c] }
 func (v *fakeView) RecentEvictions() []EvictionRecord {
-	return append([]EvictionRecord(nil), v.window...)
+	return v.buf[:copy(v.buf[:], v.window)]
+}
+
+// TestLearnedSelectVictimAllocFree: a victim selection with a bound view —
+// candidate scan, the view's window and per-candidate features — allocates
+// nothing once the policy and view are warm.
+func TestLearnedSelectVictimAllocFree(t *testing.T) {
+	l := NewLearned(1)
+	view := &fakeView{
+		resident: map[memdef.ChunkID]memdef.PageBitmap{},
+		touched:  map[memdef.ChunkID]memdef.PageBitmap{},
+		capacity: 64 * memdef.ChunkPages,
+	}
+	l.BindView(view)
+	driveResident(l, 48)
+	for c := 0; c < 48; c++ {
+		view.resident[memdef.ChunkID(c)] = memdef.FullBitmap
+		view.touched[memdef.ChunkID(c)] = memdef.PageBitmap(c)
+	}
+	for c := 0; c < WindowSize; c++ {
+		view.window = append(view.window, EvictionRecord{Chunk: memdef.ChunkID(2 * c), Untouch: c % 17})
+	}
+	selectOne := func() {
+		if _, ok := l.SelectVictim(noneExcluded); !ok {
+			t.Fatal("no victim")
+		}
+	}
+	if a := testing.AllocsPerRun(100, selectOne); a != 0 {
+		t.Errorf("SelectVictim with a bound view: %v allocs per call, want 0", a)
+	}
 }

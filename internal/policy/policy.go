@@ -8,7 +8,7 @@
 //   - MachineView, the only window a policy gets into the simulated machine:
 //     residency, the recent-eviction pattern window, capacity pressure, and
 //     the simulated clock. There is no way to mutate machine state through
-//     it, by construction (every method returns values or fresh copies).
+//     it, by construction (every method returns values or copies).
 //   - the registry: named, versioned factories for eviction policies and
 //     prefetchers (Register / NewEviction / NewPrefetch), through which all
 //     in-tree policies are constructed and any external policy can be too.
@@ -31,7 +31,9 @@ import (
 // carry exactly this version: the registry refuses registrations written
 // against a different contract instead of letting them misbehave at runtime.
 // Version 2 changed Prefetcher.Plan to append into a caller-owned buffer.
-const APIVersion = 2
+// Version 3 made MachineView.RecentEvictions return the view's reused buffer,
+// valid only until the next call, instead of a fresh copy per call.
+const APIVersion = 3
 
 // Typed registry errors. They are surfaced through harness Result.Err (and a
 // nonzero cppe-sim exit), never panics.
@@ -70,7 +72,7 @@ const WindowSize = 32
 // window, capacity pressure, and the clock — no raw access to the driver,
 // page table, or event engine. Every method is a pure observation; mutating
 // the machine through a MachineView is impossible by construction (methods
-// return values and fresh slices only).
+// return values, and the one slice, RecentEvictions, is a copy).
 //
 // The view is bound once, at machine construction, to any policy or
 // prefetcher that implements ViewBinder. All observations are deterministic
@@ -96,9 +98,11 @@ type MachineView interface {
 	// ChunkTouched returns the touched bit vector of chunk c: the pages
 	// accessed by the GPU since they became resident.
 	ChunkTouched(c memdef.ChunkID) memdef.PageBitmap
-	// RecentEvictions returns a copy of the pattern window, oldest first,
-	// at most WindowSize records. Mutating the returned slice has no effect
-	// on the machine.
+	// RecentEvictions returns the pattern window, oldest first, at most
+	// WindowSize records, copied into a buffer the view reuses: the slice
+	// is valid until the next RecentEvictions call, so read it within the
+	// callback that asked for it and copy any record kept longer. Writing
+	// to it has no effect on the machine.
 	RecentEvictions() []EvictionRecord
 }
 

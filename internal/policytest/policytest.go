@@ -69,6 +69,9 @@ type machine struct {
 	nResident int
 	cycle     memdef.Cycle
 	evictions []policy.EvictionRecord
+	// window is the buffer RecentEvictions reuses, as the driver's view
+	// does: a policy that keeps the slice past the call sees it change.
+	window [policy.WindowSize]policy.EvictionRecord
 
 	// decisions is the victim log — the policy's observable behavior.
 	decisions []memdef.ChunkID
@@ -135,7 +138,7 @@ func (v machineView) RecentEvictions() []policy.EvictionRecord {
 	if len(evs) > policy.WindowSize {
 		evs = evs[len(evs)-policy.WindowSize:]
 	}
-	return append([]policy.EvictionRecord(nil), evs...)
+	return v.m.window[:copy(v.m.window[:], evs)]
 }
 
 // evictOne asks the policy for a victim (with faulting excluded, plus extra

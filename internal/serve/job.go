@@ -162,11 +162,14 @@ func (j *Job) bumpAttempts() int {
 // make that state durable, and only then wakes the waiters, so a waiter never
 // sees the job finished before its terminal state is journaled. The channel
 // woken is the one current at the transition: a rearm while persist runs
-// gives the job a fresh channel for new waiters, which stays open.
-func (j *Job) finish(s State, errMsg string, persist func(*Job)) {
+// gives the job a fresh channel for new waiters, which stays open. finish
+// returns the terminal record, which a later Record call may no longer
+// show once a re-POST has re-armed the job.
+func (j *Job) finish(s State, errMsg string, persist func(*Job)) Record {
 	j.mu.Lock()
 	j.state = s
 	j.errMsg = errMsg
+	rec := j.recordLocked()
 	done := j.done
 	j.mu.Unlock()
 	if persist != nil {
@@ -179,6 +182,7 @@ func (j *Job) finish(s State, errMsg string, persist func(*Job)) {
 	default:
 		close(done)
 	}
+	return rec
 }
 
 // rearm resets a terminal job for re-submission: state queued, attempt
@@ -215,6 +219,11 @@ func (j *Job) restore(rec Record) {
 func (j *Job) Record() Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.recordLocked()
+}
+
+// recordLocked is Record with j.mu held.
+func (j *Job) recordLocked() Record {
 	return Record{ID: j.ID, Request: j.Req, State: j.state, Attempts: j.attempts, Error: j.errMsg}
 }
 

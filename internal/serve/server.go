@@ -754,16 +754,18 @@ func (s *Server) park(j *Job) {
 
 func (s *Server) fail(j *Job, msg string) {
 	s.counters.Failed.Add(1)
-	j.finish(StateFailed, msg, s.persist)
+	rec := j.finish(StateFailed, msg, s.persist)
 	s.cfg.Logf("serve: job %s failed: %s", j.ID, msg)
-	s.onJobEvent(j, evPointFailed, 0)
+	s.onJobEvent(rec, evPointFailed, 0)
 }
 
-// onJobEvent publishes one lifecycle event to every sweep watching j and, on
-// terminal transitions, advances the fan-out windows so a finished point
-// immediately admits the next pending one.
-func (s *Server) onJobEvent(j *Job, typ string, cycle uint64) {
-	rec := j.Record()
+// onJobEvent publishes one lifecycle event of the job whose record is rec to
+// every sweep watching it and, on terminal transitions, advances the fan-out
+// windows so a finished point immediately admits the next pending one. A
+// terminal event takes the record finish returned: a re-POST admitted since
+// may have re-armed the job, and its current record would publish the
+// re-armed state and skip the advance.
+func (s *Server) onJobEvent(rec Record, typ string, cycle uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.publishLocked(rec, typ, cycle)
@@ -854,7 +856,7 @@ func (s *Server) execute(j *Job) {
 			return
 		}
 		j.setState(StateRunning) // not journaled: replay requeues either way
-		s.onJobEvent(j, evPointStarted, 0)
+		s.onJobEvent(j.Record(), evPointStarted, 0)
 
 		var deadlineAt time.Time
 		if deadline > 0 {
@@ -871,7 +873,7 @@ func (s *Server) execute(j *Job) {
 			}
 			return false
 		}
-		progressFn := func(cycle uint64) { s.onJobEvent(j, evPointProgress, cycle) }
+		progressFn := func(cycle uint64) { s.onJobEvent(j.Record(), evPointProgress, cycle) }
 
 		s.counters.SimsStarted.Add(1)
 		res, err := s.cfg.Runner.Run(j.Req, stopFn, progressFn)
@@ -913,8 +915,8 @@ func (s *Server) execute(j *Job) {
 				s.fail(j, jerr.Error())
 				return
 			}
-			j.finish(StateCached, "", s.persist)
-			s.onJobEvent(j, evPointDone, 0)
+			rec := j.finish(StateCached, "", s.persist)
+			s.onJobEvent(rec, evPointDone, 0)
 			s.maybeGC()
 			return
 		}
@@ -927,7 +929,7 @@ func (s *Server) execute(j *Job) {
 		s.counters.Retries.Add(1)
 		j.setState(StateRetrying)
 		s.persist(j)
-		s.onJobEvent(j, evPointRetried, 0)
+		s.onJobEvent(j.Record(), evPointRetried, 0)
 		delay := Backoff(s.cfg.RetryBase, s.cfg.RetryCap, attempt)
 		s.cfg.Logf("serve: job %s attempt %d failed (%v); retrying in %v", j.ID, attempt, res.Err, delay)
 		if !s.sleep(delay) {

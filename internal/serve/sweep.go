@@ -344,9 +344,9 @@ func (s *Server) admitPointLocked(sw *Sweep, p *SweepPoint) error {
 		j = NewJob(p.JobID, p.Req)
 		s.jobs[p.JobID] = j
 	}
-	j.finish(StateFailed, err.Error(), nil)
+	rec := j.finish(StateFailed, err.Error(), nil)
 	s.counters.Failed.Add(1)
-	s.publishLocked(j.Record(), evPointFailed, 0)
+	s.publishLocked(rec, evPointFailed, 0)
 	return nil
 }
 

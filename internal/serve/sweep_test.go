@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -485,6 +486,72 @@ func TestSweepEventsEndToEnd(t *testing.T) {
 	}
 	if _, err := dec.next(); err == nil {
 		t.Error("stream did not close after sweep_done")
+	}
+}
+
+// TestRepostInsidePointFailure: a sweep point's job re-POSTed after the
+// job turned failed but before its point_failed event went out (the Logf
+// hook runs in that window) must not change the event: it carries the
+// terminal record — the failure and its attempt — and not the re-armed
+// one, and the sweep still moves past the point to finish the grid.
+func TestRepostInsidePointFailure(t *testing.T) {
+	stub := newStubRunner()
+	stub.block = true // hold the first run until the test is subscribed
+	stub.failures["SRD-cppe-50"] = 1
+	cfg := testConfig(t.TempDir(), stub)
+	cfg.SweepWorkers = 1
+	cfg.MaxAttempts = 1
+	var srv *Server
+	reposted := make(chan SubmitResponse, 1)
+	var once sync.Once
+	cfg.Logf = func(format string, args ...any) {
+		if strings.Contains(format, "failed:") {
+			once.Do(func() {
+				_, sr, _ := post(t, srv.Handler(), srdBody)
+				reposted <- sr
+			})
+		}
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown(0)
+
+	code, sr := postSweep(t, srv.Handler(), `{"benchmarks":["SRD"],"setups":["cppe"],"oversubscriptions":[50,75]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST sweep: %d", code)
+	}
+	srv.mu.Lock()
+	sw := srv.sweeps[sr.ID]
+	failing := sw.Points[0].JobID
+	sub := sw.hub.subscribe()
+	srv.mu.Unlock()
+	defer sw.hub.unsubscribe(sub)
+	if failing != "SRD-cppe-50" {
+		t.Fatalf("first point %s, want SRD-cppe-50", failing)
+	}
+	close(stub.release)
+
+	if re := <-reposted; re.ID != failing || re.Cached || re.Deduped {
+		t.Fatalf("re-POST of the failed point: %+v, want a fresh admission of %s", re, failing)
+	}
+	for ev := range sub.ch {
+		if ev.Type != evPointFailed {
+			continue
+		}
+		if ev.JobID != failing || ev.Attempts != 1 || !strings.Contains(ev.Error, "stub crash") {
+			t.Errorf("point_failed = %+v, want %s's terminal record: attempt 1, the stub crash", ev, failing)
+		}
+		break
+	}
+	st := waitSweepDone(t, srv.Handler(), sr.ID)
+	if st.Counts.Cached != 2 {
+		t.Errorf("sweep done with %+v, want both points cached", st.Counts)
+	}
+	if got := stub.runs.Load(); got != 3 {
+		t.Errorf("underlying runs = %d, want 3 (the failed run, its rerun, the second point)", got)
 	}
 }
 

@@ -19,26 +19,45 @@ import (
 )
 
 // resetKey is one simulation of the reset oracle: a Table II workload at
-// scale 0.05 under a setup, at pct% of its footprint (0 = unlimited).
+// scale 0.05 (or at scale, when set) under a setup, at pct% of its footprint
+// (0 = unlimited).
 type resetKey struct {
 	bench string
 	setup setup
 	pct   int
+	scale float64
 }
 
-func (k resetKey) String() string { return fmt.Sprintf("%s/%s@%d", k.bench, k.setup.Name, k.pct) }
+func (k resetKey) String() string {
+	s := fmt.Sprintf("%s/%s@%d", k.bench, k.setup.Name, k.pct)
+	if k.scale != 0 {
+		s += fmt.Sprintf("@scale%g", k.scale)
+	}
+	return s
+}
+
+// traceScale is the workload scale k runs at.
+func (k resetKey) traceScale() float64 {
+	if k.scale == 0 {
+		return 0.05
+	}
+	return k.scale
+}
 
 // resetKeys are the oracle's keys, rate-major so neighbours differ in
-// benchmark and therefore in footprint.
+// benchmark, setup and capacity. At scale 0.05 every benchmark generates the
+// same 3,200-page footprint, so these keys never change the footprint a
+// recycled machine sizes its chunk table over; the across-footprints
+// subtests of TestResetMatchesFresh do.
 func resetKeys() []resetKey {
 	var keys []resetKey
 	for _, pct := range []int{50, 75, 0} {
 		keys = append(keys,
-			resetKey{"SRD", cppe, pct},
-			resetKey{"HIS", learned, pct},
-			resetKey{"STN", disableOnFull, pct},
-			resetKey{"BFS", tree, pct},
-			resetKey{"NW", baseline, pct},
+			resetKey{"SRD", cppe, pct, 0},
+			resetKey{"HIS", learned, pct, 0},
+			resetKey{"STN", disableOnFull, pct, 0},
+			resetKey{"BFS", tree, pct, 0},
+			resetKey{"NW", baseline, pct, 0},
 		)
 	}
 	return keys
@@ -50,14 +69,15 @@ var resetTraces = map[string]workload.Trace{}
 // prefetcher, its warps and its footprint.
 func (k resetKey) parts(t *testing.T, base memdef.Config) (memdef.Config, evict.Policy, prefetch.Prefetcher, [][]memdef.Op, int) {
 	t.Helper()
-	tr, ok := resetTraces[k.bench]
+	name := fmt.Sprintf("%s@%g", k.bench, k.traceScale())
+	tr, ok := resetTraces[name]
 	if !ok {
 		b, found := workload.ByAbbr(k.bench)
 		if !found {
 			t.Fatalf("unknown benchmark %s", k.bench)
 		}
-		tr = b.Generate(workload.Options{Scale: 0.05, Warps: 32})
-		resetTraces[k.bench] = tr
+		tr = b.Generate(workload.Options{Scale: k.traceScale(), Warps: 32})
+		resetTraces[name] = tr
 	}
 	cfg := base
 	if k.pct > 0 {
@@ -183,6 +203,26 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 		checkRecycled(t, m, keys[0], base)
 	})
+	// At scale 0.25, 2DC generates 8,192 pages and 3DC 8,160, each touching
+	// every page, against the 3,200 of every scale-0.05 key. One machine runs
+	// them in turn, each reset after a completed run: onto a smaller
+	// footprint, then onto a larger one that reaches into the chunk-table
+	// slots the first run filled.
+	t.Run("across-footprints", func(t *testing.T) {
+		seq := []resetKey{{"2DC", learned, 50, 0.25}, keys[1], {"3DC", cppe, 75, 0.25}}
+		for i := 1; i < len(seq); i++ {
+			_, _, _, _, prior := seq[i-1].parts(t, base)
+			_, _, _, _, next := seq[i].parts(t, base)
+			if prior == next {
+				t.Fatalf("setup: %v and %v both have a %d-page footprint", seq[i-1], seq[i], prior)
+			}
+		}
+		m := freshFor(t, seq[0], base)
+		m.Run(0)
+		for _, k := range seq[1:] {
+			checkRecycled(t, m, k, base)
+		}
+	})
 	t.Run("after-pause", func(t *testing.T) {
 		m := freshFor(t, keys[1], base)
 		if _, paused := m.RunUntil(0, 150_000); !paused {
@@ -230,10 +270,10 @@ func TestResetRejectsShapeChange(t *testing.T) {
 // tagged with a kind of its own (an untagged event would land in OtherKinds).
 func TestFiredByKindFreshAndRecycled(t *testing.T) {
 	base := memdef.DefaultConfig()
-	key := resetKey{"SRD", cppe, 50}
+	key := resetKey{"SRD", cppe, 50, 0}
 	fresh := freshFor(t, key, base)
 	fresh.Run(0)
-	recycled := freshFor(t, resetKey{"HIS", learned, 75}, base)
+	recycled := freshFor(t, resetKey{"HIS", learned, 75, 0}, base)
 	recycled.Run(0)
 	recycleFor(t, recycled, key, base)
 	recycled.Run(0)
@@ -265,7 +305,7 @@ func TestFiredByKindFreshAndRecycled(t *testing.T) {
 func TestChaosEventsTagged(t *testing.T) {
 	base := memdef.DefaultConfig()
 	base.ChaosSeed = 11
-	m := freshFor(t, resetKey{"STN", disableOnFull, 50}, base)
+	m := freshFor(t, resetKey{"STN", disableOnFull, 50, 0}, base)
 	m.Run(0)
 	kinds := m.Eng.FiredByKind()
 	if n := kinds[engine.OtherKinds]; n != 0 {

@@ -352,6 +352,10 @@ type Manager struct {
 	evictLog     [policy.WindowSize]policy.EvictionRecord
 	evictLogNext int
 	evictLogLen  int
+	// window is the buffer RecentEvictions copies evictLog into, oldest
+	// first: allocated at the first call and kept across resets, so a
+	// policy reading the window every victim selection allocates nothing.
+	window *[policy.WindowSize]policy.EvictionRecord
 
 	// aud, when non-nil, receives scoped transition checks at migration
 	// commits and evictions (the periodic full checks are engine-driven).
@@ -442,6 +446,7 @@ func (m *Manager) Reset(cfg memdef.Config, policy evict.Policy, pf prefetch.Pref
 		migFree:       m.migFree[:0],
 		migBuf:        m.migBuf[:0],
 		planBuf:       m.planBuf[:0],
+		window:        m.window,
 	}
 	// View-driven policies get the narrow machine view bound exactly once,
 	// before any event callback (see view.go).

@@ -7,9 +7,9 @@ import (
 
 // machineView is the driver's implementation of policy.MachineView: a
 // read-only window over the manager handed to view-driven policies. Every
-// method is a pure observation of driver state — the view holds no state of
-// its own and exposes no mutators, so a policy cannot perturb the machine
-// through it.
+// method is a pure observation of driver state — the view exposes no
+// mutators, and the one buffer it hands out (RecentEvictions) is a copy, so
+// a policy cannot perturb the machine through it.
 type machineView struct {
 	m *Manager
 }
@@ -47,22 +47,26 @@ func (v machineView) ChunkTouched(c memdef.ChunkID) memdef.PageBitmap {
 	return 0
 }
 
-// RecentEvictions implements policy.MachineView: a fresh oldest-first copy
-// of the driver's pattern window.
+// RecentEvictions implements policy.MachineView: the driver's pattern
+// window copied oldest-first into the manager's window buffer, which every
+// call reuses and overwrites.
 func (v machineView) RecentEvictions() []policy.EvictionRecord {
 	m := v.m
 	if m.evictLogLen == 0 {
 		return nil
 	}
-	out := make([]policy.EvictionRecord, 0, m.evictLogLen)
+	if m.window == nil {
+		m.window = new([policy.WindowSize]policy.EvictionRecord)
+	}
+	// The ring holds its oldest record at start; the records from there to
+	// the end of the array come first, those before it after.
 	start := m.evictLogNext - m.evictLogLen
 	if start < 0 {
 		start += len(m.evictLog)
 	}
-	for i := 0; i < m.evictLogLen; i++ {
-		out = append(out, m.evictLog[(start+i)%len(m.evictLog)])
-	}
-	return out
+	n := copy(m.window[:], m.evictLog[start:min(start+m.evictLogLen, len(m.evictLog))])
+	copy(m.window[n:], m.evictLog[:m.evictLogLen-n])
+	return m.window[:m.evictLogLen]
 }
 
 // View returns the manager's policy.MachineView — the same view bound to

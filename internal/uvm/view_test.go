@@ -49,6 +49,25 @@ func TestViewRecentEvictionsCopy(t *testing.T) {
 	}
 }
 
+// TestViewRecentEvictionsAllocFree: reading a full window copies it into
+// the view's buffer, allocated once, so a policy that reads it on every
+// victim selection allocates nothing.
+func TestViewRecentEvictionsAllocFree(t *testing.T) {
+	r := newRig(t, 64*memdef.ChunkPages, evict.NewLRU(), prefetch.NewNone())
+	v := r.m.View()
+	for i := 0; i < policy.WindowSize+3; i++ {
+		r.m.recordEviction(policy.EvictionRecord{Chunk: memdef.ChunkID(i)})
+	}
+	read := func() {
+		if got := v.RecentEvictions(); len(got) != policy.WindowSize {
+			t.Fatalf("window len = %d, want %d", len(got), policy.WindowSize)
+		}
+	}
+	if a := testing.AllocsPerRun(100, read); a != 0 {
+		t.Errorf("RecentEvictions: %v allocs per call, want 0", a)
+	}
+}
+
 // TestViewObservesDriverState: the view's observations track the machine —
 // residency, touch bits, page accounting, and simulated time — without the
 // policy owning any of that state.

@@ -20,6 +20,8 @@ import (
 
 // PolicyAPIVersion is the policy-contract version this build implements.
 // Registrations must declare it; the registry rejects every other value.
+// Version 3 lends the RecentEvictions window: the slice is valid until the
+// next call, so a policy copies any record it keeps past one callback.
 const PolicyAPIVersion = policy.APIVersion
 
 // Typed registration and lookup failures (errors.Is-able).
@@ -62,7 +64,8 @@ type (
 	// PolicyViewBinder is implemented by policies that want a MachineView;
 	// BindView is called once at machine construction, before any event.
 	PolicyViewBinder = policy.ViewBinder
-	// EvictionRecord is one entry of MachineView.RecentEvictions.
+	// EvictionRecord is one entry of MachineView.RecentEvictions, whose
+	// slice is the view's reused buffer, valid until the next call.
 	EvictionRecord = policy.EvictionRecord
 
 	// PolicyEnv is the construction environment handed to factories: the
