@@ -11,12 +11,7 @@ import (
 // per event — a fault, a plan, a victim selection — shows up here at once.
 // What remains is machine construction, trace generation, the policy
 // objects and the result; each ceiling sits about 15% above the measured
-// count (320 / 320 / 300 / 360, the same within one under -race). With a
-// fresh copy of the eviction window per learned victim selection and a
-// chunk chain indexed by a map over 64-entry pointer blocks, the same runs
-// made 333 / 814 / 310 / 370; with a closure per warp stage, request, walk
-// context and translation and a small object per SM, TLB, cache and DRAM
-// channel, 1,075 / 1,534 / 1,026 / 1,165.
+// count (321 / 319 / 300 / 360, the same within one under -race).
 func TestRunAllocCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		bench, setup string
@@ -34,9 +29,7 @@ func TestRunAllocCeiling(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			a := testing.AllocsPerRun(3, run)
-			t.Logf("%s/%s@50 at scale 0.05: %v allocs per run", tc.bench, tc.setup, a)
-			if a > tc.ceiling {
+			if a := testing.AllocsPerRun(3, run); a > tc.ceiling {
 				t.Errorf("%s/%s@50 at scale 0.05: %v allocs per run, ceiling %v", tc.bench, tc.setup, a, tc.ceiling)
 			}
 		})
@@ -47,21 +40,14 @@ func TestRunAllocCeiling(t *testing.T) {
 // each TestRunAllocCeiling key, in a fresh session as one cppe-sim run pays.
 // A fresh run builds the whole Table-I machine, so this is where the layout
 // of the per-machine structures — TLBs, page table, chunk states, cache
-// tags, trace records — shows. With the TLBs, page-table nodes and chunk
-// states of an earlier layout the same runs allocated 1.62 / 2.21 / 1.94 /
-// 1.56 MB; with 16-byte trace records, 16-byte tag-store lines and a chunk
-// table grown by doubling, 1.23 / 1.82 / 1.55 / 1.16 MB; with a closure per
-// warp stage, request, walk context and translation, 945,952 / 1,526,648 /
-// 1,109,032 / 972,760 bytes; with a fresh eviction-window copy per learned
-// victim selection and a map-indexed chunk chain, 932,320 / 1,518,760 /
-// 1,101,208 / 961,864 bytes.
+// tags, trace records — shows.
 //
 // TotalAlloc is process-wide, so a runtime or test-framework allocation that
 // lands inside the window counts too. The gate takes the smallest of three
 // runs, which drops such strays. Each ceiling sits 15–17% above the count
-// measured with go1.24 on linux/amd64 (930,280 / 1,029,648 / 1,094,536 /
-// 955,256 bytes; repeats differ by under 6 KB, GOMAXPROCS 1 and 2 agree,
-// and -race adds about 1 KB). A Go release that changes what its
+// measured with go1.24 on linux/amd64 (931,464 / 1,029,552 / 1,095,464 /
+// 956,184 bytes; repeats differ by under 6 KB, GOMAXPROCS 1 and 2 agree,
+// and -race adds under 1 KB). A Go release that changes what its
 // runtime or standard library allocates can move the counts; remeasure them
 // (the test logs each run) before moving a ceiling.
 func TestRunBytesCeiling(t *testing.T) {
@@ -100,14 +86,11 @@ func TestRunBytesCeiling(t *testing.T) {
 // The Fig. 8 sweep (92 runs at scale 0.05, Parallelism 2, fresh session)
 // runs each key on a worker that holds one machine at a time, so it builds
 // only the two machines its workers hold at once; the other runs recycle
-// them, leaving about 34 allocations per simulation (policy objects, trace
-// generation, results). Eight distinct keys run one after another through
-// Run recycle one machine: runs 2–8 allocate about 36 each. Each ceiling
-// sits about 15% above its count. With a map-indexed chunk chain and a
-// fresh eviction-window copy per learned victim selection the counts were
-// 46.7 and 86. Building a machine per run costs about 280 allocations more
-// (TestRunAllocCeiling); before components came from slabs and event
-// callbacks were shared per kind, it cost about 1,000.
+// them, leaving about 34.5 allocations per simulation (policy objects,
+// trace generation, results). Eight distinct keys run one after another
+// through Run recycle one machine: runs 2–8 allocate about 36 each. Each
+// ceiling sits about 15% above its count. Building a machine per run costs
+// about 280 allocations more (TestRunAllocCeiling).
 func TestWarmAllocCeiling(t *testing.T) {
 	t.Run("fig8-sweep", func(t *testing.T) {
 		s := NewSession(Options{Scale: 0.05, Parallelism: 2})

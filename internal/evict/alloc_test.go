@@ -8,29 +8,31 @@ import (
 )
 
 // TestChainChurnAllocFree gates entry recycling: at a steady chain length,
-// evicting the LRU entry and inserting a new chunk allocates nothing. The
-// chunk IDs wrap within twice the chain length, as a footprint bounds a
-// simulation's.
+// evicting the LRU entry and inserting a new chunk allocates nothing, with
+// chunk IDs that grow without bound both inside the dense position table and
+// past it.
 func TestChainChurnAllocFree(t *testing.T) {
-	c := NewChain()
-	const n = 256
-	for i := 0; i < n; i++ {
-		c.PushTail(memdef.ChunkID(i))
-	}
-	next := memdef.ChunkID(n)
-	churn := func() {
-		c.Remove(c.Head())
-		c.PushTail(next)
-		next = (next + 1) % (2 * n)
-	}
-	for i := 0; i < 4*n; i++ {
-		churn() // index every chunk ID once
-	}
-	if a := testing.AllocsPerRun(1000, churn); a != 0 {
-		t.Errorf("push/remove churn: %v allocs per cycle, want 0", a)
-	}
-	if want := (next + n) % (2 * n); c.Len() != n || c.Head().Chunk != want {
-		t.Errorf("after churn: len %d head %v, want %d and %v", c.Len(), c.Head().Chunk, n, want)
+	for _, first := range []memdef.ChunkID{0, 1 << 40} {
+		c := NewChain()
+		const n = 256
+		next := first
+		for ; next < first+n; next++ {
+			c.PushTail(next)
+		}
+		churn := func() {
+			c.Remove(c.Head())
+			c.PushTail(next)
+			next++
+		}
+		for i := 0; i < 4*n; i++ {
+			churn() // warm the chunk index
+		}
+		if a := testing.AllocsPerRun(1000, churn); a != 0 {
+			t.Errorf("first chunk %d: push/remove churn: %v allocs per cycle, want 0", first, a)
+		}
+		if c.Len() != n || c.Head().Chunk != next-n {
+			t.Errorf("first chunk %d: after churn: len %d head %v, want %d and %v", first, c.Len(), c.Head().Chunk, n, next-n)
+		}
 	}
 }
 

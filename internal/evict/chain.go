@@ -14,7 +14,6 @@ package evict
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"github.com/reproductions/cppe/internal/memdef"
 )
@@ -44,12 +43,12 @@ const none = -1
 // end. It supports O(1) insertion/removal and lookup by chunk.
 //
 // Entries are held by value and linked by position, and a chunk's entry is
-// found through a position table indexed by chunk ID, so a chain allocates
-// only when it outgrows its capacity: O(log n) times for n chunks, and
-// nothing once it has reached its peak length. The entries live in blocks
-// that double in size and never move, so growing copies none of them and a
-// returned *Entry stays valid until it is removed; the position table
-// doubles too.
+// found through a position table indexed by chunk ID (a memdef.ChunkTable),
+// so a chain allocates only as it grows: O(log n) times for n chunks, and
+// nothing once its length and the span of its chunk IDs have peaked. The
+// entries live in blocks that double in size and never move, so growing
+// copies none of them and a returned *Entry stays valid until it is
+// removed.
 type Chain struct {
 	// blocks[k] holds the firstBlock<<k entries from position
 	// firstBlock*(2^k-1) on; the first used positions have been handed out.
@@ -59,34 +58,24 @@ type Chain struct {
 	// free chains removed entries (through next) for reuse by newEntry.
 	free int32
 	n    int
-	// pos[c] is 1 + the position of chunk c's entry (0: not in the chain)
-	// for chunks below denseChunks; chunks at or past it are kept in far,
-	// sorted by chunk, so a widely scattered footprint costs memory by the
-	// chunks it holds rather than by the span it covers.
-	pos []int32
-	far []farPos
-}
-
-// farPos is the position of one chunk's entry past the dense table.
-type farPos struct {
-	chunk memdef.ChunkID
-	at    int32
+	// pos holds 1 + the position of each chunk's entry. Chunks below
+	// denseChunks (64 GiB of virtual address space, a table of at most 4
+	// MiB) are indexed directly; every generated footprint lies far below
+	// it.
+	pos memdef.ChunkTable[int32]
 }
 
 const (
-	// denseChunks bounds the position table: chunks below it (64 GiB of
-	// virtual address space, a table of at most 4 MiB) are indexed
-	// directly. Every generated footprint lies far below it.
 	denseChunks = 1 << 20
-	// firstBlock is the size of the first entry block and minPos the first
-	// length of the position table; both then double.
+	// firstBlock is the size of the first entry block; later blocks double.
 	firstBlock = 64
-	minPos     = 256
 )
 
 // NewChain returns an empty chain.
 func NewChain() *Chain {
-	return &Chain{head: none, tail: none, free: none}
+	c := &Chain{head: none, tail: none, free: none}
+	c.pos.Reset(0, denseChunks)
+	return c
 }
 
 // Len returns the number of entries.
@@ -102,52 +91,7 @@ func (c *Chain) at(i int32) *Entry {
 }
 
 // find returns the position of chunk id's entry, or none.
-func (c *Chain) find(id memdef.ChunkID) int32 {
-	if id < memdef.ChunkID(len(c.pos)) {
-		return c.pos[id] - 1
-	}
-	if i, ok := c.farIndex(id); ok {
-		return c.far[i].at
-	}
-	return none
-}
-
-// farIndex returns the index in far of chunk id, and whether it is there
-// (else the index where it belongs).
-func (c *Chain) farIndex(id memdef.ChunkID) (int, bool) {
-	return slices.BinarySearchFunc(c.far, id, func(f farPos, id memdef.ChunkID) int {
-		switch {
-		case f.chunk < id:
-			return -1
-		case f.chunk > id:
-			return 1
-		}
-		return 0
-	})
-}
-
-// setPos records that chunk id's entry is at position i (none: removed).
-func (c *Chain) setPos(id memdef.ChunkID, i int32) {
-	if id < denseChunks {
-		if id >= memdef.ChunkID(len(c.pos)) {
-			n := min(max(2*len(c.pos), int(id)+1, minPos), denseChunks)
-			pos := make([]int32, n)
-			copy(pos, c.pos)
-			c.pos = pos
-		}
-		c.pos[id] = i + 1
-		return
-	}
-	k, ok := c.farIndex(id)
-	switch {
-	case i == none:
-		c.far = slices.Delete(c.far, k, k+1)
-	case ok:
-		c.far[k].at = i
-	default:
-		c.far = slices.Insert(c.far, k, farPos{chunk: id, at: i})
-	}
-}
+func (c *Chain) find(id memdef.ChunkID) int32 { return c.pos.Get(id) - 1 }
 
 // self returns the position of e, an entry in the chain, from its
 // neighbours' links.
@@ -221,7 +165,7 @@ func (c *Chain) newEntry(id memdef.ChunkID) (int32, *Entry) {
 	}
 	e := c.at(i)
 	*e = Entry{Chunk: id}
-	c.setPos(id, i)
+	c.pos.Set(id, i+1)
 	c.n++
 	return i, e
 }
@@ -250,7 +194,7 @@ func (c *Chain) Remove(e *Entry) {
 		panic(fmt.Sprintf("evict: removing foreign entry %v", e.Chunk))
 	}
 	c.unlink(i)
-	c.setPos(e.Chunk, none)
+	c.pos.Set(e.Chunk, 0)
 	c.n--
 	e.prev, e.next = none, c.free
 	c.free = i

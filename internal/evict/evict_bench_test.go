@@ -6,35 +6,37 @@ import (
 	"github.com/reproductions/cppe/internal/memdef"
 )
 
-// benchChunks bounds the chunk IDs the steady-state benchmarks use, as a
-// footprint bounds a simulation's: the chain indexes chunks by ID, so IDs
-// that grow without bound would measure a table that grows with them.
-const benchChunks = 1 << 16
-
-// nextFree returns the first chunk after c, wrapping below benchChunks,
-// that ch does not hold.
-func nextFree(ch *Chain, c memdef.ChunkID) memdef.ChunkID {
-	for {
-		c = (c + 1) % benchChunks
-		if ch.Get(c) == nil {
-			return c
-		}
-	}
-}
-
 // BenchmarkChainOps measures the chunk chain's steady-state churn: insert at
-// MRU, remove a victim from LRU, look up a chunk.
+// MRU, remove a victim from LRU.
 func BenchmarkChainOps(b *testing.B) {
 	c := NewChain()
 	for i := 0; i < 512; i++ {
 		c.PushTail(memdef.ChunkID(i))
 	}
-	next := memdef.ChunkID(511)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := c.Head()
+		c.Remove(v)
+		c.PushTail(memdef.ChunkID(512 + i))
+		// Keep the id space from colliding with live entries.
+		if e := c.Get(memdef.ChunkID(512 + i - 512)); e != nil {
+			_ = e
+		}
+	}
+}
+
+// BenchmarkChainOpsFar is BenchmarkChainOps with chunk IDs past the dense
+// position table, as a trace with addresses at or above 64 GiB has.
+func BenchmarkChainOpsFar(b *testing.B) {
+	const first = memdef.ChunkID(1) << 40
+	c := NewChain()
+	for i := 0; i < 512; i++ {
+		c.PushTail(first + memdef.ChunkID(i))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Remove(c.Head())
-		next = nextFree(c, next)
-		c.PushTail(next)
+		c.PushTail(first + memdef.ChunkID(512+i))
 	}
 }
 
@@ -45,7 +47,7 @@ func BenchmarkMHPESteadyState(b *testing.B) {
 	for i := 0; i < 512; i++ {
 		m.OnMigrate(memdef.ChunkID(i), memdef.FullBitmap)
 	}
-	next := nextFree(m.chain, 511)
+	next := memdef.ChunkID(512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.OnFault(next)
@@ -55,7 +57,7 @@ func BenchmarkMHPESteadyState(b *testing.B) {
 		}
 		m.OnEvicted(v, i%16)
 		m.OnMigrate(next, memdef.FullBitmap)
-		next = nextFree(m.chain, next)
+		next++
 	}
 }
 
@@ -65,7 +67,7 @@ func BenchmarkLRUSteadyState(b *testing.B) {
 	for i := 0; i < 512; i++ {
 		l.OnMigrate(memdef.ChunkID(i), memdef.FullBitmap)
 	}
-	next := nextFree(l.chain, 511)
+	next := memdef.ChunkID(512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.OnFault(next)
@@ -75,6 +77,6 @@ func BenchmarkLRUSteadyState(b *testing.B) {
 		}
 		l.OnEvicted(v, 0)
 		l.OnMigrate(next, memdef.FullBitmap)
-		next = nextFree(l.chain, next)
+		next++
 	}
 }

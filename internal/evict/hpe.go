@@ -129,8 +129,8 @@ func NewHPE(opt HPEOptions) *HPE {
 		opt:      opt.withDefaults(),
 		chain:    NewChain(),
 		strategy: StrategyLRU,
-		buf:      newWrongRing(8),
 	}
+	h.buf.resize(8)
 	return h
 }
 

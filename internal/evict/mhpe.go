@@ -232,7 +232,7 @@ func (m *MHPE) pushBuf(c memdef.ChunkID) {
 	if m.buf.slots == nil {
 		// Memory not yet marked full (tests that call OnEvicted directly,
 		// or an injected chain corruption); fall back to the minimum buffer.
-		m.buf = newWrongRing(8)
+		m.buf.resize(8)
 		m.stats.BufferCap = 8
 	}
 	m.buf.push(c)
@@ -265,7 +265,7 @@ func (m *MHPE) onMemoryFull() {
 	if m.opt.FixedBufferCap > 0 {
 		bufCap = m.opt.FixedBufferCap
 	}
-	m.buf = newWrongRing(bufCap)
+	m.buf.resize(bufCap)
 	m.stats.BufferCap = bufCap
 }
 

@@ -70,48 +70,45 @@ func selectFromHead(ch *Chain, excluded func(memdef.ChunkID) bool) (memdef.Chunk
 }
 
 // wrongRing is the wrong-eviction buffer MHPE and HPE keep: a FIFO ring of
-// recently evicted chunks, scanned instead of indexed (it holds a few
-// hundred chunks at most). A chunk is in the buffer while a live slot holds
-// it. A fault takes it out of every slot; a push overwrites the oldest slot
-// and takes that slot's chunk out of every slot first, so a chunk evicted
-// twice leaves the buffer with its older slot.
+// recently evicted chunks and the set of chunks in the buffer. A fault
+// takes a chunk out of the set; a push overwrites the oldest slot and takes
+// that slot's chunk out of the set first, so a chunk evicted twice leaves
+// the buffer with its older slot.
 type wrongRing struct {
-	slots []ringSlot
+	slots []memdef.ChunkID
 	next  int
+	in    memdef.ChunkTable[bool]
 }
 
-// ringSlot is one evicted chunk; live is false once it has left the buffer.
-type ringSlot struct {
-	chunk memdef.ChunkID
-	live  bool
-}
-
-// newWrongRing returns a ring of n empty slots.
-func newWrongRing(n int) wrongRing {
-	slots := make([]ringSlot, n)
-	for i := range slots {
-		slots[i].chunk = invalidChunk
+// resize gives the ring n empty slots, the first time with an empty set.
+// The chunks already in the buffer stay there until a fault takes them out:
+// their slots are gone, so no push does.
+func (r *wrongRing) resize(n int) {
+	if r.slots == nil {
+		r.in.Reset(0, denseChunks)
 	}
-	return wrongRing{slots: slots}
+	r.slots = make([]memdef.ChunkID, n)
+	for i := range r.slots {
+		r.slots[i] = invalidChunk
+	}
+	r.next = 0
 }
 
 // push records the eviction of c in the oldest slot.
 func (r *wrongRing) push(c memdef.ChunkID) {
-	if old := r.slots[r.next].chunk; old != invalidChunk {
-		r.take(old)
+	if old := r.slots[r.next]; old != invalidChunk {
+		r.in.Set(old, false)
 	}
-	r.slots[r.next] = ringSlot{chunk: c, live: true}
+	r.slots[r.next] = c
+	r.in.Set(c, true)
 	r.next = (r.next + 1) % len(r.slots)
 }
 
 // take reports whether c is in the buffer and takes it out.
 func (r *wrongRing) take(c memdef.ChunkID) bool {
-	found := false
-	for i := range r.slots {
-		if s := &r.slots[i]; s.live && s.chunk == c {
-			s.live = false
-			found = true
-		}
+	if !r.in.Get(c) {
+		return false
 	}
-	return found
+	r.in.Set(c, false)
+	return true
 }

@@ -72,7 +72,8 @@ const WindowSize = 32
 // window, capacity pressure, and the clock — no raw access to the driver,
 // page table, or event engine. Every method is a pure observation; mutating
 // the machine through a MachineView is impossible by construction (methods
-// return values, and the one slice, RecentEvictions, is a copy).
+// return values, and the one slice, RecentEvictions, is a copy of the
+// driver's window in a buffer the driver never reads back).
 //
 // The view is bound once, at machine construction, to any policy or
 // prefetcher that implements ViewBinder. All observations are deterministic

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"github.com/reproductions/cppe/internal/audit"
@@ -278,15 +277,11 @@ type Manager struct {
 	freeFrames []pagetable.FrameNum
 	nextFrame  pagetable.FrameNum
 
-	// chunkTab is the dense per-chunk state table over the footprint
-	// SetFootprint gave, sized on the first touch: chunk c lives at
-	// chunkTab[c]. Chunks past it live in far, blocks of farChunks
-	// consecutive chunks in ascending order, so scattered touches cost
-	// memory by the chunks touched rather than by the span they cover.
-	// Entries are handed out by newChunkState on first touch and kept
-	// (zeroed, waiters preserved) across evictions.
-	chunkTab []*chunkState
-	far      []*farBlock
+	// chunks holds the per-chunk states. The first touch indexes the
+	// footprint SetFootprint gave directly; chunks past it live in far
+	// blocks. States are handed out by newChunkState on first touch and
+	// kept (zeroed, waiters preserved) across evictions.
+	chunks memdef.ChunkTable[*chunkState]
 	// chunkSlabs holds the chunk states in slabs that are never moved, so
 	// every handed-out pointer stays valid; the first chunkUsed states are
 	// in use. Reset rewinds chunkUsed, and newChunkState zeroes each
@@ -353,9 +348,9 @@ type Manager struct {
 	evictLogNext int
 	evictLogLen  int
 	// window is the buffer RecentEvictions copies evictLog into, oldest
-	// first: allocated at the first call and kept across resets, so a
-	// policy reading the window every victim selection allocates nothing.
-	window *[policy.WindowSize]policy.EvictionRecord
+	// first, so a policy reading the window every victim selection
+	// allocates nothing.
+	window [policy.WindowSize]policy.EvictionRecord
 
 	// aud, when non-nil, receives scoped transition checks at migration
 	// commits and evictions (the periodic full checks are engine-driven).
@@ -412,8 +407,7 @@ func (m *Manager) Reset(cfg memdef.Config, policy evict.Policy, pf prefetch.Pref
 	m.l2tlb.Reset()
 	m.l2ports.Reset(l2Ports(cfg))
 	m.migSlots.Reset(driverSlots(cfg))
-	clear(m.chunkTab[:cap(m.chunkTab)])
-	clear(m.far)
+	m.chunks.Reset(0, 0)
 	*m = Manager{
 		eng:           m.eng,
 		cfg:           cfg,
@@ -427,8 +421,7 @@ func (m *Manager) Reset(cfg memdef.Config, policy evict.Policy, pf prefetch.Pref
 		walker:        m.walker,
 		capacityPages: cfg.MemoryPages,
 		freeFrames:    m.freeFrames[:0],
-		chunkTab:      m.chunkTab[:0],
-		far:           m.far[:0],
+		chunks:        m.chunks,
 		chunkSlabs:    m.chunkSlabs,
 		migSlots:      m.migSlots,
 		xlatL1Fn:      m.xlatL1Fn,
@@ -446,7 +439,6 @@ func (m *Manager) Reset(cfg memdef.Config, policy evict.Policy, pf prefetch.Pref
 		migFree:       m.migFree[:0],
 		migBuf:        m.migBuf[:0],
 		planBuf:       m.planBuf[:0],
-		window:        m.window,
 	}
 	// View-driven policies get the narrow machine view bound exactly once,
 	// before any event callback (see view.go).
@@ -931,96 +923,33 @@ func (m *Manager) wake(page memdef.PageNum) {
 	}
 }
 
-// farChunks is the number of consecutive chunks one far block covers.
-const farChunks = 64
-
-// farBlock holds the states of farChunks consecutive chunks past the dense
-// table, starting at base, a multiple of farChunks.
-type farBlock struct {
-	base memdef.ChunkID
-	st   [farChunks]*chunkState
-}
-
-// farIndex returns the position in far of the block covering chunk c, and
-// whether that block exists (else the position where it belongs).
-func (m *Manager) farIndex(c memdef.ChunkID) (int, bool) {
-	base := c - c%farChunks
-	lo, hi := 0, len(m.far)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if m.far[mid].base < base {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(m.far) && m.far[lo].base == base
-}
-
 // lookupChunk returns the state for chunk c, or nil if c was never touched.
-func (m *Manager) lookupChunk(c memdef.ChunkID) *chunkState {
-	if c < memdef.ChunkID(len(m.chunkTab)) {
-		return m.chunkTab[c]
-	}
-	if i, ok := m.farIndex(c); ok {
-		return m.far[i].st[c%farChunks]
-	}
-	return nil
-}
+func (m *Manager) lookupChunk(c memdef.ChunkID) *chunkState { return m.chunks.Get(c) }
 
 // chunkState returns (allocating if needed) the state for chunk c.
 func (m *Manager) chunkState(c memdef.ChunkID) *chunkState {
-	if len(m.chunkTab) == 0 && len(m.far) == 0 {
+	if st := m.chunks.Get(c); st != nil {
+		return st
+	}
+	if m.chunks.End() == 0 {
 		// The first touch sizes the table over the footprint SetFootprint
 		// gave (chunk 0 up to its size), so a run that stays inside it never
-		// grows it. Reset cleared the retained storage.
+		// grows it.
 		fc := (m.footprintPages + memdef.ChunkPages - 1) / memdef.ChunkPages
-		if cap(m.chunkTab) < fc {
-			m.chunkTab = make([]*chunkState, fc)
-		}
-		m.chunkTab = m.chunkTab[:fc]
+		m.chunks.Reset(fc, fc)
 	}
-	var slot **chunkState
-	if c < memdef.ChunkID(len(m.chunkTab)) {
-		slot = &m.chunkTab[c]
-	} else {
-		i, ok := m.farIndex(c)
-		if !ok {
-			m.far = slices.Insert(m.far, i, &farBlock{base: c - c%farChunks})
-		}
-		slot = &m.far[i].st[c%farChunks]
-	}
-	if *slot == nil {
-		*slot = m.newChunkState()
-	}
-	return *slot
+	st := m.newChunkState()
+	m.chunks.Set(c, st)
+	return st
 }
 
 // eachChunk calls fn for every chunk touched since the last reset, with its
 // state, in ascending chunk order, until fn returns false.
-func (m *Manager) eachChunk(fn func(memdef.ChunkID, *chunkState) bool) {
-	for c, st := range m.chunkTab {
-		if st != nil && !fn(memdef.ChunkID(c), st) {
-			return
-		}
-	}
-	for _, b := range m.far {
-		for i, st := range b.st {
-			if st != nil && !fn(b.base+memdef.ChunkID(i), st) {
-				return
-			}
-		}
-	}
-}
+func (m *Manager) eachChunk(fn func(memdef.ChunkID, *chunkState) bool) { m.chunks.Each(fn) }
 
 // chunkLimit returns a chunk ID above every chunk touched since the last
 // reset.
-func (m *Manager) chunkLimit() memdef.ChunkID {
-	if n := len(m.far); n > 0 {
-		return m.far[n-1].base + farChunks
-	}
-	return memdef.ChunkID(len(m.chunkTab))
-}
+func (m *Manager) chunkLimit() memdef.ChunkID { return m.chunks.End() }
 
 // newChunkState hands out the next zeroed chunk state from chunkSlabs,
 // adding a slab when every retained one is in use.

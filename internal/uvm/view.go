@@ -55,9 +55,6 @@ func (v machineView) RecentEvictions() []policy.EvictionRecord {
 	if m.evictLogLen == 0 {
 		return nil
 	}
-	if m.window == nil {
-		m.window = new([policy.WindowSize]policy.EvictionRecord)
-	}
 	// The ring holds its oldest record at start; the records from there to
 	// the end of the array come first, those before it after.
 	start := m.evictLogNext - m.evictLogLen

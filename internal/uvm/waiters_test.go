@@ -34,22 +34,22 @@ func TestChunkTabSizedOnce(t *testing.T) {
 	const chunks = 300
 	m.SetFootprint(chunks*memdef.ChunkPages - 3) // a partial last chunk counts
 	first := m.chunkState(7)
-	tab := unsafe.SliceData(m.chunkTab)
-	if cap(m.chunkTab) != chunks {
-		t.Fatalf("first touch sized the table to %d chunks, want %d", cap(m.chunkTab), chunks)
+	tab := unsafe.SliceData(m.chunks.Dense())
+	if n := cap(m.chunks.Dense()); n != chunks {
+		t.Fatalf("first touch sized the table to %d chunks, want %d", n, chunks)
 	}
 	for _, c := range []memdef.ChunkID{0, chunks - 1, 150} {
 		m.chunkState(c)
 	}
-	if unsafe.SliceData(m.chunkTab) != tab || m.lookupChunk(7) != first {
+	if unsafe.SliceData(m.chunks.Dense()) != tab || m.lookupChunk(7) != first {
 		t.Fatal("touches inside the footprint moved the chunk table")
 	}
 	m.chunkState(chunks)
-	if m.lookupChunk(chunks) == nil || m.lookupChunk(7) != first || unsafe.SliceData(m.chunkTab) != tab {
+	if m.lookupChunk(chunks) == nil || m.lookupChunk(7) != first || unsafe.SliceData(m.chunks.Dense()) != tab {
 		t.Fatal("a touch past the footprint lost a chunk state or moved the table")
 	}
-	if len(m.far) != 1 {
-		t.Fatalf("a touch past the footprint made %d far blocks, want 1", len(m.far))
+	if n := m.chunks.Blocks(); n != 1 {
+		t.Fatalf("a touch past the footprint made %d far blocks, want 1", n)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestFarChunksInOrder(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("eachChunk visited %v, want %v", got, want)
 	}
-	if len(m.chunkTab) != 0 || len(m.far) > len(want) {
-		t.Fatalf("%d dense entries and %d far blocks for %d scattered chunks", len(m.chunkTab), len(m.far), len(want))
+	if d, b := len(m.chunks.Dense()), m.chunks.Blocks(); d != 0 || b > len(want) {
+		t.Fatalf("%d dense entries and %d far blocks for %d scattered chunks", d, b, len(want))
 	}
 	if m.lookupChunk(want[len(want)-1]+1) != nil || m.lookupChunk(m.chunkLimit()) != nil {
 		t.Fatal("lookupChunk found an untouched chunk")
